@@ -6,7 +6,9 @@
     mirrorcrit version
 
 `analyze` runs the full factorization pipeline and exits 0 when every
-applicable verdict passes, 2 when any fails, 1 on input errors.
+applicable verdict passes, 2 when any fails, 1 on input errors, and 3
+on an internal error (an inconsistency inside the pipeline, reported as
+`internal error: ...` on stderr).
 `oracle` cross-checks the algebra against exhaustive enumeration and
 accepts plain (non-symmetric) graph files as well.  `random` prints a
 seeded random symmetric graph in the text format.
@@ -18,8 +20,8 @@ import argparse
 import datetime
 import hashlib
 import json
-import math
 import sys
+import traceback
 
 from . import __version__
 from .critical import (
@@ -29,14 +31,7 @@ from .critical import (
     count_maximal_forests_bruteforce,
     subspace_masks,
 )
-from .factorization import (
-    VERDICT_ORDER,
-    FactorizationReport,
-    build_maps,
-    main_theorem_verdict,
-    phi_fixed_bicycles,
-    psi_fixed_bicycles,
-)
+from .factorization import VERDICT_ORDER, FactorizationReport, main_theorem_verdict
 from .graphfile import ParseError, parse, parse_plain, serialize
 from .graphs import InvalidSymmetricGraph
 from .randgraph import random_symmetric_graph
@@ -196,11 +191,15 @@ def cmd_analyze(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        graph = parse(raw.decode("utf-8"))
+        report = main_theorem_verdict(parse(raw.decode("utf-8")))
     except (ParseError, InvalidSymmetricGraph, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    report = main_theorem_verdict(graph)
+    except Exception as exc:
+        # anything else is a bug, not bad input
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return 3
     doc = report_document(report, args.path, raw)
     if args.format == "structured":
         print(json.dumps(doc, indent=2))
@@ -247,11 +246,7 @@ def cmd_oracle(args) -> int:
         if symmetric is not None:
             report = main_theorem_verdict(symmetric)
             maps = report.maps
-            phi_images = maps.phi_edge_matrix
-            fixed_brute = [
-                m for m in brute
-                if _permute_mask(m, phi_images) == m
-            ]
+            fixed_brute = _fixed_masks(brute, maps.phi)
             agree = report.coker_f.order() == len(fixed_brute)
             ok &= agree
             print(
@@ -261,10 +256,7 @@ def cmd_oracle(args) -> int:
             )
             union = maps.dec.union_graph()
             brute_pm = bicycle_masks_bruteforce(union, limit)
-            fixed_pm = [
-                m for m in brute_pm
-                if _permute_mask(m, maps.psi_matrix) == m
-            ]
+            fixed_pm = _fixed_masks(brute_pm, maps.psi)
             agree = report.ker_f.order() == len(fixed_pm)
             ok &= agree
             print(
@@ -279,14 +271,10 @@ def cmd_oracle(args) -> int:
     return 0 if ok else 2
 
 
-def _permute_mask(mask, perm_matrix):
-    out = 0
-    n = perm_matrix.n_cols
-    for j in range(n):
-        if (mask >> j) & 1:
-            row = perm_matrix.apply([int(i == j) for i in range(n)])
-            out |= sum(b << i for i, b in enumerate(row))
-    return out
+def _fixed_masks(masks, perm):
+    """The edge-subset bitmasks that the index permutation perm maps to
+    themselves (bit j goes to bit perm[j])."""
+    return [m for m in masks if m == sum(((m >> j) & 1) << i for j, i in enumerate(perm))]
 
 
 def cmd_random(args) -> int:

@@ -13,7 +13,7 @@ tested against, behind an enumeration guard.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .graphs import Multigraph
@@ -22,6 +22,7 @@ from .lattice import (
     GroupHom,
     IntMatrix,
     LatticeSolver,
+    SmithDecomposition,
     block_diagonal,
     column_lattice_basis,
     integer_kernel,
@@ -42,11 +43,14 @@ class AdjointPair:
 
     With the standard bases orthonormal, the adjoint of d *is* its
     transpose, so the constructor derives dt and rejects anything else;
-    keeping both fields documents intent at call sites.
+    keeping both fields documents intent at call sites.  Every derived
+    lattice, group and GF(p) space is computed once, on first use, and
+    kept on the pair.
     """
 
     d: IntMatrix
     dt: IntMatrix
+    _spaces_mod: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.dt != self.d.transpose():
@@ -91,6 +95,10 @@ class AdjointPair:
         return self.d @ self.dt
 
     @cached_property
+    def laplacian_snf(self) -> SmithDecomposition:
+        return smith_normal_form(self.laplacian)
+
+    @cached_property
     def bond_solver(self) -> LatticeSolver:
         return LatticeSolver(self.bond_lattice)
 
@@ -105,34 +113,31 @@ class AdjointPair:
         coker(d)) leaves the invariant factors of K whenever coker(d) is
         torsion-free, which holds for every graph boundary map.
         """
-        snf = smith_normal_form(self.laplacian)
-        factors = [d for d in snf.diagonal if d > 0]
+        factors = [d for d in self.laplacian_snf.diagonal if d > 0]
         rel = IntMatrix.from_columns(
             [[f if i == j else 0 for i in range(len(factors))] for j, f in enumerate(factors)],
             len(factors),
         )
         return FpAbelianGroup.quotient(len(factors), rel)
 
-    def in_cycle_lattice(self, vec) -> bool:
-        # ker(d) is saturated, so membership is just d(vec) == 0
-        return not any(self.d.mul_vector(vec))
-
-    def in_bond_lattice(self, vec) -> bool:
-        return self.bond_solver.contains(vec)
-
-    def d_mod(self, p: int) -> ModpMatrix:
-        return ModpMatrix.from_int_matrix(self.d, p)
+    def _spaces(self, p: int):
+        """(Z, B, Z cap B) over Z/p, computed once per prime."""
+        if p not in self._spaces_mod:
+            d = ModpMatrix.from_int_matrix(self.d, p)
+            z, b = kernel(d), row_space(d)
+            self._spaces_mod[p] = (z, b, z.intersection(b))
+        return self._spaces_mod[p]
 
     def cycle_space_mod(self, p: int) -> ModpSubspace:
-        return kernel(self.d_mod(p))
+        return self._spaces(p)[0]
 
     def bond_space_mod(self, p: int) -> ModpSubspace:
-        return row_space(self.d_mod(p))
+        return self._spaces(p)[1]
 
     def p_bicycle_space(self, p: int) -> ModpSubspace:
         """Z cap B over Z/p; its dimension is the number of invariant
         factors of the critical group divisible by p."""
-        return self.cycle_space_mod(p).intersection(self.bond_space_mod(p))
+        return self._spaces(p)[2]
 
 
 def block_pair(a: AdjointPair, b: AdjointPair) -> AdjointPair:
@@ -140,15 +145,15 @@ def block_pair(a: AdjointPair, b: AdjointPair) -> AdjointPair:
     return AdjointPair.from_matrix(block_diagonal(a.d, b.d))
 
 
-def forest_count(g: Multigraph) -> int:
-    """Number of maximal spanning forests, by the matrix-tree theorem.
+def forest_count(pair: AdjointPair) -> int:
+    """Number of maximal spanning forests of the graph with boundary pair
+    `pair`, by the matrix-tree theorem.
 
     Equals the product of the nonzero invariant factors of the graph
-    Laplacian, hence the order of the critical group.
+    Laplacian, hence the order of the critical group.  The Laplacian's
+    Smith form is the one `critical_group_via_laplacian` reads.
     """
-    pair = AdjointPair.from_graph(g)
-    snf = smith_normal_form(pair.laplacian)
-    return math.prod(d for d in snf.diagonal if d > 0)
+    return math.prod(d for d in pair.laplacian_snf.diagonal if d > 0)
 
 
 def count_maximal_forests_bruteforce(g: Multigraph, limit=DEFAULT_ORACLE_LIMIT) -> int:
@@ -403,12 +408,15 @@ class DualityReport:
         return self.kernel_matches_cokernel and self.cokernel_matches_kernel
 
 
-def duality_order_check(h: GroupHom, ht: GroupHom) -> DualityReport:
-    """ker(h) ~ coker(ht) and coker(h) ~ ker(ht), as invariant factors."""
-    ker_h = h.kernel().invariant_factors
-    coker_h = h.cokernel().invariant_factors
-    ker_ht = ht.kernel().invariant_factors
-    coker_ht = ht.cokernel().invariant_factors
+def duality_order_check(ker_h, coker_h, ker_ht, coker_ht) -> DualityReport:
+    """ker(h) ~ coker(ht) and coker(h) ~ ker(ht), as invariant factors.
+
+    Takes the four groups ker(h), coker(h), ker(ht), coker(ht) of a
+    transpose pair of homs h, ht, computed once by the caller.
+    """
+    ker_h, coker_h, ker_ht, coker_ht = (
+        grp.invariant_factors for grp in (ker_h, coker_h, ker_ht, coker_ht)
+    )
     return DualityReport(
         ker_h=ker_h,
         coker_ht=coker_ht,

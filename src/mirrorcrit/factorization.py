@@ -4,9 +4,9 @@ From a valid symmetric graph this module builds the edge-space map
 
     f : Z(E+) + Z(E-) -> Z(E),
 
-its transpose, and the GF(2) involution psi on E+ u E-, then computes
-the induced map f* : K(G+) + K(G-) -> K(G) on critical groups and
-verifies, in exact arithmetic:
+its transpose, and the involution psi on E+ u E- (phi acts on E), then
+computes the induced map f* : K(G+) + K(G-) -> K(G) on critical groups
+and verifies, in exact arithmetic:
 
   * f carries cycles to cycles and bonds to bonds (with the explicit
     cut-vector identities behind the proof);
@@ -35,22 +35,34 @@ from functools import cached_property
 from .critical import AdjointPair, DualityReport, duality_order_check, forest_count
 from .graphs import Decomposition, InvalidSymmetricGraph, SymmetricGraph
 from .lattice import FpAbelianGroup, GroupHom, IntMatrix
-from .modp import ModpMatrix, ModpSubspace, fixed_subspace, kernel
+from .modp import (
+    ModpMatrix,
+    ModpSubspace,
+    fixed_ambient,
+    fixed_subspace,
+    is_involution,
+    kernel,
+)
 
 
 @dataclass(frozen=True, eq=False)
 class SymmetryMaps:
-    """The four matrices attached to a decomposition, plus index layout.
+    """The analysis of one decomposition: f, f^t, psi, phi and everything
+    derived from them.
 
     Column/row order over E+ u E- is: plus edges in plus-graph order,
-    then minus edges in minus-graph order.
+    then minus edges in minus-graph order.  psi (on E+ u E-) and phi (on
+    the edges of G) are index tuples, i -> psi[i].  Every shared quantity
+    (pairs, groups, induced homs and their kernels and cokernels, fixed
+    GF(2) spaces) is computed once, on first use, and held here, so it
+    lives exactly as long as this graph's analysis.
     """
 
     dec: Decomposition
     f_matrix: IntMatrix
     ft_matrix: IntMatrix
-    psi_matrix: ModpMatrix
-    phi_edge_matrix: ModpMatrix
+    psi: tuple
+    phi: tuple
 
     @property
     def graph(self):
@@ -94,12 +106,80 @@ class SymmetryMaps:
     def ft_mod2(self) -> ModpMatrix:
         return ModpMatrix.from_int_matrix(self.ft_matrix, 2)
 
+    @cached_property
+    def f_star(self) -> GroupHom:
+        """f* : K(G+) + K(G-) -> K(G), on the block presentation."""
+        return _descend("f", self.f_matrix, self.pair_union, self.pair_g)
+
+    @cached_property
+    def ft_star(self) -> GroupHom:
+        """(f^t)* : K(G) -> K(G+) + K(G-)."""
+        return _descend("f^t", self.ft_matrix, self.pair_g, self.pair_union)
+
+    @cached_property
+    def ker_f(self) -> FpAbelianGroup:
+        return self.f_star.kernel()
+
+    @cached_property
+    def coker_f(self) -> FpAbelianGroup:
+        return self.f_star.cokernel()
+
+    @cached_property
+    def ker_ft(self) -> FpAbelianGroup:
+        return self.ft_star.kernel()
+
+    @cached_property
+    def coker_ft(self) -> FpAbelianGroup:
+        return self.ft_star.cokernel()
+
+    @cached_property
+    def z_phi(self) -> ModpSubspace:
+        return fixed_subspace(self.phi, self.pair_g.cycle_space_mod(2))
+
+    @cached_property
+    def b_phi(self) -> ModpSubspace:
+        return fixed_subspace(self.phi, self.pair_g.bond_space_mod(2))
+
+    @cached_property
+    def z_psi(self) -> ModpSubspace:
+        return fixed_subspace(self.psi, self.pair_union.cycle_space_mod(2))
+
+    @cached_property
+    def b_psi(self) -> ModpSubspace:
+        return fixed_subspace(self.psi, self.pair_union.bond_space_mod(2))
+
+    @cached_property
+    def sum_phi(self) -> ModpSubspace:
+        return self.z_phi.plus(self.b_phi)
+
+    @cached_property
+    def sum_psi(self) -> ModpSubspace:
+        return self.z_psi.plus(self.b_psi)
+
+    @cached_property
+    def phi_bicycles(self) -> ModpSubspace:
+        """Bicycles of G fixed by the edge action of phi."""
+        return fixed_subspace(self.phi, self.pair_g.p_bicycle_space(2))
+
+    @cached_property
+    def psi_bicycles(self) -> ModpSubspace:
+        """Bicycles of G+ u G- fixed by psi."""
+        return fixed_subspace(self.psi, self.pair_union.p_bicycle_space(2))
+
     def block_vector(self, plus_coeffs=None, minus_coeffs=None):
         plus = list(plus_coeffs) if plus_coeffs is not None else [0] * self.n_plus
         minus = list(minus_coeffs) if minus_coeffs is not None else [0] * self.n_minus
         if len(plus) != self.n_plus or len(minus) != self.n_minus:
             raise ValueError("block sizes do not match")
         return plus + minus
+
+
+def _descend(name, matrix, source: AdjointPair, target: AdjointPair) -> GroupHom:
+    """The hom of critical groups induced by `matrix`, checked well defined."""
+    hom = GroupHom(source.critical_group, target.critical_group, matrix)
+    if not hom.well_defined:
+        raise RuntimeError(f"{name} does not descend to the critical groups")
+    return hom
 
 
 def build_maps(dec: Decomposition) -> SymmetryMaps:
@@ -119,10 +199,6 @@ def build_maps(dec: Decomposition) -> SymmetryMaps:
     n_edges = graph.n_edges
     plus_edges = dec.plus.edges
     minus_edges = dec.minus.edges
-    n_plus, n_minus = len(plus_edges), len(minus_edges)
-
-    plus_pos = {e.id: i for i, e in enumerate(plus_edges)}
-    minus_pos = {e.id: n_plus + i for i, e in enumerate(minus_edges)}
 
     columns = []
     for e in plus_edges:
@@ -143,31 +219,28 @@ def build_maps(dec: Decomposition) -> SymmetryMaps:
         columns.append(col)
     f_matrix = IntMatrix.from_columns(columns, n_edges)
 
-    psi_images = [0] * (n_plus + n_minus)
+    plus_pos = {e.id: i for i, e in enumerate(plus_edges)}
+    minus_pos = {e.id: len(plus_edges) + i for i, e in enumerate(minus_edges)}
+    psi = []
     for e in plus_edges:
         origin = dec.plus_edge_origin[e.id]
         if origin[0] == "left":
-            psi_images[plus_pos[e.id]] = minus_pos[ephi[origin[1]]]
+            psi.append(minus_pos[ephi[origin[1]]])
         else:
-            psi_images[plus_pos[e.id]] = plus_pos[dec.half_pairing[e.id]]
+            psi.append(plus_pos[dec.half_pairing[e.id]])
     for e in minus_edges:
-        partner = ephi[dec.minus_edge_origin[e.id]]
-        psi_images[minus_pos[e.id]] = plus_pos[partner]
-    psi = ModpMatrix.permutation(2, psi_images)
+        psi.append(plus_pos[ephi[dec.minus_edge_origin[e.id]]])
+    phi = tuple(graph.edge_index(ephi[e.id]) for e in graph.edges)
 
-    phi_images = [graph.edge_index(ephi[e.id]) for e in graph.edges]
-    phi_edge = ModpMatrix.permutation(2, phi_images)
-
-    maps = SymmetryMaps(
+    if not is_involution(psi) or not is_involution(phi):
+        raise AssertionError("psi and phi must square to the identity")
+    return SymmetryMaps(
         dec=dec,
         f_matrix=f_matrix,
         ft_matrix=f_matrix.transpose(),
-        psi_matrix=psi,
-        phi_edge_matrix=phi_edge,
+        psi=tuple(psi),
+        phi=phi,
     )
-    if not psi.is_involution() or not phi_edge.is_involution():
-        raise AssertionError("psi and phi must square to the identity")
-    return maps
 
 
 # ---------------------------------------------------------------------------
@@ -270,26 +343,12 @@ def verify_lattice_preservation(maps: SymmetryMaps) -> LatticePreservationReport
 
 def induced_f_star(maps: SymmetryMaps) -> GroupHom:
     """f* : K(G+) + K(G-) -> K(G), on the block presentation."""
-    hom = GroupHom(
-        source=maps.pair_union.critical_group,
-        target=maps.pair_g.critical_group,
-        matrix=maps.f_matrix,
-    )
-    if not hom.is_well_defined():
-        raise RuntimeError("f does not descend to the critical groups")
-    return hom
+    return maps.f_star
 
 
 def induced_ft_star(maps: SymmetryMaps) -> GroupHom:
     """(f^t)* : K(G) -> K(G+) + K(G-)."""
-    hom = GroupHom(
-        source=maps.pair_g.critical_group,
-        target=maps.pair_union.critical_group,
-        matrix=maps.ft_matrix,
-    )
-    if not hom.is_well_defined():
-        raise RuntimeError("f^t does not descend to the critical groups")
-    return hom
+    return maps.ft_star
 
 
 @dataclass(frozen=True)
@@ -357,19 +416,9 @@ def two_torsion_check(maps: SymmetryMaps) -> TorsionReport:
         if ft.mul_vector(g_basis(e.id)) != expected:
             witnesses = False
 
-    f_star = induced_f_star(maps)
-    ft_star = induced_ft_star(maps)
-    groups = (
-        f_star.kernel(),
-        f_star.cokernel(),
-        ft_star.kernel(),
-        ft_star.cokernel(),
-    )
+    groups = (maps.ker_f, maps.coker_f, maps.ker_ft, maps.coker_ft)
     return TorsionReport(
-        ker_f=groups[0],
-        coker_f=groups[1],
-        ker_ft=groups[2],
-        coker_ft=groups[3],
+        *groups,
         all_two_torsion=all(grp.annihilated_by(2) for grp in groups),
         doubling_witnesses=witnesses,
     )
@@ -381,12 +430,12 @@ def two_torsion_check(maps: SymmetryMaps) -> TorsionReport:
 
 def phi_fixed_bicycles(maps: SymmetryMaps) -> ModpSubspace:
     """Bicycles of G fixed by the edge action of phi."""
-    return fixed_subspace(maps.phi_edge_matrix, maps.pair_g.p_bicycle_space(2))
+    return maps.phi_bicycles
 
 
 def psi_fixed_bicycles(maps: SymmetryMaps) -> ModpSubspace:
     """Bicycles of G+ u G- fixed by psi."""
-    return fixed_subspace(maps.psi_matrix, maps.pair_union.p_bicycle_space(2))
+    return maps.psi_bicycles
 
 
 @dataclass(frozen=True)
@@ -431,12 +480,10 @@ def identify_kernel_cokernel(maps: SymmetryMaps) -> BicycleIdentification:
     """
     g = maps.graph
     graph = g.graph
-    torsion = two_torsion_check(maps)
-
-    phi_bic = phi_fixed_bicycles(maps)
-    psi_bic = psi_fixed_bicycles(maps)
-    coker_order = torsion.coker_f.order()
-    ker_order = torsion.ker_f.order()
+    phi_bic = maps.phi_bicycles
+    psi_bic = maps.psi_bicycles
+    coker_order = maps.coker_f.order()
+    ker_order = maps.ker_f.order()
 
     # ker(f^t mod 2) versus its predicted basis {e + phi(e) : e Left}
     ker_ft2 = kernel(maps.ft_mod2)
@@ -450,21 +497,11 @@ def identify_kernel_cokernel(maps: SymmetryMaps) -> BicycleIdentification:
     ker_ft_ok = ker_ft2 == predicted and ker_ft2.dim == len(g.left_edges)
 
     # ker(f mod 2) versus the psi-fixed ambient subspace
-    full_block = ModpSubspace.full(2, maps.n_block)
-    psi_ambient = fixed_subspace(maps.psi_matrix, full_block)
-    ker_f2 = kernel(maps.f_mod2)
-    ker_f_ok = ker_f2 == psi_ambient
+    psi_ambient = fixed_ambient(2, maps.psi)
+    ker_f_ok = kernel(maps.f_mod2) == psi_ambient
 
-    full_edges = ModpSubspace.full(2, graph.n_edges)
-    phi_ambient = fixed_subspace(maps.phi_edge_matrix, full_edges)
-
-    z_phi = fixed_subspace(maps.phi_edge_matrix, maps.pair_g.cycle_space_mod(2))
-    b_phi = fixed_subspace(maps.phi_edge_matrix, maps.pair_g.bond_space_mod(2))
-    sum_phi = z_phi.plus(b_phi)
-    z_psi = fixed_subspace(maps.psi_matrix, maps.pair_union.cycle_space_mod(2))
-    b_psi = fixed_subspace(maps.psi_matrix, maps.pair_union.bond_space_mod(2))
-    sum_psi = z_psi.plus(b_psi)
-
+    phi_ambient = fixed_ambient(2, maps.phi)
+    sum_phi, sum_psi = maps.sum_phi, maps.sum_psi
     phi_quotient = phi_ambient.dim - sum_phi.dim
     psi_quotient = psi_ambient.dim - sum_psi.dim
 
@@ -510,9 +547,9 @@ def g_injection(maps: SymmetryMaps) -> InjectionReport:
     (fixed subgraph a forest) it is injective, which forces
     |ker(f*)| <= |coker(f*)|.
     """
-    domain = psi_fixed_bicycles(maps)
+    domain = maps.psi_bicycles
     n_edges = maps.graph.graph.n_edges
-    phi_bic = phi_fixed_bicycles(maps)
+    phi_bic = maps.phi_bicycles
     rows = []
     halves_agree = True
     for vec in domain.basis.rows:
@@ -573,25 +610,19 @@ def snake_dimension_report(maps: SymmetryMaps) -> SnakeReport:
     unconditional and checked always.
     """
     g = maps.graph
-    ident = identify_kernel_cokernel(maps)
-
-    z_psi = fixed_subspace(maps.psi_matrix, maps.pair_union.cycle_space_mod(2))
-    b_psi = fixed_subspace(maps.psi_matrix, maps.pair_union.bond_space_mod(2))
-    z_phi = fixed_subspace(maps.phi_edge_matrix, maps.pair_g.cycle_space_mod(2))
-    b_phi = fixed_subspace(maps.phi_edge_matrix, maps.pair_g.bond_space_mod(2))
+    z_psi, b_psi, sum_psi = maps.z_psi, maps.b_psi, maps.sum_psi
+    z_phi, b_phi, sum_phi = maps.z_phi, maps.b_phi, maps.sum_phi
     cap_psi = z_psi.intersection(b_psi)
     cap_phi = z_phi.intersection(b_phi)
-    sum_psi = z_psi.plus(b_psi)
-    sum_phi = z_phi.plus(b_phi)
 
     # the fixed space of an intersection is the intersection of the
     # fixed spaces; cross-check against the bicycle route
-    if cap_psi != psi_fixed_bicycles(maps) or cap_phi != phi_fixed_bicycles(maps):
+    if cap_psi != maps.psi_bicycles or cap_phi != maps.phi_bicycles:
         raise AssertionError("fixed-space routes disagree on the bicycle spaces")
 
     exponent = g.two_power_exponent()
-    log2_ker = ident.dim_psi_fixed
-    log2_coker = ident.dim_phi_fixed
+    log2_ker = maps.psi_bicycles.dim
+    log2_coker = maps.phi_bicycles.dim
 
     column_exact = (
         cap_psi.dim + sum_psi.dim == z_psi.dim + b_psi.dim
@@ -700,10 +731,9 @@ def component_linking_cycles(maps: SymmetryMaps) -> LinkingCycleBasis:
             block[i] ^= 1
         cycles.append(maps.f_mod2.apply(block))
 
-    z_psi = fixed_subspace(maps.psi_matrix, maps.pair_union.cycle_space_mod(2))
-    z_phi = fixed_subspace(maps.phi_edge_matrix, maps.pair_g.cycle_space_mod(2))
+    z_phi = maps.z_phi
     image_rows = []
-    for vec in z_psi.basis.rows:
+    for vec in maps.z_psi.basis.rows:
         image_rows.append(maps.f_mod2.apply(maps.block_vector(plus_coeffs=vec[: maps.n_plus])))
     image = ModpSubspace.from_rows(2, n_edges, image_rows)
 
@@ -757,8 +787,9 @@ class FactorizationReport:
     """Everything the analysis produces for one symmetric graph.
 
     Verdicts are True/False when the check applies and None when a
-    hypothesis it needs is not met; they are recomputed from scratch on
-    every run, never cached across graph edits.
+    hypothesis it needs is not met.  Each quantity behind them is
+    computed once per analysis, on the graph's SymmetryMaps, and nothing
+    is cached across graphs: every run starts from scratch.
     """
 
     graph: SymmetricGraph
@@ -816,19 +847,18 @@ def main_theorem_verdict(g: SymmetricGraph) -> FactorizationReport:
     group_minus = pair_minus.critical_group
     group_block = maps.pair_union.critical_group
 
-    f_star = induced_f_star(maps)
-    ft_star = induced_ft_star(maps)
-
     lattice_report = verify_lattice_preservation(maps)
     torsion = two_torsion_check(maps)
     ident = identify_kernel_cokernel(maps)
     injection = g_injection(maps)
     snake = snake_dimension_report(maps)
-    duality = duality_order_check(f_star, ft_star)
+    duality = duality_order_check(
+        torsion.ker_f, torsion.coker_f, torsion.ker_ft, torsion.coker_ft
+    )
 
-    kappa_g = forest_count(g.graph)
-    kappa_plus = forest_count(dec.plus)
-    kappa_minus = forest_count(dec.minus)
+    kappa_g = forest_count(pair_g)
+    kappa_plus = forest_count(pair_plus)
+    kappa_minus = forest_count(pair_minus)
 
     plus_connected = dec.plus.is_connected()
     axis_nonempty = len(g.fixed_vertices) > 0
@@ -899,7 +929,8 @@ def main_theorem_verdict(g: SymmetricGraph) -> FactorizationReport:
             applicable, linking.independent_and_spanning if linking else None
         ),
     }
-    assert tuple(verdicts) == VERDICT_ORDER
+    if tuple(verdicts) != VERDICT_ORDER:
+        raise AssertionError("verdicts out of VERDICT_ORDER")
 
     return FactorizationReport(
         graph=g,

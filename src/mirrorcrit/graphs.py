@@ -150,16 +150,6 @@ class EdgeVector:
     graph: Multigraph
     coeffs: tuple[int, ...]
 
-    @classmethod
-    def zero(cls, graph):
-        return cls(graph, (0,) * graph.n_edges)
-
-    @classmethod
-    def basis(cls, graph, eid, sign=1):
-        coeffs = [0] * graph.n_edges
-        coeffs[graph.edge_index(eid)] = sign
-        return cls(graph, tuple(coeffs))
-
     def _check(self, other):
         if self.graph is not other.graph:
             raise ValueError("edge vectors live on different graphs")
@@ -180,9 +170,6 @@ class EdgeVector:
 
     def is_zero(self):
         return not any(self.coeffs)
-
-    def nonzero(self):
-        return {e.id: c for e, c in zip(self.graph.edges, self.coeffs) if c}
 
 
 class SymmetricGraph:
@@ -448,12 +435,18 @@ class Decomposition:
         g = self.source
         n_left_e = len(g.left_edges)
         n_fixed_e = len(g.fixed_edges)
-        assert self.plus.n_edges == n_left_e + 2 * n_fixed_e
-        assert self.minus.n_edges == len(g.right_edges)
-        assert self.plus.n_vertices == (
-            len(g.left_vertices) + len(g.fixed_vertices) + n_fixed_e
+        plus, minus = self.plus, self.minus
+        sizes = (plus.n_edges, minus.n_edges, plus.n_vertices, minus.n_vertices)
+        expected = (
+            n_left_e + 2 * n_fixed_e,
+            len(g.right_edges),
+            len(g.left_vertices) + len(g.fixed_vertices) + n_fixed_e,
+            len(g.right_vertices) + 1,
         )
-        assert self.minus.n_vertices == len(g.right_vertices) + 1
+        if sizes != expected:
+            raise AssertionError(
+                f"plus/minus graph sizes {sizes} do not match the source graph's {expected}"
+            )
 
     def union_graph(self) -> Multigraph:
         """Disjoint union of the plus and minus graphs, plus edges first.

@@ -376,13 +376,14 @@ def column_lattice_basis(a: IntMatrix) -> IntMatrix:
 class LatticeSolver:
     """Exact membership and coordinate solving for a column lattice.
 
-    The Smith decomposition of the generator matrix is computed once;
-    each query is then a couple of matrix-vector products.
+    The Smith decomposition of the generator matrix is computed once,
+    or passed in when the caller already has it; each query is then a
+    couple of matrix-vector products.
     """
 
-    def __init__(self, generators: IntMatrix):
+    def __init__(self, generators: IntMatrix, snf: SmithDecomposition | None = None):
         self.generators = generators
-        self.snf = smith_normal_form(generators)
+        self.snf = smith_normal_form(generators) if snf is None else snf
 
     def solve(self, vec):
         """Integer x with generators @ x == vec, or None."""
@@ -455,7 +456,7 @@ class FpAbelianGroup:
 
     @cached_property
     def _solver(self):
-        return LatticeSolver(self.relations)
+        return LatticeSolver(self.relations, self.witness)
 
     def order(self):
         """Group order, or None when the group is infinite."""
@@ -465,9 +466,6 @@ class FpAbelianGroup:
 
     def is_trivial(self):
         return not self.invariant_factors and self.free_rank == 0
-
-    def is_finite(self):
-        return self.free_rank == 0
 
     def annihilated_by(self, k: int) -> bool:
         """True iff k*x = 0 for every element (so: k-torsion and finite)."""
@@ -527,6 +525,11 @@ class GroupHom:
         image = self.matrix @ self.source.relations
         return self.target._solver.contains_columns(image)
 
+    @cached_property
+    def well_defined(self) -> bool:
+        """`is_well_defined()`, computed once per hom."""
+        return self.is_well_defined()
+
     def kernel(self) -> FpAbelianGroup:
         """Kernel as an abstract group.
 
@@ -535,7 +538,7 @@ class GroupHom:
         x-parts of that kernel generate the preimage lattice P, and the
         kernel of the hom is P / (source relations).
         """
-        if not self.is_well_defined():
+        if not self.well_defined:
             raise ValueError("homomorphism is not well defined")
         stacked = self.matrix.hstack(self.target.relations)
         ker = integer_kernel(stacked)
@@ -553,7 +556,7 @@ class GroupHom:
 
     def cokernel(self) -> FpAbelianGroup:
         """Target modulo (target relations + image of the matrix)."""
-        if not self.is_well_defined():
+        if not self.well_defined:
             raise ValueError("homomorphism is not well defined")
         gens = self.target.relations.hstack(self.matrix)
         return FpAbelianGroup.quotient(self.target.ambient_rank, gens)

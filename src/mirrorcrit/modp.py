@@ -60,66 +60,15 @@ class ModpMatrix:
     def from_int_matrix(cls, m, p):
         return cls(p, m.rows, shape=m.shape)
 
-    @classmethod
-    def permutation(cls, p, images):
-        """Matrix sending basis vector e_j to e_images[j]."""
-        n = len(images)
-        rows = [[0] * n for _ in range(n)]
-        for j, i in enumerate(images):
-            rows[i][j] = 1
-        return cls(p, rows, shape=(n, n))
-
     @property
     def shape(self):
         return (self.n_rows, self.n_cols)
-
-    def _compatible(self, other):
-        if self.p != other.p:
-            raise ValueError("modulus mismatch")
-
-    def __matmul__(self, other):
-        self._compatible(other)
-        if self.n_cols != other.n_rows:
-            raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
-        p = self.p
-        ot = list(zip(*other.rows)) if other.rows else []
-        rows = [
-            [sum(a * b for a, b in zip(row, col)) % p for col in ot]
-            for row in self.rows
-        ]
-        return ModpMatrix(p, rows, shape=(self.n_rows, other.n_cols))
-
-    def __sub__(self, other):
-        self._compatible(other)
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        p = self.p
-        rows = [
-            [(a - b) % p for a, b in zip(r1, r2)]
-            for r1, r2 in zip(self.rows, other.rows)
-        ]
-        return ModpMatrix(p, rows, shape=self.shape)
-
-    def transpose(self):
-        return ModpMatrix(
-            self.p,
-            [[self.rows[i][j] for i in range(self.n_rows)] for j in range(self.n_cols)],
-            shape=(self.n_cols, self.n_rows),
-        )
 
     def apply(self, vec):
         vec = [x % self.p for x in vec]
         if len(vec) != self.n_cols:
             raise ValueError("vector length does not match n_cols")
         return tuple(sum(a * b for a, b in zip(row, vec)) % self.p for row in self.rows)
-
-    def is_identity(self):
-        return self.n_rows == self.n_cols and all(
-            x == int(i == j) for i, row in enumerate(self.rows) for j, x in enumerate(row)
-        )
-
-    def is_involution(self):
-        return self.n_rows == self.n_cols and (self @ self).is_identity()
 
     def __eq__(self, other):
         if not isinstance(other, ModpMatrix):
@@ -332,11 +281,30 @@ def row_space(m: ModpMatrix) -> ModpSubspace:
     return ModpSubspace.from_rows(m.p, m.n_cols, m.rows)
 
 
-def fixed_subspace(inv: ModpMatrix, space: ModpSubspace) -> ModpSubspace:
-    """{x in space : inv x = x} for an involution matrix inv."""
-    if inv.p != space.p or inv.n_cols != space.ambient_dim:
+def is_involution(perm) -> bool:
+    """True iff the index tuple perm (i -> perm[i]) squares to the identity."""
+    n = len(perm)
+    return all(0 <= j < n and perm[j] == i for i, j in enumerate(perm))
+
+
+def fixed_ambient(p, perm) -> ModpSubspace:
+    """{x in (Z/p)^n : x[perm[i]] = x[i] for all i}, for an involution perm.
+
+    It is spanned by e_i for every fixed point and e_i + e_perm(i) for
+    every swapped pair i < perm(i).  Those rows are already in reduced
+    echelon form, with the pivot at the smaller index, so no elimination
+    runs.
+    """
+    if not is_involution(perm):
+        raise ValueError("permutation is not an involution")
+    n = len(perm)
+    pivots = [i for i, j in enumerate(perm) if i <= j]
+    rows = [[int(k in (i, perm[i])) for k in range(n)] for i in pivots]
+    return ModpSubspace(p, n, ModpMatrix(p, rows, shape=(len(rows), n)), pivots)
+
+
+def fixed_subspace(perm, space: ModpSubspace) -> ModpSubspace:
+    """{x in space : x is fixed by the involution perm of the coordinates}."""
+    if len(perm) != space.ambient_dim:
         raise ValueError("involution does not act on the ambient space")
-    if not inv.is_involution():
-        raise ValueError("matrix is not an involution")
-    diff = inv - ModpMatrix.identity(inv.p, inv.n_rows)
-    return kernel(diff).intersection(space)
+    return fixed_ambient(space.p, perm).intersection(space)

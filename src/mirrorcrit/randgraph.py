@@ -98,7 +98,8 @@ def random_symmetric_graph(
     vertex_side.update({v: RIGHT for v in right})
     sg = SymmetricGraph(graph, vphi, ephi, vertex_side, edge_side)
     sg = sg.canonical_orientation()
-    assert sg.is_valid()
+    if not sg.is_valid():
+        raise AssertionError("generated graph is not a valid symmetric graph")
     return sg
 
 

@@ -38,13 +38,6 @@ def corpus_reports():
     return [(g, main_theorem_verdict(g)) for g in corpus]
 
 
-def perm_images(perm_matrix):
-    return [
-        next(i for i in range(perm_matrix.n_rows) if perm_matrix.rows[i][j])
-        for j in range(perm_matrix.n_cols)
-    ]
-
-
 def permute_mask(mask, images):
     out = 0
     for j, i in enumerate(images):
@@ -142,16 +135,14 @@ def test_criterion_4_bicycle_identifications(corpus_reports):
             failures.append("log2|ker| != dim psi-fixed bicycles")
         if g.graph.n_edges <= 12:
             masks = bicycle_masks_bruteforce(g.graph)
-            images = perm_images(rep.maps.phi_edge_matrix)
-            fixed = [m for m in masks if permute_mask(m, images) == m]
+            fixed = [m for m in masks if permute_mask(m, rep.maps.phi) == m]
             if len(fixed) != 2**ident.dim_phi_fixed:
                 failures.append("enumerated phi-fixed bicycles disagree")
             confirmed_phi += 1
         union = rep.maps.dec.union_graph()
         if union.n_edges <= 12:
             masks = bicycle_masks_bruteforce(union)
-            images = perm_images(rep.maps.psi_matrix)
-            fixed = [m for m in masks if permute_mask(m, images) == m]
+            fixed = [m for m in masks if permute_mask(m, rep.maps.psi) == m]
             if len(fixed) != 2**ident.dim_psi_fixed:
                 failures.append("enumerated psi-fixed bicycles disagree")
             confirmed_psi += 1

@@ -225,6 +225,22 @@ class TestAnalyzeCommand:
         assert code == 2
         assert "FAIL" in out
 
+    def test_internal_error_exit_three(self, monkeypatch, capsys):
+        # a bug inside the pipeline must not look like bad input (exit 1)
+        import mirrorcrit.cli as cli_module
+
+        def broken(g):
+            raise RuntimeError("f does not descend to the critical groups")
+
+        monkeypatch.setattr(cli_module, "main_theorem_verdict", broken)
+        code = main(["analyze", str(SAMPLES / "k4minus.sg")])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "internal error: RuntimeError: f does not descend to the critical groups\n"
+        )
+
 
 class TestOracleCommand:
     def test_symmetric_file_agrees(self, capsys):

@@ -1,6 +1,7 @@
 """The mirror map, induced homs, bicycle identifications, verdicts."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -26,7 +27,8 @@ from mirrorcrit.graphs import (
     Multigraph,
     SymmetricGraph,
 )
-from mirrorcrit.lattice import FpAbelianGroup, IntMatrix
+from mirrorcrit.lattice import FpAbelianGroup, GroupHom, IntMatrix
+from mirrorcrit.modp import is_involution
 
 from conftest import (
     identity_mirror_triangle,
@@ -90,16 +92,20 @@ class TestBuildMaps:
         assert maps.ft_matrix == maps.f_matrix.transpose()
 
     def test_psi_is_fixed_point_free_involution(self, maps):
-        assert maps.psi_matrix.is_involution()
-        n = maps.n_block
-        for j in range(n):
-            e = [int(i == j) for i in range(n)]
-            assert maps.psi_matrix.apply(e) != tuple(e)
+        assert is_involution(maps.psi)
+        assert len(maps.psi) == maps.n_block
+        for j in range(maps.n_block):
+            assert maps.psi[j] != j
 
     def test_psi_swaps_halves_and_mirrors(self, maps):
         # half1(cb) <-> half2(cb); ab <-> db
-        assert maps.psi_matrix.apply([0, 0, 1, 0, 0, 0]) == (0, 0, 0, 1, 0, 0)
-        assert maps.psi_matrix.apply([1, 0, 0, 0, 0, 0]) == (0, 0, 0, 0, 0, 1)
+        assert maps.psi[2] == 3
+        assert maps.psi[0] == 5
+
+    def test_phi_is_the_edge_involution(self, maps):
+        # ab <-> db, ac <-> dc, cb fixed
+        assert maps.phi == (3, 2, 1, 0, 4)
+        assert is_involution(maps.phi)
 
 
 class TestLatticePreservation:
@@ -351,6 +357,35 @@ class TestLinkingCycles:
             basis = component_linking_cycles(build_maps(g.decompose()))
             assert basis.independent_and_spanning
             assert len(basis.cycles) == g.fixed_subgraph_components()[0] - 1
+
+
+class TestWorkCounts:
+    def test_each_quantity_computed_once(self, monkeypatch):
+        # one analysis computes each kernel, cokernel and well-definedness
+        # check once; 25 SNFs cover every group, lattice and cross-check
+        import mirrorcrit.critical as critical_module
+        import mirrorcrit.lattice as lattice_module
+
+        counts = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        snf = counting("snf", lattice_module.smith_normal_form)
+        monkeypatch.setattr(lattice_module, "smith_normal_form", snf)
+        monkeypatch.setattr(critical_module, "smith_normal_form", snf)
+        for name in ("kernel", "cokernel", "is_well_defined"):
+            monkeypatch.setattr(GroupHom, name, counting(name, getattr(GroupHom, name)))
+
+        assert main_theorem_verdict(running_example()).overall_pass
+        assert counts["kernel"] == 2
+        assert counts["cokernel"] == 2
+        assert counts["is_well_defined"] == 2
+        assert 0 < counts["snf"] <= 25
 
 
 class TestMainTheoremVerdict:

@@ -1,8 +1,14 @@
 """Multigraphs, mirror involutions, validation, derived graphs."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import mirrorcrit
 
 from mirrorcrit.graphs import (
     AXIS_VERTEX,
@@ -18,6 +24,8 @@ from mirrorcrit.lattice import IntMatrix, integer_rank
 from mirrorcrit.randgraph import random_symmetric_graph
 
 from conftest import mirror_cycle, running_example, single_fixed_edge
+
+SAMPLES = Path(__file__).resolve().parent.parent / "sample_graphs"
 
 
 class TestMultigraph:
@@ -318,6 +326,23 @@ class TestDecompose:
         dec = g.decompose()
         assert dec.minus.n_edges == 1
         assert dec.minus.edges[0].is_loop
+
+    def test_tampered_decomposition_raises_under_optimize(self):
+        # `python -O` strips assert statements; the size check must
+        # survive it and still raise AssertionError
+        code = (
+            "import dataclasses\n"
+            "from mirrorcrit.graphfile import parse\n"
+            f"dec = parse(open({str(SAMPLES / 'k4minus.sg')!r}).read()).decompose()\n"
+            "try:\n"
+            "    dataclasses.replace(dec, minus=dec.plus)._check_cardinalities()\n"
+            "except AssertionError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(mirrorcrit.__file__).parents[1]))
+        result = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=60)
+        assert result.returncode == 0
 
 
 class TestFixedSubgraph:

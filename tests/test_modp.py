@@ -11,7 +11,9 @@ from mirrorcrit.modp import (
     EnumerationLimitError,
     ModpMatrix,
     ModpSubspace,
+    fixed_ambient,
     fixed_subspace,
+    is_involution,
     kernel,
     row_space,
 )
@@ -40,11 +42,11 @@ class TestModpMatrix:
         assert m.rows == ((1, 2), (1, 0))
 
     def test_permutation_and_involution(self):
-        swap = ModpMatrix.permutation(2, [1, 0, 2])
-        assert swap.is_involution()
-        assert swap.apply([1, 0, 0]) == (0, 1, 0)
-        cycle3 = ModpMatrix.permutation(2, [1, 2, 0])
-        assert not cycle3.is_involution()
+        swap = (1, 0, 2)
+        assert is_involution(swap)
+        assert swap[0] == 1  # e_0 goes to e_1
+        assert not is_involution((1, 2, 0))
+        assert not is_involution((0, 3, 2))  # image out of range
 
 
 class TestKernelAndRowSpace:
@@ -159,21 +161,37 @@ class TestSubspaceOps:
 class TestFixedSubspace:
     def test_identity_involution_fixes_everything(self):
         s = ModpSubspace.from_rows(2, 3, [[1, 0, 1]])
-        assert fixed_subspace(ModpMatrix.identity(2, 3), s) == s
+        assert fixed_subspace((0, 1, 2), s) == s
 
     def test_swap_fixed_space(self):
-        swap = ModpMatrix.permutation(2, [1, 0, 2])
         full = ModpSubspace.full(2, 3)
-        fixed = fixed_subspace(swap, full)
+        fixed = fixed_subspace((1, 0, 2), full)
         assert fixed.dim == 2
         assert fixed.contains([1, 1, 0])
         assert fixed.contains([0, 0, 1])
         assert not fixed.contains([1, 0, 0])
 
     def test_rejects_non_involution(self):
-        cycle3 = ModpMatrix.permutation(3, [1, 2, 0])
         with pytest.raises(ValueError):
-            fixed_subspace(cycle3, ModpSubspace.full(3, 3))
+            fixed_subspace((1, 2, 0), ModpSubspace.full(3, 3))
+
+    def test_fixed_ambient_is_echelon_without_elimination(self):
+        # the direct construction equals the eliminated span of its rows
+        rng = random.Random(7)
+        for p in (2, 3):
+            for _ in range(20):
+                n = rng.randint(0, 7)
+                perm = list(range(n))
+                idx = list(range(n))
+                rng.shuffle(idx)
+                for a, b in zip(idx[0::2], idx[1::2]):
+                    if rng.random() < 0.6:
+                        perm[a], perm[b] = b, a
+                direct = fixed_ambient(p, tuple(perm))
+                rows = [[int(k in (i, perm[i])) for k in range(n)] for i in range(n)]
+                assert direct == ModpSubspace.from_rows(p, n, rows)
+                assert direct.pivots == ModpSubspace.from_rows(p, n, rows).pivots
+                assert direct.dim == sum(1 for i in range(n) if i <= perm[i])
 
     def test_phi_fixed_bicycles_of_running_example(self):
         from mirrorcrit.factorization import build_maps, phi_fixed_bicycles
