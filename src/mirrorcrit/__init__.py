@@ -12,15 +12,10 @@ __version__ = "0.1.0"
 from .critical import (
     AdjointPair,
     DualityReport,
-    PairMorphism,
     bicycle_masks_bruteforce,
-    block_pair,
-    complete_morphism,
     count_maximal_forests_bruteforce,
     duality_order_check,
     forest_count,
-    induced_critical_hom,
-    preserves_lattices,
 )
 from .factorization import (
     FactorizationReport,
@@ -29,11 +24,7 @@ from .factorization import (
     component_linking_cycles,
     g_injection,
     identify_kernel_cokernel,
-    induced_f_star,
-    induced_ft_star,
     main_theorem_verdict,
-    phi_fixed_bicycles,
-    psi_fixed_bicycles,
     snake_dimension_report,
     two_torsion_check,
     verify_lattice_preservation,
@@ -80,16 +71,13 @@ __all__ = [
     "ModpMatrix",
     "ModpSubspace",
     "Multigraph",
-    "PairMorphism",
     "ParseError",
     "RIGHT",
     "SmithDecomposition",
     "SymmetricGraph",
     "SymmetryMaps",
     "bicycle_masks_bruteforce",
-    "block_pair",
     "build_maps",
-    "complete_morphism",
     "component_linking_cycles",
     "count_maximal_forests_bruteforce",
     "duality_order_check",
@@ -97,18 +85,12 @@ __all__ = [
     "forest_count",
     "g_injection",
     "identify_kernel_cokernel",
-    "induced_critical_hom",
-    "induced_f_star",
-    "induced_ft_star",
     "integer_kernel",
     "integer_rank",
     "kernel",
     "main_theorem_verdict",
     "parse",
     "parse_plain",
-    "phi_fixed_bicycles",
-    "preserves_lattices",
-    "psi_fixed_bicycles",
     "random_multigraph",
     "random_symmetric_graph",
     "row_space",

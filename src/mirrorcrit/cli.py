@@ -6,12 +6,12 @@
     mirrorcrit version
 
 `analyze` runs the full factorization pipeline and exits 0 when every
-applicable verdict passes, 2 when any fails, 1 on input errors, and 3
-on an internal error (an inconsistency inside the pipeline, reported as
-`internal error: ...` on stderr).
+applicable verdict passes, 2 when any fails and 1 on input errors.
 `oracle` cross-checks the algebra against exhaustive enumeration and
 accepts plain (non-symmetric) graph files as well.  `random` prints a
-seeded random symmetric graph in the text format.
+seeded random symmetric graph in the text format.  Every command exits
+3 on an internal error (an exception that is not about bad input,
+reported as `internal error: ...` with the traceback on stderr).
 """
 
 from __future__ import annotations
@@ -195,11 +195,6 @@ def cmd_analyze(args) -> int:
     except (ParseError, InvalidSymmetricGraph, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except Exception as exc:
-        # anything else is a bug, not bad input
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        traceback.print_exc()
-        return 3
     doc = report_document(report, args.path, raw)
     if args.format == "structured":
         print(json.dumps(doc, indent=2))
@@ -329,7 +324,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:
+        # the commands handle bad input themselves; anything else is a bug
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -338,17 +338,7 @@ def verify_lattice_preservation(maps: SymmetryMaps) -> LatticePreservationReport
 
 
 # ---------------------------------------------------------------------------
-# induced maps on critical groups
-
-
-def induced_f_star(maps: SymmetryMaps) -> GroupHom:
-    """f* : K(G+) + K(G-) -> K(G), on the block presentation."""
-    return maps.f_star
-
-
-def induced_ft_star(maps: SymmetryMaps) -> GroupHom:
-    """(f^t)* : K(G) -> K(G+) + K(G-)."""
-    return maps.ft_star
+# 2-torsion of the induced maps on critical groups
 
 
 @dataclass(frozen=True)
@@ -426,16 +416,6 @@ def two_torsion_check(maps: SymmetryMaps) -> TorsionReport:
 
 # ---------------------------------------------------------------------------
 # bicycle identifications
-
-
-def phi_fixed_bicycles(maps: SymmetryMaps) -> ModpSubspace:
-    """Bicycles of G fixed by the edge action of phi."""
-    return maps.phi_bicycles
-
-
-def psi_fixed_bicycles(maps: SymmetryMaps) -> ModpSubspace:
-    """Bicycles of G+ u G- fixed by psi."""
-    return maps.psi_bicycles
 
 
 @dataclass(frozen=True)
@@ -869,13 +849,9 @@ def main_theorem_verdict(g: SymmetricGraph) -> FactorizationReport:
 
     linking = component_linking_cycles(maps) if applicable else None
 
-    laplacian_match = (
-        pair_g.critical_group_via_laplacian().invariant_factors
-        == group_g.invariant_factors
-        and pair_plus.critical_group_via_laplacian().invariant_factors
-        == group_plus.invariant_factors
-        and pair_minus.critical_group_via_laplacian().invariant_factors
-        == group_minus.invariant_factors
+    laplacian_match = all(
+        pair.laplacian_invariant_factors == pair.critical_group.invariant_factors
+        for pair in (pair_g, pair_plus, pair_minus)
     )
 
     ker_order = torsion.ker_f.order()

@@ -162,9 +162,6 @@ class EdgeVector:
         self._check(other)
         return EdgeVector(self.graph, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
-    def __neg__(self):
-        return EdgeVector(self.graph, tuple(-a for a in self.coeffs))
-
     def scale(self, k):
         return EdgeVector(self.graph, tuple(k * a for a in self.coeffs))
 
@@ -326,26 +323,7 @@ class SymmetricGraph:
 
     def fixed_subgraph_components(self):
         """(component count, {fixed vertex: component index}) of (V^phi, E^phi)."""
-        verts = self.fixed_vertices
-        adj = {v: [] for v in verts}
-        for e in self.fixed_edges:
-            adj[e.tail].append(e.head)
-            adj[e.head].append(e.tail)
-        label = {}
-        count = 0
-        for v in verts:
-            if v in label:
-                continue
-            stack = [v]
-            label[v] = count
-            while stack:
-                x = stack.pop()
-                for y in adj[x]:
-                    if y not in label:
-                        label[y] = count
-                        stack.append(y)
-            count += 1
-        return count, label
+        return Multigraph(self.fixed_vertices, self.fixed_edges).components()
 
     def fixed_subgraph_is_forest(self):
         count, _ = self.fixed_subgraph_components()

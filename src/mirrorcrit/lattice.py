@@ -91,19 +91,11 @@ class IntMatrix:
         rows = [self.rows[i] + other.rows[i] for i in range(self.n_rows)]
         return IntMatrix(rows, shape=(self.n_rows, self.n_cols + other.n_cols))
 
-    def vstack(self, other):
-        if self.n_cols != other.n_cols:
-            raise ValueError("column counts differ")
-        return IntMatrix(self.rows + other.rows, shape=(self.n_rows + other.n_rows, self.n_cols))
-
     def top_rows(self, k):
         return IntMatrix(self.rows[:k], shape=(k, self.n_cols))
 
     def scale(self, k):
         return IntMatrix([[k * x for x in row] for row in self.rows], shape=self.shape)
-
-    def __neg__(self):
-        return self.scale(-1)
 
     def is_zero(self):
         return all(x == 0 for row in self.rows for x in row)
@@ -149,20 +141,6 @@ class IntMatrix:
 
     def __repr__(self):
         return f"IntMatrix({self.n_rows}x{self.n_cols})"
-
-
-def block_diagonal(*matrices):
-    """Block-diagonal assembly of integer matrices."""
-    n = sum(m.n_rows for m in matrices)
-    c = sum(m.n_cols for m in matrices)
-    out = [[0] * c for _ in range(n)]
-    ro = co = 0
-    for m in matrices:
-        for i, row in enumerate(m.rows):
-            out[ro + i][co : co + m.n_cols] = list(row)
-        ro += m.n_rows
-        co += m.n_cols
-    return IntMatrix(out, shape=(n, c))
 
 
 @dataclass(frozen=True)

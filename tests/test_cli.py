@@ -277,6 +277,21 @@ class TestOracleCommand:
         assert code == 1
         assert "exceed" in capsys.readouterr().err
 
+    def test_internal_error_exit_three(self, monkeypatch, capsys):
+        # the pipeline failing after the enumerations is a bug, not bad input
+        import mirrorcrit.cli as cli_module
+
+        def broken(g):
+            raise RuntimeError("f does not descend to the critical groups")
+
+        monkeypatch.setattr(cli_module, "main_theorem_verdict", broken)
+        code = main(["oracle", str(SAMPLES / "k4minus.sg")])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "forest count: enumeration 8 vs |K| 8  ok" in captured.out
+        assert captured.err.startswith("internal error: RuntimeError:")
+        assert "Traceback" in captured.err
+
 
 class TestRandomCommand:
     def test_deterministic(self, capsys):

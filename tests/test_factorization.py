@@ -10,11 +10,7 @@ from mirrorcrit.factorization import (
     component_linking_cycles,
     g_injection,
     identify_kernel_cokernel,
-    induced_f_star,
-    induced_ft_star,
     main_theorem_verdict,
-    phi_fixed_bicycles,
-    psi_fixed_bicycles,
     snake_dimension_report,
     two_torsion_check,
     verify_lattice_preservation,
@@ -125,7 +121,7 @@ class TestLatticePreservation:
 
 class TestInducedMaps:
     def test_running_example_kernel_and_cokernel(self, maps):
-        f_star = induced_f_star(maps)
+        f_star = maps.f_star
         assert f_star.source.invariant_factors == (2, 4)
         assert f_star.target.invariant_factors == (8,)
         assert f_star.kernel().invariant_factors == (2,)
@@ -134,16 +130,16 @@ class TestInducedMaps:
     def test_mirror_cycles_injective_with_z2_cokernel(self):
         for n in (2, 3, 5):
             m = build_maps(mirror_cycle(n).decompose())
-            f_star = induced_f_star(m)
+            f_star = m.f_star
             assert f_star.kernel().is_trivial()
             assert f_star.cokernel().invariant_factors == (2,)
 
     def test_single_fixed_edge_zero_map(self):
         m = build_maps(single_fixed_edge().decompose())
-        f_star = induced_f_star(m)
+        f_star = m.f_star
         assert f_star.source.is_trivial()
         assert f_star.target.is_trivial()
-        assert induced_ft_star(m).source.is_trivial()
+        assert m.ft_star.source.is_trivial()
 
 
 class TestTwoTorsion:
@@ -168,15 +164,15 @@ class TestTwoTorsion:
 
 class TestBicycleSpaces:
     def test_running_example_dims(self, maps):
-        assert phi_fixed_bicycles(maps).dim == 1
-        assert psi_fixed_bicycles(maps).dim == 1
+        assert maps.phi_bicycles.dim == 1
+        assert maps.psi_bicycles.dim == 1
 
     def test_running_example_phi_fixed_is_symmetric_square(self, maps):
-        space = phi_fixed_bicycles(maps)
+        space = maps.phi_bicycles
         assert space.basis.rows[0] == (1, 1, 1, 1, 0)
 
     def test_whole_union_is_psi_fixed_bicycle(self, maps):
-        space = psi_fixed_bicycles(maps)
+        space = maps.psi_bicycles
         assert space.contains([1, 1, 1, 1, 1, 1])
 
     def test_one_sided_bicycles_not_psi_fixed(self, maps):
@@ -187,7 +183,7 @@ class TestBicycleSpaces:
         minus_only = [0, 0, 0, 0, 1, 1]
         assert union_bic.contains(plus_only)
         assert union_bic.contains(minus_only)
-        space = psi_fixed_bicycles(maps)
+        space = maps.psi_bicycles
         assert not space.contains(plus_only)
         assert not space.contains(minus_only)
 
@@ -195,8 +191,8 @@ class TestBicycleSpaces:
         # the whole 2n-cycle is the phi-fixed bicycle; the plus path
         # has no bicycles at all, so nothing is psi-fixed
         m = build_maps(mirror_cycle(4).decompose())
-        assert phi_fixed_bicycles(m).dim == 1
-        assert psi_fixed_bicycles(m).dim == 0
+        assert m.phi_bicycles.dim == 1
+        assert m.psi_bicycles.dim == 0
 
 
 class TestIdentification:
@@ -243,10 +239,10 @@ class TestIdentification:
             m = build_maps(g.decompose())
             bic_g = m.pair_g.p_bicycle_space(2)
             restricted_ft = modp_kernel(m.ft_mod2).intersection(bic_g)
-            assert restricted_ft == phi_fixed_bicycles(m)
+            assert restricted_ft == m.phi_bicycles
             bic_pm = m.pair_union.p_bicycle_space(2)
             restricted_f = modp_kernel(m.f_mod2).intersection(bic_pm)
-            assert restricted_f == psi_fixed_bicycles(m)
+            assert restricted_f == m.psi_bicycles
 
     def test_f_mod2_maps_bicycles_to_bicycles(self, mixed_corpus):
         # the mod-2 reduction of f carries the bicycle space of the
@@ -362,7 +358,8 @@ class TestLinkingCycles:
 class TestWorkCounts:
     def test_each_quantity_computed_once(self, monkeypatch):
         # one analysis computes each kernel, cokernel and well-definedness
-        # check once; 25 SNFs cover every group, lattice and cross-check
+        # check once; 22 SNFs cover every group, lattice and cross-check,
+        # the Laplacian route reading the Laplacian's one Smith form
         import mirrorcrit.critical as critical_module
         import mirrorcrit.lattice as lattice_module
 
@@ -385,7 +382,7 @@ class TestWorkCounts:
         assert counts["kernel"] == 2
         assert counts["cokernel"] == 2
         assert counts["is_well_defined"] == 2
-        assert 0 < counts["snf"] <= 25
+        assert counts["snf"] == 22
 
 
 class TestMainTheoremVerdict:

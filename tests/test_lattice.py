@@ -11,7 +11,6 @@ from mirrorcrit.lattice import (
     GroupHom,
     IntMatrix,
     LatticeSolver,
-    block_diagonal,
     column_lattice_basis,
     integer_kernel,
     integer_rank,
@@ -48,7 +47,6 @@ class TestIntMatrix:
         assert a.shape == (2, 2)
         assert a.transpose().rows == ((1, 3), (2, 4))
         assert a.hstack(IntMatrix.identity(2)).shape == (2, 4)
-        assert a.vstack(IntMatrix.zero(1, 2)).shape == (3, 2)
         empty = IntMatrix([], shape=(0, 3))
         assert empty.transpose().shape == (3, 0)
 
@@ -68,12 +66,6 @@ class TestIntMatrix:
             a = IntMatrix([[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)])
             m = Matrix(n, n, [x for row in a.rows for x in row])
             assert a.det() == int(m.det())
-
-    def test_block_diagonal(self):
-        a = IntMatrix([[1]])
-        b = IntMatrix([[2, 3]])
-        c = block_diagonal(a, b)
-        assert c.rows == ((1, 0, 0), (0, 2, 3))
 
 
 class TestSmithNormalForm:

@@ -194,10 +194,10 @@ class TestFixedSubspace:
                 assert direct.dim == sum(1 for i in range(n) if i <= perm[i])
 
     def test_phi_fixed_bicycles_of_running_example(self):
-        from mirrorcrit.factorization import build_maps, phi_fixed_bicycles
+        from mirrorcrit.factorization import build_maps
 
         maps = build_maps(running_example().decompose())
-        assert phi_fixed_bicycles(maps).dim == 1
+        assert maps.phi_bicycles.dim == 1
 
 
 class TestEnumeration:
