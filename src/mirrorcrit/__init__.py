@@ -48,7 +48,6 @@ from .lattice import (
     IntMatrix,
     SmithDecomposition,
     integer_kernel,
-    integer_rank,
     smith_normal_form,
 )
 from .modp import ModpMatrix, ModpSubspace, fixed_subspace, kernel, row_space
@@ -86,7 +85,6 @@ __all__ = [
     "g_injection",
     "identify_kernel_cokernel",
     "integer_kernel",
-    "integer_rank",
     "kernel",
     "main_theorem_verdict",
     "parse",

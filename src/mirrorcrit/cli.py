@@ -22,6 +22,7 @@ import hashlib
 import json
 import sys
 import traceback
+from pathlib import Path
 
 from . import __version__
 from .critical import (
@@ -186,7 +187,7 @@ def render_text(doc: dict) -> str:
 
 def cmd_analyze(args) -> int:
     try:
-        raw = open(args.path, "rb").read()
+        raw = Path(args.path).read_bytes()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -205,7 +206,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_oracle(args) -> int:
     try:
-        raw = open(args.path, "rb").read()
+        raw = Path(args.path).read_bytes()
         text = raw.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

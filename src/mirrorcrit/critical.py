@@ -22,7 +22,6 @@ from .graphs import Multigraph
 from .lattice import (
     FpAbelianGroup,
     IntMatrix,
-    LatticeSolver,
     SmithDecomposition,
     integer_kernel,
     smith_normal_form,
@@ -90,10 +89,6 @@ class AdjointPair:
     @cached_property
     def laplacian_snf(self) -> SmithDecomposition:
         return smith_normal_form(self.laplacian)
-
-    @cached_property
-    def bond_solver(self) -> LatticeSolver:
-        return LatticeSolver(self.bond_lattice)
 
     @property
     def laplacian_invariant_factors(self) -> tuple[int, ...]:

@@ -60,7 +60,6 @@ class SymmetryMaps:
 
     dec: Decomposition
     f_matrix: IntMatrix
-    ft_matrix: IntMatrix
     psi: tuple
     phi: tuple
 
@@ -79,6 +78,10 @@ class SymmetryMaps:
     @property
     def n_block(self):
         return self.n_plus + self.n_minus
+
+    @cached_property
+    def ft_matrix(self) -> IntMatrix:
+        return self.f_matrix.transpose()
 
     @cached_property
     def pair_g(self) -> AdjointPair:
@@ -183,7 +186,7 @@ def _descend(name, matrix, source: AdjointPair, target: AdjointPair) -> GroupHom
 
 
 def build_maps(dec: Decomposition) -> SymmetryMaps:
-    """Populate f, f^t, psi and the edge action of phi.
+    """Populate f, psi and the edge action of phi; f^t is derived from f.
 
     Columns of f, per the case analysis of the mirror map: a plus edge
     from a Left edge e goes to e + phi(e); each half of a subdivided
@@ -237,7 +240,6 @@ def build_maps(dec: Decomposition) -> SymmetryMaps:
     return SymmetryMaps(
         dec=dec,
         f_matrix=f_matrix,
-        ft_matrix=f_matrix.transpose(),
         psi=tuple(psi),
         phi=phi,
     )
@@ -275,6 +277,13 @@ class LatticePreservationReport:
 def verify_lattice_preservation(maps: SymmetryMaps) -> LatticePreservationReport:
     """f carries Z+ + Z- into Z and B+ + B- into B, exactly.
 
+    Membership in B = im(d^t) needs no solver: d is a signed incidence
+    matrix, hence totally unimodular, so its nonzero invariant factors
+    are all 1 and B is saturated in Z^E (Bacher, de la Harpe and
+    Nagnibeda, Bull. SMF 1997).  A saturated lattice is the orthogonal
+    complement of its orthogonal complement, Z = ker(d), so a vector is
+    in B exactly when it is orthogonal to every cycle.
+
     Bond preservation is refined into the five cut-vector identities
     that actually drive it: the cut at a subdivision vertex dies, cuts
     at fixed vertices map to the matching cut of G, cuts at left
@@ -289,7 +298,7 @@ def verify_lattice_preservation(maps: SymmetryMaps) -> LatticePreservationReport
     cycles_ok = z_image.is_zero()
 
     bond_image = f @ maps.pair_union.bond_lattice
-    bonds_ok = maps.pair_g.bond_solver.contains_columns(bond_image)
+    bonds_ok = (maps.pair_g.cycle_lattice.transpose() @ bond_image).is_zero()
 
     def f_of_plus_bond(vertex):
         vec = dec.plus.bond_vector([vertex]).coeffs

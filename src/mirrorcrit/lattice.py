@@ -57,9 +57,6 @@ class IntMatrix:
     def shape(self):
         return (self.n_rows, self.n_cols)
 
-    def row(self, i):
-        return self.rows[i]
-
     def column(self, j):
         return tuple(row[j] for row in self.rows)
 
@@ -327,10 +324,6 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     )
 
 
-def integer_rank(a: IntMatrix) -> int:
-    return smith_normal_form(a).rank
-
-
 def integer_kernel(a: IntMatrix) -> IntMatrix:
     """Basis of the integer kernel lattice, as columns.
 
@@ -341,59 +334,6 @@ def integer_kernel(a: IntMatrix) -> IntMatrix:
     r = snf.rank
     cols = [snf.right.column(j) for j in range(r, a.n_cols)]
     return IntMatrix.from_columns(cols, a.n_cols)
-
-
-def column_lattice_basis(a: IntMatrix) -> IntMatrix:
-    """Basis (as columns) of the lattice generated by the columns of A."""
-    snf = smith_normal_form(a)
-    prod = a @ snf.right
-    cols = [prod.column(j) for j in range(snf.rank)]
-    return IntMatrix.from_columns(cols, a.n_rows)
-
-
-class LatticeSolver:
-    """Exact membership and coordinate solving for a column lattice.
-
-    The Smith decomposition of the generator matrix is computed once,
-    or passed in when the caller already has it; each query is then a
-    couple of matrix-vector products.
-    """
-
-    def __init__(self, generators: IntMatrix, snf: SmithDecomposition | None = None):
-        self.generators = generators
-        self.snf = smith_normal_form(generators) if snf is None else snf
-
-    def solve(self, vec):
-        """Integer x with generators @ x == vec, or None."""
-        snf = self.snf
-        w = snf.left.mul_vector(vec)
-        diag = snf.diagonal
-        r = snf.rank
-        coeffs = [0] * self.generators.n_cols
-        for i in range(len(w)):
-            if i < r:
-                if w[i] % diag[i]:
-                    return None
-                coeffs[i] = w[i] // diag[i]
-            elif w[i] != 0:
-                return None
-        return snf.right.mul_vector(coeffs)
-
-    def contains(self, vec):
-        snf = self.snf
-        w = snf.left.mul_vector(vec)
-        diag = snf.diagonal
-        r = snf.rank
-        for i in range(len(w)):
-            if i < r:
-                if w[i] % diag[i]:
-                    return False
-            elif w[i] != 0:
-                return False
-        return True
-
-    def contains_columns(self, mat: IntMatrix):
-        return all(self.contains(mat.column(j)) for j in range(mat.n_cols))
 
 
 @dataclass(frozen=True, eq=False)
@@ -428,14 +368,6 @@ class FpAbelianGroup:
             free_rank=free_rank,
         )
 
-    @classmethod
-    def trivial(cls) -> "FpAbelianGroup":
-        return cls.quotient(0, IntMatrix([], shape=(0, 0)))
-
-    @cached_property
-    def _solver(self):
-        return LatticeSolver(self.relations, self.witness)
-
     def order(self):
         """Group order, or None when the group is infinite."""
         if self.free_rank:
@@ -458,7 +390,8 @@ class FpAbelianGroup:
         )
 
     def contains_relation(self, vec) -> bool:
-        return self._solver.contains(vec)
+        """True iff `vec` lies in the relation lattice."""
+        return self.element_order(vec) == 1
 
     def element_order(self, vec):
         """Order of the class of `vec`, or None when infinite."""
@@ -501,7 +434,7 @@ class GroupHom:
     def is_well_defined(self) -> bool:
         """True iff the matrix maps source relations into target relations."""
         image = self.matrix @ self.source.relations
-        return self.target._solver.contains_columns(image)
+        return all(self.target.contains_relation(col) for col in image.columns())
 
     @cached_property
     def well_defined(self) -> bool:
@@ -514,23 +447,27 @@ class GroupHom:
         Solved by stacking: M x lies in the target relation lattice T
         exactly when (x, y) is in the integer kernel of [M | T].  The
         x-parts of that kernel generate the preimage lattice P, and the
-        kernel of the hom is P / (source relations).
+        kernel of the hom is P / (source relations R).  With U P V = S of
+        rank r, the first r columns of P V = U^-1 S are a basis of P, so
+        row i < r of U R, divided by d_i, gives R in that basis.
         """
         if not self.well_defined:
             raise ValueError("homomorphism is not well defined")
         stacked = self.matrix.hstack(self.target.relations)
-        ker = integer_kernel(stacked)
-        preimage_gens = ker.top_rows(self.source.ambient_rank)
-        basis = column_lattice_basis(preimage_gens)
-        solver = LatticeSolver(basis)
-        coords = []
-        for j in range(self.source.relations.n_cols):
-            x = solver.solve(self.source.relations.column(j))
-            if x is None:
-                raise AssertionError("source relations must lie in the preimage lattice")
-            coords.append(x)
-        rel = IntMatrix.from_columns(coords, basis.n_cols)
-        return FpAbelianGroup.quotient(basis.n_cols, rel)
+        preimage = integer_kernel(stacked).top_rows(self.source.ambient_rank)
+        snf = smith_normal_form(preimage)
+        r = snf.rank
+        u_rel = (snf.left @ self.source.relations).rows
+        pivots = list(zip(u_rel, snf.diagonal[:r]))
+        if any(any(row) for row in u_rel[r:]) or any(
+            x % d for row, d in pivots for x in row
+        ):
+            raise AssertionError("source relations must lie in the preimage lattice")
+        rel = IntMatrix(
+            [[x // d for x in row] for row, d in pivots],
+            shape=(r, self.source.relations.n_cols),
+        )
+        return FpAbelianGroup.quotient(r, rel)
 
     def cokernel(self) -> FpAbelianGroup:
         """Target modulo (target relations + image of the matrix)."""

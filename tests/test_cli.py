@@ -1,11 +1,15 @@
 """Graph file format and command-line behavior."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import mirrorcrit
 from mirrorcrit.cli import main
 from mirrorcrit.graphfile import ParseError, parse, parse_plain, serialize
 from mirrorcrit.graphs import FIXED, LEFT, RIGHT, InvalidSymmetricGraph
@@ -291,6 +295,20 @@ class TestOracleCommand:
         assert "forest count: enumeration 8 vs |K| 8  ok" in captured.out
         assert captured.err.startswith("internal error: RuntimeError:")
         assert "Traceback" in captured.err
+
+
+class TestInputFile:
+    @pytest.mark.parametrize("command", ["analyze", "oracle"])
+    def test_no_resource_warning(self, command):
+        # `-X dev` reports a file object that is never closed
+        env = dict(os.environ, PYTHONPATH=str(Path(mirrorcrit.__file__).parents[1]))
+        result = subprocess.run(
+            [sys.executable, "-X", "dev", "-m", "mirrorcrit.cli", command,
+             str(SAMPLES / "k4minus.sg")],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "ResourceWarning" not in result.stderr
 
 
 class TestRandomCommand:

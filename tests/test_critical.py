@@ -1,5 +1,7 @@
 """Critical groups, forest counts, p-bicycles, duality."""
 
+import random
+
 from mirrorcrit.critical import (
     AdjointPair,
     count_maximal_forests_bruteforce,
@@ -8,7 +10,7 @@ from mirrorcrit.critical import (
 )
 from mirrorcrit.factorization import build_maps
 from mirrorcrit.graphs import Multigraph
-from mirrorcrit.lattice import GroupHom, IntMatrix
+from mirrorcrit.lattice import FpAbelianGroup, GroupHom, IntMatrix, smith_normal_form
 from mirrorcrit.randgraph import random_multigraph
 
 from conftest import mirror_cycle, running_example
@@ -45,6 +47,32 @@ class TestAdjointPair:
         for i in range(z.n_cols):
             for j in range(b.n_cols):
                 assert sum(a * c for a, c in zip(z.column(i), b.column(j))) == 0
+
+    def test_bonds_are_exactly_the_vectors_orthogonal_to_cycles(self):
+        # d is totally unimodular, so B = im(dt) is saturated and the
+        # orthogonality test of verify_lattice_preservation is exact
+        rng = random.Random(3)
+        outcomes = set()
+        for seed in range(300):
+            pair = AdjointPair.from_graph(random_multigraph(seed))
+            assert set(smith_normal_form(pair.d).diagonal) <= {0, 1}
+            m = pair.c1_rank
+            if m == 0:
+                continue
+            bonds = FpAbelianGroup.quotient(m, pair.dt)
+            cycles_t = pair.cycle_lattice.transpose()
+            for k in range(20):
+                if k % 3 == 2:
+                    vec = [rng.randint(-3, 3) for _ in range(m)]
+                else:
+                    c = [rng.randint(-3, 3) for _ in range(pair.c0_rank)]
+                    vec = pair.dt.mul_vector(c)
+                    if k % 3 == 1:
+                        vec[rng.randrange(m)] += rng.choice((-1, 1))
+                orthogonal = not any(cycles_t.mul_vector(vec))
+                assert orthogonal == bonds.contains_relation(vec), (seed, vec)
+                outcomes.add(orthogonal)
+        assert outcomes == {True, False}
 
 
 class TestCriticalGroup:

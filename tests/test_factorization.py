@@ -1,5 +1,6 @@
 """The mirror map, induced homs, bicycle identifications, verdicts."""
 
+import dataclasses
 import random
 from collections import Counter
 
@@ -117,6 +118,22 @@ class TestLatticePreservation:
     def test_random_corpus(self, mixed_corpus):
         for g in mixed_corpus:
             assert verify_lattice_preservation(build_maps(g.decompose())).passed
+
+    def test_bond_check_is_exact_membership(self, maps):
+        # tamper one entry of f at a time: bonds_into_bonds must equal
+        # exact membership of the bond image in B = im(dt)
+        bonds = FpAbelianGroup.quotient(maps.pair_g.c1_rank, maps.pair_g.dt)
+        outcomes = set()
+        for i in range(maps.f_matrix.n_rows):
+            for j in range(maps.f_matrix.n_cols):
+                rows = [list(row) for row in maps.f_matrix.rows]
+                rows[i][j] += 1
+                tampered = dataclasses.replace(maps, f_matrix=IntMatrix(rows))
+                image = tampered.f_matrix @ maps.pair_union.bond_lattice
+                exact = all(bonds.contains_relation(col) for col in image.columns())
+                assert verify_lattice_preservation(tampered).bonds_into_bonds == exact
+                outcomes.add(exact)
+        assert False in outcomes
 
 
 class TestInducedMaps:
@@ -358,8 +375,10 @@ class TestLinkingCycles:
 class TestWorkCounts:
     def test_each_quantity_computed_once(self, monkeypatch):
         # one analysis computes each kernel, cokernel and well-definedness
-        # check once; 22 SNFs cover every group, lattice and cross-check,
-        # the Laplacian route reading the Laplacian's one Smith form
+        # check once; 19 SNFs cover every group, lattice and cross-check:
+        # the Laplacian route reads the Laplacian's one Smith form, a hom
+        # kernel makes 3 (kernel of [M | T], preimage lattice, quotient)
+        # and bond membership needs none
         import mirrorcrit.critical as critical_module
         import mirrorcrit.lattice as lattice_module
 
@@ -382,7 +401,7 @@ class TestWorkCounts:
         assert counts["kernel"] == 2
         assert counts["cokernel"] == 2
         assert counts["is_well_defined"] == 2
-        assert counts["snf"] == 22
+        assert counts["snf"] == 19
 
 
 class TestMainTheoremVerdict:

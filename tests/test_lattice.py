@@ -10,10 +10,7 @@ from mirrorcrit.lattice import (
     FpAbelianGroup,
     GroupHom,
     IntMatrix,
-    LatticeSolver,
-    column_lattice_basis,
     integer_kernel,
-    integer_rank,
     smith_normal_form,
 )
 
@@ -113,25 +110,10 @@ class TestSmithNormalForm:
 
     def test_kernel_and_rank(self):
         a = IntMatrix([[1, 2, 3], [2, 4, 6]])
-        assert integer_rank(a) == 1
+        assert smith_normal_form(a).rank == 1
         ker = integer_kernel(a)
         assert ker.shape == (3, 2)
         assert (a @ ker).is_zero()
-
-    def test_column_lattice_basis(self):
-        a = IntMatrix([[2, 4], [0, 0]])
-        basis = column_lattice_basis(a)
-        assert basis.shape == (2, 1)
-        assert abs(basis.rows[0][0]) == 2
-
-    def test_lattice_solver(self):
-        gens = IntMatrix([[2, 0], [0, 3]])
-        solver = LatticeSolver(gens)
-        assert solver.contains([4, 3])
-        assert not solver.contains([1, 0])
-        x = solver.solve([6, -3])
-        assert gens.mul_vector(x) == [6, -3]
-        assert solver.solve([1, 1]) is None
 
 
 class TestFpAbelianGroup:
@@ -170,6 +152,11 @@ class TestFpAbelianGroup:
         assert g.element_order([0]) == 1
         free = FpAbelianGroup.quotient(1, IntMatrix.zero(1, 0))
         assert free.element_order([1]) is None
+
+    def test_contains_relation(self):
+        g = FpAbelianGroup.quotient(2, IntMatrix([[2, 0], [0, 3]]))
+        assert g.contains_relation([4, 3])
+        assert not g.contains_relation([1, 0])
 
     def test_order_invariant_under_remixing(self):
         # invariant factors depend only on the lattice, not the chosen
@@ -210,6 +197,16 @@ class TestGroupHom:
         assert not ident.is_well_defined()
         with pytest.raises(ValueError):
             ident.kernel()
+
+    def test_kernel_raises_when_relations_leave_the_preimage(self):
+        # with the well-definedness guard bypassed, the relation 2 of Z/2
+        # is not in the preimage of Z/4's relations (4Z) nor of Z's (0)
+        z2 = FpAbelianGroup.quotient(1, IntMatrix([[2]]))
+        for target in (IntMatrix([[4]]), IntMatrix.zero(1, 0)):
+            hom = GroupHom(z2, FpAbelianGroup.quotient(1, target), IntMatrix([[1]]))
+            hom.__dict__["well_defined"] = True
+            with pytest.raises(AssertionError, match="preimage lattice"):
+                hom.kernel()
 
     def test_kernel_of_identity_on_z6(self):
         z6 = FpAbelianGroup.quotient(1, IntMatrix([[6]]))
