@@ -185,7 +185,9 @@ def bicycle_masks_bruteforce(g: Multigraph, limit=DEFAULT_ORACLE_LIMIT):
     m = g.n_edges
     n = g.n_vertices
     if 2**m > limit or 2**n > limit:
-        raise OracleLimitError("subset enumeration exceeds the limit")
+        raise OracleLimitError(
+            f"2^{m} edge subsets or 2^{n} vertex subsets exceed the limit {limit}"
+        )
     incidence = [0] * n
     for j, e in enumerate(g.edges):
         if not e.is_loop:

@@ -3,15 +3,16 @@
 Smith normal form with unimodular change-of-basis witnesses, lattices
 given by integer generator matrices, and finitely presented abelian
 groups (with kernels and cokernels of homomorphisms between them).
+The reduction works on S alone and logs its elementary operations; each
+witness is built from that log only when a caller reads it.
 
 Everything runs on Python ints, so there is no overflow, ever.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 
@@ -25,7 +26,7 @@ class IntMatrix:
     __slots__ = ("n_rows", "n_cols", "rows")
 
     def __init__(self, rows, shape=None):
-        rows = tuple(tuple(int(x) for x in row) for row in rows)
+        rows = tuple(tuple(map(int, row)) for row in rows)
         if shape is None:
             if not rows:
                 raise ValueError("shape is required for a matrix with no rows")
@@ -70,17 +71,27 @@ class IntMatrix:
         )
 
     def __matmul__(self, other):
+        """Each row of the product is the combination of `other`'s rows
+        by that row's entries; zero entries are skipped."""
         if self.n_cols != other.n_rows:
             raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
-        ot = other.transpose().rows
-        rows = [[sum(a * b for a, b in zip(row, col)) for col in ot] for row in self.rows]
+        zero = [0] * other.n_cols
+        rows = []
+        for row in self.rows:
+            acc = zero
+            for a, orow in zip(row, other.rows):
+                if a:
+                    acc = [x + a * y for x, y in zip(acc, orow)]
+            rows.append(acc)
         return IntMatrix(rows, shape=(self.n_rows, other.n_cols))
 
     def mul_vector(self, vec):
+        """Matrix times vector, over the vector's nonzero entries only."""
         vec = list(vec)
         if len(vec) != self.n_cols:
             raise ValueError("vector length does not match n_cols")
-        return [sum(a * b for a, b in zip(row, vec)) for row in self.rows]
+        support = [(k, x) for k, x in enumerate(vec) if x]
+        return [sum(row[k] * x for k, x in support) for row in self.rows]
 
     def hstack(self, other):
         if self.n_rows != other.n_rows:
@@ -144,17 +155,38 @@ class IntMatrix:
 class SmithDecomposition:
     """U * A * V = S with U, V unimodular and S in Smith normal form.
 
-    Inverses of the witnesses are tracked during the reduction so that
-    unimodularity can be certified without determinant computations and
-    so that coordinates in the diagonalized basis are cheap.
+    The reduction changes only S and logs its elementary row operations
+    (which make U) and column operations (which make V).  Each witness,
+    `left` = U, `right` = V, `left_inv` and `right_inv`, is built from
+    the log the first time it is read and then kept, so a caller that
+    reads only the diagonal builds none.  Having the inverses lets
+    unimodularity be certified without determinant computations.
     """
 
     matrix: IntMatrix
-    left: IntMatrix
-    right: IntMatrix
     smith: IntMatrix
-    left_inv: IntMatrix
-    right_inv: IntMatrix
+    row_ops: tuple = field(repr=False)
+    col_ops: tuple = field(repr=False)
+
+    @cached_property
+    def left(self) -> IntMatrix:
+        m = self.matrix.n_rows
+        return IntMatrix(_replay(m, self.row_ops), shape=(m, m))
+
+    @cached_property
+    def left_inv(self) -> IntMatrix:
+        m = self.matrix.n_rows
+        return IntMatrix(_replay(m, self.row_ops, inverse=True), shape=(m, m)).transpose()
+
+    @cached_property
+    def right(self) -> IntMatrix:
+        n = self.matrix.n_cols
+        return IntMatrix(_replay(n, self.col_ops), shape=(n, n)).transpose()
+
+    @cached_property
+    def right_inv(self) -> IntMatrix:
+        n = self.matrix.n_cols
+        return IntMatrix(_replay(n, self.col_ops, inverse=True), shape=(n, n))
 
     @property
     def diagonal(self):
@@ -192,135 +224,142 @@ class SmithDecomposition:
         return True
 
 
+_SWAP, _ADD, _NEGATE = range(3)
+
+
+def _replay(size, ops, inverse=False):
+    """Apply logged operations, in order, as row operations to the
+    size x size identity, and return its rows.
+
+    An entry is (_SWAP, i, j), (_ADD, dst, src, q) for "row dst += q *
+    row src", or (_NEGATE, i).  Replaying a row log gives U = E_k ... E_1;
+    replaying a column log gives V^T, since "column dst += q * column
+    src" is that row operation on the transpose.  The inverse replay
+    applies E^-T in place of each E, which yields (U^-1)^T and V^-1:
+    swaps and negations are their own inverse transposes, and an add
+    becomes "row src -= q * row dst".
+    """
+    rows = [[int(i == j) for j in range(size)] for i in range(size)]
+    for op in ops:
+        if op[0] == _SWAP:
+            _, i, j = op
+            rows[i], rows[j] = rows[j], rows[i]
+        elif op[0] == _ADD:
+            _, dst, src, q = op
+            if inverse:
+                dst, src, q = src, dst, -q
+            rows[dst] = [x + q * y for x, y in zip(rows[dst], rows[src])]
+        else:
+            rows[op[1]] = [-x for x in rows[op[1]]]
+    return rows
+
+
+def _first_min(values):
+    """(|x|, index) of the first nonzero entry of minimal |x|, or None."""
+    mags = list(map(abs, values))
+    low = min(filter(None, mags), default=0)
+    return (low, mags.index(low)) if low else None
+
+
 def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     """Smith normal form over the integers.
 
     Pivots are chosen as the nonzero entry of minimal absolute value
     (ties broken by smallest row, then column index), which keeps
     coefficient growth tame at the matrix sizes this library targets.
-    Deterministic for a fixed input.
+    Deterministic for a fixed input.  Only S is reduced here; the
+    operations are logged for the witnesses.
     """
     m, n = a.n_rows, a.n_cols
     s = [list(row) for row in a.rows]
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
-    ui = [[int(i == j) for j in range(m)] for i in range(m)]
-    v = [[int(i == j) for j in range(n)] for i in range(n)]
-    vi = [[int(i == j) for j in range(n)] for i in range(n)]
+    row_ops = []
+    col_ops = []
 
-    def swap_rows(i, j):
-        if i == j:
-            return
-        s[i], s[j] = s[j], s[i]
-        u[i], u[j] = u[j], u[i]
-        for row in ui:
-            row[i], row[j] = row[j], row[i]
+    # From step t on, rows and columns before t are zero off the
+    # diagonal, so column operations need only visit rows t and beyond,
+    # and every row from t on is zero before column t.
 
-    def swap_cols(i, j):
-        if i == j:
-            return
-        for row in s:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-        vi[i], vi[j] = vi[j], vi[i]
+    def promote(t, i, j):
+        # bring s[i][j] to (t, t) and make it positive
+        if i != t:
+            s[t], s[i] = s[i], s[t]
+            row_ops.append((_SWAP, t, i))
+        if j != t:
+            for row in s[t:]:
+                row[t], row[j] = row[j], row[t]
+            col_ops.append((_SWAP, t, j))
+        if s[t][t] < 0:
+            s[t] = [-x for x in s[t]]
+            row_ops.append((_NEGATE, t))
 
-    def add_row(dst, src, q):
-        # row dst += q * row src
-        if q == 0:
-            return
-        srow, drow = s[src], s[dst]
-        for k in range(n):
-            drow[k] += q * srow[k]
-        usrc, udst = u[src], u[dst]
-        for k in range(m):
-            udst[k] += q * usrc[k]
-        for row in ui:
-            row[src] -= q * row[dst]
-
-    def add_col(dst, src, q):
-        # col dst += q * col src
-        if q == 0:
-            return
-        for row in s:
-            row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
-        vsrc, vdst = vi[src], vi[dst]
-        for k in range(n):
-            vsrc[k] -= q * vdst[k]
-
-    def negate_row(i):
-        s[i] = [-x for x in s[i]]
-        u[i] = [-x for x in u[i]]
-        for row in ui:
-            row[i] = -row[i]
-
-    def pick_pivot(entries):
+    def pick_pivot(t):
+        # the trailing block in row-major order; nothing beats |x| = 1
         best = None
-        for i, j, x in entries:
-            if x and (best is None or abs(x) < best[0]):
-                best = (abs(x), i, j)
+        for i in range(t, m):
+            found = _first_min(s[i])
+            if found and (best is None or found[0] < best[0]):
+                best = (found[0], i, found[1])
+                if best[0] == 1:
+                    break
         return best
 
     t = 0
     limit = min(m, n)
     while t < limit:
-        best = pick_pivot(
-            (i, j, s[i][j]) for i in range(t, m) for j in range(t, n)
-        )
+        best = pick_pivot(t)
         if best is None:
             break
-        swap_rows(t, best[1])
-        swap_cols(t, best[2])
-        if s[t][t] < 0:
-            negate_row(t)
+        promote(t, best[1], best[2])
         while True:
-            pivot = s[t][t]
+            prow = s[t]
+            pivot = prow[t]
             dirty = False
             for i in range(t + 1, m):
-                if s[i][t]:
-                    add_row(i, t, -(s[i][t] // pivot))
-                    if s[i][t]:
-                        dirty = True
-            for j in range(t + 1, n):
-                if s[t][j]:
-                    add_col(j, t, -(s[t][j] // pivot))
-                    if s[t][j]:
-                        dirty = True
-            if dirty:
-                # a remainder strictly smaller than the pivot survives in
-                # row/column t; promote the smallest one and go again
-                best = pick_pivot(
-                    itertools.chain(
-                        ((i, t, s[i][t]) for i in range(t, m)),
-                        ((t, j, s[t][j]) for j in range(t, n)),
-                    )
-                )
-                swap_rows(t, best[1])
-                swap_cols(t, best[2])
-                if s[t][t] < 0:
-                    negate_row(t)
-                continue
-            pivot = s[t][t]
-            bad = None
-            for i in range(t + 1, m):
                 row = s[i]
-                if any(row[j] % pivot for j in range(t + 1, n)):
-                    bad = i
-                    break
+                q = -(row[t] // pivot)
+                if q:
+                    row = s[i] = [x + q * y for x, y in zip(row, prow)]
+                    row_ops.append((_ADD, i, t, q))
+                if row[t]:
+                    dirty = True
+            # column j's operation reads only prow[j] and column t,
+            # which the other column operations leave alone
+            adds = [(j, q) for j in range(t + 1, n) if (q := -(prow[j] // pivot))]
+            if adds:
+                col_ops.extend((_ADD, j, t, q) for j, q in adds)
+                for row in s[t:]:
+                    x = row[t]
+                    if x:
+                        for j, q in adds:
+                            row[j] += q * x
+            if dirty or any(prow[t + 1:]):
+                # a remainder strictly smaller than the pivot survives in
+                # column/row t; promote the smallest one (column t first)
+                # and go again
+                col = _first_min([s[i][t] for i in range(t, m)])
+                row = _first_min(prow[t:])
+                if row[0] < col[0]:
+                    promote(t, t, t + row[1])
+                else:
+                    promote(t, t + col[1], t)
+                continue
+            if pivot == 1:
+                break
+            bad = next(
+                (i for i in range(t + 1, m) if any(x % pivot for x in s[i])), None
+            )
             if bad is None:
                 break
             # drag a non-divisible entry into row t, forcing a smaller pivot
-            add_row(t, bad, 1)
+            s[t] = [x + y for x, y in zip(prow, s[bad])]
+            row_ops.append((_ADD, t, bad, 1))
         t += 1
 
     return SmithDecomposition(
         matrix=a,
-        left=IntMatrix(u, shape=(m, m)),
-        right=IntMatrix(v, shape=(n, n)),
         smith=IntMatrix(s, shape=(m, n)),
-        left_inv=IntMatrix(ui, shape=(m, m)),
-        right_inv=IntMatrix(vi, shape=(n, n)),
+        row_ops=tuple(row_ops),
+        col_ops=tuple(col_ops),
     )
 
 

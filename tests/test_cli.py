@@ -281,6 +281,19 @@ class TestOracleCommand:
         assert code == 1
         assert "exceed" in capsys.readouterr().err
 
+    def test_bicycle_size_guard_names_the_sizes(self, tmp_path, capsys):
+        # 2 edges pass the forest guard; 12 vertices, 10 of them isolated,
+        # trip the bicycle guard's vertex-subset count
+        lines = [f"v x{i} F" for i in range(12)]
+        lines += ["e a x0 x1", "e b x1 x0"]
+        f = tmp_path / "sparse.sg"
+        f.write_text("\n".join(lines) + "\n")
+        code = main(["oracle", str(f), "--max-enum", "16"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "forest count: enumeration" in captured.out
+        assert "2^2 edge subsets or 2^12 vertex subsets exceed the limit 16" in captured.err
+
     def test_internal_error_exit_three(self, monkeypatch, capsys):
         # the pipeline failing after the enumerations is a bug, not bad input
         import mirrorcrit.cli as cli_module

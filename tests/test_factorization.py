@@ -3,6 +3,7 @@
 import dataclasses
 import random
 from collections import Counter
+from functools import cached_property
 
 import pytest
 
@@ -24,7 +25,7 @@ from mirrorcrit.graphs import (
     Multigraph,
     SymmetricGraph,
 )
-from mirrorcrit.lattice import FpAbelianGroup, GroupHom, IntMatrix
+from mirrorcrit.lattice import FpAbelianGroup, GroupHom, IntMatrix, SmithDecomposition
 from mirrorcrit.modp import is_involution
 
 from conftest import (
@@ -33,6 +34,8 @@ from conftest import (
     running_example,
     single_fixed_edge,
 )
+
+WITNESSES = ("left", "right", "left_inv", "right_inv")
 
 # block edge order for the running example: ab, ac, (cb,1), (cb,2), dc, db
 # edge order of G: ab, ac, dc, db, cb
@@ -396,12 +399,33 @@ class TestWorkCounts:
         monkeypatch.setattr(critical_module, "smith_normal_form", snf)
         for name in ("kernel", "cokernel", "is_well_defined"):
             monkeypatch.setattr(GroupHom, name, counting(name, getattr(GroupHom, name)))
+        # a Smith form builds a witness only when a caller reads it
+        for kind in WITNESSES:
+            built = cached_property(
+                counting(kind, SmithDecomposition.__dict__[kind].func)
+            )
+            built.__set_name__(SmithDecomposition, kind)
+            monkeypatch.setattr(SmithDecomposition, kind, built)
 
-        assert main_theorem_verdict(running_example()).overall_pass
+        rep = main_theorem_verdict(running_example())
+        assert rep.overall_pass
         assert counts["kernel"] == 2
         assert counts["cokernel"] == 2
         assert counts["is_well_defined"] == 2
         assert counts["snf"] == 19
+        # U for the membership tests in the two hom targets, K(G) and
+        # K(G+) + K(G-), and for the two preimage lattices; V for the four
+        # cycle lattices and the two kernels of [M | T]; no inverse
+        assert {kind: counts[kind] for kind in WITNESSES} == {
+            "left": 4, "right": 6, "left_inv": 0, "right_inv": 0,
+        }
+        # the diagonal-only Smith forms build none
+        maps = rep.maps
+        diagonal_only = [
+            pair.laplacian_snf for pair in (maps.pair_g, maps.pair_plus, maps.pair_minus)
+        ] + [grp.witness for grp in (rep.coker_f, rep.coker_ft, rep.ker_f, rep.ker_ft)]
+        for decomposition in diagonal_only:
+            assert not set(WITNESSES) & vars(decomposition).keys()
 
 
 class TestMainTheoremVerdict:

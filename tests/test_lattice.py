@@ -1,11 +1,25 @@
-"""Exact integer linear algebra: Smith form, lattices, presented groups."""
+"""Exact integer linear algebra: Smith form, lattices, presented groups.
 
+golden_witnesses.json holds one SHA-256 digest of S, U, V, U^-1 and V^-1
+per matrix of `witness_cases()`, so a change to the reduction that alters
+any pivot, and with it any witness entry, fails
+`test_witnesses_match_golden_digests`.  A change that alters the
+witnesses on purpose regenerates them:
+
+    PYTHONPATH=src python tests/test_lattice.py > tests/golden_witnesses.json
+"""
+
+import hashlib
+import json
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
+from mirrorcrit.factorization import build_maps
 from mirrorcrit.lattice import (
     FpAbelianGroup,
     GroupHom,
@@ -13,6 +27,11 @@ from mirrorcrit.lattice import (
     integer_kernel,
     smith_normal_form,
 )
+from mirrorcrit.randgraph import random_symmetric_graph
+
+from conftest import running_example
+
+WITNESS_GOLDEN = Path(__file__).resolve().parent / "golden_witnesses.json"
 
 RUNNING_EXAMPLE_LAPLACIAN = IntMatrix(
     [
@@ -52,6 +71,33 @@ class TestIntMatrix:
         b = IntMatrix([[0, 1], [1, 0]])
         assert (a @ b).rows == ((2, 1), (4, 3))
         assert a.mul_vector([1, 1]) == [3, 7]
+
+    def test_products_match_the_textbook_sum(self):
+        # every density from empty to full, empty shapes, entries past
+        # 2^64: the products skip zero entries but must stay exact ints
+        rng = random.Random(31)
+        big = 2**64
+        for k in range(120):
+            n, m, p = (rng.randint(0, 6) for _ in range(3))
+            density = k % 11 / 10
+            bound = rng.choice((1, 5, 3 * big))
+
+            def entry():
+                return rng.randint(-bound, bound) if rng.random() < density else 0
+
+            a = IntMatrix([[entry() for _ in range(m)] for _ in range(n)], shape=(n, m))
+            b = IntMatrix([[entry() for _ in range(p)] for _ in range(m)], shape=(m, p))
+            vec = [entry() for _ in range(m)]
+            product = a @ b
+            assert product.shape == (n, p)
+            assert product.rows == tuple(
+                tuple(sum(a.rows[i][t] * b.rows[t][j] for t in range(m)) for j in range(p))
+                for i in range(n)
+            )
+            image = a.mul_vector(vec)
+            assert image == [sum(a.rows[i][t] * vec[t] for t in range(m)) for i in range(n)]
+            assert all(type(x) is int for row in product.rows for x in row)
+            assert all(type(x) is int for x in image)
 
     def test_det(self):
         assert IntMatrix([[2, 0], [0, 3]]).det() == 6
@@ -114,6 +160,13 @@ class TestSmithNormalForm:
         ker = integer_kernel(a)
         assert ker.shape == (3, 2)
         assert (a @ ker).is_zero()
+
+    def test_witnesses_match_golden_digests(self):
+        expected = json.loads(WITNESS_GOLDEN.read_text())
+        got = witness_digests()
+        assert got.keys() == expected.keys()
+        changed = sorted(k for k in expected if got[k] != expected[k])
+        assert not changed, f"witnesses changed: {changed[:5]}"
 
 
 class TestFpAbelianGroup:
@@ -275,6 +328,47 @@ class TestGroupHom:
             assert hom.kernel().order() == count
 
 
+def witness_cases():
+    """Matrices whose Smith decompositions are pinned entry for entry:
+    200 seeded random ones (0xn and nx0 among them, sparse to full,
+    entries up to 2^70) and the critical-group relation matrices of the
+    running example and of a 42-edge graph of the benchmark's `large` size."""
+    rng = random.Random(2026)
+    cases = {}
+    for k in range(200):
+        n_rows = 0 if k % 25 == 0 else rng.randint(0, 10)
+        n_cols = 0 if k % 25 == 1 else rng.randint(0, 10)
+        density = rng.choice((0.1, 0.3, 0.6, 1.0))
+        bound = rng.choice((1, 3, 9, 100, 2**70))
+        rows = [
+            [rng.randint(-bound, bound) if rng.random() < density else 0 for _ in range(n_cols)]
+            for _ in range(n_rows)
+        ]
+        cases[f"random-{k:03d}"] = IntMatrix(rows, shape=(n_rows, n_cols))
+    large = random_symmetric_graph(
+        seed=1, n_left=10, n_fixed=4, n_left_edges=20, n_fixed_edges=2
+    )
+    for name, g in (("running_example", running_example()), ("large", large)):
+        maps = build_maps(g.canonical_orientation().decompose())
+        for side in ("g", "plus", "minus", "union"):
+            cases[f"{name}/{side}"] = getattr(maps, f"pair_{side}").relation_matrix
+    return cases
+
+
+def witness_digests() -> dict:
+    digests = {}
+    for name, a in witness_cases().items():
+        snf = smith_normal_form(a)
+        h = hashlib.sha256()
+        for w in (snf.smith, snf.left, snf.right, snf.left_inv, snf.right_inv):
+            # hex, since entries can pass the int-to-decimal digit limit
+            h.update(f"{w.shape}".encode())
+            for row in w.rows:
+                h.update(",".join(format(x, "x") for x in row).encode() + b";")
+        digests[name] = h.hexdigest()
+    return digests
+
+
 def _tuples(base, length):
     if length == 0:
         yield ()
@@ -282,3 +376,8 @@ def _tuples(base, length):
     for rest in _tuples(base, length - 1):
         for x in range(base):
             yield (x,) + rest
+
+
+if __name__ == "__main__":
+    json.dump(witness_digests(), sys.stdout, indent=2, sort_keys=True)
+    sys.stdout.write("\n")
