@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .critical import AdjointPair, DualityReport, duality_order_check, forest_count
-from .graphs import Decomposition, InvalidSymmetricGraph, SymmetricGraph
+from .graphs import Decomposition, SymmetricGraph
 from .lattice import FpAbelianGroup, GroupHom, IntMatrix
 from .modp import (
     ModpMatrix,
@@ -823,9 +823,6 @@ def main_theorem_verdict(g: SymmetricGraph) -> FactorizationReport:
     forest) gate the verdicts whose statements need them; everything
     else is asserted unconditionally.
     """
-    violations = g.validate_structural()
-    if violations:
-        raise InvalidSymmetricGraph(violations)
     g = g.canonical_orientation()
     dec = g.decompose()
     maps = build_maps(dec)

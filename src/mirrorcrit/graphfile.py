@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graphs import FIXED, LEFT, RIGHT, InvalidSymmetricGraph, Multigraph, SymmetricGraph
+from .graphs import FIXED, LEFT, RIGHT, Multigraph, SymmetricGraph
 
 
 class ParseError(ValueError):
@@ -198,11 +198,7 @@ def parse(text) -> SymmetricGraph:
                 "use an epair line (first id = Left)",
             )
 
-    sg = SymmetricGraph(graph, vphi, ephi, vertex_side, edge_side)
-    bad = sg.validate_structural()
-    if bad:
-        raise InvalidSymmetricGraph(bad)
-    return sg.canonical_orientation()
+    return SymmetricGraph(graph, vphi, ephi, vertex_side, edge_side).canonical_orientation()
 
 
 def serialize(g: SymmetricGraph) -> str:

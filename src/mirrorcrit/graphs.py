@@ -229,6 +229,13 @@ class SymmetricGraph:
 
     def validate(self):
         """Every violated invariant, with the offending id.  Empty = valid."""
+        return self._violations(orientation=True)
+
+    def validate_structural(self):
+        """Violations ignoring orientation equivariance."""
+        return self._violations(orientation=False)
+
+    def _violations(self, orientation):
         g = self.graph
         out = []
         mirror = {LEFT: RIGHT, FIXED: FIXED, RIGHT: LEFT}
@@ -284,13 +291,11 @@ class SymmetricGraph:
                             f"edge {e.id!r} on side {side} touches vertex {v!r} "
                             f"on side {forbidden}"
                         )
-                if side == RIGHT and (f.tail != pv[e.tail] or f.head != pv[e.head]):
+                if orientation and side == RIGHT and (
+                    f.tail != pv[e.tail] or f.head != pv[e.head]
+                ):
                     out.append(f"orientation not phi-equivariant at edge {e.id!r}")
         return out
-
-    def validate_structural(self):
-        """Violations ignoring orientation equivariance."""
-        return [v for v in self.validate() if "orientation" not in v]
 
     def is_valid(self):
         return not self.validate()

@@ -4,7 +4,9 @@ Smith normal form with unimodular change-of-basis witnesses, lattices
 given by integer generator matrices, and finitely presented abelian
 groups (with kernels and cokernels of homomorphisms between them).
 The reduction works on S alone and logs its elementary operations; each
-witness is built from that log only when a caller reads it.
+witness is built from that log only when a caller reads it.  A
+homomorphism's well-definedness and its kernel are both read from one
+Smith form, that of the preimage of the target relations.
 
 Everything runs on Python ints, so there is no overflow, ever.
 """
@@ -470,40 +472,41 @@ class GroupHom:
                 f"{self.source.ambient_rank} into {self.target.ambient_rank}"
             )
 
-    def is_well_defined(self) -> bool:
-        """True iff the matrix maps source relations into target relations."""
-        image = self.matrix @ self.source.relations
-        return all(self.target.contains_relation(col) for col in image.columns())
-
     @cached_property
-    def well_defined(self) -> bool:
-        """`is_well_defined()`, computed once per hom."""
-        return self.is_well_defined()
+    def _preimage(self):
+        """Smith form of the preimage lattice P = {x : M x in T}, and U R.
 
-    def kernel(self) -> FpAbelianGroup:
-        """Kernel as an abstract group.
-
-        Solved by stacking: M x lies in the target relation lattice T
-        exactly when (x, y) is in the integer kernel of [M | T].  The
-        x-parts of that kernel generate the preimage lattice P, and the
-        kernel of the hom is P / (source relations R).  With U P V = S of
-        rank r, the first r columns of P V = U^-1 S are a basis of P, so
-        row i < r of U R, divided by d_i, gives R in that basis.
+        M x lies in the target relation lattice T exactly when (x, y) is
+        in the integer kernel of [M | T], so the x-parts of that kernel
+        generate P.  With U P V = S of rank r, the first r columns of
+        P V = U^-1 S are a basis of P, and U R gives the source relations
+        R in that basis: row i < r scaled by d_i, and rows past r zero
+        exactly when R lies in P.
         """
-        if not self.well_defined:
-            raise ValueError("homomorphism is not well defined")
         stacked = self.matrix.hstack(self.target.relations)
         preimage = integer_kernel(stacked).top_rows(self.source.ambient_rank)
         snf = smith_normal_form(preimage)
+        return snf, (snf.left @ self.source.relations).rows
+
+    @cached_property
+    def well_defined(self) -> bool:
+        """True iff the matrix maps source relations into target relations,
+        that is, iff R lies in the preimage lattice P."""
+        snf, u_rel = self._preimage
         r = snf.rank
-        u_rel = (snf.left @ self.source.relations).rows
-        pivots = list(zip(u_rel, snf.diagonal[:r]))
-        if any(any(row) for row in u_rel[r:]) or any(
-            x % d for row, d in pivots for x in row
-        ):
-            raise AssertionError("source relations must lie in the preimage lattice")
+        return not any(any(row) for row in u_rel[r:]) and not any(
+            x % d for row, d in zip(u_rel, snf.diagonal[:r]) for x in row
+        )
+
+    def kernel(self) -> FpAbelianGroup:
+        """Kernel as an abstract group: P / R, presented in the basis of
+        the preimage lattice P read from `_preimage`."""
+        if not self.well_defined:
+            raise ValueError("homomorphism is not well defined")
+        snf, u_rel = self._preimage
+        r = snf.rank
         rel = IntMatrix(
-            [[x // d for x in row] for row, d in pivots],
+            [[x // d for x in row] for row, d in zip(u_rel, snf.diagonal[:r])],
             shape=(r, self.source.relations.n_cols),
         )
         return FpAbelianGroup.quotient(r, rel)

@@ -1,10 +1,13 @@
 """Linear algebra over Z/p for prime p.
 
 Subspaces are kept in reduced row-echelon form, which makes equality of
-spaces a plain matrix comparison.  p = 2 carries almost all of the
-workload here, so its elimination runs on Python-int bitsets (one XOR
-per row operation); other primes use per-entry arithmetic with the same
-algorithm.
+spaces a plain matrix comparison.  Every subspace operation is one
+elimination: membership reduces the basis plus the vector, and kernels
+and intersections reduce an augmented row block and keep the right
+halves of the rows whose left block vanished (the Zassenhaus method).
+p = 2 carries almost all of the workload here, so its elimination runs
+on Python-int bitsets (one XOR per row operation); other primes use
+per-entry arithmetic with the same algorithm.
 """
 
 from __future__ import annotations
@@ -148,25 +151,36 @@ def _echelonize(p, n_cols, rows):
     return [tuple(r) for r in reduced], cols
 
 
+def _vanishing_left(p, n_left, n_right, rows):
+    """The subspace spanned by the right halves of the reduced rows whose
+    first n_left entries vanish.
+
+    Those are the rows with a pivot past n_left; their right halves keep
+    the leading ones and the zeros at every other pivot, so they are
+    already the reduced echelon basis of what they span.
+    """
+    reduced, cols = _echelonize(p, n_left + n_right, rows)
+    right = [row[n_left:] for row, c in zip(reduced, cols) if c >= n_left]
+    return ModpSubspace(p, n_right, ModpMatrix(p, right, shape=(len(right), n_right)))
+
+
 class ModpSubspace:
     """Subspace of (Z/p)^n, canonically represented by an RREF basis."""
 
-    __slots__ = ("p", "ambient_dim", "basis", "pivots")
+    __slots__ = ("p", "ambient_dim", "basis")
 
-    def __init__(self, p, ambient_dim, basis: ModpMatrix, pivots):
+    def __init__(self, p, ambient_dim, basis: ModpMatrix):
         self.p = p
         self.ambient_dim = ambient_dim
         self.basis = basis
-        self.pivots = tuple(pivots)
 
     @classmethod
     def from_rows(cls, p, ambient_dim, rows) -> "ModpSubspace":
         rows = [tuple(int(x) % p for x in r) for r in rows]
         if any(len(r) != ambient_dim for r in rows):
             raise ValueError("ambient dimension mismatch")
-        reduced, cols = _echelonize(p, ambient_dim, rows)
-        basis = ModpMatrix(p, reduced, shape=(len(reduced), ambient_dim))
-        return cls(p, ambient_dim, basis, cols)
+        reduced, _ = _echelonize(p, ambient_dim, rows)
+        return cls(p, ambient_dim, ModpMatrix(p, reduced, shape=(len(reduced), ambient_dim)))
 
     @classmethod
     def zero(cls, p, ambient_dim) -> "ModpSubspace":
@@ -192,36 +206,17 @@ class ModpSubspace:
         vec = [int(x) % self.p for x in vec]
         if len(vec) != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        p = self.p
-        cur = vec
-        for prow, c in zip(self.basis.rows, self.pivots):
-            f = cur[c]
-            if f:
-                cur = [(a - f * b) % p for a, b in zip(cur, prow)]
-        return not any(cur)
+        reduced, _ = _echelonize(self.p, self.ambient_dim, [*self.basis.rows, vec])
+        return len(reduced) == self.dim
 
     def intersection(self, other: "ModpSubspace") -> "ModpSubspace":
-        """Intersection via the kernel of the stacked basis columns."""
+        """Reduces the rows (a | a) for a in this basis and (b | 0) for b
+        in the other's: a combination (a + b | a) has a vanishing left
+        half exactly when a = -b lies in both spaces."""
         self._compatible(other)
-        cols = [list(r) for r in self.basis.rows] + [list(r) for r in other.basis.rows]
-        stacked = ModpMatrix(
-            self.p,
-            [[col[i] for col in cols] for i in range(self.ambient_dim)],
-            shape=(self.ambient_dim, len(cols)),
-        )
-        coeffs = kernel(stacked)
-        da = self.dim
-        p = self.p
-        vecs = []
-        for crow in coeffs.basis.rows:
-            vec = [0] * self.ambient_dim
-            for i in range(da):
-                f = crow[i]
-                if f:
-                    brow = self.basis.rows[i]
-                    vec = [(a + f * b) % p for a, b in zip(vec, brow)]
-            vecs.append(vec)
-        return ModpSubspace.from_rows(self.p, self.ambient_dim, vecs)
+        zero = (0,) * self.ambient_dim
+        rows = [a + a for a in self.basis.rows] + [b + zero for b in other.basis.rows]
+        return _vanishing_left(self.p, self.ambient_dim, self.ambient_dim, rows)
 
     def plus(self, other: "ModpSubspace") -> "ModpSubspace":
         self._compatible(other)
@@ -261,19 +256,15 @@ class ModpSubspace:
 
 
 def kernel(m: ModpMatrix) -> ModpSubspace:
-    """Null space {x : M x = 0} in echelon form."""
-    reduced, pivots = _echelonize(m.p, m.n_cols, m.rows)
-    p = m.p
-    pivot_set = set(pivots)
-    free = [j for j in range(m.n_cols) if j not in pivot_set]
-    vecs = []
-    for f in free:
-        vec = [0] * m.n_cols
-        vec[f] = 1
-        for prow, c in zip(reduced, pivots):
-            vec[c] = (-prow[f]) % p
-        vecs.append(vec)
-    return ModpSubspace.from_rows(p, m.n_cols, vecs)
+    """Null space {x : M x = 0} in echelon form.
+
+    Reduces the rows (column j of M | e_j): a combination (M x | x) has
+    a vanishing left half exactly when M x = 0.
+    """
+    n = m.n_cols
+    columns = zip(*m.rows) if m.rows else [()] * n
+    rows = [col + (0,) * j + (1,) + (0,) * (n - 1 - j) for j, col in enumerate(columns)]
+    return _vanishing_left(m.p, m.n_rows, n, rows)
 
 
 def row_space(m: ModpMatrix) -> ModpSubspace:
@@ -300,7 +291,7 @@ def fixed_ambient(p, perm) -> ModpSubspace:
     n = len(perm)
     pivots = [i for i, j in enumerate(perm) if i <= j]
     rows = [[int(k in (i, perm[i])) for k in range(n)] for i in pivots]
-    return ModpSubspace(p, n, ModpMatrix(p, rows, shape=(len(rows), n)), pivots)
+    return ModpSubspace(p, n, ModpMatrix(p, rows, shape=(len(rows), n)))
 
 
 def fixed_subspace(perm, space: ModpSubspace) -> ModpSubspace:

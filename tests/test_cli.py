@@ -32,6 +32,21 @@ e db d b
 e cb c b
 """
 
+# the mirror of orientation1 (a-f) would join b and f, but its partner
+# joins d and f; ids containing "orientation" must not hide that
+MISMATCHED_PAIR = """
+v a L
+v b R
+v c L
+v d R
+v f F
+phi a b
+phi c d
+e orientation1 a f
+e orientation2 d f
+epair orientation1 orientation2
+"""
+
 
 class TestParse:
     def test_running_example_file(self):
@@ -106,6 +121,15 @@ e f2 d b
     def test_crossing_edge_invalid(self):
         with pytest.raises(InvalidSymmetricGraph):
             parse("v a L\nv b R\nphi a b\ne e1 a b\ne e2 b a\nepair e1 e2\n")
+
+    def test_mismatched_pair_rejected_whatever_the_ids(self):
+        for text in (MISMATCHED_PAIR, MISMATCHED_PAIR.replace("orientation", "x")):
+            with pytest.raises(InvalidSymmetricGraph) as exc:
+                parse(text)
+            assert exc.value.violations == [
+                f"edge involution incompatible with endpoints at {e!r}"
+                for e in text.split("epair ")[1].split()
+            ]
 
     def test_axis_parallel_pair_sides_from_epair(self):
         text = """
@@ -208,6 +232,12 @@ class TestAnalyzeCommand:
         bad.write_text("v a L\nv b R\nphi a b\ne e1 a b\ne e2 b a\nepair e1 e2\n")
         assert main(["analyze", str(bad)]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_mismatched_pair_exit_one(self, tmp_path, capsys):
+        bad = tmp_path / "bad.sg"
+        bad.write_text(MISMATCHED_PAIR)
+        assert main(["analyze", str(bad)]) == 1
+        assert "'orientation2'" in capsys.readouterr().err
 
     def test_failing_verdict_exit_two(self, monkeypatch, capsys):
         # no valid input produces a failing verdict, so fake one to pin

@@ -128,7 +128,7 @@ class TestCriticalGroup:
         g = Multigraph(["1", "2"], [("a", "1", "2"), ("b", "1", "2"), ("c", "1", "2")])
         k = AdjointPair.from_graph(g).critical_group
         hom = GroupHom(k, k, IntMatrix.identity(3).scale(2))
-        assert hom.is_well_defined()
+        assert hom.well_defined
         assert hom.source.order() == 3
         assert hom.kernel().is_trivial()
         assert hom.cokernel().is_trivial()

@@ -7,7 +7,9 @@ from functools import cached_property
 
 import pytest
 
+from mirrorcrit.critical import AdjointPair
 from mirrorcrit.factorization import (
+    _descend,
     build_maps,
     component_linking_cycles,
     g_injection,
@@ -160,6 +162,15 @@ class TestInducedMaps:
         assert f_star.source.is_trivial()
         assert f_star.target.is_trivial()
         assert m.ft_star.source.is_trivial()
+
+    def test_ill_defined_matrix_does_not_descend(self):
+        # on the theta graph K = Z/3; keeping edge a and killing b and c
+        # sends the cycle a - b to a, which is nonzero in K
+        theta = Multigraph(["1", "2"], [("a", "1", "2"), ("b", "1", "2"), ("c", "1", "2")])
+        pair = AdjointPair.from_graph(theta)
+        matrix = IntMatrix([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
+        with pytest.raises(RuntimeError, match="does not descend"):
+            _descend("f", matrix, pair, pair)
 
 
 class TestTwoTorsion:
@@ -380,10 +391,12 @@ class TestWorkCounts:
         # one analysis computes each kernel, cokernel and well-definedness
         # check once; 19 SNFs cover every group, lattice and cross-check:
         # the Laplacian route reads the Laplacian's one Smith form, a hom
-        # kernel makes 3 (kernel of [M | T], preimage lattice, quotient)
-        # and bond membership needs none
+        # makes 3 (kernel of [M | T] and preimage lattice, which decide
+        # well-definedness, then the kernel's quotient) and bond
+        # membership needs none
         import mirrorcrit.critical as critical_module
         import mirrorcrit.lattice as lattice_module
+        import mirrorcrit.modp as modp_module
 
         counts = Counter()
 
@@ -394,31 +407,38 @@ class TestWorkCounts:
 
             return wrapper
 
+        def counting_cached(cls, name):
+            # counts the computations of a cached property, not its reads
+            built = cached_property(counting(name, cls.__dict__[name].func))
+            built.__set_name__(cls, name)
+            monkeypatch.setattr(cls, name, built)
+
         snf = counting("snf", lattice_module.smith_normal_form)
         monkeypatch.setattr(lattice_module, "smith_normal_form", snf)
         monkeypatch.setattr(critical_module, "smith_normal_form", snf)
-        for name in ("kernel", "cokernel", "is_well_defined"):
+        for name in ("kernel", "cokernel"):
             monkeypatch.setattr(GroupHom, name, counting(name, getattr(GroupHom, name)))
+        counting_cached(GroupHom, "well_defined")
+        monkeypatch.setattr(
+            modp_module, "_echelonize", counting("echelonize", modp_module._echelonize)
+        )
         # a Smith form builds a witness only when a caller reads it
         for kind in WITNESSES:
-            built = cached_property(
-                counting(kind, SmithDecomposition.__dict__[kind].func)
-            )
-            built.__set_name__(SmithDecomposition, kind)
-            monkeypatch.setattr(SmithDecomposition, kind, built)
+            counting_cached(SmithDecomposition, kind)
 
         rep = main_theorem_verdict(running_example())
         assert rep.overall_pass
         assert counts["kernel"] == 2
         assert counts["cokernel"] == 2
-        assert counts["is_well_defined"] == 2
+        assert counts["well_defined"] == 2
         assert counts["snf"] == 19
-        # U for the membership tests in the two hom targets, K(G) and
-        # K(G+) + K(G-), and for the two preimage lattices; V for the four
-        # cycle lattices and the two kernels of [M | T]; no inverse
+        # U for the two preimage lattices; V for the four cycle lattices
+        # and the two kernels of [M | T]; no inverse
         assert {kind: counts[kind] for kind in WITNESSES} == {
-            "left": 4, "right": 6, "left_inv": 0, "right_inv": 0,
+            "left": 2, "right": 6, "left_inv": 0, "right_inv": 0,
         }
+        # one GF(2) elimination per subspace operation
+        assert counts["echelonize"] == 23
         # the diagonal-only Smith forms build none
         maps = rep.maps
         diagonal_only = [
