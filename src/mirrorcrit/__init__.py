@@ -51,7 +51,7 @@ from .lattice import (
     smith_normal_form,
 )
 from .modp import ModpMatrix, ModpSubspace, fixed_subspace, kernel, row_space
-from .randgraph import random_multigraph, random_symmetric_graph
+from .randgraph import mirror_grid, random_multigraph, random_symmetric_graph
 
 __all__ = [
     "AXIS_VERTEX",
@@ -87,6 +87,7 @@ __all__ = [
     "integer_kernel",
     "kernel",
     "main_theorem_verdict",
+    "mirror_grid",
     "parse",
     "parse_plain",
     "random_multigraph",

@@ -178,7 +178,12 @@ class SymmetryMaps:
 
 
 def _descend(name, matrix, source: AdjointPair, target: AdjointPair) -> GroupHom:
-    """The hom of critical groups induced by `matrix`, checked well defined."""
+    """The hom of critical groups induced by `matrix`, checked well defined.
+
+    `GroupHom` carries it in the Smith coordinates of the two critical
+    groups; its well-definedness check covers every source generator, so
+    an edge map that does not descend raises here.
+    """
     hom = GroupHom(source.critical_group, target.critical_group, matrix)
     if not hom.well_defined:
         raise RuntimeError(f"{name} does not descend to the critical groups")

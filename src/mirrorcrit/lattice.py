@@ -5,8 +5,11 @@ given by integer generator matrices, and finitely presented abelian
 groups (with kernels and cokernels of homomorphisms between them).
 The reduction works on S alone and logs its elementary operations; each
 witness is built from that log only when a caller reads it.  A
-homomorphism's well-definedness and its kernel are both read from one
-Smith form, that of the preimage of the target relations.
+homomorphism is computed in the Smith coordinates of its source and
+target, where each group is a product of cyclic groups Z/d: its
+well-definedness is read off that matrix directly, and its kernel and
+cokernel come from Smith forms of size k_s + k_t at most, k being the
+number of nontrivial cyclic factors, whatever the ambient ranks.
 
 Everything runs on Python ints, so there is no overflow, ever.
 """
@@ -430,6 +433,18 @@ class FpAbelianGroup:
             and self.free_rank == other.free_rank
         )
 
+    @property
+    def moduli(self) -> tuple[int, ...]:
+        """The order of each nontrivial Smith generator: the invariant
+        factors, then 0 for each free generator.
+
+        With U R V = S, x -> U x carries the group onto the product of
+        the Z/d_i, with generators U^-1 e_i.  The leading coordinates
+        have d_i = 1 and vanish, so these are the last len(moduli)
+        coordinates of U x.
+        """
+        return self.invariant_factors + (0,) * self.free_rank
+
     def contains_relation(self, vec) -> bool:
         """True iff `vec` lies in the relation lattice."""
         return self.element_order(vec) == 1
@@ -437,14 +452,11 @@ class FpAbelianGroup:
     def element_order(self, vec):
         """Order of the class of `vec`, or None when infinite."""
         w = self.witness.left.mul_vector(vec)
-        diag = self.witness.diagonal
-        r = self.witness.rank
         order = 1
-        for i in range(self.ambient_rank):
-            if i < r:
-                d = diag[i]
-                order = math.lcm(order, d // math.gcd(d, w[i] % d))
-            elif w[i] != 0:
+        for d, x in zip(self.moduli, w[self.ambient_rank - len(self.moduli):]):
+            if d:
+                order = math.lcm(order, d // math.gcd(d, x % d))
+            elif x:
                 return None
         return order
 
@@ -457,9 +469,31 @@ class FpAbelianGroup:
         return f"FpAbelianGroup({self.describe()})"
 
 
+def _diagonal(entries) -> IntMatrix:
+    k = len(entries)
+    rows = [[d if i == j else 0 for j in range(k)] for i, d in enumerate(entries)]
+    return IntMatrix(rows, shape=(k, k))
+
+
+def _reduce(rows, moduli):
+    """Each row mod its modulus; a row with modulus 0 stays as it is."""
+    return [[x % d for x in row] if d else list(row) for row, d in zip(rows, moduli)]
+
+
 @dataclass(frozen=True, eq=False)
 class GroupHom:
-    """Homomorphism between presented groups, given on ambient generators."""
+    """Homomorphism between presented groups, given on ambient generators
+    and computed in the Smith coordinates of its source and target.
+
+    With U_s and U_t the left witnesses of the two groups, M acts on
+    Smith coordinates as W = U_t M U_s^-1: column i of W is the image of
+    the source generator U_s^-1 e_i, in target coordinates.  A target
+    coordinate with d = 1 is zero in the group, so only the last k_t rows
+    of W matter, each reduced mod its d (see `FpAbelianGroup.moduli`).
+    Kernel and cokernel read the k_t x k_s block M' of those rows on the
+    nontrivial source coordinates; the diagonal presentations of both
+    groups are already in Smith form, so they need no reduction.
+    """
 
     source: FpAbelianGroup
     target: FpAbelianGroup
@@ -473,47 +507,69 @@ class GroupHom:
             )
 
     @cached_property
-    def _preimage(self):
-        """Smith form of the preimage lattice P = {x : M x in T}, and U R.
-
-        M x lies in the target relation lattice T exactly when (x, y) is
-        in the integer kernel of [M | T], so the x-parts of that kernel
-        generate P.  With U P V = S of rank r, the first r columns of
-        P V = U^-1 S are a basis of P, and U R gives the source relations
-        R in that basis: row i < r scaled by d_i, and rows past r zero
-        exactly when R lies in P.
-        """
-        stacked = self.matrix.hstack(self.target.relations)
-        preimage = integer_kernel(stacked).top_rows(self.source.ambient_rank)
-        snf = smith_normal_form(preimage)
-        return snf, (snf.left @ self.source.relations).rows
+    def _smith_rows(self):
+        """The last k_t rows of W = U_t M U_s^-1, each reduced mod its
+        target modulus (a free row stays unreduced)."""
+        moduli = self.target.moduli
+        u_t = self.target.witness.left.rows
+        rows = _reduce(u_t[len(u_t) - len(moduli):], moduli)
+        for factor in (self.matrix, self.source.witness.left_inv):
+            product = IntMatrix(rows, shape=(len(rows), factor.n_rows)) @ factor
+            rows = _reduce(product.rows, moduli)
+        return rows
 
     @cached_property
     def well_defined(self) -> bool:
-        """True iff the matrix maps source relations into target relations,
-        that is, iff R lies in the preimage lattice P."""
-        snf, u_rel = self._preimage
-        r = snf.rank
-        return not any(any(row) for row in u_rel[r:]) and not any(
-            x % d for row, d in zip(u_rel, snf.diagonal[:r]) for x in row
+        """True iff the matrix maps source relations into target relations.
+
+        The source relations are generated by d_i U_s^-1 e_i over every
+        source coordinate i, the trivial ones (d_i = 1) included, so the
+        map is well defined iff d_i W[j][i] lies in d_j' Z for every
+        target row j; a free row (d_j' = 0) must vanish.
+        """
+        source = self.source
+        orders = (1,) * (source.ambient_rank - len(source.moduli)) + source.moduli
+        return not any(
+            d * x % d_t if d_t else d * x
+            for row, d_t in zip(self._smith_rows, self.target.moduli)
+            for d, x in zip(orders, row)
         )
 
+    @cached_property
+    def _block(self) -> IntMatrix:
+        """M', the k_t x k_s block of W on the nontrivial coordinates."""
+        k_s = len(self.source.moduli)
+        n_s = self.source.ambient_rank
+        rows = [row[n_s - k_s:] for row in self._smith_rows]
+        return IntMatrix(rows, shape=(len(rows), k_s))
+
     def kernel(self) -> FpAbelianGroup:
-        """Kernel as an abstract group: P / R, presented in the basis of
-        the preimage lattice P read from `_preimage`."""
+        """Kernel as an abstract group: P / D_s, for the preimage lattice
+        P = {x : M' x in D_t} of the target's diagonal relations D_t.
+
+        M' x lies in D_t exactly when (x, y) is in the integer kernel of
+        [M' | D_t], so the x-parts of that kernel generate P.  With
+        U P V = S of rank r, the first r columns of P V = U^-1 S are a
+        basis of P, and U D_s, row i divided by d_i, gives the source
+        relations D_s in that basis; D_s lies in P because the hom is
+        well defined.
+        """
         if not self.well_defined:
             raise ValueError("homomorphism is not well defined")
-        snf, u_rel = self._preimage
+        k_s = self._block.n_cols
+        stacked = self._block.hstack(_diagonal(self.target.moduli))
+        snf = smith_normal_form(integer_kernel(stacked).top_rows(k_s))
         r = snf.rank
+        u_rel = (snf.left @ _diagonal(self.source.moduli)).rows
         rel = IntMatrix(
             [[x // d for x in row] for row, d in zip(u_rel, snf.diagonal[:r])],
-            shape=(r, self.source.relations.n_cols),
+            shape=(r, k_s),
         )
         return FpAbelianGroup.quotient(r, rel)
 
     def cokernel(self) -> FpAbelianGroup:
-        """Target modulo (target relations + image of the matrix)."""
+        """Target modulo (target relations + image), as [D_t | M']."""
         if not self.well_defined:
             raise ValueError("homomorphism is not well defined")
-        gens = self.target.relations.hstack(self.matrix)
-        return FpAbelianGroup.quotient(self.target.ambient_rank, gens)
+        gens = _diagonal(self.target.moduli).hstack(self._block)
+        return FpAbelianGroup.quotient(self._block.n_rows, gens)

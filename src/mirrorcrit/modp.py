@@ -142,13 +142,19 @@ def _row_to_bits(row):
     return b
 
 
-def _echelonize(p, n_cols, rows):
-    """Returns (rref rows as tuples, pivot columns)."""
+def _echelonize(p, n_cols, rows, skip=0):
+    """The reduced echelon rows of `rows` whose pivot lies at column
+    `skip` or past it, as tuples with their first `skip` entries dropped.
+
+    Rows are filtered by pivot before they are converted, so a caller
+    that keeps only a right block converts nothing else.
+    """
     if p == 2:
         reduced, cols = _rref_bits([_row_to_bits(r) for r in rows])
-        return [_bits_to_row(b, n_cols) for b in reduced], cols
+        width = n_cols - skip
+        return [_bits_to_row(b >> skip, width) for b, c in zip(reduced, cols) if c >= skip]
     reduced, cols = _rref_general([list(r) for r in rows], p)
-    return [tuple(r) for r in reduced], cols
+    return [tuple(r[skip:]) for r, c in zip(reduced, cols) if c >= skip]
 
 
 def _vanishing_left(p, n_left, n_right, rows):
@@ -159,8 +165,7 @@ def _vanishing_left(p, n_left, n_right, rows):
     the leading ones and the zeros at every other pivot, so they are
     already the reduced echelon basis of what they span.
     """
-    reduced, cols = _echelonize(p, n_left + n_right, rows)
-    right = [row[n_left:] for row, c in zip(reduced, cols) if c >= n_left]
+    right = _echelonize(p, n_left + n_right, rows, skip=n_left)
     return ModpSubspace(p, n_right, ModpMatrix(p, right, shape=(len(right), n_right)))
 
 
@@ -179,7 +184,7 @@ class ModpSubspace:
         rows = [tuple(int(x) % p for x in r) for r in rows]
         if any(len(r) != ambient_dim for r in rows):
             raise ValueError("ambient dimension mismatch")
-        reduced, _ = _echelonize(p, ambient_dim, rows)
+        reduced = _echelonize(p, ambient_dim, rows)
         return cls(p, ambient_dim, ModpMatrix(p, reduced, shape=(len(reduced), ambient_dim)))
 
     @classmethod
@@ -206,7 +211,7 @@ class ModpSubspace:
         vec = [int(x) % self.p for x in vec]
         if len(vec) != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        reduced, _ = _echelonize(self.p, self.ambient_dim, [*self.basis.rows, vec])
+        reduced = _echelonize(self.p, self.ambient_dim, [*self.basis.rows, vec])
         return len(reduced) == self.dim
 
     def intersection(self, other: "ModpSubspace") -> "ModpSubspace":

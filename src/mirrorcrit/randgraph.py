@@ -6,12 +6,16 @@ and then mirrored.  Fixed edge sets are kept acyclic because a mirror
 drawing lays fixed edges along the axis line, so the honest instances
 of the construction have forest axes; cyclic fixed sets remain legal
 *inputs* elsewhere, they are just never generated here.
+
+`mirror_grid` is the deterministic plane family: a grid reflected in
+its middle column.
 """
 
 from __future__ import annotations
 
 import random
 
+from .graphfile import parse
 from .graphs import FIXED, LEFT, RIGHT, SymmetricGraph, Multigraph
 
 
@@ -114,3 +118,27 @@ def random_multigraph(seed=None, *, max_vertices=6, max_edges=12, rng=None) -> M
         (f"e{k}", rng.choice(vertices), rng.choice(vertices)) for k in range(m)
     ]
     return Multigraph(vertices, edges)
+
+
+def mirror_grid(rows, cols) -> SymmetricGraph:
+    """The rows x cols grid graph, mirrored in its middle column.
+
+    cols must be odd.  The middle column is the axis, and its vertical
+    edges are the fixed edges, so the axis is a path and the plus graph
+    is connected: every hypothesis of the factorization holds.
+    """
+    if rows < 1 or cols < 1 or cols % 2 == 0:
+        raise ValueError(f"need rows >= 1 and an odd cols >= 1, got {rows} x {cols}")
+    mid = cols // 2
+    side = {c: LEFT if c < mid else FIXED if c == mid else RIGHT for c in range(cols)}
+    lines = [f"v g{r}_{c} {side[c]}" for r in range(rows) for c in range(cols)]
+    lines += [
+        f"phi g{r}_{c} g{r}_{cols - 1 - c}" for r in range(rows) for c in range(mid)
+    ]
+    lines += [
+        f"e h{r}_{c} g{r}_{c} g{r}_{c + 1}" for r in range(rows) for c in range(cols - 1)
+    ]
+    lines += [
+        f"e u{r}_{c} g{r}_{c} g{r + 1}_{c}" for r in range(rows - 1) for c in range(cols)
+    ]
+    return parse("\n".join(lines))

@@ -6,6 +6,8 @@ from collections import Counter
 from functools import cached_property
 
 import pytest
+from sympy import ZZ
+from sympy.polys.matrices import DomainMatrix
 
 from mirrorcrit.critical import AdjointPair
 from mirrorcrit.factorization import (
@@ -29,6 +31,7 @@ from mirrorcrit.graphs import (
 )
 from mirrorcrit.lattice import FpAbelianGroup, GroupHom, IntMatrix, SmithDecomposition
 from mirrorcrit.modp import is_involution
+from mirrorcrit.randgraph import mirror_grid
 
 from conftest import (
     identity_mirror_triangle,
@@ -386,19 +389,56 @@ class TestLinkingCycles:
             assert len(basis.cycles) == g.fixed_subgraph_components()[0] - 1
 
 
+def reduced_laplacian_det(graph: Multigraph) -> int:
+    """Spanning trees of a connected graph by the matrix-tree theorem,
+    as sympy's exact fraction-free (Bareiss) determinant over ZZ."""
+    d = graph.boundary_matrix()
+    lap = (d @ d.transpose()).rows
+    n = len(lap) - 1
+    rows = [[ZZ(x) for x in row[1:]] for row in lap[1:]]
+    return int(DomainMatrix(rows, (n, n), ZZ).det())
+
+
+class TestMirrorGrid:
+    """Plane grids with a mirror axis, the inputs of Ciucu-Yan-Zhang."""
+
+    def test_shape(self):
+        g = mirror_grid(3, 5)
+        assert (g.graph.n_vertices, g.graph.n_edges) == (15, 3 * 4 + 2 * 5)
+        assert len(g.fixed_edges) == 2
+        assert g.is_valid()
+        for rows, cols in ((3, 4), (0, 3), (3, 0)):
+            with pytest.raises(ValueError):
+                mirror_grid(rows, cols)
+
+    @pytest.mark.parametrize("r", [3, 5, 7, 9])
+    def test_square_grid(self, r):
+        g = mirror_grid(r, r)
+        rep = main_theorem_verdict(g)
+        assert len(rep.verdicts) == 20
+        assert all(v is True for v in rep.verdicts.values())
+        two_torsion = (2,) * ((r - 1) // 2)
+        assert rep.ker_f.invariant_factors == two_torsion
+        assert rep.coker_f.invariant_factors == two_torsion
+        assert rep.kappa_g == reduced_laplacian_det(g.graph)
+
+
 class TestWorkCounts:
     def test_each_quantity_computed_once(self, monkeypatch):
         # one analysis computes each kernel, cokernel and well-definedness
         # check once; 19 SNFs cover every group, lattice and cross-check:
         # the Laplacian route reads the Laplacian's one Smith form, a hom
-        # makes 3 (kernel of [M | T] and preimage lattice, which decide
-        # well-definedness, then the kernel's quotient) and bond
-        # membership needs none
+        # in Smith coordinates makes 3 for its kernel (kernel of
+        # [M' | D_t], preimage lattice, quotient) and 1 for its cokernel,
+        # its well-definedness and the diagonal presentations need none,
+        # and bond membership needs none
         import mirrorcrit.critical as critical_module
         import mirrorcrit.lattice as lattice_module
         import mirrorcrit.modp as modp_module
 
         counts = Counter()
+        hom_sizes = []  # k_s + k_t of each kernel or cokernel running
+        hom_shapes = []  # (k_s + k_t, SNF shape) for the SNFs they run
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -413,11 +453,29 @@ class TestWorkCounts:
             built.__set_name__(cls, name)
             monkeypatch.setattr(cls, name, built)
 
-        snf = counting("snf", lattice_module.smith_normal_form)
+        def on_hom_path(name, fn):
+            def wrapper(hom):
+                hom_sizes.append(len(hom.source.moduli) + len(hom.target.moduli))
+                try:
+                    return counting(name, fn)(hom)
+                finally:
+                    hom_sizes.pop()
+
+            return wrapper
+
+        def recording(fn):
+            def wrapper(a):
+                if hom_sizes:
+                    hom_shapes.append((hom_sizes[-1], a.shape))
+                return fn(a)
+
+            return wrapper
+
+        snf = counting("snf", recording(lattice_module.smith_normal_form))
         monkeypatch.setattr(lattice_module, "smith_normal_form", snf)
         monkeypatch.setattr(critical_module, "smith_normal_form", snf)
         for name in ("kernel", "cokernel"):
-            monkeypatch.setattr(GroupHom, name, counting(name, getattr(GroupHom, name)))
+            monkeypatch.setattr(GroupHom, name, on_hom_path(name, getattr(GroupHom, name)))
         counting_cached(GroupHom, "well_defined")
         monkeypatch.setattr(
             modp_module, "_echelonize", counting("echelonize", modp_module._echelonize)
@@ -432,11 +490,17 @@ class TestWorkCounts:
         assert counts["cokernel"] == 2
         assert counts["well_defined"] == 2
         assert counts["snf"] == 19
-        # U for the two preimage lattices; V for the four cycle lattices
-        # and the two kernels of [M | T]; no inverse
+        # U and U^-1 of the two critical groups (the Smith coordinates of
+        # each hom) and U of the two preimage lattices; V for the four
+        # cycle lattices and the two kernels of [M' | D_t]; no V^-1
         assert {kind: counts[kind] for kind in WITNESSES} == {
-            "left": 2, "right": 6, "left_inv": 0, "right_inv": 0,
+            "left": 4, "right": 6, "left_inv": 2, "right_inv": 0,
         }
+        # every Smith form of a kernel or cokernel is at most k_s + k_t
+        # wide and tall, whatever the ambient ranks
+        assert len(hom_shapes) == 8
+        for size, shape in hom_shapes:
+            assert max(shape) <= size
         # one GF(2) elimination per subspace operation
         assert counts["echelonize"] == 23
         # the diagonal-only Smith forms build none

@@ -11,14 +11,17 @@ witnesses on purpose regenerates them:
 
 import hashlib
 import json
+import math
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
+from mirrorcrit.critical import AdjointPair
 from mirrorcrit.factorization import build_maps
 from mirrorcrit.lattice import (
     FpAbelianGroup,
@@ -27,7 +30,7 @@ from mirrorcrit.lattice import (
     integer_kernel,
     smith_normal_form,
 )
-from mirrorcrit.randgraph import random_symmetric_graph
+from mirrorcrit.randgraph import random_multigraph, random_symmetric_graph
 
 from conftest import running_example
 
@@ -330,6 +333,81 @@ class TestGroupHom:
                 if target.contains_relation(mat.mul_vector(list(coords))):
                     count += 1
             assert hom.kernel().order() == count
+
+
+class TestSmithCoordinateHomAgainstSympy:
+    """GroupHom works in Smith coordinates; sympy works on the edge
+    presentations Z^n / R of critical groups, whose relation lattices R
+    have full rank, so the product of the invariant factors of [R | v]
+    is |K| exactly when v lies in R."""
+
+    @staticmethod
+    def _index(a: IntMatrix):
+        return math.prod(sympy_diagonal(a))
+
+    def _check(self, source, target, matrix):
+        """Checks one hom; returns (well defined, target nontrivial)."""
+        hom = GroupHom(source, target, matrix)
+        r_t = target.relations
+        order_t = self._index(r_t)
+        assert order_t == target.order()
+        images = (matrix @ source.relations).columns()
+        expected = all(
+            self._index(r_t.hstack(IntMatrix.from_columns([v], r_t.n_rows))) == order_t
+            for v in images
+        )
+        assert hom.well_defined == expected
+        if expected:
+            coker = [d for d in sympy_diagonal(r_t.hstack(matrix)) if d != 1]
+            assert list(hom.cokernel().invariant_factors) == coker
+            order_s = self._index(source.relations)
+            assert hom.kernel().order() * order_t == order_s * math.prod(coker)
+        return expected, order_t > 1
+
+    def test_random_graph_maps(self):
+        # a random map between two graphs' critical groups, and an
+        # endomorphism c0 + c1 d^t d, which is well defined (d^t d kills
+        # Z and maps B into B), with one entry perturbed half the time
+        rng = random.Random(4321)
+        outcomes = Counter()
+        for _ in range(80):
+            pairs = [
+                AdjointPair.from_graph(
+                    random_multigraph(rng=rng, max_vertices=5, max_edges=9)
+                )
+                for _ in range(2)
+            ]
+            source, target = (pair.critical_group for pair in pairs)
+            n_s, n_t = source.ambient_rank, target.ambient_rank
+            rows = [[rng.randint(-2, 2) for _ in range(n_s)] for _ in range(n_t)]
+            outcomes[self._check(source, target, IntMatrix(rows, shape=(n_t, n_s)))] += 1
+            if not n_s:
+                continue
+            c0, c1 = rng.randint(-3, 3), rng.randint(-2, 2)
+            rows = [list(row) for row in (pairs[0].dt @ pairs[0].d).scale(c1).rows]
+            for i in range(n_s):
+                rows[i][i] += c0
+            if rng.random() < 0.5:
+                rows[rng.randrange(n_s)][rng.randrange(n_s)] += rng.choice((-1, 1, 2))
+            outcomes[self._check(source, source, IntMatrix(rows))] += 1
+        # well-defined and ill-defined maps into nontrivial groups
+        assert outcomes[True, True] >= 20 and outcomes[False, True] >= 20, outcomes
+
+    def test_running_example_perturbed(self):
+        # f of the running example, and every single-entry perturbation
+        # of it by 1, 2 or 4
+        maps = build_maps(running_example().decompose())
+        source, target = maps.pair_union.critical_group, maps.pair_g.critical_group
+        f = maps.f_matrix
+        assert self._check(source, target, f) == (True, True)
+        outcomes = Counter()
+        for i in range(f.n_rows):
+            for j in range(f.n_cols):
+                for delta in (1, 2, 4):
+                    rows = [list(row) for row in f.rows]
+                    rows[i][j] += delta
+                    outcomes[self._check(source, target, IntMatrix(rows))] += 1
+        assert outcomes[True, True] and outcomes[False, True], outcomes
 
 
 def witness_cases():
