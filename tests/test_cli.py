@@ -8,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mirrorcrit
 from mirrorcrit.cli import main
@@ -155,6 +157,38 @@ epair e1 e2
         assert g.n_vertices == 2
         with pytest.raises(ParseError):
             parse("v a\nv b\ne e1 a b\n")
+
+
+# records, sides and a few ids, so that soups reach the later checks of
+# both parsers and not only the unknown-record error
+TOKENS = ("v", "e", "phi", "epair", "efix", "L", "F", "R", "a", "b", "c", "x", "y", "#")
+TOKEN_SOUP = st.lists(
+    st.lists(st.sampled_from(TOKENS), max_size=5).map(" ".join), max_size=12
+).map("\n".join)
+FUZZ = settings(max_examples=500, derandomize=True, database=None, deadline=None)
+
+
+class TestParserFuzz:
+    """Malformed input raises only ParseError or InvalidSymmetricGraph,
+    the two errors the CLI reports with exit status 1."""
+
+    @staticmethod
+    def parse_or_reject(text):
+        for parser in (parse, parse_plain):
+            try:
+                parser(text)
+            except (ParseError, InvalidSymmetricGraph):
+                pass
+
+    @FUZZ
+    @given(st.text())
+    def test_arbitrary_text(self, text):
+        self.parse_or_reject(text)
+
+    @FUZZ
+    @given(TOKEN_SOUP)
+    def test_token_soup(self, text):
+        self.parse_or_reject(text)
 
 
 class TestSerialize:
