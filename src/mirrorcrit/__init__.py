@@ -50,7 +50,7 @@ from .lattice import (
     integer_kernel,
     smith_normal_form,
 )
-from .modp import ModpMatrix, ModpSubspace, fixed_subspace, kernel, row_space
+from .modp import ModpSubspace, fixed_subspace, kernel, row_space
 from .randgraph import mirror_grid, random_multigraph, random_symmetric_graph
 
 __all__ = [
@@ -67,7 +67,6 @@ __all__ = [
     "IntMatrix",
     "InvalidSymmetricGraph",
     "LEFT",
-    "ModpMatrix",
     "ModpSubspace",
     "Multigraph",
     "ParseError",

@@ -26,7 +26,7 @@ from .lattice import (
     integer_kernel,
     smith_normal_form,
 )
-from .modp import ModpMatrix, ModpSubspace, kernel, row_space
+from .modp import ModpSubspace, kernel, row_space
 
 DEFAULT_ORACLE_LIMIT = 1 << 20
 
@@ -105,8 +105,7 @@ class AdjointPair:
     def _spaces(self, p: int):
         """(Z, B, Z cap B) over Z/p, computed once per prime."""
         if p not in self._spaces_mod:
-            d = ModpMatrix.from_int_matrix(self.d, p)
-            z, b = kernel(d), row_space(d)
+            z, b = kernel(p, self.d), row_space(p, self.d)
             self._spaces_mod[p] = (z, b, z.intersection(b))
         return self._spaces_mod[p]
 

@@ -35,14 +35,7 @@ from functools import cached_property
 from .critical import AdjointPair, DualityReport, duality_order_check, forest_count
 from .graphs import Decomposition, SymmetricGraph
 from .lattice import FpAbelianGroup, GroupHom, IntMatrix
-from .modp import (
-    ModpMatrix,
-    ModpSubspace,
-    fixed_ambient,
-    fixed_subspace,
-    is_involution,
-    kernel,
-)
+from .modp import ModpSubspace, fixed_ambient, fixed_subspace, is_involution, kernel
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,14 +93,6 @@ class SymmetryMaps:
         # boundary of the disjoint union is block-diagonal, so this pair
         # presents K(G+) + K(G-) as a single quotient of Z(E+ u E-)
         return AdjointPair.from_graph(self.dec.union_graph())
-
-    @cached_property
-    def f_mod2(self) -> ModpMatrix:
-        return ModpMatrix.from_int_matrix(self.f_matrix, 2)
-
-    @cached_property
-    def ft_mod2(self) -> ModpMatrix:
-        return ModpMatrix.from_int_matrix(self.ft_matrix, 2)
 
     @cached_property
     def f_star(self) -> GroupHom:
@@ -480,7 +465,7 @@ def identify_kernel_cokernel(maps: SymmetryMaps) -> BicycleIdentification:
     ker_order = maps.ker_f.order()
 
     # ker(f^t mod 2) versus its predicted basis {e + phi(e) : e Left}
-    ker_ft2 = kernel(maps.ft_mod2)
+    ker_ft2 = kernel(2, maps.ft_matrix)
     rows = []
     for e in g.left_edges:
         vec = [0] * graph.n_edges
@@ -492,7 +477,7 @@ def identify_kernel_cokernel(maps: SymmetryMaps) -> BicycleIdentification:
 
     # ker(f mod 2) versus the psi-fixed ambient subspace
     psi_ambient = fixed_ambient(2, maps.psi)
-    ker_f_ok = kernel(maps.f_mod2) == psi_ambient
+    ker_f_ok = kernel(2, maps.f_matrix) == psi_ambient
 
     phi_ambient = fixed_ambient(2, maps.phi)
     sum_phi, sum_psi = maps.sum_phi, maps.sum_psi
@@ -528,10 +513,15 @@ def identify_kernel_cokernel(maps: SymmetryMaps) -> BicycleIdentification:
 class InjectionReport:
     domain_dim: int
     image_dim: int
-    images: ModpMatrix
+    images: tuple
     halves_agree: bool
     image_in_phi_fixed_bicycles: bool
     injective: bool
+
+
+def _f_mod2(maps: SymmetryMaps, vec) -> tuple:
+    """f(vec) mod 2; the product visits only the support of vec."""
+    return tuple(x & 1 for x in maps.f_matrix.mul_vector(vec))
 
 
 def g_injection(maps: SymmetryMaps) -> InjectionReport:
@@ -546,11 +536,9 @@ def g_injection(maps: SymmetryMaps) -> InjectionReport:
     phi_bic = maps.phi_bicycles
     rows = []
     halves_agree = True
-    for vec in domain.basis.rows:
-        plus_part = maps.block_vector(plus_coeffs=vec[: maps.n_plus])
-        minus_part = maps.block_vector(minus_coeffs=vec[maps.n_plus :])
-        y1 = maps.f_mod2.apply(plus_part)
-        y2 = maps.f_mod2.apply(minus_part)
+    for vec in domain.basis:
+        y1 = _f_mod2(maps, maps.block_vector(plus_coeffs=vec[: maps.n_plus]))
+        y2 = _f_mod2(maps, maps.block_vector(minus_coeffs=vec[maps.n_plus :]))
         if y1 != y2:
             halves_agree = False
         rows.append(y1)
@@ -558,7 +546,7 @@ def g_injection(maps: SymmetryMaps) -> InjectionReport:
     return InjectionReport(
         domain_dim=domain.dim,
         image_dim=image.dim,
-        images=ModpMatrix(2, rows, shape=(len(rows), n_edges)),
+        images=tuple(rows),
         halves_agree=halves_agree,
         image_in_phi_fixed_bicycles=all(phi_bic.contains(r) for r in rows),
         injective=(image.dim == domain.dim),
@@ -723,16 +711,17 @@ def component_linking_cycles(maps: SymmetryMaps) -> LinkingCycleBasis:
         block = [0] * maps.n_block
         for i in idxs:
             block[i] ^= 1
-        cycles.append(maps.f_mod2.apply(block))
+        cycles.append(_f_mod2(maps, block))
 
     z_phi = maps.z_phi
-    image_rows = []
-    for vec in maps.z_psi.basis.rows:
-        image_rows.append(maps.f_mod2.apply(maps.block_vector(plus_coeffs=vec[: maps.n_plus])))
+    image_rows = [
+        _f_mod2(maps, maps.block_vector(plus_coeffs=vec[: maps.n_plus]))
+        for vec in maps.z_psi.basis
+    ]
     image = ModpSubspace.from_rows(2, n_edges, image_rows)
 
     m = max(count - 1, 0)
-    combined = ModpSubspace.from_rows(2, n_edges, list(image.basis.rows) + cycles)
+    combined = ModpSubspace.from_rows(2, n_edges, [*image.basis, *cycles])
     ok = (
         all(z_phi.contains(c) for c in cycles)
         and combined.dim == image.dim + m
@@ -741,7 +730,7 @@ def component_linking_cycles(maps: SymmetryMaps) -> LinkingCycleBasis:
     return LinkingCycleBasis(
         representatives=tuple(reps),
         paths=tuple(paths),
-        cycles=tuple(tuple(c) for c in cycles),
+        cycles=tuple(cycles),
         image_dim=image.dim,
         dim_z_phi=z_phi.dim,
         independent_and_spanning=ok,

@@ -118,32 +118,6 @@ class IntMatrix:
             x == int(i == j) for i, row in enumerate(self.rows) for j, x in enumerate(row)
         )
 
-    def det(self):
-        """Exact determinant by Bareiss fraction-free elimination."""
-        if self.n_rows != self.n_cols:
-            raise ValueError("determinant of a non-square matrix")
-        n = self.n_rows
-        if n == 0:
-            return 1
-        a = [list(row) for row in self.rows]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k]:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
-
     def __eq__(self, other):
         if not isinstance(other, IntMatrix):
             return NotImplemented

@@ -1,10 +1,13 @@
 """Linear algebra over Z/p for prime p.
 
-Subspaces are kept in reduced row-echelon form, which makes equality of
-spaces a plain matrix comparison.  Every subspace operation is one
-elimination: membership reduces the basis plus the vector, and kernels
-and intersections reduce an augmented row block and keep the right
-halves of the rows whose left block vanished (the Zassenhaus method).
+Subspaces are kept in reduced row-echelon form, as tuples of row tuples
+with entries in {0, ..., p-1}, which makes equality of spaces a plain
+tuple comparison.  Matrices come in as `IntMatrix` and vectors as
+integer sequences; the elimination is the one place where their entries
+are reduced mod p.  Every subspace operation is one elimination:
+membership reduces the basis plus the vector, and kernels and
+intersections reduce an augmented row block and keep the right halves
+of the rows whose left block vanished (the Zassenhaus method).
 p = 2 carries almost all of the workload here, so its elimination runs
 on Python-int bitsets (one XOR per row operation); other primes use
 per-entry arithmetic with the same algorithm.
@@ -31,60 +34,6 @@ def _check_prime(p: int):
         d += 1
 
 
-class ModpMatrix:
-    """Immutable matrix over Z/p with entries reduced into {0, ..., p-1}."""
-
-    __slots__ = ("p", "n_rows", "n_cols", "rows")
-
-    def __init__(self, p, rows, shape=None):
-        _check_prime(p)
-        rows = tuple(tuple(int(x) % p for x in row) for row in rows)
-        if shape is None:
-            if not rows:
-                raise ValueError("shape is required for a matrix with no rows")
-            shape = (len(rows), len(rows[0]))
-        n, m = shape
-        if len(rows) != n or any(len(row) != m for row in rows):
-            raise ValueError(f"rows do not match shape {shape}")
-        self.p = p
-        self.n_rows = n
-        self.n_cols = m
-        self.rows = rows
-
-    @classmethod
-    def identity(cls, p, n):
-        return cls(p, [[int(i == j) for j in range(n)] for i in range(n)], shape=(n, n))
-
-    @classmethod
-    def zero(cls, p, n_rows, n_cols):
-        return cls(p, [[0] * n_cols for _ in range(n_rows)], shape=(n_rows, n_cols))
-
-    @classmethod
-    def from_int_matrix(cls, m, p):
-        return cls(p, m.rows, shape=m.shape)
-
-    @property
-    def shape(self):
-        return (self.n_rows, self.n_cols)
-
-    def apply(self, vec):
-        vec = [x % self.p for x in vec]
-        if len(vec) != self.n_cols:
-            raise ValueError("vector length does not match n_cols")
-        return tuple(sum(a * b for a, b in zip(row, vec)) % self.p for row in self.rows)
-
-    def __eq__(self, other):
-        if not isinstance(other, ModpMatrix):
-            return NotImplemented
-        return self.p == other.p and self.shape == other.shape and self.rows == other.rows
-
-    def __hash__(self):
-        return hash((self.p, self.shape, self.rows))
-
-    def __repr__(self):
-        return f"ModpMatrix(p={self.p}, {self.n_rows}x{self.n_cols})"
-
-
 def _rref_bits(bitrows):
     """Reduced echelon form of GF(2) rows packed as ints (bit j = column j).
 
@@ -108,11 +57,11 @@ def _rref_bits(bitrows):
 
 
 def _rref_general(rows, p):
-    """Reduced echelon form over Z/p, rows as lists; same invariant as
-    the bitset version."""
+    """Reduced echelon form over Z/p of rows given as lists of reduced
+    entries; same invariant as the bitset version."""
     pivots = {}
     for r in rows:
-        cur = list(r)
+        cur = r
         for c, prow in pivots.items():
             f = cur[c]
             if f:
@@ -137,7 +86,7 @@ def _bits_to_row(bits, n):
 def _row_to_bits(row):
     b = 0
     for j, x in enumerate(row):
-        if x:
+        if x & 1:
             b |= 1 << j
     return b
 
@@ -146,14 +95,16 @@ def _echelonize(p, n_cols, rows, skip=0):
     """The reduced echelon rows of `rows` whose pivot lies at column
     `skip` or past it, as tuples with their first `skip` entries dropped.
 
-    Rows are filtered by pivot before they are converted, so a caller
-    that keeps only a right block converts nothing else.
+    Entries may be any integers: this is where they are reduced mod p
+    (for p = 2, by packing each entry's low bit).  Rows are filtered by
+    pivot before they are converted, so a caller that keeps only a right
+    block converts nothing else.
     """
     if p == 2:
         reduced, cols = _rref_bits([_row_to_bits(r) for r in rows])
         width = n_cols - skip
         return [_bits_to_row(b >> skip, width) for b, c in zip(reduced, cols) if c >= skip]
-    reduced, cols = _rref_general([list(r) for r in rows], p)
+    reduced, cols = _rref_general([[x % p for x in r] for r in rows], p)
     return [tuple(r[skip:]) for r, c in zip(reduced, cols) if c >= skip]
 
 
@@ -165,27 +116,28 @@ def _vanishing_left(p, n_left, n_right, rows):
     the leading ones and the zeros at every other pivot, so they are
     already the reduced echelon basis of what they span.
     """
-    right = _echelonize(p, n_left + n_right, rows, skip=n_left)
-    return ModpSubspace(p, n_right, ModpMatrix(p, right, shape=(len(right), n_right)))
+    return ModpSubspace(p, n_right, tuple(_echelonize(p, n_left + n_right, rows, skip=n_left)))
 
 
 class ModpSubspace:
-    """Subspace of (Z/p)^n, canonically represented by an RREF basis."""
+    """Subspace of (Z/p)^n, canonically represented by its RREF basis:
+    a tuple of row tuples with entries in {0, ..., p-1}."""
 
     __slots__ = ("p", "ambient_dim", "basis")
 
-    def __init__(self, p, ambient_dim, basis: ModpMatrix):
+    def __init__(self, p, ambient_dim, basis: tuple):
         self.p = p
         self.ambient_dim = ambient_dim
         self.basis = basis
 
     @classmethod
     def from_rows(cls, p, ambient_dim, rows) -> "ModpSubspace":
-        rows = [tuple(int(x) % p for x in r) for r in rows]
+        """The span of integer rows, reduced mod p."""
+        _check_prime(p)
+        rows = list(rows)
         if any(len(r) != ambient_dim for r in rows):
             raise ValueError("ambient dimension mismatch")
-        reduced = _echelonize(p, ambient_dim, rows)
-        return cls(p, ambient_dim, ModpMatrix(p, reduced, shape=(len(reduced), ambient_dim)))
+        return cls(p, ambient_dim, tuple(_echelonize(p, ambient_dim, rows)))
 
     @classmethod
     def zero(cls, p, ambient_dim) -> "ModpSubspace":
@@ -193,13 +145,12 @@ class ModpSubspace:
 
     @classmethod
     def full(cls, p, ambient_dim) -> "ModpSubspace":
-        return cls.from_rows(
-            p, ambient_dim, ModpMatrix.identity(p, ambient_dim).rows if ambient_dim else []
-        )
+        rows = [[int(i == j) for j in range(ambient_dim)] for i in range(ambient_dim)]
+        return cls.from_rows(p, ambient_dim, rows)
 
     @property
     def dim(self):
-        return self.basis.n_rows
+        return len(self.basis)
 
     def _compatible(self, other):
         if self.p != other.p:
@@ -208,10 +159,10 @@ class ModpSubspace:
             raise ValueError("ambient dimension mismatch")
 
     def contains(self, vec) -> bool:
-        vec = [int(x) % self.p for x in vec]
+        vec = list(vec)
         if len(vec) != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        reduced = _echelonize(self.p, self.ambient_dim, [*self.basis.rows, vec])
+        reduced = _echelonize(self.p, self.ambient_dim, [*self.basis, vec])
         return len(reduced) == self.dim
 
     def intersection(self, other: "ModpSubspace") -> "ModpSubspace":
@@ -220,14 +171,12 @@ class ModpSubspace:
         half exactly when a = -b lies in both spaces."""
         self._compatible(other)
         zero = (0,) * self.ambient_dim
-        rows = [a + a for a in self.basis.rows] + [b + zero for b in other.basis.rows]
+        rows = [a + a for a in self.basis] + [b + zero for b in other.basis]
         return _vanishing_left(self.p, self.ambient_dim, self.ambient_dim, rows)
 
     def plus(self, other: "ModpSubspace") -> "ModpSubspace":
         self._compatible(other)
-        return ModpSubspace.from_rows(
-            self.p, self.ambient_dim, list(self.basis.rows) + list(other.basis.rows)
-        )
+        return ModpSubspace.from_rows(self.p, self.ambient_dim, self.basis + other.basis)
 
     def enumerate_elements(self, limit=DEFAULT_ENUM_LIMIT):
         """All p^dim elements, each exactly once, deterministically."""
@@ -236,7 +185,7 @@ class ModpSubspace:
                 f"{self.p}^{self.dim} elements exceed the limit {limit}"
             )
         p = self.p
-        rows = self.basis.rows
+        rows = self.basis
         for coeffs in itertools.product(range(p), repeat=self.dim):
             vec = [0] * self.ambient_dim
             for f, row in zip(coeffs, rows):
@@ -260,21 +209,24 @@ class ModpSubspace:
         return f"ModpSubspace(p={self.p}, dim {self.dim} in {self.ambient_dim})"
 
 
-def kernel(m: ModpMatrix) -> ModpSubspace:
-    """Null space {x : M x = 0} in echelon form.
+def kernel(p, m) -> ModpSubspace:
+    """Null space {x : M x = 0 mod p} of the integer matrix M, in
+    echelon form.
 
     Reduces the rows (column j of M | e_j): a combination (M x | x) has
     a vanishing left half exactly when M x = 0.
     """
+    _check_prime(p)
     n = m.n_cols
     columns = zip(*m.rows) if m.rows else [()] * n
     rows = [col + (0,) * j + (1,) + (0,) * (n - 1 - j) for j, col in enumerate(columns)]
-    return _vanishing_left(m.p, m.n_rows, n, rows)
+    return _vanishing_left(p, m.n_rows, n, rows)
 
 
-def row_space(m: ModpMatrix) -> ModpSubspace:
-    """Row space of M (equivalently the image of its transpose)."""
-    return ModpSubspace.from_rows(m.p, m.n_cols, m.rows)
+def row_space(p, m) -> ModpSubspace:
+    """Row space of the integer matrix M mod p (equivalently the image
+    of its transpose)."""
+    return ModpSubspace.from_rows(p, m.n_cols, m.rows)
 
 
 def is_involution(perm) -> bool:
@@ -291,12 +243,13 @@ def fixed_ambient(p, perm) -> ModpSubspace:
     echelon form, with the pivot at the smaller index, so no elimination
     runs.
     """
+    _check_prime(p)
     if not is_involution(perm):
         raise ValueError("permutation is not an involution")
     n = len(perm)
     pivots = [i for i, j in enumerate(perm) if i <= j]
-    rows = [[int(k in (i, perm[i])) for k in range(n)] for i in pivots]
-    return ModpSubspace(p, n, ModpMatrix(p, rows, shape=(len(rows), n)))
+    rows = tuple(tuple(int(k in (i, perm[i])) for k in range(n)) for i in pivots)
+    return ModpSubspace(p, n, rows)
 
 
 def fixed_subspace(perm, space: ModpSubspace) -> ModpSubspace:

@@ -5,9 +5,18 @@ from __future__ import annotations
 import random
 
 import pytest
+from sympy import ZZ
+from sympy.polys.matrices import DomainMatrix
 
 from mirrorcrit.graphs import FIXED, LEFT, RIGHT, Multigraph, SymmetricGraph
 from mirrorcrit.randgraph import random_symmetric_graph
+
+
+def exact_det(m) -> int:
+    """Determinant of a square IntMatrix, as sympy's exact fraction-free
+    (Bareiss) determinant over ZZ."""
+    rows = [[ZZ(x) for x in row] for row in m.rows]
+    return int(DomainMatrix(rows, m.shape, ZZ).det())
 
 
 def running_example() -> SymmetricGraph:

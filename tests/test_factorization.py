@@ -6,9 +6,6 @@ from collections import Counter
 from functools import cached_property
 
 import pytest
-from sympy import ZZ
-from sympy.polys.matrices import DomainMatrix
-
 from mirrorcrit.critical import AdjointPair
 from mirrorcrit.factorization import (
     _descend,
@@ -34,6 +31,7 @@ from mirrorcrit.modp import is_involution
 from mirrorcrit.randgraph import mirror_grid
 
 from conftest import (
+    exact_det,
     identity_mirror_triangle,
     mirror_cycle,
     running_example,
@@ -203,7 +201,7 @@ class TestBicycleSpaces:
 
     def test_running_example_phi_fixed_is_symmetric_square(self, maps):
         space = maps.phi_bicycles
-        assert space.basis.rows[0] == (1, 1, 1, 1, 0)
+        assert space.basis[0] == (1, 1, 1, 1, 0)
 
     def test_whole_union_is_psi_fixed_bicycle(self, maps):
         space = maps.psi_bicycles
@@ -272,20 +270,21 @@ class TestIdentification:
         for g in mixed_corpus:
             m = build_maps(g.decompose())
             bic_g = m.pair_g.p_bicycle_space(2)
-            restricted_ft = modp_kernel(m.ft_mod2).intersection(bic_g)
+            restricted_ft = modp_kernel(2, m.ft_matrix).intersection(bic_g)
             assert restricted_ft == m.phi_bicycles
             bic_pm = m.pair_union.p_bicycle_space(2)
-            restricted_f = modp_kernel(m.f_mod2).intersection(bic_pm)
+            restricted_f = modp_kernel(2, m.f_matrix).intersection(bic_pm)
             assert restricted_f == m.psi_bicycles
 
     def test_f_mod2_maps_bicycles_to_bicycles(self, mixed_corpus):
         # the mod-2 reduction of f carries the bicycle space of the
-        # union into the bicycle space of G (functoriality of K/2K)
+        # union into the bicycle space of G (functoriality of K/2K);
+        # `contains` reduces the integer image f(row) mod 2 itself
         for g in mixed_corpus:
             m = build_maps(g.decompose())
             bic_g = m.pair_g.p_bicycle_space(2)
-            for row in m.pair_union.p_bicycle_space(2).basis.rows:
-                assert bic_g.contains(m.f_mod2.apply(row))
+            for row in m.pair_union.p_bicycle_space(2).basis:
+                assert bic_g.contains(m.f_matrix.mul_vector(row))
 
 
 class TestInjection:
@@ -295,7 +294,7 @@ class TestInjection:
         assert report.injective
         assert report.halves_agree
         assert report.image_in_phi_fixed_bicycles
-        assert report.images.rows[0] == (1, 1, 1, 1, 0)
+        assert report.images[0] == (1, 1, 1, 1, 0)
 
     def test_mirror_cycle_vacuous(self):
         report = g_injection(build_maps(mirror_cycle(3).decompose()))
@@ -390,13 +389,10 @@ class TestLinkingCycles:
 
 
 def reduced_laplacian_det(graph: Multigraph) -> int:
-    """Spanning trees of a connected graph by the matrix-tree theorem,
-    as sympy's exact fraction-free (Bareiss) determinant over ZZ."""
+    """Spanning trees of a connected graph by the matrix-tree theorem."""
     d = graph.boundary_matrix()
     lap = (d @ d.transpose()).rows
-    n = len(lap) - 1
-    rows = [[ZZ(x) for x in row[1:]] for row in lap[1:]]
-    return int(DomainMatrix(rows, (n, n), ZZ).det())
+    return exact_det(IntMatrix([row[1:] for row in lap[1:]], shape=(len(lap) - 1,) * 2))
 
 
 class TestMirrorGrid:

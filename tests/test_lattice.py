@@ -32,7 +32,7 @@ from mirrorcrit.lattice import (
 )
 from mirrorcrit.randgraph import random_multigraph, random_symmetric_graph
 
-from conftest import running_example
+from conftest import exact_det, running_example
 
 WITNESS_GOLDEN = Path(__file__).resolve().parent / "golden_witnesses.json"
 
@@ -102,17 +102,6 @@ class TestIntMatrix:
             assert all(type(x) is int for row in product.rows for x in row)
             assert all(type(x) is int for x in image)
 
-    def test_det(self):
-        assert IntMatrix([[2, 0], [0, 3]]).det() == 6
-        assert IntMatrix([[1, 2], [2, 4]]).det() == 0
-        assert IntMatrix([], shape=(0, 0)).det() == 1
-        rng = random.Random(7)
-        for _ in range(25):
-            n = rng.randint(1, 6)
-            a = IntMatrix([[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)])
-            m = Matrix(n, n, [x for row in a.rows for x in row])
-            assert a.det() == int(m.det())
-
 
 class TestSmithNormalForm:
     def test_identity(self):
@@ -153,8 +142,8 @@ class TestSmithNormalForm:
             a = random_matrix(rng)
             snf = smith_normal_form(a)
             assert snf.verify(), a.rows
-            assert abs(snf.left.det()) == 1
-            assert abs(snf.right.det()) == 1
+            assert abs(exact_det(snf.left)) == 1
+            assert abs(exact_det(snf.right)) == 1
             assert list(snf.diagonal) == sympy_diagonal(a)
 
     def test_kernel_and_rank(self):
@@ -301,7 +290,7 @@ class TestGroupHom:
             src_rel = IntMatrix(
                 [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
             )
-            if src_rel.det() == 0:
+            if exact_det(src_rel) == 0:
                 continue
             source = FpAbelianGroup.quotient(n, src_rel)
             k = rng.randint(1, 6)

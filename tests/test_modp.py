@@ -7,9 +7,9 @@ import pytest
 
 from mirrorcrit.critical import AdjointPair, bicycle_masks_bruteforce, subspace_masks
 from mirrorcrit.graphs import Multigraph
+from mirrorcrit.lattice import IntMatrix
 from mirrorcrit.modp import (
     EnumerationLimitError,
-    ModpMatrix,
     ModpSubspace,
     fixed_ambient,
     fixed_subspace,
@@ -29,32 +29,73 @@ def random_subspace(rng, p, ambient, max_rows=4):
     return ModpSubspace.from_rows(p, ambient, rows)
 
 
-class TestModpMatrix:
+class TestReduction:
+    """Integer entries are reduced mod p in the elimination alone, so
+    every entry point must read 2, -1, p and p + 1 as their residues (a
+    GF(2) bit packing that tested `x` and not `x & 1` would read 2 as 1,
+    and an unreduced entry p would become a zero pivot row over GF(3))."""
+
     def test_prime_check(self):
-        with pytest.raises(ValueError):
-            ModpMatrix(4, [[1]])
-        with pytest.raises(ValueError):
-            ModpMatrix(1, [[0]])
-        ModpMatrix(13, [[5]])
+        pair = AdjointPair.from_graph(running_example().graph)
+        for p in (1, 4):
+            with pytest.raises(ValueError):
+                kernel(p, IntMatrix.identity(1))
+            with pytest.raises(ValueError):
+                ModpSubspace.from_rows(p, 1, [[1]])
+            with pytest.raises(ValueError):
+                fixed_ambient(p, (0,))
+            with pytest.raises(ValueError):
+                pair.p_bicycle_space(p)
+        assert kernel(13, IntMatrix([[5]])).dim == 0
 
     def test_entries_reduced(self):
-        m = ModpMatrix(3, [[4, -1], [7, 9]])
-        assert m.rows == ((1, 2), (1, 0))
+        assert ModpSubspace.from_rows(2, 2, [[2, -1]]).basis == ((0, 1),)
+        assert ModpSubspace.from_rows(3, 2, [[2, -1]]).basis == ((1, 1),)
+        assert ModpSubspace.from_rows(3, 2, [[4, -1], [7, 9]]).basis == ((1, 0), (0, 1))
+        assert ModpSubspace.from_rows(3, 2, [[4, -1], [4, 9]]).basis == ((1, 0), (0, 1))
+        assert ModpSubspace.from_rows(3, 2, [[3, 1]]).basis == ((0, 1),)
+        assert kernel(2, IntMatrix([[2]])).dim == 1
+        assert kernel(3, IntMatrix([[3]])).dim == 1
+        assert kernel(2, IntMatrix([[2, -1, 3]])).basis == ((1, 0, 0), (0, 1, 1))
+        assert kernel(3, IntMatrix([[4, -1]])).basis == ((1, 1),)
+        assert row_space(2, IntMatrix([[2, 3]])).basis == ((0, 1),)
+        assert row_space(3, IntMatrix([[2, -1, 4]])).basis == ((1, 1, 2),)
+        line = ModpSubspace.from_rows(2, 2, [[0, 1]])
+        assert line.contains([2, -1])
+        assert not line.contains([3, 0])
+        line = ModpSubspace.from_rows(3, 2, [[1, 2]])
+        assert line.contains([-1, 4])
+        assert not line.contains([4, 4])
 
-    def test_permutation_and_involution(self):
-        swap = (1, 0, 2)
-        assert is_involution(swap)
-        assert swap[0] == 1  # e_0 goes to e_1
-        assert not is_involution((1, 2, 0))
-        assert not is_involution((0, 3, 2))  # image out of range
+    def test_entries_match_their_residues(self):
+        rng = random.Random(8)
+        for p in (2, 3):
+            for _ in range(30):
+                n_rows = rng.randint(0, 4)
+                n_cols = rng.randint(0, 4)
+                rows = [[rng.choice((2, -1, p, p + 1, 0, 1)) for _ in range(n_cols)]
+                        for _ in range(n_rows)]
+                residues = [[x % p for x in row] for row in rows]
+                m = IntMatrix(rows, shape=(n_rows, n_cols))
+                r = IntMatrix(residues, shape=(n_rows, n_cols))
+                assert kernel(p, m) == kernel(p, r)
+                assert row_space(p, m) == row_space(p, r)
+                s = ModpSubspace.from_rows(p, n_cols, rows)
+                assert s == ModpSubspace.from_rows(p, n_cols, residues)
+                assert all(0 <= x < p for row in s.basis for x in row)
+                for vec in rows:
+                    assert s.contains(vec)
+                    assert kernel(p, r).contains(vec) == kernel(p, m).contains(
+                        [x % p for x in vec]
+                    )
 
 
 class TestKernelAndRowSpace:
     def test_zero_matrix_full_kernel(self):
-        assert kernel(ModpMatrix.zero(2, 2, 3)).dim == 3
+        assert kernel(2, IntMatrix.zero(2, 3)).dim == 3
 
     def test_identity_zero_kernel(self):
-        assert kernel(ModpMatrix.identity(2, 3)).dim == 0
+        assert kernel(2, IntMatrix.identity(3)).dim == 0
 
     def test_running_example_cycle_space_dim(self):
         # |E| - |V| + #components = 5 - 4 + 1
@@ -75,7 +116,7 @@ class TestKernelAndRowSpace:
         assert pair.cycle_space_mod(2).dim == 1
 
     def test_identity_row_space_full(self):
-        assert row_space(ModpMatrix.identity(2, 4)).dim == 4
+        assert row_space(2, IntMatrix.identity(4)).dim == 4
 
     def test_kernel_vectors_annihilate(self):
         rng = random.Random(1)
@@ -83,14 +124,13 @@ class TestKernelAndRowSpace:
             for _ in range(20):
                 n_cols = rng.randint(1, 6)
                 n_rows = rng.randint(1, 5)
-                m = ModpMatrix(
-                    p,
-                    [[rng.randrange(p) for _ in range(n_cols)] for _ in range(n_rows)],
+                m = IntMatrix(
+                    [[rng.randrange(p) for _ in range(n_cols)] for _ in range(n_rows)]
                 )
-                ker = kernel(m)
-                assert ker.dim == m.n_cols - row_space(m).dim
-                for vec in ker.basis.rows:
-                    assert not any(m.apply(vec))
+                ker = kernel(p, m)
+                assert ker.dim == m.n_cols - row_space(p, m).dim
+                for vec in ker.basis:
+                    assert not any(x % p for x in m.mul_vector(vec))
 
 
 class TestSubspaceOps:
@@ -119,7 +159,7 @@ class TestSubspaceOps:
         pair = AdjointPair.from_graph(g.graph)
         bic = pair.p_bicycle_space(2)
         assert bic.dim == 1
-        assert bic.basis.rows[0] == (1, 1, 1, 1, 0)
+        assert bic.basis[0] == (1, 1, 1, 1, 0)
 
     def test_grassmann_identity(self):
         rng = random.Random(3)
@@ -140,7 +180,7 @@ class TestSubspaceOps:
                 ambient = rng.randint(1, 5)
                 s = random_subspace(rng, p, ambient)
                 remixed = []
-                rows = [list(r) for r in s.basis.rows]
+                rows = [list(r) for r in s.basis]
                 for _ in range(8):
                     if not rows:
                         break
@@ -165,7 +205,7 @@ class TestAgainstEnumeration:
 
     @staticmethod
     def assert_echelon(s):
-        assert s == ModpSubspace.from_rows(s.p, s.ambient_dim, s.basis.rows)
+        assert s == ModpSubspace.from_rows(s.p, s.ambient_dim, s.basis)
 
     def test_intersection(self):
         rng = random.Random(31)
@@ -185,16 +225,15 @@ class TestAgainstEnumeration:
             for _ in range(40):
                 n_rows = rng.randint(0, 4)
                 n_cols = rng.randint(0, 4)
-                m = ModpMatrix(
-                    p,
+                m = IntMatrix(
                     [[rng.randrange(p) for _ in range(n_cols)] for _ in range(n_rows)],
                     shape=(n_rows, n_cols),
                 )
-                ker = kernel(m)
+                ker = kernel(p, m)
                 expected = {
                     x
                     for x in itertools.product(range(p), repeat=n_cols)
-                    if not any(m.apply(x))
+                    if not any(y % p for y in m.mul_vector(x))
                 }
                 assert set(ker.enumerate_elements()) == expected
                 self.assert_echelon(ker)
@@ -211,6 +250,13 @@ class TestAgainstEnumeration:
 
 
 class TestFixedSubspace:
+    def test_permutation_and_involution(self):
+        swap = (1, 0, 2)
+        assert is_involution(swap)
+        assert swap[0] == 1  # e_0 goes to e_1
+        assert not is_involution((1, 2, 0))
+        assert not is_involution((0, 3, 2))  # image out of range
+
     def test_identity_involution_fixes_everything(self):
         s = ModpSubspace.from_rows(2, 3, [[1, 0, 1]])
         assert fixed_subspace((0, 1, 2), s) == s
