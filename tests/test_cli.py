@@ -159,8 +159,9 @@ epair e1 e2
             parse("v a\nv b\ne e1 a b\n")
 
 
-# records, sides and a few ids, so that soups reach the later checks of
-# both parsers and not only the unknown-record error
+# records, sides and a few ids, so that soups reach the per-record checks
+# (arity, sides, unknown and duplicate ids) and not only the
+# unknown-record error
 TOKENS = ("v", "e", "phi", "epair", "efix", "L", "F", "R", "a", "b", "c", "x", "y", "#")
 TOKEN_SOUP = st.lists(
     st.lists(st.sampled_from(TOKENS), max_size=5).map(" ".join), max_size=12

@@ -6,6 +6,7 @@ from collections import Counter
 from functools import cached_property
 
 import pytest
+
 from mirrorcrit.critical import AdjointPair
 from mirrorcrit.factorization import (
     _descend,

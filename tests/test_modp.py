@@ -78,16 +78,15 @@ class TestReduction:
                 residues = [[x % p for x in row] for row in rows]
                 m = IntMatrix(rows, shape=(n_rows, n_cols))
                 r = IntMatrix(residues, shape=(n_rows, n_cols))
-                assert kernel(p, m) == kernel(p, r)
+                ker = kernel(p, m)
+                assert ker == kernel(p, r)
                 assert row_space(p, m) == row_space(p, r)
                 s = ModpSubspace.from_rows(p, n_cols, rows)
                 assert s == ModpSubspace.from_rows(p, n_cols, residues)
                 assert all(0 <= x < p for row in s.basis for x in row)
                 for vec in rows:
                     assert s.contains(vec)
-                    assert kernel(p, r).contains(vec) == kernel(p, m).contains(
-                        [x % p for x in vec]
-                    )
+                    assert ker.contains(vec) == ker.contains([x % p for x in vec])
 
 
 class TestKernelAndRowSpace:
