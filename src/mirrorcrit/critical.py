@@ -26,7 +26,7 @@ from .lattice import (
     integer_kernel,
     smith_normal_form,
 )
-from .modp import ModpSubspace, kernel, row_space
+from .modp import EnumerationLimitError, ModpSubspace, kernel, row_space
 
 DEFAULT_ORACLE_LIMIT = 1 << 20
 
@@ -213,17 +213,16 @@ def bicycle_masks_bruteforce(g: Multigraph, limit=DEFAULT_ORACLE_LIMIT):
 
 
 def subspace_masks(space: ModpSubspace, limit=DEFAULT_ORACLE_LIMIT):
-    """All elements of a GF(2) subspace as bitmasks (for oracle diffs)."""
+    """All elements of a GF(2) subspace as bitmasks (for oracle diffs):
+    the XOR combinations of its basis rows."""
     if space.p != 2:
         raise ValueError("masks only make sense over GF(2)")
-    out = []
-    for vec in space.enumerate_elements(limit):
-        mask = 0
-        for j, x in enumerate(vec):
-            if x:
-                mask |= 1 << j
-        out.append(mask)
-    return out
+    if 2**space.dim > limit:
+        raise EnumerationLimitError(f"2^{space.dim} elements exceed the limit {limit}")
+    masks = [0]
+    for row in space.rows:
+        masks += [m ^ row for m in masks]
+    return masks
 
 
 @dataclass(frozen=True)

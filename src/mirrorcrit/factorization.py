@@ -35,7 +35,15 @@ from functools import cached_property
 from .critical import AdjointPair, DualityReport, duality_order_check, forest_count
 from .graphs import Decomposition, SymmetricGraph
 from .lattice import FpAbelianGroup, GroupHom, IntMatrix
-from .modp import ModpSubspace, fixed_ambient, fixed_subspace, is_involution, kernel
+from .modp import (
+    ModpSubspace,
+    column_masks,
+    fixed_ambient,
+    fixed_subspace,
+    is_involution,
+    kernel,
+    mask_to_row,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,8 +55,9 @@ class SymmetryMaps:
     then minus edges in minus-graph order.  psi (on E+ u E-) and phi (on
     the edges of G) are index tuples, i -> psi[i].  Every shared quantity
     (pairs, groups, induced homs and their kernels and cokernels, fixed
-    GF(2) spaces) is computed once, on first use, and held here, so it
-    lives exactly as long as this graph's analysis.
+    GF(2) spaces, f mod 2) is computed once, on first use, and held here,
+    so it lives exactly as long as this graph's analysis.  GF(2) vectors
+    are bit sets, bit j = coordinate j.
     """
 
     dec: Decomposition
@@ -75,6 +84,22 @@ class SymmetryMaps:
     @cached_property
     def ft_matrix(self) -> IntMatrix:
         return self.f_matrix.transpose()
+
+    @cached_property
+    def f_columns_mod2(self) -> list:
+        """Column j of f mod 2, as a bit set over the edges of G."""
+        return column_masks(self.f_matrix)
+
+    def f_mod2(self, vec: int) -> int:
+        """f(vec) mod 2 for a bit set over E+ u E-: the XOR of the
+        columns at vec's set bits."""
+        columns = self.f_columns_mod2
+        out = 0
+        while vec:
+            low = vec & -vec
+            out ^= columns[low.bit_length() - 1]
+            vec ^= low
+        return out
 
     @cached_property
     def pair_g(self) -> AdjointPair:
@@ -466,12 +491,10 @@ def identify_kernel_cokernel(maps: SymmetryMaps) -> BicycleIdentification:
 
     # ker(f^t mod 2) versus its predicted basis {e + phi(e) : e Left}
     ker_ft2 = kernel(2, maps.ft_matrix)
-    rows = []
-    for e in g.left_edges:
-        vec = [0] * graph.n_edges
-        vec[graph.edge_index(e.id)] = 1
-        vec[graph.edge_index(g.edge_involution[e.id])] = 1
-        rows.append(vec)
+    rows = [
+        1 << graph.edge_index(e.id) | 1 << graph.edge_index(g.edge_involution[e.id])
+        for e in g.left_edges
+    ]
     predicted = ModpSubspace.from_rows(2, graph.n_edges, rows)
     ker_ft_ok = ker_ft2 == predicted and ker_ft2.dim == len(g.left_edges)
 
@@ -519,11 +542,6 @@ class InjectionReport:
     injective: bool
 
 
-def _f_mod2(maps: SymmetryMaps, vec) -> tuple:
-    """f(vec) mod 2; the product visits only the support of vec."""
-    return tuple(x & 1 for x in maps.f_matrix.mul_vector(vec))
-
-
 def g_injection(maps: SymmetryMaps) -> InjectionReport:
     """The map g(x, x') = f(x, 0) = f(0, x') on psi-fixed bicycles.
 
@@ -534,11 +552,12 @@ def g_injection(maps: SymmetryMaps) -> InjectionReport:
     domain = maps.psi_bicycles
     n_edges = maps.graph.graph.n_edges
     phi_bic = maps.phi_bicycles
+    plus_mask = (1 << maps.n_plus) - 1
     rows = []
     halves_agree = True
-    for vec in domain.basis:
-        y1 = _f_mod2(maps, maps.block_vector(plus_coeffs=vec[: maps.n_plus]))
-        y2 = _f_mod2(maps, maps.block_vector(minus_coeffs=vec[maps.n_plus :]))
+    for vec in domain.rows:
+        y1 = maps.f_mod2(vec & plus_mask)
+        y2 = maps.f_mod2(vec & ~plus_mask)
         if y1 != y2:
             halves_agree = False
         rows.append(y1)
@@ -546,7 +565,7 @@ def g_injection(maps: SymmetryMaps) -> InjectionReport:
     return InjectionReport(
         domain_dim=domain.dim,
         image_dim=image.dim,
-        images=tuple(rows),
+        images=tuple(mask_to_row(y, n_edges) for y in rows),
         halves_agree=halves_agree,
         image_in_phi_fixed_bicycles=all(phi_bic.contains(r) for r in rows),
         injective=(image.dim == domain.dim),
@@ -708,20 +727,18 @@ def component_linking_cycles(maps: SymmetryMaps) -> LinkingCycleBasis:
     for a, b in zip(reps, reps[1:]):
         idxs = bfs_path(a, b)
         paths.append(tuple(plus.edges[i].id for i in idxs))
-        block = [0] * maps.n_block
+        block = 0
         for i in idxs:
-            block[i] ^= 1
-        cycles.append(_f_mod2(maps, block))
+            block ^= 1 << i
+        cycles.append(maps.f_mod2(block))
 
     z_phi = maps.z_phi
-    image_rows = [
-        _f_mod2(maps, maps.block_vector(plus_coeffs=vec[: maps.n_plus]))
-        for vec in maps.z_psi.basis
-    ]
+    plus_mask = (1 << maps.n_plus) - 1
+    image_rows = [maps.f_mod2(vec & plus_mask) for vec in maps.z_psi.rows]
     image = ModpSubspace.from_rows(2, n_edges, image_rows)
 
     m = max(count - 1, 0)
-    combined = ModpSubspace.from_rows(2, n_edges, [*image.basis, *cycles])
+    combined = ModpSubspace.from_rows(2, n_edges, [*image.rows, *cycles])
     ok = (
         all(z_phi.contains(c) for c in cycles)
         and combined.dim == image.dim + m
@@ -730,7 +747,7 @@ def component_linking_cycles(maps: SymmetryMaps) -> LinkingCycleBasis:
     return LinkingCycleBasis(
         representatives=tuple(reps),
         paths=tuple(paths),
-        cycles=tuple(cycles),
+        cycles=tuple(mask_to_row(c, n_edges) for c in cycles),
         image_dim=image.dim,
         dim_z_phi=z_phi.dim,
         independent_and_spanning=ok,

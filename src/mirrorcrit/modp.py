@@ -1,16 +1,19 @@
 """Linear algebra over Z/p for prime p.
 
-Subspaces are kept in reduced row-echelon form, as tuples of row tuples
-with entries in {0, ..., p-1}, which makes equality of spaces a plain
-tuple comparison.  Matrices come in as `IntMatrix` and vectors as
-integer sequences; the elimination is the one place where their entries
-are reduced mod p.  Every subspace operation is one elimination:
-membership reduces the basis plus the vector, and kernels and
-intersections reduce an augmented row block and keep the right halves
-of the rows whose left block vanished (the Zassenhaus method).
-p = 2 carries almost all of the workload here, so its elimination runs
-on Python-int bitsets (one XOR per row operation); other primes use
-per-entry arithmetic with the same algorithm.
+Subspaces are kept in reduced row-echelon form, so equality of spaces
+is a plain comparison of their canonical rows.  p = 2 carries almost
+all of the workload here, so over GF(2) a row is a Python-int bit set
+(bit j = coordinate j) from construction on, and a row operation is one
+XOR; over other primes a row is a tuple of entries in {0, ..., p-1}.
+`ModpSubspace.basis` is the tuple view of the rows for either kind.
+Matrices come in as `IntMatrix` and vectors as integer sequences (or,
+for p = 2, as bit sets); their entries are reduced mod p where they are
+read.  Every span, sum, kernel and intersection is one elimination:
+kernels and intersections reduce an augmented row block and keep the
+right halves of the rows whose left block vanished (the Zassenhaus
+method).  Membership over GF(2) reduces a vector against the pivots of
+the reduced basis, and fixed ambient spaces are built reduced, so
+neither eliminates.
 """
 
 from __future__ import annotations
@@ -34,31 +37,35 @@ def _check_prime(p: int):
         d += 1
 
 
-def _rref_bits(bitrows):
-    """Reduced echelon form of GF(2) rows packed as ints (bit j = column j).
+def _rref_bits(rows):
+    """Reduced echelon form of GF(2) bit-set rows, sorted by pivot (the
+    lowest set bit of each row).
 
-    Invariant: every stored row has zeros at all other pivot columns,
-    so one pass over the pivots fully reduces an incoming row.
+    Invariant: every stored row has zeros at all other pivot columns, so
+    an incoming row is reduced by XOR-ing in the rows of the pivots it
+    hits, one per set bit of `cur & pivot_mask`.
     """
-    pivots = {}
-    for r in bitrows:
-        cur = r
-        for c, prow in pivots.items():
-            if (cur >> c) & 1:
-                cur ^= prow
+    pivots = {}  # pivot bit -> row
+    pivot_mask = 0
+    for cur in rows:
+        hit = cur & pivot_mask
+        while hit:
+            low = hit & -hit
+            cur ^= pivots[low]
+            hit ^= low
         if cur:
-            c = (cur & -cur).bit_length() - 1
-            for pc in pivots:
-                if (pivots[pc] >> c) & 1:
-                    pivots[pc] ^= cur
-            pivots[c] = cur
-    cols = sorted(pivots)
-    return [pivots[c] for c in cols], cols
+            low = cur & -cur
+            for bit, prow in pivots.items():
+                if prow & low:
+                    pivots[bit] = prow ^ cur
+            pivots[low] = cur
+            pivot_mask |= low
+    return [pivots[bit] for bit in sorted(pivots)]
 
 
 def _rref_general(rows, p):
     """Reduced echelon form over Z/p of rows given as lists of reduced
-    entries; same invariant as the bitset version."""
+    entries; same invariant as the bit-set version."""
     pivots = {}
     for r in rows:
         cur = r
@@ -79,33 +86,51 @@ def _rref_general(rows, p):
     return [pivots[c] for c in cols], cols
 
 
-def _bits_to_row(bits, n):
-    return tuple((bits >> j) & 1 for j in range(n))
+def _echelonize(p, rows, skip=0):
+    """The canonical rows of the span of `rows` whose pivot lies at
+    column `skip` or past it, with their first `skip` coordinates dropped.
 
-
-def _row_to_bits(row):
-    b = 0
-    for j, x in enumerate(row):
-        if x & 1:
-            b |= 1 << j
-    return b
-
-
-def _echelonize(p, n_cols, rows, skip=0):
-    """The reduced echelon rows of `rows` whose pivot lies at column
-    `skip` or past it, as tuples with their first `skip` entries dropped.
-
-    Entries may be any integers: this is where they are reduced mod p
-    (for p = 2, by packing each entry's low bit).  Rows are filtered by
-    pivot before they are converted, so a caller that keeps only a right
-    block converts nothing else.
+    For p = 2 the rows are bit sets; otherwise they are integer
+    sequences, reduced mod p here.
     """
     if p == 2:
-        reduced, cols = _rref_bits([_row_to_bits(r) for r in rows])
-        width = n_cols - skip
-        return [_bits_to_row(b >> skip, width) for b, c in zip(reduced, cols) if c >= skip]
+        low = (1 << skip) - 1
+        return tuple(r >> skip for r in _rref_bits(rows) if not r & low)
     reduced, cols = _rref_general([[x % p for x in r] for r in rows], p)
-    return [tuple(r[skip:]) for r, c in zip(reduced, cols) if c >= skip]
+    return tuple(tuple(r[skip:]) for r, c in zip(reduced, cols) if c >= skip)
+
+
+def _mask(row, n) -> int:
+    """A GF(2) row of length n as a bit set: a bit set passes through, an
+    integer sequence packs each entry's low bit (so 2 packs as 0)."""
+    if isinstance(row, int):
+        if row >> n:
+            raise ValueError("ambient dimension mismatch")
+        return row
+    if len(row) != n:
+        raise ValueError("ambient dimension mismatch")
+    bits = 0
+    for j, x in enumerate(row):
+        if x & 1:
+            bits |= 1 << j
+    return bits
+
+
+def mask_to_row(mask, n) -> tuple:
+    """The 0/1 tuple of length n with bit j of `mask` at position j."""
+    return tuple((mask >> j) & 1 for j in range(n))
+
+
+def column_masks(m) -> list:
+    """The columns of the integer matrix m mod 2, each a bit set over
+    the rows of m."""
+    cols = [0] * m.n_cols
+    for i, row in enumerate(m.rows):
+        bit = 1 << i
+        for j, x in enumerate(row):
+            if x & 1:
+                cols[j] |= bit
+    return cols
 
 
 def _vanishing_left(p, n_left, n_right, rows):
@@ -116,41 +141,44 @@ def _vanishing_left(p, n_left, n_right, rows):
     the leading ones and the zeros at every other pivot, so they are
     already the reduced echelon basis of what they span.
     """
-    return ModpSubspace(p, n_right, tuple(_echelonize(p, n_left + n_right, rows, skip=n_left)))
+    return ModpSubspace(p, n_right, _echelonize(p, rows, skip=n_left))
 
 
 class ModpSubspace:
-    """Subspace of (Z/p)^n, canonically represented by its RREF basis:
-    a tuple of row tuples with entries in {0, ..., p-1}."""
+    """Subspace of (Z/p)^n, canonically represented by its reduced
+    echelon rows, sorted by pivot: bit sets for p = 2, tuples of entries
+    in {0, ..., p-1} otherwise."""
 
-    __slots__ = ("p", "ambient_dim", "basis")
+    __slots__ = ("p", "ambient_dim", "rows")
 
-    def __init__(self, p, ambient_dim, basis: tuple):
+    def __init__(self, p, ambient_dim, rows: tuple):
         self.p = p
         self.ambient_dim = ambient_dim
-        self.basis = basis
+        self.rows = rows
 
     @classmethod
     def from_rows(cls, p, ambient_dim, rows) -> "ModpSubspace":
-        """The span of integer rows, reduced mod p."""
+        """The span of integer rows, reduced mod p; for p = 2 a row may
+        also be a bit set."""
         _check_prime(p)
-        rows = list(rows)
-        if any(len(r) != ambient_dim for r in rows):
-            raise ValueError("ambient dimension mismatch")
-        return cls(p, ambient_dim, tuple(_echelonize(p, ambient_dim, rows)))
+        if p == 2:
+            rows = [_mask(r, ambient_dim) for r in rows]
+        else:
+            rows = list(rows)
+            if any(len(r) != ambient_dim for r in rows):
+                raise ValueError("ambient dimension mismatch")
+        return cls(p, ambient_dim, _echelonize(p, rows))
 
-    @classmethod
-    def zero(cls, p, ambient_dim) -> "ModpSubspace":
-        return cls.from_rows(p, ambient_dim, [])
-
-    @classmethod
-    def full(cls, p, ambient_dim) -> "ModpSubspace":
-        rows = [[int(i == j) for j in range(ambient_dim)] for i in range(ambient_dim)]
-        return cls.from_rows(p, ambient_dim, rows)
+    @property
+    def basis(self) -> tuple:
+        """The reduced echelon basis as a tuple of row tuples."""
+        if self.p == 2:
+            return tuple(mask_to_row(r, self.ambient_dim) for r in self.rows)
+        return self.rows
 
     @property
     def dim(self):
-        return len(self.basis)
+        return len(self.rows)
 
     def _compatible(self, other):
         if self.p != other.p:
@@ -159,27 +187,41 @@ class ModpSubspace:
             raise ValueError("ambient dimension mismatch")
 
     def contains(self, vec) -> bool:
+        """Membership of an integer vector (or, for p = 2, a bit set)."""
+        if self.p == 2:
+            # a reduced row is the only basis row with a one at its
+            # pivot, so vec is in the span exactly when it equals the
+            # sum of the rows whose pivots it hits
+            vec = _mask(vec, self.ambient_dim)
+            combo = 0
+            for r in self.rows:
+                if vec & (r & -r):
+                    combo ^= r
+            return combo == vec
         vec = list(vec)
         if len(vec) != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        reduced = _echelonize(self.p, self.ambient_dim, [*self.basis, vec])
-        return len(reduced) == self.dim
+        return len(_echelonize(self.p, [*self.rows, vec])) == self.dim
 
     def intersection(self, other: "ModpSubspace") -> "ModpSubspace":
         """Reduces the rows (a | a) for a in this basis and (b | 0) for b
         in the other's: a combination (a + b | a) has a vanishing left
         half exactly when a = -b lies in both spaces."""
         self._compatible(other)
-        zero = (0,) * self.ambient_dim
-        rows = [a + a for a in self.basis] + [b + zero for b in other.basis]
-        return _vanishing_left(self.p, self.ambient_dim, self.ambient_dim, rows)
+        n = self.ambient_dim
+        if self.p == 2:
+            rows = [a | a << n for a in self.rows] + list(other.rows)
+        else:
+            zero = (0,) * n
+            rows = [a + a for a in self.rows] + [b + zero for b in other.rows]
+        return _vanishing_left(self.p, n, n, rows)
 
     def plus(self, other: "ModpSubspace") -> "ModpSubspace":
         self._compatible(other)
-        return ModpSubspace.from_rows(self.p, self.ambient_dim, self.basis + other.basis)
+        return ModpSubspace.from_rows(self.p, self.ambient_dim, self.rows + other.rows)
 
     def enumerate_elements(self, limit=DEFAULT_ENUM_LIMIT):
-        """All p^dim elements, each exactly once, deterministically."""
+        """All p^dim elements as tuples, each exactly once, deterministically."""
         if self.p**self.dim > limit:
             raise EnumerationLimitError(
                 f"{self.p}^{self.dim} elements exceed the limit {limit}"
@@ -199,11 +241,11 @@ class ModpSubspace:
         return (
             self.p == other.p
             and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
+            and self.rows == other.rows
         )
 
     def __hash__(self):
-        return hash((self.p, self.ambient_dim, self.basis))
+        return hash((self.p, self.ambient_dim, self.rows))
 
     def __repr__(self):
         return f"ModpSubspace(p={self.p}, dim {self.dim} in {self.ambient_dim})"
@@ -218,8 +260,12 @@ def kernel(p, m) -> ModpSubspace:
     """
     _check_prime(p)
     n = m.n_cols
-    columns = zip(*m.rows) if m.rows else [()] * n
-    rows = [col + (0,) * j + (1,) + (0,) * (n - 1 - j) for j, col in enumerate(columns)]
+    if p == 2:
+        k = m.n_rows
+        rows = [col | 1 << (k + j) for j, col in enumerate(column_masks(m))]
+    else:
+        columns = zip(*m.rows) if m.rows else [()] * n
+        rows = [col + (0,) * j + (1,) + (0,) * (n - 1 - j) for j, col in enumerate(columns)]
     return _vanishing_left(p, m.n_rows, n, rows)
 
 
@@ -248,7 +294,10 @@ def fixed_ambient(p, perm) -> ModpSubspace:
         raise ValueError("permutation is not an involution")
     n = len(perm)
     pivots = [i for i, j in enumerate(perm) if i <= j]
-    rows = tuple(tuple(int(k in (i, perm[i])) for k in range(n)) for i in pivots)
+    if p == 2:
+        rows = tuple(1 << i | 1 << perm[i] for i in pivots)
+    else:
+        rows = tuple(tuple(int(k in (i, perm[i])) for k in range(n)) for i in pivots)
     return ModpSubspace(p, n, rows)
 
 

@@ -498,8 +498,11 @@ class TestWorkCounts:
         assert len(hom_shapes) == 8
         for size, shape in hom_shapes:
             assert max(shape) <= size
-        # one GF(2) elimination per subspace operation
-        assert counts["echelonize"] == 23
+        # one GF(2) elimination per subspace construction (from_rows,
+        # kernel, intersection); membership reduces against the pivots of
+        # the reduced basis and the fixed ambients are built reduced, so
+        # neither eliminates
+        assert counts["echelonize"] == 22
         # the diagonal-only Smith forms build none
         maps = rep.maps
         diagonal_only = [

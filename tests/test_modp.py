@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mirrorcrit.critical import AdjointPair, bicycle_masks_bruteforce, subspace_masks
 from mirrorcrit.graphs import Multigraph
@@ -11,6 +13,7 @@ from mirrorcrit.lattice import IntMatrix
 from mirrorcrit.modp import (
     EnumerationLimitError,
     ModpSubspace,
+    _rref_general,
     fixed_ambient,
     fixed_subspace,
     is_involution,
@@ -149,7 +152,7 @@ class TestSubspaceOps:
         a = ModpSubspace.from_rows(2, 2, [[1, 0]])
         b = ModpSubspace.from_rows(2, 2, [[1, 1]])
         assert a.plus(b).dim == 2
-        z = ModpSubspace.zero(2, 2)
+        z = ModpSubspace.from_rows(2, 2, [])
         assert z.plus(a) == a
 
     def test_running_example_bicycle_space(self):
@@ -248,6 +251,72 @@ class TestAgainstEnumeration:
                     assert a.contains(v) == (v in elements)
 
 
+def _reference(rows, skip=0):
+    """`_rref_general` over GF(2): the reduced rows whose pivot lies at
+    column `skip` or past it, with their first `skip` entries dropped."""
+    reduced, cols = _rref_general([[x % 2 for x in r] for r in rows], 2)
+    return tuple(tuple(r[skip:]) for r, c in zip(reduced, cols) if c >= skip)
+
+
+def _reference_cap(a, b, n):
+    """The Zassenhaus intersection of two reference bases."""
+    return _reference([list(r) * 2 for r in a] + [list(r) + [0] * n for r in b], skip=n)
+
+
+@st.composite
+def wide_gf2_case(draw):
+    """Rows of width 0-130 (across the 64- and 128-bit word boundaries)
+    with entries in -3..3, and an involution of the coordinates.  Some
+    rows are fixed by the involution, and the second row set and the
+    vector reuse sums of first rows, so fixed subspaces, intersections
+    and memberships are not all trivial."""
+    n = draw(st.integers(0, 130) | st.sampled_from((63, 64, 65, 127, 128, 129, 130)))
+    order = draw(st.permutations(range(n)))
+    perm = list(range(n))
+    for t in range(draw(st.integers(0, n // 2))):  # swapped pairs
+        i, j = order[2 * t], order[2 * t + 1]
+        perm[i], perm[j] = j, i
+    row = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    fixed_row = row.map(lambda r: [r[min(i, perm[i])] for i in range(n)])
+    a = draw(st.lists(row | fixed_row, max_size=5))
+    picks = st.lists(st.sampled_from(a), min_size=1, max_size=3) if a else st.nothing()
+    sum_of_a = picks.map(lambda rs: [sum(col) for col in zip(*rs)])
+    b = draw(st.lists(row | sum_of_a, max_size=5))
+    vec = draw(row | sum_of_a)
+    return n, a, b, vec, tuple(perm)
+
+
+WIDE = settings(max_examples=60, derandomize=True, database=None, deadline=None)
+
+
+class TestWideRows:
+    """The GF(2) bit-set route against `_rref_general(rows, 2)` on rows
+    wider than a machine word: every result's `basis` tuples must match."""
+
+    @WIDE
+    @given(wide_gf2_case())
+    def test_subspace_ops(self, case):
+        n, a, b, vec, perm = case
+        sa = ModpSubspace.from_rows(2, n, a)
+        sb = ModpSubspace.from_rows(2, n, b)
+        ref_a, ref_b = _reference(a), _reference(b)
+        assert sa.basis == ref_a
+        assert sb.basis == ref_b
+        assert sa.intersection(sb).basis == _reference_cap(ref_a, ref_b, n)
+        assert sa.contains(vec) == (len(_reference([*a, vec])) == len(ref_a))
+        ambient = [[int(k in (i, perm[i])) for k in range(n)] for i in range(n)]
+        assert fixed_subspace(perm, sa).basis == _reference_cap(_reference(ambient), ref_a, n)
+
+    @WIDE
+    @given(wide_gf2_case())
+    def test_kernel(self, case):
+        n, a, _, _, _ = case
+        m = IntMatrix(a, shape=(len(a), n))
+        augmented = [list(col) + [int(i == j) for i in range(n)]
+                     for j, col in enumerate(m.columns())]
+        assert kernel(2, m).basis == _reference(augmented, skip=len(a))
+
+
 class TestFixedSubspace:
     def test_permutation_and_involution(self):
         swap = (1, 0, 2)
@@ -261,7 +330,7 @@ class TestFixedSubspace:
         assert fixed_subspace((0, 1, 2), s) == s
 
     def test_swap_fixed_space(self):
-        full = ModpSubspace.full(2, 3)
+        full = ModpSubspace.from_rows(2, 3, IntMatrix.identity(3).rows)
         fixed = fixed_subspace((1, 0, 2), full)
         assert fixed.dim == 2
         assert fixed.contains([1, 1, 0])
@@ -270,7 +339,7 @@ class TestFixedSubspace:
 
     def test_rejects_non_involution(self):
         with pytest.raises(ValueError):
-            fixed_subspace((1, 2, 0), ModpSubspace.full(3, 3))
+            fixed_subspace((1, 2, 0), ModpSubspace.from_rows(3, 3, IntMatrix.identity(3).rows))
 
     def test_fixed_ambient_is_echelon_without_elimination(self):
         # the direct construction equals the eliminated span of its rows
@@ -298,7 +367,7 @@ class TestFixedSubspace:
 
 class TestEnumeration:
     def test_zero_subspace(self):
-        z = ModpSubspace.zero(2, 3)
+        z = ModpSubspace.from_rows(2, 3, [])
         assert list(z.enumerate_elements()) == [(0, 0, 0)]
 
     def test_line_over_gf2(self):
@@ -306,9 +375,11 @@ class TestEnumeration:
         assert sorted(s.enumerate_elements()) == [(0, 0), (1, 1)]
 
     def test_limit(self):
-        full = ModpSubspace.full(2, 10)
+        full = ModpSubspace.from_rows(2, 10, IntMatrix.identity(10).rows)
         with pytest.raises(EnumerationLimitError):
             list(full.enumerate_elements(limit=512))
+        with pytest.raises(EnumerationLimitError, match=r"2\^10 elements exceed the limit 512"):
+            subspace_masks(full, limit=512)
 
     def test_every_element_exactly_once(self):
         rng = random.Random(5)
