@@ -5,7 +5,9 @@ Z = ker(d) and B = im(d^t).  For the pair of a graph boundary map this
 is the usual critical group (sandpile/Jacobian group), whose order is
 the number of maximal spanning forests.  The torsion of coker(d d^t),
 the Laplacian's cokernel, is a second, independent presentation of the
-same group.
+same group.  An AdjointPair's d must be a signed incidence matrix (each
+column zero, or one +1 and one -1), as every graph's boundary map is:
+the cycle lattice is read off a spanning forest of its columns.
 
 This module also houses the brute-force oracles (forest enumeration and
 bicycle enumeration over edge subsets) that the higher-level checks are
@@ -19,13 +21,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .graphs import Multigraph
-from .lattice import (
-    FpAbelianGroup,
-    IntMatrix,
-    SmithDecomposition,
-    integer_kernel,
-    smith_normal_form,
-)
+from .lattice import FpAbelianGroup, IntMatrix, SmithDecomposition, smith_normal_form
 from .modp import EnumerationLimitError, ModpSubspace, kernel, row_space
 
 DEFAULT_ORACLE_LIMIT = 1 << 20
@@ -66,8 +62,73 @@ class AdjointPair:
 
     @cached_property
     def cycle_lattice(self) -> IntMatrix:
-        """Columns generate Z = ker(d); this basis is saturated."""
-        return integer_kernel(self.d)
+        """Columns are a basis of Z = ker(d): the fundamental cycles of the
+        spanning forest that union-find picks from d's columns in order.
+
+        A non-tree column j gives e_j plus the signed tree path between
+        its ends, and a loop gives e_j.  These E - rank(d) columns lie in
+        ker(d) and are the identity on the non-tree coordinates, and a
+        forest carries no cycle, so z - (sum of z_j times column j over
+        the non-tree j) vanishes for every z in ker(d): they span ker(d)
+        itself, not a sublattice (Bacher, de la Harpe and Nagnibeda,
+        Bull. SMF 1997).  Raises ValueError on a column that is not a
+        signed incidence column.
+        """
+        n = self.c0_rank
+        parent = list(range(n))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        tree = [[] for _ in range(n)]  # (neighbour, edge, +1 along the edge)
+        cotree = []  # (edge, head, tail); a loop has no ends
+        for j, col in enumerate(self.dt.rows):
+            ends = sorted((x, v) for v, x in enumerate(col) if x)
+            if not ends:
+                cotree.append((j, None, None))
+                continue
+            if [x for x, _ in ends] != [-1, 1]:
+                raise ValueError(f"column {j} of d is not a signed incidence column")
+            (_, tail), (_, head) = ends
+            a, b = find(tail), find(head)
+            if a == b:
+                cotree.append((j, head, tail))
+            else:
+                parent[a] = b
+                tree[tail].append((head, j, 1))
+                tree[head].append((tail, j, -1))
+
+        # paths[v]: the signed tree path from v's root to v, as
+        # {edge: +-1}, so d of it is e_v - e_root
+        paths = [None] * n
+        for root in range(n):
+            if paths[root] is not None:
+                continue
+            paths[root] = {}
+            stack = [root]
+            while stack:
+                u = stack.pop()
+                for w, j, sign in tree[u]:
+                    if paths[w] is None:
+                        paths[w] = {**paths[u], j: sign}
+                        stack.append(w)
+
+        columns = []
+        for j, head, tail in cotree:
+            col = [0] * self.c1_rank
+            col[j] = 1
+            if head is not None:
+                # d of the tree path from head to tail is e_tail - e_head,
+                # which cancels d e_j = e_head - e_tail
+                for k, sign in paths[tail].items():
+                    col[k] += sign
+                for k, sign in paths[head].items():
+                    col[k] -= sign
+            columns.append(col)
+        return IntMatrix.from_columns(columns, self.c1_rank)
 
     @cached_property
     def bond_lattice(self) -> IntMatrix:

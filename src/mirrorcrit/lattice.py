@@ -17,6 +17,7 @@ Everything runs on Python ints, so there is no overflow, ever.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -25,13 +26,15 @@ class IntMatrix:
     """Immutable dense integer matrix with an explicit shape.
 
     The explicit shape matters: empty edge sets and empty generator
-    lists produce 0xN and Nx0 matrices all over the place.
+    lists produce 0xN and Nx0 matrices all over the place.  Entries are
+    taken with `operator.index`, so a float or a Fraction raises
+    TypeError instead of being truncated.
     """
 
     __slots__ = ("n_rows", "n_cols", "rows")
 
     def __init__(self, rows, shape=None):
-        rows = tuple(tuple(map(int, row)) for row in rows)
+        rows = tuple(tuple(map(operator.index, row)) for row in rows)
         if shape is None:
             if not rows:
                 raise ValueError("shape is required for a matrix with no rows")
@@ -44,12 +47,21 @@ class IntMatrix:
         self.rows = rows
 
     @classmethod
+    def _of(cls, rows, shape):
+        """A matrix of rows this module built: sequences of Python ints
+        of the given shape, taken without conversion or checks."""
+        self = object.__new__(cls)
+        self.n_rows, self.n_cols = shape
+        self.rows = tuple(map(tuple, rows))
+        return self
+
+    @classmethod
     def identity(cls, n):
-        return cls([[int(i == j) for j in range(n)] for i in range(n)], shape=(n, n))
+        return cls._of(_unit_rows(range(n), n), shape=(n, n))
 
     @classmethod
     def zero(cls, n_rows, n_cols):
-        return cls([[0] * n_cols for _ in range(n_rows)], shape=(n_rows, n_cols))
+        return cls._of([[0] * n_cols for _ in range(n_rows)], shape=(n_rows, n_cols))
 
     @classmethod
     def from_columns(cls, columns, n_rows):
@@ -70,10 +82,9 @@ class IntMatrix:
         return [self.column(j) for j in range(self.n_cols)]
 
     def transpose(self):
-        return IntMatrix(
-            [[self.rows[i][j] for i in range(self.n_rows)] for j in range(self.n_cols)],
-            shape=(self.n_cols, self.n_rows),
-        )
+        if not self.n_rows:
+            return IntMatrix.zero(self.n_cols, 0)
+        return IntMatrix._of(zip(*self.rows), shape=(self.n_cols, self.n_rows))
 
     def __matmul__(self, other):
         """Each row of the product is the combination of `other`'s rows
@@ -88,7 +99,7 @@ class IntMatrix:
                 if a:
                     acc = [x + a * y for x, y in zip(acc, orow)]
             rows.append(acc)
-        return IntMatrix(rows, shape=(self.n_rows, other.n_cols))
+        return IntMatrix._of(rows, shape=(self.n_rows, other.n_cols))
 
     def mul_vector(self, vec):
         """Matrix times vector, over the vector's nonzero entries only."""
@@ -101,14 +112,17 @@ class IntMatrix:
     def hstack(self, other):
         if self.n_rows != other.n_rows:
             raise ValueError("row counts differ")
-        rows = [self.rows[i] + other.rows[i] for i in range(self.n_rows)]
-        return IntMatrix(rows, shape=(self.n_rows, self.n_cols + other.n_cols))
+        rows = map(tuple.__add__, self.rows, other.rows)
+        return IntMatrix._of(rows, shape=(self.n_rows, self.n_cols + other.n_cols))
 
     def top_rows(self, k):
-        return IntMatrix(self.rows[:k], shape=(k, self.n_cols))
+        if not 0 <= k <= self.n_rows:
+            raise ValueError(f"cannot take {k} rows of {self.shape}")
+        return IntMatrix._of(self.rows[:k], shape=(k, self.n_cols))
 
     def scale(self, k):
-        return IntMatrix([[k * x for x in row] for row in self.rows], shape=self.shape)
+        k = operator.index(k)
+        return IntMatrix._of([[k * x for x in row] for row in self.rows], shape=self.shape)
 
     def is_zero(self):
         return all(x == 0 for row in self.rows for x in row)
@@ -139,7 +153,9 @@ class SmithDecomposition:
     `left` = U, `right` = V, `left_inv` and `right_inv`, is built from
     the log the first time it is read and then kept, so a caller that
     reads only the diagonal builds none.  Having the inverses lets
-    unimodularity be certified without determinant computations.
+    unimodularity be certified without determinant computations.  A
+    caller that needs a few rows of a product with U or U^-1 replays the
+    log on those rows alone (`_replay`).
     """
 
     matrix: IntMatrix
@@ -147,25 +163,25 @@ class SmithDecomposition:
     row_ops: tuple = field(repr=False)
     col_ops: tuple = field(repr=False)
 
+    def _witness(self, size, ops, transpose=False, inverse=False) -> IntMatrix:
+        rows = _replay(_unit_rows(range(size), size), ops, transpose, inverse)
+        return IntMatrix._of(rows, shape=(size, size))
+
     @cached_property
     def left(self) -> IntMatrix:
-        m = self.matrix.n_rows
-        return IntMatrix(_replay(m, self.row_ops), shape=(m, m))
+        return self._witness(self.matrix.n_rows, self.row_ops)
 
     @cached_property
     def left_inv(self) -> IntMatrix:
-        m = self.matrix.n_rows
-        return IntMatrix(_replay(m, self.row_ops, inverse=True), shape=(m, m)).transpose()
+        return self._witness(self.matrix.n_rows, self.row_ops, inverse=True)
 
     @cached_property
     def right(self) -> IntMatrix:
-        n = self.matrix.n_cols
-        return IntMatrix(_replay(n, self.col_ops), shape=(n, n)).transpose()
+        return self._witness(self.matrix.n_cols, self.col_ops, transpose=True)
 
     @cached_property
     def right_inv(self) -> IntMatrix:
-        n = self.matrix.n_cols
-        return IntMatrix(_replay(n, self.col_ops, inverse=True), shape=(n, n))
+        return self._witness(self.matrix.n_cols, self.col_ops, transpose=True, inverse=True)
 
     @property
     def diagonal(self):
@@ -206,30 +222,46 @@ class SmithDecomposition:
 _SWAP, _ADD, _NEGATE = range(3)
 
 
-def _replay(size, ops, inverse=False):
-    """Apply logged operations, in order, as row operations to the
-    size x size identity, and return its rows.
+def _unit_rows(indices, size):
+    """The unit row vectors e_i of length `size`, for i in `indices`."""
+    return [[int(i == j) for j in range(size)] for i in indices]
 
-    An entry is (_SWAP, i, j), (_ADD, dst, src, q) for "row dst += q *
-    row src", or (_NEGATE, i).  Replaying a row log gives U = E_k ... E_1;
-    replaying a column log gives V^T, since "column dst += q * column
-    src" is that row operation on the transpose.  The inverse replay
-    applies E^-T in place of each E, which yields (U^-1)^T and V^-1:
-    swaps and negations are their own inverse transposes, and an add
-    becomes "row src -= q * row dst".
+
+def _replay(rows, ops, transpose=False, inverse=False):
+    """Right-multiply each of `rows` (lists of ints, changed in place
+    and returned) by L, L^-1, L^T or L^-T for the product L = E_k ... E_1
+    of a log's elementary matrices, at O(len(rows)) per operation.
+
+    A log entry is (_SWAP, i, j), (_ADD, dst, src, q) for "row dst +=
+    q * row src", or (_NEGATE, i).  For a row log L = U; for a column
+    log L = V^T, since "column dst += q * column src" is the transpose
+    of that row operation.  So the identity's rows give U, U^-1, V
+    (transpose) and V^-1 (both), and k unit rows give k rows of them.
+    Right-multiplying by E applies "entry src += q * entry dst" to each
+    row, by E^T "entry dst += q * entry src", and an inverse negates q;
+    swaps and negations are their own inverses and transposes.  L and
+    L^-T take the log in reverse order, L^-1 and L^T in order.
     """
-    rows = [[int(i == j) for j in range(size)] for i in range(size)]
+    if transpose == inverse:
+        ops = reversed(ops)
     for op in ops:
-        if op[0] == _SWAP:
-            _, i, j = op
-            rows[i], rows[j] = rows[j], rows[i]
-        elif op[0] == _ADD:
+        if op[0] == _ADD:
             _, dst, src, q = op
+            if transpose:
+                dst, src = src, dst
             if inverse:
-                dst, src, q = src, dst, -q
-            rows[dst] = [x + q * y for x, y in zip(rows[dst], rows[src])]
+                q = -q
+            for row in rows:
+                if row[dst]:
+                    row[src] += q * row[dst]
+        elif op[0] == _SWAP:
+            _, i, j = op
+            for row in rows:
+                row[i], row[j] = row[j], row[i]
         else:
-            rows[op[1]] = [-x for x in rows[op[1]]]
+            i = op[1]
+            for row in rows:
+                row[i] = -row[i]
     return rows
 
 
@@ -336,7 +368,7 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
 
     return SmithDecomposition(
         matrix=a,
-        smith=IntMatrix(s, shape=(m, n)),
+        smith=IntMatrix._of(s, shape=(m, n)),
         row_ops=tuple(row_ops),
         col_ops=tuple(col_ops),
     )
@@ -446,7 +478,7 @@ class FpAbelianGroup:
 def _diagonal(entries) -> IntMatrix:
     k = len(entries)
     rows = [[d if i == j else 0 for j in range(k)] for i, d in enumerate(entries)]
-    return IntMatrix(rows, shape=(k, k))
+    return IntMatrix._of(rows, shape=(k, k))
 
 
 def _reduce(rows, moduli):
@@ -483,14 +515,19 @@ class GroupHom:
     @cached_property
     def _smith_rows(self):
         """The last k_t rows of W = U_t M U_s^-1, each reduced mod its
-        target modulus (a free row stays unreduced)."""
+        target modulus (a free row stays unreduced).
+
+        Neither U_t nor U_s^-1 is built: the k_t unit rows e_i are
+        right-multiplied by the target's logged row operations, M, and
+        the source's inverse operations, at O(k_t) per operation.
+        """
         moduli = self.target.moduli
-        u_t = self.target.witness.left.rows
-        rows = _reduce(u_t[len(u_t) - len(moduli):], moduli)
-        for factor in (self.matrix, self.source.witness.left_inv):
-            product = IntMatrix(rows, shape=(len(rows), factor.n_rows)) @ factor
-            rows = _reduce(product.rows, moduli)
-        return rows
+        n_t = self.target.ambient_rank
+        rows = _unit_rows(range(n_t - len(moduli), n_t), n_t)
+        rows = _reduce(_replay(rows, self.target.witness.row_ops), moduli)
+        product = IntMatrix._of(rows, shape=(len(rows), n_t)) @ self.matrix
+        rows = _reduce(product.rows, moduli)
+        return _reduce(_replay(rows, self.source.witness.row_ops, inverse=True), moduli)
 
     @cached_property
     def well_defined(self) -> bool:
@@ -515,7 +552,7 @@ class GroupHom:
         k_s = len(self.source.moduli)
         n_s = self.source.ambient_rank
         rows = [row[n_s - k_s:] for row in self._smith_rows]
-        return IntMatrix(rows, shape=(len(rows), k_s))
+        return IntMatrix._of(rows, shape=(len(rows), k_s))
 
     def kernel(self) -> FpAbelianGroup:
         """Kernel as an abstract group: P / D_s, for the preimage lattice
@@ -535,7 +572,7 @@ class GroupHom:
         snf = smith_normal_form(integer_kernel(stacked).top_rows(k_s))
         r = snf.rank
         u_rel = (snf.left @ _diagonal(self.source.moduli)).rows
-        rel = IntMatrix(
+        rel = IntMatrix._of(
             [[x // d for x in row] for row, d in zip(u_rel, snf.diagonal[:r])],
             shape=(r, k_s),
         )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import warnings
 
 import pytest
 from sympy import ZZ
@@ -10,6 +11,18 @@ from sympy.polys.matrices import DomainMatrix
 
 from mirrorcrit.graphs import FIXED, LEFT, RIGHT, Multigraph, SymmetricGraph
 from mirrorcrit.randgraph import random_symmetric_graph
+
+# After a failing test, hypothesis' pytest plugin imports its patch
+# writer, which (through libcst) imports mypy_extensions, and that emits
+# a DeprecationWarning; `filterwarnings = error` would turn it into an
+# INTERNALERROR that ends the session.  Importing it here first, with
+# only that warning ignored, leaves the plugin a cached module.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 
 def exact_det(m) -> int:

@@ -2,6 +2,10 @@
 
 import random
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from mirrorcrit.critical import (
     AdjointPair,
     count_maximal_forests_bruteforce,
@@ -10,7 +14,13 @@ from mirrorcrit.critical import (
 )
 from mirrorcrit.factorization import build_maps
 from mirrorcrit.graphs import Multigraph
-from mirrorcrit.lattice import FpAbelianGroup, GroupHom, IntMatrix, smith_normal_form
+from mirrorcrit.lattice import (
+    FpAbelianGroup,
+    GroupHom,
+    IntMatrix,
+    integer_kernel,
+    smith_normal_form,
+)
 from mirrorcrit.randgraph import random_multigraph
 
 from conftest import mirror_cycle, running_example
@@ -73,6 +83,62 @@ class TestAdjointPair:
                 assert orthogonal == bonds.contains_relation(vec), (seed, vec)
                 outcomes.add(orthogonal)
         assert outcomes == {True, False}
+
+
+@st.composite
+def multigraphs(draw):
+    """Multigraphs on 0-8 vertices with 0-14 edges drawn from a few
+    vertex pairs, so loops, parallel edges, isolated vertices and
+    several components all occur."""
+    n = draw(st.integers(0, 8))
+    ends = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)) if n else st.nothing()
+    pool = draw(st.lists(ends, min_size=1, max_size=10)) if n else []
+    picks = draw(st.lists(st.sampled_from(pool), max_size=14)) if pool else []
+    return Multigraph(
+        [str(v) for v in range(n)],
+        [(f"e{j}", str(a), str(b)) for j, (a, b) in enumerate(picks)],
+    )
+
+
+FOREST = settings(max_examples=200, derandomize=True, database=None, deadline=None)
+
+
+class TestForestCycleBasis:
+    """`cycle_lattice`, the fundamental cycles of a spanning forest,
+    against the Smith-form kernel basis `integer_kernel(d)`."""
+
+    @FOREST
+    @given(multigraphs())
+    @example(Multigraph([], []))
+    @example(Multigraph(["1", "2", "3"], []))
+    @example(Multigraph(["1", "2"], [("a", "1", "1"), ("b", "1", "2"), ("c", "2", "1")]))
+    def test_same_lattice_as_integer_kernel(self, g):
+        pair = AdjointPair.from_graph(g)
+        z, reference = pair.cycle_lattice, integer_kernel(pair.d)
+        assert z.shape == reference.shape
+        assert (pair.d @ z).is_zero()
+        # column c is e_j for its non-tree edge j plus edges of the forest
+        # union-find built before j, so j is its last nonzero coordinate
+        nontree = [max(i for i, x in enumerate(col) if x) for col in z.columns()]
+        assert [[z.rows[j][c] for c in range(z.n_cols)] for j in nontree] == [
+            [int(i == c) for c in range(z.n_cols)] for i in range(z.n_cols)
+        ]
+        # the other edges form a forest: d is injective on them
+        tree = [j for j in range(pair.c1_rank) if j not in nontree]
+        tree_columns = IntMatrix([pair.dt.rows[j] for j in tree], shape=(len(tree), pair.c0_rank))
+        assert smith_normal_form(tree_columns).rank == len(tree)
+        # each lattice contains the other: both have rank E - rank(d), and
+        # together they still generate a saturated lattice of that rank
+        both = smith_normal_form(reference.hstack(z))
+        assert both.rank == z.n_cols
+        assert set(both.diagonal[: both.rank]) <= {1}
+        assert set(smith_normal_form(z).diagonal) <= {1}
+
+    def test_rejects_a_non_incidence_column(self):
+        for rows in ([[1], [1]], [[2], [0]], [[1], [-1], [1]], [[0], [3]]):
+            pair = AdjointPair(IntMatrix(rows))
+            with pytest.raises(ValueError, match="column 0 of d"):
+                pair.cycle_lattice
 
 
 class TestCriticalGroup:

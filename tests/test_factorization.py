@@ -423,12 +423,13 @@ class TestMirrorGrid:
 class TestWorkCounts:
     def test_each_quantity_computed_once(self, monkeypatch):
         # one analysis computes each kernel, cokernel and well-definedness
-        # check once; 19 SNFs cover every group, lattice and cross-check:
+        # check once; 15 SNFs cover every group, lattice and cross-check:
         # the Laplacian route reads the Laplacian's one Smith form, a hom
         # in Smith coordinates makes 3 for its kernel (kernel of
         # [M' | D_t], preimage lattice, quotient) and 1 for its cokernel,
         # its well-definedness and the diagonal presentations need none,
-        # and bond membership needs none
+        # the cycle lattices come from spanning forests and bond
+        # membership needs none
         import mirrorcrit.critical as critical_module
         import mirrorcrit.lattice as lattice_module
         import mirrorcrit.modp as modp_module
@@ -486,12 +487,12 @@ class TestWorkCounts:
         assert counts["kernel"] == 2
         assert counts["cokernel"] == 2
         assert counts["well_defined"] == 2
-        assert counts["snf"] == 19
-        # U and U^-1 of the two critical groups (the Smith coordinates of
-        # each hom) and U of the two preimage lattices; V for the four
-        # cycle lattices and the two kernels of [M' | D_t]; no V^-1
+        assert counts["snf"] == 15
+        # U of the two preimage lattices and V of the two kernels of
+        # [M' | D_t]; a hom's Smith coordinates replay the critical
+        # groups' logs on k_t rows, so neither their U nor U^-1 is built
         assert {kind: counts[kind] for kind in WITNESSES} == {
-            "left": 4, "right": 6, "left_inv": 2, "right_inv": 0,
+            "left": 2, "right": 2, "left_inv": 0, "right_inv": 0,
         }
         # every Smith form of a kernel or cokernel is at most k_s + k_t
         # wide and tall, whatever the ambient ranks

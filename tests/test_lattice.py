@@ -15,6 +15,7 @@ import math
 import random
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -30,7 +31,7 @@ from mirrorcrit.lattice import (
     integer_kernel,
     smith_normal_form,
 )
-from mirrorcrit.randgraph import random_multigraph, random_symmetric_graph
+from mirrorcrit.randgraph import mirror_grid, random_multigraph, random_symmetric_graph
 
 from conftest import exact_det, running_example
 
@@ -61,6 +62,17 @@ def sympy_diagonal(a: IntMatrix):
 
 
 class TestIntMatrix:
+    def test_entries_are_exact_ints(self):
+        big = 2**64 + 1
+        m = IntMatrix([[True, False, 7], [-big, 3 * big, 0]])
+        assert m.rows == ((1, 0, 7), (-big, 3 * big, 0))
+        assert all(type(x) is int for row in m.rows for x in row)
+        for bad in (2.7, 2.0, Fraction(3, 1), "1"):
+            with pytest.raises(TypeError):
+                IntMatrix([[1, bad]])
+            with pytest.raises(TypeError):
+                IntMatrix.from_columns([[bad]], 1)
+
     def test_shapes_and_stacking(self):
         a = IntMatrix([[1, 2], [3, 4]])
         assert a.shape == (2, 2)
@@ -68,6 +80,10 @@ class TestIntMatrix:
         assert a.hstack(IntMatrix.identity(2)).shape == (2, 4)
         empty = IntMatrix([], shape=(0, 3))
         assert empty.transpose().shape == (3, 0)
+        assert empty.transpose().transpose() == empty
+        assert IntMatrix([[5, 6]]).top_rows(0).shape == (0, 2)
+        with pytest.raises(ValueError):
+            IntMatrix([[5, 6]]).top_rows(2)
 
     def test_matmul_and_vectors(self):
         a = IntMatrix([[1, 2], [3, 4]])
@@ -399,11 +415,56 @@ class TestSmithCoordinateHomAgainstSympy:
         assert outcomes[True, True] and outcomes[False, True], outcomes
 
 
+def _large_graph(seed):
+    """A 42-edge graph of the benchmark's `large` size."""
+    return random_symmetric_graph(
+        seed=seed, n_left=10, n_fixed=4, n_left_edges=20, n_fixed_edges=2
+    )
+
+
+class TestSmithRows:
+    """`GroupHom._smith_rows` replays the two logs on k_t rows; it must
+    equal the last k_t rows of U_t M U_s^-1 built from the full
+    witnesses, each row reduced mod its target modulus."""
+
+    @staticmethod
+    def _full_witness_rows(hom):
+        w = hom.target.witness.left @ hom.matrix @ hom.source.witness.left_inv
+        moduli = hom.target.moduli
+        rows = w.rows[w.n_rows - len(moduli):]
+        return [[x % d for x in row] if d else list(row) for row, d in zip(rows, moduli)]
+
+    GRAPHS = {
+        "running_example": running_example,
+        "large-1": lambda: _large_graph(1),
+        "large-7": lambda: _large_graph(7),
+        "grid-5x5": lambda: mirror_grid(5, 5),
+    }
+
+    @pytest.mark.parametrize("name", GRAPHS)
+    def test_graph_homs(self, name):
+        maps = build_maps(self.GRAPHS[name]().canonical_orientation().decompose())
+        for hom in (maps.f_star, maps.ft_star):
+            assert hom.target.moduli
+            assert hom._smith_rows == self._full_witness_rows(hom)
+
+    def test_free_target_row_stays_unreduced(self):
+        source = FpAbelianGroup.quotient(3, IntMatrix([[2, 4, 0], [6, 0, 3], [0, 9, 1]]))
+        target = FpAbelianGroup.quotient(3, IntMatrix([[4, 2], [6, 8], [2, 4]]))
+        assert target.moduli[-1] == 0 and target.invariant_factors
+        hom = GroupHom(source, target, IntMatrix([[3, -1, 2], [0, 5, 1], [-4, 2, 7]]))
+        rows = hom._smith_rows
+        assert rows == self._full_witness_rows(hom)
+        assert any(x < 0 for x in rows[-1])
+
+
 def witness_cases():
     """Matrices whose Smith decompositions are pinned entry for entry:
     200 seeded random ones (0xn and nx0 among them, sparse to full,
     entries up to 2^70) and the critical-group relation matrices of the
-    running example and of a 42-edge graph of the benchmark's `large` size."""
+    running example and of a 42-edge graph of the benchmark's `large` size,
+    each built as [ker d | d^t] with `integer_kernel`, which pins the
+    reduction whatever basis of ker d the pipeline uses."""
     rng = random.Random(2026)
     cases = {}
     for k in range(200):
@@ -416,13 +477,11 @@ def witness_cases():
             for _ in range(n_rows)
         ]
         cases[f"random-{k:03d}"] = IntMatrix(rows, shape=(n_rows, n_cols))
-    large = random_symmetric_graph(
-        seed=1, n_left=10, n_fixed=4, n_left_edges=20, n_fixed_edges=2
-    )
-    for name, g in (("running_example", running_example()), ("large", large)):
+    for name, g in (("running_example", running_example()), ("large", _large_graph(1))):
         maps = build_maps(g.canonical_orientation().decompose())
         for side in ("g", "plus", "minus", "union"):
-            cases[f"{name}/{side}"] = getattr(maps, f"pair_{side}").relation_matrix
+            pair = getattr(maps, f"pair_{side}")
+            cases[f"{name}/{side}"] = integer_kernel(pair.d).hstack(pair.dt)
     return cases
 
 
