@@ -34,7 +34,6 @@ from .graphs import (
     AXIS_VERTEX,
     Decomposition,
     Edge,
-    EdgeVector,
     FIXED,
     InvalidSymmetricGraph,
     LEFT,
@@ -59,7 +58,6 @@ __all__ = [
     "Decomposition",
     "DualityReport",
     "Edge",
-    "EdgeVector",
     "FIXED",
     "FactorizationReport",
     "FpAbelianGroup",

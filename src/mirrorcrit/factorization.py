@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import add, sub
 
 from .critical import AdjointPair, DualityReport, duality_order_check, forest_count
 from .graphs import Decomposition, SymmetricGraph
@@ -179,13 +180,6 @@ class SymmetryMaps:
         """Bicycles of G+ u G- fixed by psi."""
         return fixed_subspace(self.psi, self.pair_union.p_bicycle_space(2))
 
-    def block_vector(self, plus_coeffs=None, minus_coeffs=None):
-        plus = list(plus_coeffs) if plus_coeffs is not None else [0] * self.n_plus
-        minus = list(minus_coeffs) if minus_coeffs is not None else [0] * self.n_minus
-        if len(plus) != self.n_plus or len(minus) != self.n_minus:
-            raise ValueError("block sizes do not match")
-        return plus + minus
-
 
 def _descend(name, matrix, source: AdjointPair, target: AdjointPair) -> GroupHom:
     """The hom of critical groups induced by `matrix`, checked well defined.
@@ -303,7 +297,11 @@ def verify_lattice_preservation(maps: SymmetryMaps) -> LatticePreservationReport
     that actually drive it: the cut at a subdivision vertex dies, cuts
     at fixed vertices map to the matching cut of G, cuts at left
     vertices symmetrize, the cut at the contracted vertex becomes
-    b(V_L) - b(V_R), and cuts at right vertices antisymmetrize.
+    b(V_L) - b(V_R), and cuts at right vertices antisymmetrize.  They
+    are read off matrices already in hand: column k of f @ dt_union
+    (the bond image above) is f of the cut of union vertex k, plus
+    vertices first and then minus vertices, and row v of d is the
+    signed cut of v in G (zero at a loop).
     """
     g = maps.graph
     dec = maps.dec
@@ -315,39 +313,33 @@ def verify_lattice_preservation(maps: SymmetryMaps) -> LatticePreservationReport
     bond_image = f @ maps.pair_union.bond_lattice
     bonds_ok = (maps.pair_g.cycle_lattice.transpose() @ bond_image).is_zero()
 
-    def f_of_plus_bond(vertex):
-        vec = dec.plus.bond_vector([vertex]).coeffs
-        return f.mul_vector(maps.block_vector(plus_coeffs=vec))
-
-    def f_of_minus_bond(vertex):
-        vec = dec.minus.bond_vector([vertex]).coeffs
-        return f.mul_vector(maps.block_vector(minus_coeffs=vec))
-
-    graph = g.graph
+    image = bond_image.transpose().rows
+    cut = dict(zip(g.graph.vertices, maps.pair_g.d.rows))
+    n_plus_vertices = dec.plus.n_vertices
     vphi = g.vertex_involution
 
-    sub_ok = all(
-        not any(f_of_plus_bond(s)) for s in dec.subdivision_vertex.values()
-    )
-    fixed_ok = all(
-        f_of_plus_bond(v) == list(graph.bond_vector([v]).coeffs)
-        for v in g.fixed_vertices
-    )
-    left_ok = all(
-        f_of_plus_bond(v)
-        == list((graph.bond_vector([v]) + graph.bond_vector([vphi[v]])).coeffs)
-        for v in g.left_vertices
-    )
-    expected_contracted = graph.bond_vector(g.left_vertices) - graph.bond_vector(
-        g.right_vertices
-    )
-    contracted_ok = f_of_minus_bond(dec.contracted_vertex) == list(
-        expected_contracted.coeffs
+    def f_of_plus_cut(v):
+        return image[dec.plus.vertex_index(v)]
+
+    def f_of_minus_cut(v):
+        return image[n_plus_vertices + dec.minus.vertex_index(v)]
+
+    def cut_sum(added, subtracted=()):
+        """The sum of the cuts of `added` minus those of `subtracted`."""
+        acc = [0] * g.graph.n_edges
+        for sign, vertices in ((1, added), (-1, subtracted)):
+            for v in vertices:
+                acc = [a + sign * x for a, x in zip(acc, cut[v])]
+        return tuple(acc)
+
+    sub_ok = all(not any(f_of_plus_cut(s)) for s in dec.subdivision_vertex.values())
+    fixed_ok = all(f_of_plus_cut(v) == cut[v] for v in g.fixed_vertices)
+    left_ok = all(f_of_plus_cut(v) == cut_sum((v, vphi[v])) for v in g.left_vertices)
+    contracted_ok = f_of_minus_cut(dec.contracted_vertex) == cut_sum(
+        g.left_vertices, g.right_vertices
     )
     right_ok = all(
-        f_of_minus_bond(v)
-        == list((graph.bond_vector([v]) - graph.bond_vector([vphi[v]])).coeffs)
-        for v in g.right_vertices
+        f_of_minus_cut(v) == cut_sum((v,), (vphi[v],)) for v in g.right_vertices
     )
 
     return LatticePreservationReport(
@@ -385,50 +377,35 @@ def two_torsion_check(maps: SymmetryMaps) -> TorsionReport:
     The witnesses are the matrix identities behind 2-torsion: for a Left
     edge e,  f(e, -phi(e)) = 2e  and  f^t(e + phi(e)) = 2(e, 0);  for a
     Right edge e,  f^t(e - phi(e)) = 2(0, e);  for a fixed edge e with
-    halves e', e'',  f^t(e) = (e' + e'', 0).
+    halves e', e'',  f^t(e) = (e' + e'', 0).  Each is read off rows:
+    f(e_j) is row j of f^t and f^t(e_i) is row i of f, so every left-hand
+    side is one row or the sum or difference of two.
     """
     g = maps.graph
     graph = g.graph
     dec = maps.dec
     ephi = g.edge_involution
-    f, ft = maps.f_matrix, maps.ft_matrix
-    n_edges = graph.n_edges
+    f_rows = maps.f_matrix.rows
+    ft_rows = maps.ft_matrix.rows
     plus_pos = {e.id: i for i, e in enumerate(dec.plus.edges)}
     minus_pos = {e.id: maps.n_plus + i for i, e in enumerate(dec.minus.edges)}
 
-    def g_basis(eid, sign=1):
-        v = [0] * n_edges
-        v[graph.edge_index(eid)] = sign
-        return v
+    def f_row(eid):
+        return f_rows[graph.edge_index(eid)]
 
     witnesses = True
     for e in g.left_edges:
         mirror = ephi[e.id]
-        block = [0] * maps.n_block
-        block[plus_pos[e.id]] = 1
-        block[minus_pos[mirror]] = -1
-        lhs = f.mul_vector(block)
-        if lhs != [2 * x for x in g_basis(e.id)]:
-            witnesses = False
-        vec = [a + b for a, b in zip(g_basis(e.id), g_basis(mirror))]
-        expected = [0] * maps.n_block
-        expected[plus_pos[e.id]] = 2
-        if ft.mul_vector(vec) != expected:
-            witnesses = False
+        doubled = map(sub, ft_rows[plus_pos[e.id]], ft_rows[minus_pos[mirror]])
+        witnesses &= _equals_sparse(doubled, {graph.edge_index(e.id): 2})
+        folded = map(add, f_row(e.id), f_row(mirror))
+        witnesses &= _equals_sparse(folded, {plus_pos[e.id]: 2})
     for e in g.right_edges:
-        mirror = ephi[e.id]
-        vec = [a - b for a, b in zip(g_basis(e.id), g_basis(mirror))]
-        expected = [0] * maps.n_block
-        expected[minus_pos[e.id]] = 2
-        if ft.mul_vector(vec) != expected:
-            witnesses = False
+        folded = map(sub, f_row(e.id), f_row(ephi[e.id]))
+        witnesses &= _equals_sparse(folded, {minus_pos[e.id]: 2})
     for e in g.fixed_edges:
-        expected = [0] * maps.n_block
-        h1, h2 = (e.id, 1), (e.id, 2)
-        expected[plus_pos[h1]] = 1
-        expected[plus_pos[h2]] = 1
-        if ft.mul_vector(g_basis(e.id)) != expected:
-            witnesses = False
+        halves = {plus_pos[(e.id, 1)]: 1, plus_pos[(e.id, 2)]: 1}
+        witnesses &= _equals_sparse(f_row(e.id), halves)
 
     groups = (maps.ker_f, maps.coker_f, maps.ker_ft, maps.coker_ft)
     return TorsionReport(
@@ -436,6 +413,11 @@ def two_torsion_check(maps: SymmetryMaps) -> TorsionReport:
         all_two_torsion=all(grp.annihilated_by(2) for grp in groups),
         doubling_witnesses=witnesses,
     )
+
+
+def _equals_sparse(vec, entries) -> bool:
+    """`vec` has the `{index: value}` entries and is zero elsewhere."""
+    return all(x == entries.get(k, 0) for k, x in enumerate(vec))
 
 
 # ---------------------------------------------------------------------------

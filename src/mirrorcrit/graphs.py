@@ -99,17 +99,6 @@ class Multigraph:
                 rows[self._vindex[e.tail]][j] -= 1
         return IntMatrix(rows, shape=(self.n_vertices, self.n_edges))
 
-    def bond_vector(self, subset) -> "EdgeVector":
-        """Signed cut vector of a vertex set: the coboundary of its indicator."""
-        subset = set(subset)
-        for v in subset:
-            if v not in self._vindex:
-                raise KeyError(f"unknown vertex {v!r}")
-        coeffs = []
-        for e in self.edges:
-            coeffs.append(int(e.head in subset) - int(e.tail in subset))
-        return EdgeVector(self, tuple(coeffs))
-
     def components(self):
         """(count, {vertex: component index}); indices follow vertex order."""
         label = {}
@@ -137,36 +126,6 @@ class Multigraph:
 
     def __repr__(self):
         return f"Multigraph({self.n_vertices} vertices, {self.n_edges} edges)"
-
-
-@dataclass(frozen=True)
-class EdgeVector:
-    """Integer vector indexed by the edges of a fixed ambient graph.
-
-    Negating a coefficient is the algebraic stand-in for reversing the
-    orientation of that edge.
-    """
-
-    graph: Multigraph
-    coeffs: tuple[int, ...]
-
-    def _check(self, other):
-        if self.graph is not other.graph:
-            raise ValueError("edge vectors live on different graphs")
-
-    def __add__(self, other):
-        self._check(other)
-        return EdgeVector(self.graph, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other):
-        self._check(other)
-        return EdgeVector(self.graph, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def scale(self, k):
-        return EdgeVector(self.graph, tuple(k * a for a in self.coeffs))
-
-    def is_zero(self):
-        return not any(self.coeffs)
 
 
 class SymmetricGraph:

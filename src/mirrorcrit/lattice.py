@@ -102,8 +102,11 @@ class IntMatrix:
         return IntMatrix._of(rows, shape=(self.n_rows, other.n_cols))
 
     def mul_vector(self, vec):
-        """Matrix times vector, over the vector's nonzero entries only."""
-        vec = list(vec)
+        """Matrix times vector, over the vector's nonzero entries only.
+
+        Entries are taken with `operator.index`, as in the constructor.
+        """
+        vec = list(map(operator.index, vec))
         if len(vec) != self.n_cols:
             raise ValueError("vector length does not match n_cols")
         support = [(k, x) for k, x in enumerate(vec) if x]

@@ -27,7 +27,13 @@ from mirrorcrit.graphs import (
     Multigraph,
     SymmetricGraph,
 )
-from mirrorcrit.lattice import FpAbelianGroup, GroupHom, IntMatrix, SmithDecomposition
+from mirrorcrit.lattice import (
+    FpAbelianGroup,
+    GroupHom,
+    IntMatrix,
+    SmithDecomposition,
+    integer_kernel,
+)
 from mirrorcrit.modp import is_involution
 from mirrorcrit.randgraph import mirror_grid
 
@@ -141,6 +147,161 @@ class TestLatticePreservation:
                 assert verify_lattice_preservation(tampered).bonds_into_bonds == exact
                 outcomes.add(exact)
         assert False in outcomes
+
+
+def _apply(matrix, vec):
+    return [sum(a * x for a, x in zip(row, vec)) for row in matrix.rows]
+
+
+def _cut(graph, subset):
+    """The signed cut of a vertex set: the coboundary of its indicator."""
+    return [int(e.head in subset) - int(e.tail in subset) for e in graph.edges]
+
+
+def _unit(n, k, scale=1):
+    vec = [0] * n
+    vec[k] = scale
+    return vec
+
+
+def _combine(sign, a, b):
+    return [x + sign * y for x, y in zip(a, b)]
+
+
+def _dense_reference(maps):
+    """The seven lattice flags and the doubling witnesses computed the
+    textbook way: f or f^t times each explicit cut or unit vector,
+    compared with dense expected vectors."""
+    g, dec = maps.graph, maps.dec
+    graph, f, ft = g.graph, maps.f_matrix, maps.ft_matrix
+    vphi, ephi = g.vertex_involution, g.edge_involution
+    n_edges, n_plus, n_minus, n_block = graph.n_edges, maps.n_plus, maps.n_minus, maps.n_block
+
+    def f_of_plus_cut(v):
+        return _apply(f, _cut(dec.plus, {v}) + [0] * n_minus)
+
+    def f_of_minus_cut(v):
+        return _apply(f, [0] * n_plus + _cut(dec.minus, {v}))
+
+    def cut_g(v):
+        return _cut(graph, {v})
+
+    union = dec.union_graph()
+    union_cuts = [_cut(union, {v}) for v in union.vertices]
+    bonds = FpAbelianGroup.quotient(n_edges, maps.pair_g.dt)
+    flags = dict(
+        cycles_into_cycles=all(
+            not any(_apply(maps.pair_g.d, _apply(f, z)))
+            for z in integer_kernel(maps.pair_union.d).columns()
+        ),
+        bonds_into_bonds=all(
+            bonds.contains_relation(_apply(f, cut)) for cut in union_cuts
+        ),
+        subdivision_bonds_vanish=all(
+            not any(f_of_plus_cut(s)) for s in dec.subdivision_vertex.values()
+        ),
+        fixed_vertex_bonds_match=all(
+            f_of_plus_cut(v) == cut_g(v) for v in g.fixed_vertices
+        ),
+        left_vertex_bonds_match=all(
+            f_of_plus_cut(v) == _combine(1, cut_g(v), cut_g(vphi[v]))
+            for v in g.left_vertices
+        ),
+        contracted_bond_matches=f_of_minus_cut(dec.contracted_vertex)
+        == _combine(-1, _cut(graph, set(g.left_vertices)), _cut(graph, set(g.right_vertices))),
+        right_vertex_bonds_match=all(
+            f_of_minus_cut(v) == _combine(-1, cut_g(v), cut_g(vphi[v]))
+            for v in g.right_vertices
+        ),
+    )
+
+    plus_pos = {e.id: i for i, e in enumerate(dec.plus.edges)}
+    minus_pos = {e.id: n_plus + i for i, e in enumerate(dec.minus.edges)}
+
+    def unit_g(eid):
+        return _unit(n_edges, graph.edge_index(eid))
+
+    witnesses = []
+    for e in g.left_edges:
+        mirror = ephi[e.id]
+        block = _combine(-1, _unit(n_block, plus_pos[e.id]), _unit(n_block, minus_pos[mirror]))
+        witnesses.append(_apply(f, block) == _unit(n_edges, graph.edge_index(e.id), 2))
+        vec = _combine(1, unit_g(e.id), unit_g(mirror))
+        witnesses.append(_apply(ft, vec) == _unit(n_block, plus_pos[e.id], 2))
+    for e in g.right_edges:
+        vec = _combine(-1, unit_g(e.id), unit_g(ephi[e.id]))
+        witnesses.append(_apply(ft, vec) == _unit(n_block, minus_pos[e.id], 2))
+    for e in g.fixed_edges:
+        halves = _combine(
+            1, _unit(n_block, plus_pos[(e.id, 1)]), _unit(n_block, plus_pos[(e.id, 2)])
+        )
+        witnesses.append(_apply(ft, unit_g(e.id)) == halves)
+    return flags, all(witnesses)
+
+
+def _tamper_graphs(mixed_corpus):
+    # the running example, graphs with and without fixed edges, and one
+    # whose plus graph is disconnected
+    return [running_example(), tripod()] + mixed_corpus[:6]
+
+
+class TestIdentitiesAgainstDenseReference:
+    """Every lattice flag and the doubling witnesses agree with the dense
+    reference on maps whose f has been tampered with."""
+
+    def test_single_entry_tampering(self, mixed_corpus):
+        outcomes = Counter()
+        for g in _tamper_graphs(mixed_corpus):
+            maps = build_maps(g.decompose())
+            tamperings = [maps]
+            for i in range(maps.f_matrix.n_rows):
+                for j in range(maps.f_matrix.n_cols):
+                    rows = [list(row) for row in maps.f_matrix.rows]
+                    rows[i][j] += 1
+                    tamperings.append(dataclasses.replace(maps, f_matrix=IntMatrix(rows)))
+            for tampered in tamperings:
+                flags, _ = _dense_reference(tampered)
+                report = verify_lattice_preservation(tampered)
+                assert dataclasses.asdict(report) == flags
+                outcomes.update(name for name, ok in flags.items() if not ok)
+        # every identity fails on some tampering, so none is vacuous here
+        assert set(outcomes) == set(flags)
+
+    def test_perturbations_with_the_same_f_star(self, mixed_corpus):
+        # f + dt_G A d_union sends every cut and cycle where f does mod B,
+        # so it descends to the same f*, but its entries differ from f's:
+        # the torsion holds while doubling and cut identities may fail.
+        # A runs over 0, every single unit entry and a few random draws.
+        rng = random.Random(7)
+        witness_outcomes = set()
+        for g in _tamper_graphs(mixed_corpus):
+            maps = build_maps(g.decompose())
+            pair_g, pair_union = maps.pair_g, maps.pair_union
+            shape = (pair_g.c0_rank, pair_union.c0_rank)
+            draws = [{}] + [{(v, u): 1} for v in range(shape[0]) for u in range(shape[1])]
+            draws += [
+                {(v, u): rng.randint(-2, 2) for v in range(shape[0]) for u in range(shape[1])}
+                for _ in range(3)
+            ]
+            for entries in draws:
+                a = IntMatrix(
+                    [[entries.get((v, u), 0) for u in range(shape[1])] for v in range(shape[0])],
+                    shape=shape,
+                )
+                shift = pair_g.dt @ a @ pair_union.d
+                rows = [list(map(sum, zip(r, s))) for r, s in zip(maps.f_matrix.rows, shift.rows)]
+                tampered = dataclasses.replace(
+                    maps, f_matrix=IntMatrix(rows, shape=maps.f_matrix.shape)
+                )
+                flags, witnesses = _dense_reference(tampered)
+                lattice = verify_lattice_preservation(tampered)
+                torsion = two_torsion_check(tampered)
+                assert dataclasses.asdict(lattice) == flags
+                assert lattice.cycles_into_cycles and lattice.bonds_into_bonds
+                assert torsion.all_two_torsion
+                assert torsion.doubling_witnesses == witnesses
+                witness_outcomes.add(witnesses)
+        assert witness_outcomes == {True, False}
 
 
 class TestInducedMaps:
@@ -478,6 +639,9 @@ class TestWorkCounts:
         monkeypatch.setattr(
             modp_module, "_echelonize", counting("echelonize", modp_module._echelonize)
         )
+        monkeypatch.setattr(
+            IntMatrix, "mul_vector", counting("mul_vector", IntMatrix.mul_vector)
+        )
         # a Smith form builds a witness only when a caller reads it
         for kind in WITNESSES:
             counting_cached(SmithDecomposition, kind)
@@ -504,6 +668,9 @@ class TestWorkCounts:
         # the reduced basis and the fixed ambients are built reduced, so
         # neither eliminates
         assert counts["echelonize"] == 22
+        # the cut and doubling identities read rows and columns of f, f^t
+        # and f @ dt_union, so no dense matrix-vector product runs
+        assert counts["mul_vector"] == 0
         # the diagonal-only Smith forms build none
         maps = rep.maps
         diagonal_only = [

@@ -68,35 +68,20 @@ class TestMultigraph:
 
 
 class TestBondVectors:
+    # row v of the boundary matrix is the signed cut of v
     def test_single_vertex_signs(self):
         # +1 where the vertex is a head, -1 where it is a tail
         g = running_example().graph
-        assert g.bond_vector(["a"]).coeffs == (-1, -1, 0, 0, 0)
-        assert g.bond_vector(["b"]).coeffs == (1, 0, 0, 1, 1)
-
-    def test_whole_vertex_set_gives_zero(self):
-        g = running_example().graph
-        assert g.bond_vector(g.vertices).is_zero()
-
-    def test_unknown_vertex(self):
-        with pytest.raises(KeyError):
-            running_example().graph.bond_vector(["nope"])
+        rows = g.boundary_matrix().rows
+        assert rows[g.vertex_index("a")] == (-1, -1, 0, 0, 0)
+        assert rows[g.vertex_index("b")] == (1, 0, 0, 1, 1)
 
     def test_bond_rank_is_vertices_minus_components(self):
         for seed in range(12):
             rng = random.Random(seed)
             g = random_symmetric_graph(rng=rng).graph
-            rows = [list(g.bond_vector([v]).coeffs) for v in g.vertices]
-            mat = IntMatrix(rows, shape=(g.n_vertices, g.n_edges))
-            assert smith_normal_form(mat).rank == g.n_vertices - g.components()[0]
-
-    def test_edge_vector_arithmetic(self):
-        g = running_example().graph
-        a = g.bond_vector(["a"])
-        d = g.bond_vector(["d"])
-        assert (a + d).coeffs == g.bond_vector(["a", "d"]).coeffs
-        assert (a - a).is_zero()
-        assert a.scale(2).coeffs == tuple(2 * x for x in a.coeffs)
+            rank = smith_normal_form(g.boundary_matrix()).rank
+            assert rank == g.n_vertices - g.components()[0]
 
 
 class TestValidation:

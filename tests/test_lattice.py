@@ -67,11 +67,17 @@ class TestIntMatrix:
         m = IntMatrix([[True, False, 7], [-big, 3 * big, 0]])
         assert m.rows == ((1, 0, 7), (-big, 3 * big, 0))
         assert all(type(x) is int for row in m.rows for x in row)
+        # mul_vector takes its vector's entries the same way
+        image = IntMatrix([[1, 2], [0, big]]).mul_vector([True, big])
+        assert image == [1 + 2 * big, big * big]
+        assert all(type(x) is int for x in image)
         for bad in (2.7, 2.0, Fraction(3, 1), "1"):
             with pytest.raises(TypeError):
                 IntMatrix([[1, bad]])
             with pytest.raises(TypeError):
                 IntMatrix.from_columns([[bad]], 1)
+            with pytest.raises(TypeError):
+                IntMatrix([[1, 2]]).mul_vector([1, bad])
 
     def test_shapes_and_stacking(self):
         a = IntMatrix([[1, 2], [3, 4]])
