@@ -7,6 +7,7 @@
 
 `analyze` runs the full factorization pipeline and exits 0 when every
 applicable verdict passes, 2 when any fails and 1 on input errors.
+A command-line usage error also exits 1.
 `oracle` cross-checks the algebra against exhaustive enumeration and
 accepts plain (non-symmetric) graph files as well.  `random` prints a
 seeded random symmetric graph in the text format.  Every command exits
@@ -234,7 +235,7 @@ def cmd_oracle(args) -> int:
         print(f"forest count: enumeration {forests} vs |K| {order}  "
               f"{'ok' if agree else 'MISMATCH'}")
         algebra = sorted(subspace_masks(pair.p_bicycle_space(2), limit))
-        brute = sorted(bicycle_masks_bruteforce(plain, limit))
+        brute = bicycle_masks_bruteforce(plain, limit)
         agree = algebra == brute
         ok &= agree
         print(f"bicycles: enumeration found {len(brute)}, algebra {len(algebra)}  "
@@ -290,8 +291,17 @@ def cmd_random(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on a usage error, the code of a failed verdict;
+    a usage error is bad input, so it exits 1."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="mirrorcrit", description=__doc__)
+    parser = _Parser(prog="mirrorcrit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="run the factorization analysis on a graph file")

@@ -9,13 +9,15 @@ same group.  An AdjointPair's d must be a signed incidence matrix (each
 column zero, or one +1 and one -1), as every graph's boundary map is:
 the cycle lattice is read off a spanning forest of its columns.
 
-This module also houses the brute-force oracles (forest enumeration and
-bicycle enumeration over edge subsets) that the higher-level checks are
-tested against, behind an enumeration guard.
+This module also houses the brute-force oracles (forest enumeration over
+edge subsets of the forest size, bicycle enumeration over the cuts of
+vertex bipartitions) that the higher-level checks are tested against,
+behind an enumeration guard.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -194,22 +196,18 @@ def forest_count(pair: AdjointPair) -> int:
 
 
 def count_maximal_forests_bruteforce(g: Multigraph, limit=DEFAULT_ORACLE_LIMIT) -> int:
-    """Exhaustive forest count over all edge subsets (the oracle route).
-
-    A maximal spanning forest is an acyclic edge set of size
-    |V| - #components(G).
+    """Exhaustive forest count (the oracle route): walks the edge subsets
+    of size |V| - #components(G), the size of every maximal spanning
+    forest, and counts the acyclic ones.
     """
     m = g.n_edges
     if 2**m > limit:
         raise OracleLimitError(f"2^{m} subsets exceed the limit {limit}")
     n = g.n_vertices
     comp_count, _ = g.components()
-    target = n - comp_count
     endpoints = [(g.vertex_index(e.tail), g.vertex_index(e.head)) for e in g.edges]
     count = 0
-    for mask in range(1 << m):
-        if mask.bit_count() != target:
-            continue
+    for subset in itertools.combinations(endpoints, n - comp_count):
         parent = list(range(n))
 
         def find(x):
@@ -218,29 +216,24 @@ def count_maximal_forests_bruteforce(g: Multigraph, limit=DEFAULT_ORACLE_LIMIT) 
                 x = parent[x]
             return x
 
-        acyclic = True
-        rest = mask
-        while rest:
-            j = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            a, b = endpoints[j]
+        for a, b in subset:
             ra, rb = find(a), find(b)
             if ra == rb:
-                acyclic = False
                 break
             parent[ra] = rb
-        if acyclic:
+        else:
             count += 1
     return count
 
 
 def bicycle_masks_bruteforce(g: Multigraph, limit=DEFAULT_ORACLE_LIMIT):
-    """All bicycles of g as edge-subset bitmasks, by direct inspection.
+    """All bicycles of g as edge-subset bitmasks in increasing order, by
+    direct inspection.
 
-    A subset qualifies iff every vertex meets an even number of its
-    non-loop edges (a loop adds two to the degree) and it is exactly the
-    edge set crossing some vertex bipartition.  No linear algebra is
-    involved, so this is independent of the mod-2 route.
+    Walks the 2^|V| vertex bipartitions, takes the edge set crossing
+    each (a cut; a loop never crosses), and keeps the cuts that meet
+    every vertex an even number of times (the cycles).  No linear
+    algebra is involved, so this is independent of the mod-2 route.
     """
     m = g.n_edges
     n = g.n_vertices
@@ -248,29 +241,24 @@ def bicycle_masks_bruteforce(g: Multigraph, limit=DEFAULT_ORACLE_LIMIT):
         raise OracleLimitError(
             f"2^{m} edge subsets or 2^{n} vertex subsets exceed the limit {limit}"
         )
+    ends = [
+        (j, g.vertex_index(e.tail), g.vertex_index(e.head))
+        for j, e in enumerate(g.edges)
+        if not e.is_loop
+    ]
     incidence = [0] * n
-    for j, e in enumerate(g.edges):
-        if not e.is_loop:
-            incidence[g.vertex_index(e.tail)] ^= 1 << j
-            incidence[g.vertex_index(e.head)] ^= 1 << j
-    cuts = set()
+    for j, t, h in ends:
+        incidence[t] ^= 1 << j
+        incidence[h] ^= 1 << j
+    bicycles = set()
     for vmask in range(1 << n):
         cut = 0
-        for j, e in enumerate(g.edges):
-            if e.is_loop:
-                continue
-            t = (vmask >> g.vertex_index(e.tail)) & 1
-            h = (vmask >> g.vertex_index(e.head)) & 1
-            if t != h:
+        for j, t, h in ends:
+            if ((vmask >> t) ^ (vmask >> h)) & 1:
                 cut |= 1 << j
-        cuts.add(cut)
-    out = []
-    for mask in range(1 << m):
-        if any((mask & inc).bit_count() & 1 for inc in incidence):
-            continue
-        if mask in cuts:
-            out.append(mask)
-    return out
+        if not any((cut & inc).bit_count() & 1 for inc in incidence):
+            bicycles.add(cut)
+    return sorted(bicycles)
 
 
 def subspace_masks(space: ModpSubspace, limit=DEFAULT_ORACLE_LIMIT):

@@ -375,6 +375,58 @@ class TestOracleCommand:
         assert "Traceback" in captured.err
 
 
+class TestUsageErrors:
+    # a usage error is bad input: exit 1, never 2 (a failed verdict or a
+    # disagreement), with argparse's usage line and message on stderr
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["oracle", str(SAMPLES / "k4minus.sg"), "--max-enum", "1e6"],
+            ["analyze"],
+        ],
+    )
+    def test_exit_one(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 1
+        assert err.startswith(f"usage: mirrorcrit {argv[0]}")
+        assert f"mirrorcrit {argv[0]}: error:" in err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "-h"])
+        assert exc.value.code == 0
+        assert "--max-enum" in capsys.readouterr().out
+
+
+# an even cycle on the axis: x + y is a phi-fixed bicycle, yet f* is onto
+CYCLIC_AXIS = """
+v a F
+v b F
+e x a b
+e y a b
+efix x
+efix y
+"""
+
+
+class TestCyclicAxis:
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="bicycle_cokernel is not gated on axis_forest: on a cyclic axis coker f* "
+        "is 0 but the phi-fixed bicycles have dimension 1 (ROADMAP item E; the FOUND: "
+        "line on bicycle_cokernel in CHANGES.md)",
+    )
+    def test_analyze_and_oracle_exit_zero(self, tmp_path, capsys):
+        f = tmp_path / "cyclic_axis.sg"
+        f.write_text(CYCLIC_AXIS)
+        codes = (main(["analyze", str(f)]), main(["oracle", str(f)]))
+        capsys.readouterr()
+        assert codes == (0, 0)
+
+
 class TestInputFile:
     @pytest.mark.parametrize("command", ["analyze", "oracle"])
     def test_no_resource_warning(self, command):

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from mirrorcrit.critical import (
     AdjointPair,
+    OracleLimitError,
+    bicycle_masks_bruteforce,
     count_maximal_forests_bruteforce,
     duality_order_check,
     forest_count,
@@ -222,6 +224,125 @@ class TestForestCount:
             assert pair.critical_group.order() == count_maximal_forests_bruteforce(
                 g.graph
             )
+
+
+def forests_by_edge_subsets(g, limit):
+    """Reference forest count: every edge subset, kept when it has
+    |V| - c edges and no cycle."""
+    m, n = g.n_edges, g.n_vertices
+    if 2**m > limit:
+        raise OracleLimitError(f"2^{m} subsets exceed the limit {limit}")
+    target = n - g.components()[0]
+    ends = [(g.vertex_index(e.tail), g.vertex_index(e.head)) for e in g.edges]
+    count = 0
+    for mask in range(1 << m):
+        if mask.bit_count() != target:
+            continue
+        parent = list(range(n))
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        for j in range(m):
+            if mask >> j & 1:
+                a, b = find(ends[j][0]), find(ends[j][1])
+                if a == b:
+                    break
+                parent[a] = b
+        else:
+            count += 1
+    return count
+
+
+def bicycles_by_edge_subsets(g, limit):
+    """Reference bicycles: every edge subset, kept when every vertex has
+    even degree in it (a loop counts twice) and it is the set of edges
+    crossing some vertex bipartition."""
+    m, n = g.n_edges, g.n_vertices
+    if 2**m > limit or 2**n > limit:
+        raise OracleLimitError(
+            f"2^{m} edge subsets or 2^{n} vertex subsets exceed the limit {limit}"
+        )
+    ends = [(g.vertex_index(e.tail), g.vertex_index(e.head)) for e in g.edges]
+    cuts = {
+        sum(1 << j for j, (t, h) in enumerate(ends) if (side >> t & 1) != (side >> h & 1))
+        for side in range(1 << n)
+    }
+
+    def even(mask):
+        degree = [0] * n
+        for j, (t, h) in enumerate(ends):
+            if mask >> j & 1:
+                degree[t] += 1
+                degree[h] += 1
+        return all(d % 2 == 0 for d in degree)
+
+    return [mask for mask in range(1 << m) if even(mask) and mask in cuts]
+
+
+def oracle_inputs():
+    graphs = [
+        Multigraph([], []),
+        Multigraph(["a"], [("l", "a", "a")]),
+        Multigraph(["a", "b", "c"], [("x", "a", "b"), ("y", "a", "b")]),
+        # |E| > |V| and |V| > |E|: each side of the bicycle guard at 16
+        Multigraph(["a", "b"], [(f"p{i}", "a", "b") for i in range(5)]),
+        Multigraph([f"v{i}" for i in range(5)], [("x", "v0", "v1")]),
+    ]
+    graphs += [
+        random_multigraph(seed=seed, max_vertices=8, max_edges=10) for seed in range(200)
+    ]
+    return graphs
+
+
+def outcome(oracle, g, limit):
+    try:
+        return oracle(g, limit)
+    except OracleLimitError as exc:
+        return type(exc), str(exc)
+
+
+class TestOraclesAgainstEdgeSubsetWalks:
+    """The oracles walk only the set they count; the references walk all
+    2^|E| edge subsets and filter."""
+
+    LIMITS = (1, 16, 1 << 10)
+
+    def test_inputs_cover_the_awkward_cases(self):
+        graphs = oracle_inputs()
+        assert any(g.components()[0] > 1 for g in graphs)
+        assert any(e.is_loop for g in graphs for e in g.edges)
+        assert any(
+            len({frozenset((e.tail, e.head)) for e in g.edges}) < g.n_edges for g in graphs
+        )
+
+    def test_forest_count(self):
+        for g in oracle_inputs():
+            for limit in self.LIMITS:
+                assert outcome(count_maximal_forests_bruteforce, g, limit) == outcome(
+                    forests_by_edge_subsets, g, limit
+                )
+
+    def test_bicycles(self):
+        for g in oracle_inputs():
+            for limit in self.LIMITS:
+                got = outcome(bicycle_masks_bruteforce, g, limit)
+                assert got == outcome(bicycles_by_edge_subsets, g, limit)
+                if isinstance(got, list):
+                    assert all(a < b for a, b in zip(got, got[1:]))
+
+    def test_each_side_of_the_bicycle_guard_trips(self):
+        more_edges, more_vertices = oracle_inputs()[3:5]
+        assert outcome(bicycle_masks_bruteforce, more_edges, 16) == (
+            OracleLimitError,
+            "2^5 edge subsets or 2^2 vertex subsets exceed the limit 16",
+        )
+        assert outcome(bicycle_masks_bruteforce, more_vertices, 16) == (
+            OracleLimitError,
+            "2^1 edge subsets or 2^5 vertex subsets exceed the limit 16",
+        )
 
 
 class TestPBicycles:
