@@ -234,7 +234,7 @@ def cmd_oracle(args) -> int:
         ok &= agree
         print(f"forest count: enumeration {forests} vs |K| {order}  "
               f"{'ok' if agree else 'MISMATCH'}")
-        algebra = sorted(subspace_masks(pair.p_bicycle_space(2), limit))
+        algebra = sorted(subspace_masks(pair.bicycle_space, limit))
         brute = bicycle_masks_bruteforce(plain, limit)
         agree = algebra == brute
         ok &= agree

@@ -5,9 +5,12 @@ Z = ker(d) and B = im(d^t).  For the pair of a graph boundary map this
 is the usual critical group (sandpile/Jacobian group), whose order is
 the number of maximal spanning forests.  The torsion of coker(d d^t),
 the Laplacian's cokernel, is a second, independent presentation of the
-same group.  An AdjointPair's d must be a signed incidence matrix (each
-column zero, or one +1 and one -1), as every graph's boundary map is:
-the cycle lattice is read off a spanning forest of its columns.
+same group.  The pair also holds its cycle, bond and bicycle spaces
+over GF(2); the bicycle space's dimension is the number of even
+invariant factors.  An AdjointPair's d must be a signed incidence
+matrix (each column zero, or one +1 and one -1), as every graph's
+boundary map is: the cycle lattice is read off a spanning forest of
+its columns.
 
 This module also houses the brute-force oracles (forest enumeration over
 edge subsets of the forest size, bicycle enumeration over the cuts of
@@ -19,12 +22,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .graphs import Multigraph
 from .lattice import FpAbelianGroup, IntMatrix, SmithDecomposition, smith_normal_form
-from .modp import EnumerationLimitError, ModpSubspace, kernel, row_space
+from .modp import ModpSubspace, kernel, row_space
 
 DEFAULT_ORACLE_LIMIT = 1 << 20
 
@@ -39,12 +42,11 @@ class AdjointPair:
 
     With the standard bases orthonormal, the adjoint of d *is* its
     transpose, so dt is derived from d rather than passed in.  Every
-    derived lattice, group and GF(p) space is computed once, on first
+    derived lattice, group and GF(2) space is computed once, on first
     use, and kept on the pair.
     """
 
     d: IntMatrix
-    _spaces_mod: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def from_graph(cls, g: Multigraph) -> "AdjointPair":
@@ -165,23 +167,21 @@ class AdjointPair:
         """
         return self.laplacian_snf.nontrivial_factors
 
-    def _spaces(self, p: int):
-        """(Z, B, Z cap B) over Z/p, computed once per prime."""
-        if p not in self._spaces_mod:
-            z, b = kernel(p, self.d), row_space(p, self.d)
-            self._spaces_mod[p] = (z, b, z.intersection(b))
-        return self._spaces_mod[p]
+    @cached_property
+    def cycle_space_mod2(self) -> ModpSubspace:
+        """Z = ker(d) over GF(2)."""
+        return kernel(self.d)
 
-    def cycle_space_mod(self, p: int) -> ModpSubspace:
-        return self._spaces(p)[0]
+    @cached_property
+    def bond_space_mod2(self) -> ModpSubspace:
+        """B = im(dt) over GF(2): the row space of d."""
+        return row_space(self.d)
 
-    def bond_space_mod(self, p: int) -> ModpSubspace:
-        return self._spaces(p)[1]
-
-    def p_bicycle_space(self, p: int) -> ModpSubspace:
-        """Z cap B over Z/p; its dimension is the number of invariant
-        factors of the critical group divisible by p."""
-        return self._spaces(p)[2]
+    @cached_property
+    def bicycle_space(self) -> ModpSubspace:
+        """Z cap B over GF(2); its dimension is the number of even
+        invariant factors of the critical group."""
+        return self.cycle_space_mod2.intersection(self.bond_space_mod2)
 
 
 def forest_count(pair: AdjointPair) -> int:
@@ -230,10 +230,12 @@ def bicycle_masks_bruteforce(g: Multigraph, limit=DEFAULT_ORACLE_LIMIT):
     """All bicycles of g as edge-subset bitmasks in increasing order, by
     direct inspection.
 
-    Walks the 2^|V| vertex bipartitions, takes the edge set crossing
-    each (a cut; a loop never crosses), and keeps the cuts that meet
-    every vertex an even number of times (the cycles).  No linear
-    algebra is involved, so this is independent of the mod-2 route.
+    Walks the 2^|V| vertex bipartitions in Gray-code order, so each step
+    moves one vertex across and XORs its incidence mask into the cut (a
+    loop's two ends cancel in its vertex's mask, so a loop never
+    crosses), and keeps the cuts that meet every vertex an even number
+    of times (the cycles).  No linear algebra is involved, so this is
+    independent of the mod-2 route.
     """
     m = g.n_edges
     n = g.n_vertices
@@ -241,21 +243,16 @@ def bicycle_masks_bruteforce(g: Multigraph, limit=DEFAULT_ORACLE_LIMIT):
         raise OracleLimitError(
             f"2^{m} edge subsets or 2^{n} vertex subsets exceed the limit {limit}"
         )
-    ends = [
-        (j, g.vertex_index(e.tail), g.vertex_index(e.head))
-        for j, e in enumerate(g.edges)
-        if not e.is_loop
-    ]
     incidence = [0] * n
-    for j, t, h in ends:
-        incidence[t] ^= 1 << j
-        incidence[h] ^= 1 << j
+    for j, e in enumerate(g.edges):
+        incidence[g.vertex_index(e.tail)] ^= 1 << j
+        incidence[g.vertex_index(e.head)] ^= 1 << j
     bicycles = set()
-    for vmask in range(1 << n):
-        cut = 0
-        for j, t, h in ends:
-            if ((vmask >> t) ^ (vmask >> h)) & 1:
-                cut |= 1 << j
+    cut = 0
+    for step in range(1 << n):
+        if step:
+            # Gray code: each step flips the vertex at its lowest set bit
+            cut ^= incidence[(step & -step).bit_length() - 1]
         if not any((cut & inc).bit_count() & 1 for inc in incidence):
             bicycles.add(cut)
     return sorted(bicycles)
@@ -264,10 +261,8 @@ def bicycle_masks_bruteforce(g: Multigraph, limit=DEFAULT_ORACLE_LIMIT):
 def subspace_masks(space: ModpSubspace, limit=DEFAULT_ORACLE_LIMIT):
     """All elements of a GF(2) subspace as bitmasks (for oracle diffs):
     the XOR combinations of its basis rows."""
-    if space.p != 2:
-        raise ValueError("masks only make sense over GF(2)")
     if 2**space.dim > limit:
-        raise EnumerationLimitError(f"2^{space.dim} elements exceed the limit {limit}")
+        raise OracleLimitError(f"2^{space.dim} elements exceed the limit {limit}")
     masks = [0]
     for row in space.rows:
         masks += [m ^ row for m in masks]

@@ -148,19 +148,19 @@ class SymmetryMaps:
 
     @cached_property
     def z_phi(self) -> ModpSubspace:
-        return fixed_subspace(self.phi, self.pair_g.cycle_space_mod(2))
+        return fixed_subspace(self.phi, self.pair_g.cycle_space_mod2)
 
     @cached_property
     def b_phi(self) -> ModpSubspace:
-        return fixed_subspace(self.phi, self.pair_g.bond_space_mod(2))
+        return fixed_subspace(self.phi, self.pair_g.bond_space_mod2)
 
     @cached_property
     def z_psi(self) -> ModpSubspace:
-        return fixed_subspace(self.psi, self.pair_union.cycle_space_mod(2))
+        return fixed_subspace(self.psi, self.pair_union.cycle_space_mod2)
 
     @cached_property
     def b_psi(self) -> ModpSubspace:
-        return fixed_subspace(self.psi, self.pair_union.bond_space_mod(2))
+        return fixed_subspace(self.psi, self.pair_union.bond_space_mod2)
 
     @cached_property
     def sum_phi(self) -> ModpSubspace:
@@ -173,12 +173,12 @@ class SymmetryMaps:
     @cached_property
     def phi_bicycles(self) -> ModpSubspace:
         """Bicycles of G fixed by the edge action of phi."""
-        return fixed_subspace(self.phi, self.pair_g.p_bicycle_space(2))
+        return fixed_subspace(self.phi, self.pair_g.bicycle_space)
 
     @cached_property
     def psi_bicycles(self) -> ModpSubspace:
         """Bicycles of G+ u G- fixed by psi."""
-        return fixed_subspace(self.psi, self.pair_union.p_bicycle_space(2))
+        return fixed_subspace(self.psi, self.pair_union.bicycle_space)
 
 
 def _descend(name, matrix, source: AdjointPair, target: AdjointPair) -> GroupHom:
@@ -472,19 +472,19 @@ def identify_kernel_cokernel(maps: SymmetryMaps) -> BicycleIdentification:
     ker_order = maps.ker_f.order()
 
     # ker(f^t mod 2) versus its predicted basis {e + phi(e) : e Left}
-    ker_ft2 = kernel(2, maps.ft_matrix)
+    ker_ft2 = kernel(maps.ft_matrix)
     rows = [
         1 << graph.edge_index(e.id) | 1 << graph.edge_index(g.edge_involution[e.id])
         for e in g.left_edges
     ]
-    predicted = ModpSubspace.from_rows(2, graph.n_edges, rows)
+    predicted = ModpSubspace.from_rows(graph.n_edges, rows)
     ker_ft_ok = ker_ft2 == predicted and ker_ft2.dim == len(g.left_edges)
 
     # ker(f mod 2) versus the psi-fixed ambient subspace
-    psi_ambient = fixed_ambient(2, maps.psi)
-    ker_f_ok = kernel(2, maps.f_matrix) == psi_ambient
+    psi_ambient = fixed_ambient(maps.psi)
+    ker_f_ok = kernel(maps.f_matrix) == psi_ambient
 
-    phi_ambient = fixed_ambient(2, maps.phi)
+    phi_ambient = fixed_ambient(maps.phi)
     sum_phi, sum_psi = maps.sum_phi, maps.sum_psi
     phi_quotient = phi_ambient.dim - sum_phi.dim
     psi_quotient = psi_ambient.dim - sum_psi.dim
@@ -543,7 +543,7 @@ def g_injection(maps: SymmetryMaps) -> InjectionReport:
         if y1 != y2:
             halves_agree = False
         rows.append(y1)
-    image = ModpSubspace.from_rows(2, n_edges, rows)
+    image = ModpSubspace.from_rows(n_edges, rows)
     return InjectionReport(
         domain_dim=domain.dim,
         image_dim=image.dim,
@@ -717,10 +717,10 @@ def component_linking_cycles(maps: SymmetryMaps) -> LinkingCycleBasis:
     z_phi = maps.z_phi
     plus_mask = (1 << maps.n_plus) - 1
     image_rows = [maps.f_mod2(vec & plus_mask) for vec in maps.z_psi.rows]
-    image = ModpSubspace.from_rows(2, n_edges, image_rows)
+    image = ModpSubspace.from_rows(n_edges, image_rows)
 
     m = max(count - 1, 0)
-    combined = ModpSubspace.from_rows(2, n_edges, [*image.rows, *cycles])
+    combined = ModpSubspace.from_rows(n_edges, [*image.rows, *cycles])
     ok = (
         all(z_phi.contains(c) for c in cycles)
         and combined.dim == image.dim + m

@@ -202,15 +202,12 @@ def test_criterion_7_p_bicycles_match_invariant_factors():
             continue
         pair = AdjointPair.from_graph(g)
         factors = pair.critical_group.invariant_factors
-        for p in (2, 3, 5):
-            expected = sum(1 for d in factors if d % p == 0)
-            got = pair.p_bicycle_space(p).dim
-            if got != expected:
-                failures.append(
-                    f"seed {seed - 1}, p={p}: dim {got} != {expected}"
-                )
+        expected = sum(1 for d in factors if d % 2 == 0)
+        got = pair.bicycle_space.dim
+        if got != expected:
+            failures.append(f"seed {seed - 1}: dim {got} != {expected}")
         checked += 1
-    announce(7, f"p-bicycle dimensions ({checked} graphs, p in 2,3,5)", failures)
+    announce(7, f"bicycle dimensions ({checked} graphs)", failures)
 
 
 def test_criterion_8_laplacian_presentation(corpus_reports):

@@ -1,4 +1,4 @@
-"""Critical groups, forest counts, p-bicycles, duality."""
+"""Critical groups, forest counts, bicycle spaces, duality."""
 
 import random
 
@@ -348,24 +348,20 @@ class TestOraclesAgainstEdgeSubsetWalks:
 class TestPBicycles:
     def test_running_example_mod2(self):
         pair = AdjointPair.from_graph(running_example().graph)
-        assert pair.p_bicycle_space(2).dim == 1
+        assert pair.bicycle_space.dim == 1
 
     def test_triangle(self):
         pair = AdjointPair.from_graph(triangle())
-        # K = Z/3: one invariant factor divisible by 3, none by 2; the
-        # full triangle is the 3-bicycle
-        assert pair.p_bicycle_space(3).dim == 1
-        assert pair.p_bicycle_space(3).contains([1, 1, 1])
-        assert pair.p_bicycle_space(2).dim == 0
+        # K = Z/3: no invariant factor is even, so no bicycle
+        assert pair.bicycle_space.dim == 0
 
     def test_dimension_counts_factors_divisible_by_p(self):
         for seed in range(40):
             g = random_multigraph(seed=seed, max_vertices=6, max_edges=10)
             pair = AdjointPair.from_graph(g)
             factors = pair.critical_group.invariant_factors
-            for p in (2, 3, 5):
-                expected = sum(1 for d in factors if d % p == 0)
-                assert pair.p_bicycle_space(p).dim == expected
+            expected = sum(1 for d in factors if d % 2 == 0)
+            assert pair.bicycle_space.dim == expected
 
 
 class TestDuality:

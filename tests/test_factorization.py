@@ -372,7 +372,7 @@ class TestBicycleSpaces:
     def test_one_sided_bicycles_not_psi_fixed(self, maps):
         # the plus graph alone and the minus graph alone are bicycles
         # of the union but are not psi-fixed
-        union_bic = maps.pair_union.p_bicycle_space(2)
+        union_bic = maps.pair_union.bicycle_space
         plus_only = [1, 1, 1, 1, 0, 0]
         minus_only = [0, 0, 0, 0, 1, 1]
         assert union_bic.contains(plus_only)
@@ -431,11 +431,11 @@ class TestIdentification:
 
         for g in mixed_corpus:
             m = build_maps(g.decompose())
-            bic_g = m.pair_g.p_bicycle_space(2)
-            restricted_ft = modp_kernel(2, m.ft_matrix).intersection(bic_g)
+            bic_g = m.pair_g.bicycle_space
+            restricted_ft = modp_kernel(m.ft_matrix).intersection(bic_g)
             assert restricted_ft == m.phi_bicycles
-            bic_pm = m.pair_union.p_bicycle_space(2)
-            restricted_f = modp_kernel(2, m.f_matrix).intersection(bic_pm)
+            bic_pm = m.pair_union.bicycle_space
+            restricted_f = modp_kernel(m.f_matrix).intersection(bic_pm)
             assert restricted_f == m.psi_bicycles
 
     def test_f_mod2_maps_bicycles_to_bicycles(self, mixed_corpus):
@@ -444,8 +444,8 @@ class TestIdentification:
         # `contains` reduces the integer image f(row) mod 2 itself
         for g in mixed_corpus:
             m = build_maps(g.decompose())
-            bic_g = m.pair_g.p_bicycle_space(2)
-            for row in m.pair_union.p_bicycle_space(2).basis:
+            bic_g = m.pair_g.bicycle_space
+            for row in m.pair_union.bicycle_space.basis:
                 assert bic_g.contains(m.f_matrix.mul_vector(row))
 
 
