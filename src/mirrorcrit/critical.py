@@ -230,12 +230,12 @@ def bicycle_masks_bruteforce(g: Multigraph, limit=DEFAULT_ORACLE_LIMIT):
     """All bicycles of g as edge-subset bitmasks in increasing order, by
     direct inspection.
 
-    Walks the 2^|V| vertex bipartitions in Gray-code order, so each step
-    moves one vertex across and XORs its incidence mask into the cut (a
-    loop's two ends cancel in its vertex's mask, so a loop never
-    crosses), and keeps the cuts that meet every vertex an even number
-    of times (the cycles).  No linear algebra is involved, so this is
-    independent of the mod-2 route.
+    Walks the 2^(|V| - 1) bipartitions that keep the last vertex on one
+    side (a bipartition and its complement share a cut) in Gray-code
+    order: each step moves one vertex across, XORing its incidence mask
+    into the cut (a loop's two ends cancel there), and keeps the cuts
+    that meet every vertex evenly (the cycles).  No linear algebra is
+    involved, so this is independent of the mod-2 route.
     """
     m = g.n_edges
     n = g.n_vertices
@@ -249,7 +249,7 @@ def bicycle_masks_bruteforce(g: Multigraph, limit=DEFAULT_ORACLE_LIMIT):
         incidence[g.vertex_index(e.head)] ^= 1 << j
     bicycles = set()
     cut = 0
-    for step in range(1 << n):
+    for step in range(1 << max(n - 1, 0)):
         if step:
             # Gray code: each step flips the vertex at its lowest set bit
             cut ^= incidence[(step & -step).bit_length() - 1]

@@ -7,9 +7,10 @@ The reduction works on S alone and logs its elementary operations; each
 witness is built from that log only when a caller reads it.  A
 homomorphism is computed in the Smith coordinates of its source and
 target, where each group is a product of cyclic groups Z/d: its
-well-definedness is read off that matrix directly, and its kernel and
-cokernel come from Smith forms of size k_s + k_t at most, k being the
-number of nontrivial cyclic factors, whatever the ambient ranks.
+well-definedness is read off that matrix directly.  Its cokernel, and
+its kernel as the cokernel of the dual hom (for a finite source), are
+one Smith form each, at most k_s + k_t wide, k being the number of
+nontrivial cyclic factors; for finite groups no entry exceeds a modulus.
 
 Everything runs on Python ints, so there is no overflow, ever.
 """
@@ -117,11 +118,6 @@ class IntMatrix:
             raise ValueError("row counts differ")
         rows = map(tuple.__add__, self.rows, other.rows)
         return IntMatrix._of(rows, shape=(self.n_rows, self.n_cols + other.n_cols))
-
-    def top_rows(self, k):
-        if not 0 <= k <= self.n_rows:
-            raise ValueError(f"cannot take {k} rows of {self.shape}")
-        return IntMatrix._of(self.rows[:k], shape=(k, self.n_cols))
 
     def scale(self, k):
         k = operator.index(k)
@@ -499,9 +495,10 @@ class GroupHom:
     the source generator U_s^-1 e_i, in target coordinates.  A target
     coordinate with d = 1 is zero in the group, so only the last k_t rows
     of W matter, each reduced mod its d (see `FpAbelianGroup.moduli`).
-    Kernel and cokernel read the k_t x k_s block M' of those rows on the
-    nontrivial source coordinates; the diagonal presentations of both
-    groups are already in Smith form, so they need no reduction.
+    The cokernel is Z^k_t / [D_t | M'] for the k_t x k_s block M' of
+    those rows on the nontrivial source coordinates, and the kernel is
+    the cokernel of the dual hom, Z^k_s / [D_s | N] (see `kernel`); the
+    diagonal presentations D of both groups are already in Smith form.
     """
 
     source: FpAbelianGroup
@@ -558,28 +555,27 @@ class GroupHom:
         return IntMatrix._of(rows, shape=(len(rows), k_s))
 
     def kernel(self) -> FpAbelianGroup:
-        """Kernel as an abstract group: P / D_s, for the preimage lattice
-        P = {x : M' x in D_t} of the target's diagonal relations D_t.
+        """Kernel as an abstract group: the cokernel of the dual hom.
 
-        M' x lies in D_t exactly when (x, y) is in the integer kernel of
-        [M' | D_t], so the x-parts of that kernel generate P.  With
-        U P V = S of rank r, the first r columns of P V = U^-1 S are a
-        basis of P, and U D_s, row i divided by d_i, gives the source
-        relations D_s in that basis; D_s lies in P because the hom is
-        well defined.
+        For finite groups ker f is isomorphic to coker f^, f^ being the
+        Pontryagin dual.  The character b of the product of the Z/t_j
+        pulls back along M' to the character of the product of the Z/s_i
+        with coordinates N b, N[i][j] = M'[j][i] s_i / t_j: an integer
+        because the hom is well defined, and below s_i.  So the kernel is
+        Z^k_s / [D_s | N], one Smith form whose entries are at most the
+        moduli.  On a finite source a free target row (t_j = 0) vanishes,
+        so it is dropped; a source with a free factor raises ValueError.
         """
         if not self.well_defined:
             raise ValueError("homomorphism is not well defined")
-        k_s = self._block.n_cols
-        stacked = self._block.hstack(_diagonal(self.target.moduli))
-        snf = smith_normal_form(integer_kernel(stacked).top_rows(k_s))
-        r = snf.rank
-        u_rel = (snf.left @ _diagonal(self.source.moduli)).rows
-        rel = IntMatrix._of(
-            [[x // d for x in row] for row, d in zip(u_rel, snf.diagonal[:r])],
-            shape=(r, k_s),
-        )
-        return FpAbelianGroup.quotient(r, rel)
+        moduli = self.source.moduli
+        if 0 in moduli:
+            raise ValueError("kernel needs a finite source")
+        k_s = len(moduli)
+        finite = [(row, t) for row, t in zip(self._block.rows, self.target.moduli) if t]
+        dual = [[row[i] * s // t for row, t in finite] for i, s in enumerate(moduli)]
+        gens = _diagonal(moduli).hstack(IntMatrix._of(dual, shape=(k_s, len(finite))))
+        return FpAbelianGroup.quotient(k_s, gens)
 
     def cokernel(self) -> FpAbelianGroup:
         """Target modulo (target relations + image), as [D_t | M']."""

@@ -569,35 +569,36 @@ class TestMirrorGrid:
             with pytest.raises(ValueError):
                 mirror_grid(rows, cols)
 
-    @pytest.mark.parametrize("r", [3, 5, 7, 9])
+    @pytest.mark.parametrize("r", [3, 5, 7, 9, 11])
     def test_square_grid(self, r):
         g = mirror_grid(r, r)
         rep = main_theorem_verdict(g)
         assert len(rep.verdicts) == 20
         assert all(v is True for v in rep.verdicts.values())
         two_torsion = (2,) * ((r - 1) // 2)
-        assert rep.ker_f.invariant_factors == two_torsion
-        assert rep.coker_f.invariant_factors == two_torsion
+        for group in (rep.ker_f, rep.coker_f, rep.ker_ft, rep.coker_ft):
+            assert group.invariant_factors == two_torsion
+            assert group.free_rank == 0
         assert rep.kappa_g == reduced_laplacian_det(g.graph)
 
 
 class TestWorkCounts:
     def test_each_quantity_computed_once(self, monkeypatch):
         # one analysis computes each kernel, cokernel and well-definedness
-        # check once; 15 SNFs cover every group, lattice and cross-check:
+        # check once; 11 SNFs cover every group, lattice and cross-check:
         # the Laplacian route reads the Laplacian's one Smith form, a hom
-        # in Smith coordinates makes 3 for its kernel (kernel of
-        # [M' | D_t], preimage lattice, quotient) and 1 for its cokernel,
-        # its well-definedness and the diagonal presentations need none,
-        # the cycle lattices come from spanning forests and bond
-        # membership needs none
+        # in Smith coordinates makes 1 for its cokernel ([D_t | M']) and
+        # 1 for its kernel (the cokernel of the dual hom, [D_s | N]), its
+        # well-definedness and the diagonal presentations need none, the
+        # cycle lattices come from spanning forests and bond membership
+        # needs none
         import mirrorcrit.critical as critical_module
         import mirrorcrit.lattice as lattice_module
         import mirrorcrit.modp as modp_module
 
         counts = Counter()
-        hom_sizes = []  # k_s + k_t of each kernel or cokernel running
-        hom_shapes = []  # (k_s + k_t, SNF shape) for the SNFs they run
+        homs = []  # the hom whose kernel or cokernel is running
+        hom_inputs = []  # (hom, SNF input) for the SNFs they run
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -614,18 +615,18 @@ class TestWorkCounts:
 
         def on_hom_path(name, fn):
             def wrapper(hom):
-                hom_sizes.append(len(hom.source.moduli) + len(hom.target.moduli))
+                homs.append(hom)
                 try:
                     return counting(name, fn)(hom)
                 finally:
-                    hom_sizes.pop()
+                    homs.pop()
 
             return wrapper
 
         def recording(fn):
             def wrapper(a):
-                if hom_sizes:
-                    hom_shapes.append((hom_sizes[-1], a.shape))
+                if homs:
+                    hom_inputs.append((homs[-1], a))
                 return fn(a)
 
             return wrapper
@@ -651,18 +652,26 @@ class TestWorkCounts:
         assert counts["kernel"] == 2
         assert counts["cokernel"] == 2
         assert counts["well_defined"] == 2
-        assert counts["snf"] == 15
-        # U of the two preimage lattices and V of the two kernels of
-        # [M' | D_t]; a hom's Smith coordinates replay the critical
-        # groups' logs on k_t rows, so neither their U nor U^-1 is built
+        assert counts["snf"] == 11
+        # no Smith form's witness is built: kernels and cokernels read
+        # only diagonals, and a hom's Smith coordinates replay the
+        # critical groups' logs on k_t rows, so neither U nor U^-1 is
         assert {kind: counts[kind] for kind in WITNESSES} == {
-            "left": 2, "right": 2, "left_inv": 0, "right_inv": 0,
+            "left": 0, "right": 0, "left_inv": 0, "right_inv": 0,
         }
         # every Smith form of a kernel or cokernel is at most k_s + k_t
-        # wide and tall, whatever the ambient ranks
-        assert len(hom_shapes) == 8
-        for size, shape in hom_shapes:
-            assert max(shape) <= size
+        # wide and tall, whatever the ambient ranks, and no input entry
+        # exceeds the hom's largest modulus, here and on the 5x5 grid,
+        # whose moduli (up to 6,600) leave room for unreduced entries
+        grid = build_maps(mirror_grid(5, 5).canonical_orientation().decompose())
+        for hom in (grid.f_star, grid.ft_star):
+            hom.kernel()
+            hom.cokernel()
+        assert len(hom_inputs) == 8
+        for hom, a in hom_inputs:
+            moduli = hom.source.moduli + hom.target.moduli
+            assert max(a.shape) <= len(moduli)
+            assert all(abs(x) <= max(moduli) for row in a.rows for x in row)
         # one GF(2) elimination per subspace construction (from_rows,
         # kernel, intersection); membership reduces against the pivots of
         # the reduced basis and the fixed ambients are built reduced, so
