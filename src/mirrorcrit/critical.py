@@ -26,7 +26,13 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .graphs import Multigraph
-from .lattice import FpAbelianGroup, IntMatrix, SmithDecomposition, smith_normal_form
+from .lattice import (
+    FpAbelianGroup,
+    IntMatrix,
+    SmithDecomposition,
+    direct_sum_smith,
+    smith_normal_form,
+)
 from .modp import ModpSubspace, kernel, row_space
 
 DEFAULT_ORACLE_LIMIT = 1 << 20
@@ -43,14 +49,26 @@ class AdjointPair:
     With the standard bases orthonormal, the adjoint of d *is* its
     transpose, so dt is derived from d rather than passed in.  Every
     derived lattice, group and GF(2) space is computed once, on first
-    use, and kept on the pair.
+    use, and kept on the pair.  The pair of a disjoint union keeps the
+    two pairs it is made of as `parts` (see `direct_sum`).
     """
 
     d: IntMatrix
+    parts: tuple = ()
 
     @classmethod
     def from_graph(cls, g: Multigraph) -> "AdjointPair":
         return cls(g.boundary_matrix())
+
+    @classmethod
+    def direct_sum(cls, first: "AdjointPair", second: "AdjointPair") -> "AdjointPair":
+        """The pair of a disjoint union: d is block diagonal, first's
+        edges and vertices before second's, and the critical group is
+        the direct sum of the parts' (see `critical_group`)."""
+        (m1, n1), (m2, n2) = first.d.shape, second.d.shape
+        rows = [row + (0,) * n2 for row in first.d.rows]
+        rows += [(0,) * n1 + row for row in second.d.rows]
+        return cls(IntMatrix(rows, shape=(m1 + m2, n1 + n2)), parts=(first, second))
 
     @property
     def c1_rank(self):
@@ -145,7 +163,23 @@ class AdjointPair:
 
     @cached_property
     def critical_group(self) -> FpAbelianGroup:
-        return FpAbelianGroup.quotient(self.c1_rank, self.relation_matrix)
+        """C1 / (Z + B).  For a direct sum it is read off the parts' Smith
+        decompositions: union-find picks the parts' own spanning forests,
+        so the relation matrix [Z1 Z2 | B1 B2] is the parts' block
+        diagonal with its columns moved, and no Smith form of its size
+        runs."""
+        if not self.parts:
+            return FpAbelianGroup.quotient(self.c1_rank, self.relation_matrix)
+        first, second = self.parts
+        z1, b1 = first.cycle_lattice.n_cols, first.c0_rank
+        z = z1 + second.cycle_lattice.n_cols
+        # column j of [R1 0; 0 R2] is column columns[j] of [Z1 Z2 | B1 B2]
+        columns = [*range(z1), *range(z, z + b1), *range(z1, z)]
+        columns += range(z + b1, self.relation_matrix.n_cols)
+        return FpAbelianGroup.from_smith(direct_sum_smith(
+            first.critical_group.witness, second.critical_group.witness,
+            self.relation_matrix, columns,
+        ))
 
     @cached_property
     def laplacian(self) -> IntMatrix:

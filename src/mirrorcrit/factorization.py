@@ -116,9 +116,10 @@ class SymmetryMaps:
 
     @cached_property
     def pair_union(self) -> AdjointPair:
-        # boundary of the disjoint union is block-diagonal, so this pair
-        # presents K(G+) + K(G-) as a single quotient of Z(E+ u E-)
-        return AdjointPair.from_graph(self.dec.union_graph())
+        # the pair of G+ u G- (plus edges first) presents K(G+) + K(G-)
+        # as one quotient of Z(E+ u E-), whose Smith decomposition is
+        # read off the plus and minus groups' own
+        return AdjointPair.direct_sum(self.pair_plus, self.pair_minus)
 
     @cached_property
     def f_star(self) -> GroupHom:

@@ -3,8 +3,11 @@
 Smith normal form with unimodular change-of-basis witnesses, lattices
 given by integer generator matrices, and finitely presented abelian
 groups (with kernels and cokernels of homomorphisms between them).
-The reduction works on S alone and logs its elementary operations; each
-witness is built from that log only when a caller reads it.  A
+The reduction works on S alone, each row operation over the pivot
+row's nonzero entries, and logs its elementary operations; each
+witness is built from that log only when a caller reads it.  The
+decomposition of a block-diagonal matrix is composed from its blocks'
+logs and one Smith form of their nontrivial diagonal entries.  A
 homomorphism is computed in the Smith coordinates of its source and
 target, where each group is a product of cyclic groups Z/d: its
 well-definedness is read off that matrix directly.  Its cokernel, and
@@ -89,16 +92,17 @@ class IntMatrix:
 
     def __matmul__(self, other):
         """Each row of the product is the combination of `other`'s rows
-        by that row's entries; zero entries are skipped."""
+        by that row's entries, over the nonzero entries of both."""
         if self.n_cols != other.n_rows:
             raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
-        zero = [0] * other.n_cols
+        sparse = [[(j, y) for j, y in enumerate(orow) if y] for orow in other.rows]
         rows = []
         for row in self.rows:
-            acc = zero
-            for a, orow in zip(row, other.rows):
+            acc = [0] * other.n_cols
+            for a, entries in zip(row, sparse):
                 if a:
-                    acc = [x + a * y for x, y in zip(acc, orow)]
+                    for j, y in entries:
+                        acc[j] += a * y
             rows.append(acc)
         return IntMatrix._of(rows, shape=(self.n_rows, other.n_cols))
 
@@ -323,12 +327,15 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
         while True:
             prow = s[t]
             pivot = prow[t]
+            # each row operation runs over the pivot row's nonzero entries
+            support = [(j, prow[j]) for j in range(t, n) if prow[j]]
             dirty = False
             for i in range(t + 1, m):
                 row = s[i]
                 q = -(row[t] // pivot)
                 if q:
-                    row = s[i] = [x + q * y for x, y in zip(row, prow)]
+                    for j, y in support:
+                        row[j] += q * y
                     row_ops.append((_ADD, i, t, q))
                 if row[t]:
                     dirty = True
@@ -361,7 +368,9 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
             if bad is None:
                 break
             # drag a non-divisible entry into row t, forcing a smaller pivot
-            s[t] = [x + y for x, y in zip(prow, s[bad])]
+            for j, y in enumerate(s[bad]):
+                if y:
+                    prow[j] += y
             row_ops.append((_ADD, t, bad, 1))
         t += 1
 
@@ -370,6 +379,54 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
         smith=IntMatrix._of(s, shape=(m, n)),
         row_ops=tuple(row_ops),
         col_ops=tuple(col_ops),
+    )
+
+
+def _relabel(ops, index):
+    """A log's operations with each row or column i renamed index[i]."""
+    return [(op[0], *(index[i] for i in op[1:3]), *op[3:]) for op in ops]
+
+
+def direct_sum_smith(first, second, matrix: IntMatrix, columns) -> SmithDecomposition:
+    """Smith decomposition of `matrix`, the block-diagonal matrix
+    [A 0; 0 B] of the decompositions `first` (of A) and `second` (of B)
+    with its columns moved: column j of [A 0; 0 B] is column columns[j]
+    of `matrix`.
+
+    The two logs act on disjoint rows and columns, so together they
+    make the nonzero diagonal entries of both parts, with nothing else
+    in their rows and columns.  Swaps bring these to (t, t), units
+    first; one Smith form of the k x k diagonal of the nontrivial ones
+    then makes the divisibility chain, so no Smith form runs on a matrix
+    larger than k x k.
+    """
+    m1, n1 = first.matrix.shape
+    m, n = matrix.shape
+    row_ops = [*first.row_ops, *_relabel(second.row_ops, range(m1, m))]
+    col_ops = _relabel(first.col_ops, columns[:n1]) + _relabel(second.col_ops, columns[n1:])
+    entries = [(d, i, columns[i]) for i, d in enumerate(first.diagonal) if d]
+    entries += [(d, m1 + i, columns[n1 + i]) for i, d in enumerate(second.diagonal) if d]
+    entries.sort(key=lambda entry: entry[0] > 1)
+    places = ([list(range(m)), row_ops], [list(range(n)), col_ops])
+    for t, (_, *ends) in enumerate(entries):
+        for end, (at, ops) in zip(ends, places):
+            # at[p] is the original index now at p
+            p = at.index(end, t)
+            if p != t:
+                at[t], at[p] = at[p], at[t]
+                ops.append((_SWAP, t, p))
+    units = sum(1 for d, _, _ in entries if d == 1)
+    inner = smith_normal_form(_diagonal([d for d, _, _ in entries[units:]]))
+    block = range(units, len(entries))
+    diagonal = (1,) * units + inner.diagonal
+    smith = [[0] * n for _ in range(m)]
+    for t, d in enumerate(diagonal):
+        smith[t][t] = d
+    return SmithDecomposition(
+        matrix=matrix,
+        smith=IntMatrix._of(smith, shape=(m, n)),
+        row_ops=tuple(row_ops) + tuple(_relabel(inner.row_ops, block)),
+        col_ops=tuple(col_ops) + tuple(_relabel(inner.col_ops, block)),
     )
 
 
@@ -406,15 +463,19 @@ class FpAbelianGroup:
             raise ValueError(
                 f"generator matrix has {generators.n_rows} rows, expected {ambient_rank}"
             )
-        witness = smith_normal_form(generators)
-        factors = witness.nontrivial_factors
-        free_rank = ambient_rank - witness.rank
+        return cls.from_smith(smith_normal_form(generators))
+
+    @classmethod
+    def from_smith(cls, witness: SmithDecomposition) -> "FpAbelianGroup":
+        """The quotient by the columns of `witness.matrix`, read off that
+        matrix's Smith decomposition."""
+        ambient_rank = witness.matrix.n_rows
         return cls(
             ambient_rank=ambient_rank,
-            relations=generators,
+            relations=witness.matrix,
             witness=witness,
-            invariant_factors=factors,
-            free_rank=free_rank,
+            invariant_factors=witness.nontrivial_factors,
+            free_rank=ambient_rank - witness.rank,
         )
 
     def order(self):

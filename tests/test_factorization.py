@@ -586,12 +586,15 @@ class TestWorkCounts:
     def test_each_quantity_computed_once(self, monkeypatch):
         # one analysis computes each kernel, cokernel and well-definedness
         # check once; 11 SNFs cover every group, lattice and cross-check:
-        # the Laplacian route reads the Laplacian's one Smith form, a hom
-        # in Smith coordinates makes 1 for its cokernel ([D_t | M']) and
-        # 1 for its kernel (the cokernel of the dual hom, [D_s | N]), its
-        # well-definedness and the diagonal presentations need none, the
-        # cycle lattices come from spanning forests and bond membership
-        # needs none
+        # 1 per critical group of G, G+ and G-, and 1 of the k x k
+        # diagonal of their nontrivial factors for K(G+ u G-), whose
+        # decomposition is read off the plus and minus groups'; the
+        # Laplacian route reads each Laplacian's one Smith form (3); a
+        # hom in Smith coordinates makes 1 for its cokernel ([D_t | M'])
+        # and 1 for its kernel (the cokernel of the dual hom, [D_s | N]),
+        # its well-definedness and the diagonal presentations need none,
+        # the cycle lattices come from spanning forests and bond
+        # membership needs none
         import mirrorcrit.critical as critical_module
         import mirrorcrit.lattice as lattice_module
         import mirrorcrit.modp as modp_module
@@ -599,6 +602,7 @@ class TestWorkCounts:
         counts = Counter()
         homs = []  # the hom whose kernel or cokernel is running
         hom_inputs = []  # (hom, SNF input) for the SNFs they run
+        snf_inputs = []
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -625,6 +629,7 @@ class TestWorkCounts:
 
         def recording(fn):
             def wrapper(a):
+                snf_inputs.append(a)
                 if homs:
                     hom_inputs.append((homs[-1], a))
                 return fn(a)
@@ -653,6 +658,13 @@ class TestWorkCounts:
         assert counts["cokernel"] == 2
         assert counts["well_defined"] == 2
         assert counts["snf"] == 11
+        # no Smith form runs on the union's relation matrix (44 x 46 on
+        # the benchmark's `large` graphs); the largest is K(G)'s
+        maps = rep.maps
+        assert maps.pair_union.relation_matrix not in snf_inputs
+        sizes = [a.n_rows * a.n_cols for a in snf_inputs]
+        assert snf_inputs[sizes.index(max(sizes))] == maps.pair_g.relation_matrix
+        assert sizes.count(max(sizes)) == 1
         # no Smith form's witness is built: kernels and cokernels read
         # only diagonals, and a hom's Smith coordinates replay the
         # critical groups' logs on k_t rows, so neither U nor U^-1 is
@@ -681,7 +693,6 @@ class TestWorkCounts:
         # and f @ dt_union, so no dense matrix-vector product runs
         assert counts["mul_vector"] == 0
         # the diagonal-only Smith forms build none
-        maps = rep.maps
         diagonal_only = [
             pair.laplacian_snf for pair in (maps.pair_g, maps.pair_plus, maps.pair_minus)
         ] + [grp.witness for grp in (rep.coker_f, rep.coker_ft, rep.ker_f, rep.ker_ft)]

@@ -3,8 +3,9 @@
 The digests in golden_reports.json are SHA-256 hashes of the structured
 `analyze` documents (without `generated_at` and `input_path`) of the
 shipped sample graphs, of the first 50 graphs of the seeded mixed
-corpus, and of three larger inputs (40 to 84 edges, fixed GF(2) spaces
-of 8 to 20 dimensions): two mirror grids and one random graph.  A change that alters any report on purpose regenerates them:
+corpus, and of four larger inputs (40 to 220 edges): the 5x5, 7x7 and
+11x11 mirror grids and one random graph.  A change that alters any
+report on purpose regenerates them:
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden_reports.json
 """
@@ -30,6 +31,7 @@ CORPUS_SIZE = 50
 LARGER = {
     "mirror_grid-5x5": lambda: mirror_grid(5, 5),
     "mirror_grid-7x7": lambda: mirror_grid(7, 7),
+    "mirror_grid-11x11": lambda: mirror_grid(11, 11),
     "random-w3": lambda: random_symmetric_graph(
         seed=1, n_left=20, n_fixed=4, n_left_edges=40, n_fixed_edges=2
     ),

@@ -29,6 +29,7 @@ from mirrorcrit.lattice import (
     FpAbelianGroup,
     GroupHom,
     IntMatrix,
+    direct_sum_smith,
     integer_kernel,
     smith_normal_form,
 )
@@ -96,12 +97,15 @@ class TestIntMatrix:
         assert a.mul_vector([1, 1]) == [3, 7]
 
     def test_products_match_the_textbook_sum(self):
-        # every density from empty to full, empty shapes, entries past
-        # 2^64: the products skip zero entries but must stay exact ints
+        # every density from empty to full, empty shapes (0 x n, n x 0,
+        # and n x 0 @ 0 x m among them), entries past 2^64: the products
+        # combine only nonzero entries but must stay exact ints
         rng = random.Random(31)
         big = 2**64
+        shapes = [(0, 3, 4), (3, 0, 4), (4, 3, 0), (0, 0, 0), (2, 0, 0), (0, 0, 2)]
+        bigs = 0
         for k in range(120):
-            n, m, p = (rng.randint(0, 6) for _ in range(3))
+            n, m, p = shapes[k] if k < len(shapes) else (rng.randint(0, 6) for _ in range(3))
             density = k % 11 / 10
             bound = rng.choice((1, 5, 3 * big))
 
@@ -121,6 +125,8 @@ class TestIntMatrix:
             assert image == [sum(a.rows[i][t] * vec[t] for t in range(m)) for i in range(n)]
             assert all(type(x) is int for row in product.rows for x in row)
             assert all(type(x) is int for x in image)
+            bigs += any(abs(x) >= big for row in product.rows for x in row)
+        assert bigs >= 10
 
 
 class TestSmithNormalForm:
@@ -179,6 +185,103 @@ class TestSmithNormalForm:
         assert got.keys() == expected.keys()
         changed = sorted(k for k in expected if got[k] != expected[k])
         assert not changed, f"witnesses changed: {changed[:5]}"
+
+
+def _random_block(rng, k):
+    """A random matrix of one of four kinds: sparse to full with entries
+    up to 2^70, of low rank (zero diagonal entries), with an all-unit
+    diagonal, or with chosen factors (zeros, units, big ones); a block
+    with 0 rows or 0 columns every few draws."""
+    n_rows = 0 if k % 9 == 0 else rng.randint(1, 6)
+    n_cols = 0 if k % 9 == 4 else rng.randint(1, 6)
+    kind = k % 4
+    if kind == 0:
+        density = rng.choice((0.2, 0.5, 1.0))
+        bound = rng.choice((1, 9, 2**70))
+        rows = [
+            [rng.randint(-bound, bound) if rng.random() < density else 0 for _ in range(n_cols)]
+            for _ in range(n_rows)
+        ]
+        return IntMatrix(rows, shape=(n_rows, n_cols))
+    r = min(n_rows, n_cols)
+    if kind == 1:
+        diag = [rng.randint(1, 9) for _ in range(rng.randint(0, max(r - 1, 0)))]
+    elif kind == 2:
+        diag = [1] * r
+    else:
+        diag = [rng.choice((0, 1, 2, 3, 4, 6, 2**70 + 1)) for _ in range(r)]
+    middle = [[diag[i] if i == j and i < len(diag) else 0 for j in range(n_cols)]
+              for i in range(n_rows)]
+
+    def unit_triangular(n):
+        return IntMatrix(
+            [[1 if i == j else rng.randint(-3, 3) if i > j else 0 for j in range(n)]
+             for i in range(n)],
+            shape=(n, n),
+        )
+
+    left, right = unit_triangular(n_rows), unit_triangular(n_cols).transpose()
+    return left @ IntMatrix(middle, shape=(n_rows, n_cols)) @ right
+
+
+class TestDirectSumSmith:
+    """`direct_sum_smith` composes the two parts' Smith logs into a
+    decomposition of the block-diagonal matrix with its columns moved;
+    it must be a true Smith decomposition, equal to the one-pass Smith
+    form and to sympy's."""
+
+    def test_random_pairs(self):
+        rng = random.Random(15)
+        kinds = Counter()
+        for k in range(240):
+            a, b = _random_block(rng, k), _random_block(rng, rng.randrange(36))
+            (m1, n1), (m2, n2) = a.shape, b.shape
+            columns = list(range(n1 + n2))
+            rng.shuffle(columns)
+            rows = [[0] * (n1 + n2) for _ in range(m1 + m2)]
+            for block, (r0, c0) in ((a, (0, 0)), (b, (m1, n1))):
+                for i, row in enumerate(block.rows):
+                    for j, x in enumerate(row):
+                        rows[r0 + i][columns[c0 + j]] = x
+            matrix = IntMatrix(rows, shape=(m1 + m2, n1 + n2))
+            parts = smith_normal_form(a), smith_normal_form(b)
+            dec = direct_sum_smith(*parts, matrix, columns)
+            assert dec.matrix is matrix
+            assert dec.verify(), (a.rows, b.rows, columns)
+            assert dec.smith == smith_normal_form(matrix).smith
+            assert list(dec.diagonal) == sympy_diagonal(matrix)
+            diagonal = set(dec.diagonal)
+            kinds["free"] += 0 in diagonal and dec.rank > 0
+            kinds["units only"] += diagonal == {1}
+            kinds["big"] += any(d.bit_length() > 64 for d in diagonal)
+            kinds["empty block"] += 0 in a.shape + b.shape
+            kinds["merged factors"] += len(dec.nontrivial_factors) < sum(
+                len(part.nontrivial_factors) for part in parts
+            )
+        assert min(kinds.values()) >= 10 and len(kinds) == 5, kinds
+
+    def test_union_groups(self, mixed_corpus):
+        # the union's group is read off the parts; a one-pass Smith form
+        # of its relation matrix gives the same factors, and homs built
+        # on that reference group the same kernels and cokernels
+        graphs = [g.canonical_orientation() for g in mixed_corpus]
+        graphs += [mirror_grid(r, r).canonical_orientation() for r in (5, 7)]
+        for g in graphs:
+            maps = build_maps(g.decompose())
+            pair = maps.pair_union
+            group = pair.critical_group
+            assert group.witness.matrix is pair.relation_matrix
+            assert group.witness.verify()
+            reference = FpAbelianGroup.quotient(pair.c1_rank, pair.relation_matrix)
+            assert group.invariant_factors == reference.invariant_factors
+            assert group.free_rank == reference.free_rank == 0
+            target = maps.pair_g.critical_group
+            f_star = GroupHom(reference, target, maps.f_matrix)
+            ft_star = GroupHom(target, reference, maps.ft_matrix)
+            assert f_star.kernel().same_type(maps.ker_f)
+            assert f_star.cokernel().same_type(maps.coker_f)
+            assert ft_star.kernel().same_type(maps.ker_ft)
+            assert ft_star.cokernel().same_type(maps.coker_ft)
 
 
 class TestFpAbelianGroup:
