@@ -227,7 +227,7 @@ def cmd_oracle(args) -> int:
     limit = args.max_enum
     ok = True
     try:
-        pair = AdjointPair.from_graph(plain)
+        pair = AdjointPair(plain)
         order = pair.critical_group.order()
         forests = count_maximal_forests_bruteforce(plain, limit)
         agree = order == forests
@@ -251,7 +251,7 @@ def cmd_oracle(args) -> int:
                 f"{len(fixed_brute)} phi-fixed enumerated bicycles  "
                 f"{'ok' if agree else 'MISMATCH'}"
             )
-            union = maps.dec.union_graph()
+            union = maps.pair_union.graph
             brute_pm = bicycle_masks_bruteforce(union, limit)
             fixed_pm = _fixed_masks(brute_pm, maps.psi)
             agree = report.ker_f.order() == len(fixed_pm)

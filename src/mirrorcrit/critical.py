@@ -1,16 +1,17 @@
-"""Critical groups of graphs and of adjoint pairs of integer matrices.
+"""Critical groups of multigraphs, through the adjoint pair of a boundary map.
 
 The critical group of an adjoint pair (d, d^t) is C1 / (Z + B) where
-Z = ker(d) and B = im(d^t).  For the pair of a graph boundary map this
-is the usual critical group (sandpile/Jacobian group), whose order is
+Z = ker(d) and B = im(d^t).  For a graph's boundary map d this is the
+usual critical group (sandpile/Jacobian group), whose order is
 the number of maximal spanning forests.  The torsion of coker(d d^t),
 the Laplacian's cokernel, is a second, independent presentation of the
 same group.  The pair also holds its cycle, bond and bicycle spaces
 over GF(2); the bicycle space's dimension is the number of even
-invariant factors.  An AdjointPair's d must be a signed incidence
-matrix (each column zero, or one +1 and one -1), as every graph's
-boundary map is: the cycle lattice is read off a spanning forest of
-its columns.
+invariant factors.  An AdjointPair holds its multigraph: d is built
+from it, and its cycle lattice is read off one spanning forest of it,
+with each edge's ends taken from the graph.  The pair of a disjoint
+union keeps its two parts, and its critical group is composed from
+theirs.
 
 This module also houses the brute-force oracles (forest enumeration over
 edge subsets of the forest size, bicycle enumeration over the cuts of
@@ -44,59 +45,56 @@ class OracleLimitError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class AdjointPair:
-    """Mutually transpose maps d: C1 -> C0 and dt: C0 -> C1.
+    """The boundary map d: C1 -> C0 of a multigraph and its transpose dt.
 
     With the standard bases orthonormal, the adjoint of d *is* its
-    transpose, so dt is derived from d rather than passed in.  Every
-    derived lattice, group and GF(2) space is computed once, on first
-    use, and kept on the pair.  The pair of a disjoint union keeps the
-    two pairs it is made of as `parts` (see `direct_sum`).
+    transpose, so dt is derived from d.  Every derived lattice, group
+    and GF(2) space is computed once, on first use, and kept on the
+    pair.  The pair of a disjoint union keeps the pairs of its two
+    parts, in the union's vertex and edge order, as `parts`; its
+    critical group is then read off theirs (see `critical_group`).
     """
 
-    d: IntMatrix
+    graph: Multigraph
     parts: tuple = ()
-
-    @classmethod
-    def from_graph(cls, g: Multigraph) -> "AdjointPair":
-        return cls(g.boundary_matrix())
-
-    @classmethod
-    def direct_sum(cls, first: "AdjointPair", second: "AdjointPair") -> "AdjointPair":
-        """The pair of a disjoint union: d is block diagonal, first's
-        edges and vertices before second's, and the critical group is
-        the direct sum of the parts' (see `critical_group`)."""
-        (m1, n1), (m2, n2) = first.d.shape, second.d.shape
-        rows = [row + (0,) * n2 for row in first.d.rows]
-        rows += [(0,) * n1 + row for row in second.d.rows]
-        return cls(IntMatrix(rows, shape=(m1 + m2, n1 + n2)), parts=(first, second))
 
     @property
     def c1_rank(self):
-        return self.d.n_cols
+        return self.graph.n_edges
 
     @property
     def c0_rank(self):
-        return self.d.n_rows
+        return self.graph.n_vertices
+
+    @cached_property
+    def d(self) -> IntMatrix:
+        """|V| x |E| signed incidence: +1 at the head, -1 at the tail.
+
+        A loop contributes a zero column.
+        """
+        g = self.graph
+        rows = [[0] * g.n_edges for _ in range(g.n_vertices)]
+        for j, e in enumerate(g.edges):
+            if not e.is_loop:
+                rows[g.vertex_index(e.head)][j] += 1
+                rows[g.vertex_index(e.tail)][j] -= 1
+        return IntMatrix(rows, shape=(g.n_vertices, g.n_edges))
 
     @cached_property
     def dt(self) -> IntMatrix:
         return self.d.transpose()
 
     @cached_property
-    def cycle_lattice(self) -> IntMatrix:
-        """Columns are a basis of Z = ker(d): the fundamental cycles of the
-        spanning forest that union-find picks from d's columns in order.
+    def spanning_forest(self) -> tuple:
+        """(paths, cotree) of the spanning forest that union-find picks
+        from the edges in order.
 
-        A non-tree column j gives e_j plus the signed tree path between
-        its ends, and a loop gives e_j.  These E - rank(d) columns lie in
-        ker(d) and are the identity on the non-tree coordinates, and a
-        forest carries no cycle, so z - (sum of z_j times column j over
-        the non-tree j) vanishes for every z in ker(d): they span ker(d)
-        itself, not a sublattice (Bacher, de la Harpe and Nagnibeda,
-        Bull. SMF 1997).  Raises ValueError on a column that is not a
-        signed incidence column.
+        paths[v] is the signed tree path from the first vertex of v's
+        component to v, as {edge index: +-1}, so d of it is e_v - e_root;
+        cotree lists the indices of the other edges, loops included.
         """
-        n = self.c0_rank
+        g = self.graph
+        n = g.n_vertices
         parent = list(range(n))
 
         def find(x):
@@ -106,25 +104,17 @@ class AdjointPair:
             return x
 
         tree = [[] for _ in range(n)]  # (neighbour, edge, +1 along the edge)
-        cotree = []  # (edge, head, tail); a loop has no ends
-        for j, col in enumerate(self.dt.rows):
-            ends = sorted((x, v) for v, x in enumerate(col) if x)
-            if not ends:
-                cotree.append((j, None, None))
-                continue
-            if [x for x, _ in ends] != [-1, 1]:
-                raise ValueError(f"column {j} of d is not a signed incidence column")
-            (_, tail), (_, head) = ends
+        cotree = []
+        for j, e in enumerate(g.edges):
+            tail, head = g.vertex_index(e.tail), g.vertex_index(e.head)
             a, b = find(tail), find(head)
             if a == b:
-                cotree.append((j, head, tail))
+                cotree.append(j)
             else:
                 parent[a] = b
                 tree[tail].append((head, j, 1))
                 tree[head].append((tail, j, -1))
 
-        # paths[v]: the signed tree path from v's root to v, as
-        # {edge: +-1}, so d of it is e_v - e_root
         paths = [None] * n
         for root in range(n):
             if paths[root] is not None:
@@ -137,48 +127,53 @@ class AdjointPair:
                     if paths[w] is None:
                         paths[w] = {**paths[u], j: sign}
                         stack.append(w)
+        return paths, tuple(cotree)
 
+    @cached_property
+    def cycle_lattice(self) -> IntMatrix:
+        """Columns are a basis of Z = ker(d): the fundamental cycles of
+        `spanning_forest`.
+
+        A non-tree edge j gives e_j plus the signed tree path between its
+        ends (for a loop the two root paths cancel, leaving e_j).  These
+        E - rank(d) columns lie in ker(d) and are the identity on the
+        non-tree coordinates, and a forest carries no cycle, so z - (sum
+        of z_j times column j over the non-tree j) vanishes for every z
+        in ker(d): they span ker(d) itself, not a sublattice (Bacher, de
+        la Harpe and Nagnibeda, Bull. SMF 1997).
+        """
+        g = self.graph
+        paths, cotree = self.spanning_forest
         columns = []
-        for j, head, tail in cotree:
+        for j in cotree:
+            e = g.edges[j]
             col = [0] * self.c1_rank
             col[j] = 1
-            if head is not None:
-                # d of the tree path from head to tail is e_tail - e_head,
-                # which cancels d e_j = e_head - e_tail
-                for k, sign in paths[tail].items():
-                    col[k] += sign
-                for k, sign in paths[head].items():
-                    col[k] -= sign
+            # d of the tree path from head to tail is e_tail - e_head,
+            # which cancels d e_j = e_head - e_tail
+            for k, sign in paths[g.vertex_index(e.tail)].items():
+                col[k] += sign
+            for k, sign in paths[g.vertex_index(e.head)].items():
+                col[k] -= sign
             columns.append(col)
         return IntMatrix.from_columns(columns, self.c1_rank)
 
     @cached_property
-    def bond_lattice(self) -> IntMatrix:
-        """Columns generate B = im(dt): the cut vectors of the vertices."""
-        return self.dt
-
-    @cached_property
     def relation_matrix(self) -> IntMatrix:
-        return self.cycle_lattice.hstack(self.bond_lattice)
+        """[Z | B]: the cycle basis, then the vertex cuts (dt's columns)."""
+        return self.cycle_lattice.hstack(self.dt)
 
     @cached_property
     def critical_group(self) -> FpAbelianGroup:
-        """C1 / (Z + B).  For a direct sum it is read off the parts' Smith
-        decompositions: union-find picks the parts' own spanning forests,
-        so the relation matrix [Z1 Z2 | B1 B2] is the parts' block
-        diagonal with its columns moved, and no Smith form of its size
+        """C1 / (Z + B).  For a disjoint union it is read off the parts'
+        Smith decompositions: the parts' relation matrices, as a block
+        diagonal, present the same group, and no Smith form of its size
         runs."""
         if not self.parts:
             return FpAbelianGroup.quotient(self.c1_rank, self.relation_matrix)
         first, second = self.parts
-        z1, b1 = first.cycle_lattice.n_cols, first.c0_rank
-        z = z1 + second.cycle_lattice.n_cols
-        # column j of [R1 0; 0 R2] is column columns[j] of [Z1 Z2 | B1 B2]
-        columns = [*range(z1), *range(z, z + b1), *range(z1, z)]
-        columns += range(z + b1, self.relation_matrix.n_cols)
         return FpAbelianGroup.from_smith(direct_sum_smith(
             first.critical_group.witness, second.critical_group.witness,
-            self.relation_matrix, columns,
         ))
 
     @cached_property

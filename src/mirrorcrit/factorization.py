@@ -52,12 +52,13 @@ class SymmetryMaps:
     """The analysis of one decomposition: f, f^t, psi, phi and everything
     derived from them.
 
-    Column/row order over E+ u E- is: plus edges in plus-graph order,
-    then minus edges in minus-graph order.  psi (on E+ u E-) and phi (on
-    the edges of G) are index tuples, i -> psi[i].  Every shared quantity
-    (pairs, groups, induced homs and their kernels and cokernels, fixed
-    GF(2) spaces, f mod 2) is computed once, on first use, and held here,
-    so it lives exactly as long as this graph's analysis.  GF(2) vectors
+    Column/row order over E+ u E- is the edge order of the union graph
+    `pair_union.graph`: plus edges in plus-graph order, then minus edges
+    in minus-graph order.  psi (on E+ u E-) and phi (on the edges of G)
+    are index tuples, i -> psi[i].  Every shared quantity (pairs,
+    groups, induced homs and their kernels and cokernels, fixed GF(2)
+    spaces, f mod 2) is computed once, on first use, and held here, so
+    it lives exactly as long as this graph's analysis.  GF(2) vectors
     are bit sets, bit j = coordinate j.
     """
 
@@ -65,6 +66,9 @@ class SymmetryMaps:
     f_matrix: IntMatrix
     psi: tuple
     phi: tuple
+    # the pair of G+ u G-, which presents K(G+) + K(G-) as one quotient
+    # of Z(E+ u E-); its parts are the plus and minus pairs
+    pair_union: AdjointPair
 
     @property
     def graph(self):
@@ -104,22 +108,15 @@ class SymmetryMaps:
 
     @cached_property
     def pair_g(self) -> AdjointPair:
-        return AdjointPair.from_graph(self.graph.graph)
+        return AdjointPair(self.graph.graph)
 
-    @cached_property
+    @property
     def pair_plus(self) -> AdjointPair:
-        return AdjointPair.from_graph(self.dec.plus)
+        return self.pair_union.parts[0]
 
-    @cached_property
+    @property
     def pair_minus(self) -> AdjointPair:
-        return AdjointPair.from_graph(self.dec.minus)
-
-    @cached_property
-    def pair_union(self) -> AdjointPair:
-        # the pair of G+ u G- (plus edges first) presents K(G+) + K(G-)
-        # as one quotient of Z(E+ u E-), whose Smith decomposition is
-        # read off the plus and minus groups' own
-        return AdjointPair.direct_sum(self.pair_plus, self.pair_minus)
+        return self.pair_union.parts[1]
 
     @cached_property
     def f_star(self) -> GroupHom:
@@ -205,6 +202,7 @@ def build_maps(dec: Decomposition) -> SymmetryMaps:
     phi-equivariant.  psi swaps the two halves of every subdivided edge
     and swaps each Left-origin plus edge with its mirror minus edge; it
     is not induced by any graph automorphism, so it exists only mod 2.
+    The union graph's edge indices are the block layout of f and psi.
     """
     g = dec.source
     graph = g.graph
@@ -212,6 +210,7 @@ def build_maps(dec: Decomposition) -> SymmetryMaps:
     n_edges = graph.n_edges
     plus_edges = dec.plus.edges
     minus_edges = dec.minus.edges
+    union = dec.union_graph()
 
     columns = []
     for e in plus_edges:
@@ -232,17 +231,16 @@ def build_maps(dec: Decomposition) -> SymmetryMaps:
         columns.append(col)
     f_matrix = IntMatrix.from_columns(columns, n_edges)
 
-    plus_pos = {e.id: i for i, e in enumerate(plus_edges)}
-    minus_pos = {e.id: len(plus_edges) + i for i, e in enumerate(minus_edges)}
+    block = union.edge_index
     psi = []
     for e in plus_edges:
         origin = dec.plus_edge_origin[e.id]
         if origin[0] == "left":
-            psi.append(minus_pos[ephi[origin[1]]])
+            psi.append(block(ephi[origin[1]]))
         else:
-            psi.append(plus_pos[dec.half_pairing[e.id]])
+            psi.append(block(dec.half_pairing[e.id]))
     for e in minus_edges:
-        psi.append(plus_pos[ephi[dec.minus_edge_origin[e.id]]])
+        psi.append(block(ephi[dec.minus_edge_origin[e.id]]))
     phi = tuple(graph.edge_index(ephi[e.id]) for e in graph.edges)
 
     if not is_involution(psi) or not is_involution(phi):
@@ -252,6 +250,9 @@ def build_maps(dec: Decomposition) -> SymmetryMaps:
         f_matrix=f_matrix,
         psi=tuple(psi),
         phi=phi,
+        pair_union=AdjointPair(
+            union, parts=(AdjointPair(dec.plus), AdjointPair(dec.minus))
+        ),
     )
 
 
@@ -300,30 +301,23 @@ def verify_lattice_preservation(maps: SymmetryMaps) -> LatticePreservationReport
     vertices symmetrize, the cut at the contracted vertex becomes
     b(V_L) - b(V_R), and cuts at right vertices antisymmetrize.  They
     are read off matrices already in hand: column k of f @ dt_union
-    (the bond image above) is f of the cut of union vertex k, plus
-    vertices first and then minus vertices, and row v of d is the
-    signed cut of v in G (zero at a loop).
+    (the bond image above) is f of the cut of union vertex k, and row v
+    of d is the signed cut of v in G (zero at a loop).
     """
     g = maps.graph
     dec = maps.dec
     f = maps.f_matrix
+    union = maps.pair_union
 
-    z_image = maps.pair_g.d @ (f @ maps.pair_union.cycle_lattice)
+    z_image = maps.pair_g.d @ (f @ union.cycle_lattice)
     cycles_ok = z_image.is_zero()
 
-    bond_image = f @ maps.pair_union.bond_lattice
+    bond_image = f @ union.dt
     bonds_ok = (maps.pair_g.cycle_lattice.transpose() @ bond_image).is_zero()
 
-    image = bond_image.transpose().rows
+    f_cut = dict(zip(union.graph.vertices, bond_image.transpose().rows))
     cut = dict(zip(g.graph.vertices, maps.pair_g.d.rows))
-    n_plus_vertices = dec.plus.n_vertices
     vphi = g.vertex_involution
-
-    def f_of_plus_cut(v):
-        return image[dec.plus.vertex_index(v)]
-
-    def f_of_minus_cut(v):
-        return image[n_plus_vertices + dec.minus.vertex_index(v)]
 
     def cut_sum(added, subtracted=()):
         """The sum of the cuts of `added` minus those of `subtracted`."""
@@ -333,15 +327,13 @@ def verify_lattice_preservation(maps: SymmetryMaps) -> LatticePreservationReport
                 acc = [a + sign * x for a, x in zip(acc, cut[v])]
         return tuple(acc)
 
-    sub_ok = all(not any(f_of_plus_cut(s)) for s in dec.subdivision_vertex.values())
-    fixed_ok = all(f_of_plus_cut(v) == cut[v] for v in g.fixed_vertices)
-    left_ok = all(f_of_plus_cut(v) == cut_sum((v, vphi[v])) for v in g.left_vertices)
-    contracted_ok = f_of_minus_cut(dec.contracted_vertex) == cut_sum(
+    sub_ok = all(not any(f_cut[s]) for s in dec.subdivision_vertex.values())
+    fixed_ok = all(f_cut[v] == cut[v] for v in g.fixed_vertices)
+    left_ok = all(f_cut[v] == cut_sum((v, vphi[v])) for v in g.left_vertices)
+    contracted_ok = f_cut[dec.contracted_vertex] == cut_sum(
         g.left_vertices, g.right_vertices
     )
-    right_ok = all(
-        f_of_minus_cut(v) == cut_sum((v,), (vphi[v],)) for v in g.right_vertices
-    )
+    right_ok = all(f_cut[v] == cut_sum((v,), (vphi[v],)) for v in g.right_vertices)
 
     return LatticePreservationReport(
         cycles_into_cycles=cycles_ok,
@@ -384,12 +376,10 @@ def two_torsion_check(maps: SymmetryMaps) -> TorsionReport:
     """
     g = maps.graph
     graph = g.graph
-    dec = maps.dec
     ephi = g.edge_involution
     f_rows = maps.f_matrix.rows
     ft_rows = maps.ft_matrix.rows
-    plus_pos = {e.id: i for i, e in enumerate(dec.plus.edges)}
-    minus_pos = {e.id: maps.n_plus + i for i, e in enumerate(dec.minus.edges)}
+    block = maps.pair_union.graph.edge_index
 
     def f_row(eid):
         return f_rows[graph.edge_index(eid)]
@@ -397,15 +387,15 @@ def two_torsion_check(maps: SymmetryMaps) -> TorsionReport:
     witnesses = True
     for e in g.left_edges:
         mirror = ephi[e.id]
-        doubled = map(sub, ft_rows[plus_pos[e.id]], ft_rows[minus_pos[mirror]])
+        doubled = map(sub, ft_rows[block(e.id)], ft_rows[block(mirror)])
         witnesses &= _equals_sparse(doubled, {graph.edge_index(e.id): 2})
         folded = map(add, f_row(e.id), f_row(mirror))
-        witnesses &= _equals_sparse(folded, {plus_pos[e.id]: 2})
+        witnesses &= _equals_sparse(folded, {block(e.id): 2})
     for e in g.right_edges:
         folded = map(sub, f_row(e.id), f_row(ephi[e.id]))
-        witnesses &= _equals_sparse(folded, {minus_pos[e.id]: 2})
+        witnesses &= _equals_sparse(folded, {block(e.id): 2})
     for e in g.fixed_edges:
-        halves = {plus_pos[(e.id, 1)]: 1, plus_pos[(e.id, 2)]: 1}
+        halves = {block((e.id, 1)): 1, block((e.id, 2)): 1}
         witnesses &= _equals_sparse(f_row(e.id), halves)
 
     groups = (maps.ker_f, maps.coker_f, maps.ker_ft, maps.coker_ft)
@@ -653,11 +643,12 @@ def component_linking_cycles(maps: SymmetryMaps) -> LinkingCycleBasis:
     """Cycles p + phi(p) linking consecutive axis components.
 
     Choose one representative vertex per component of the fixed
-    subgraph; connect consecutive representatives by breadth-first
-    paths in the plus graph; symmetrizing each path yields a phi-fixed
-    cycle of G.  These cycles complete the image of the psi-fixed
-    cycles under g to all of Z^phi, and the verification of that
-    (independence and spanning, by dimension count) is part of the
+    subgraph; connect consecutive representatives by their path in the
+    plus graph's spanning tree (the XOR of their two root paths), its
+    edges listed in plus-graph order; symmetrizing each path yields a
+    phi-fixed cycle of G.  These cycles complete the image of the
+    psi-fixed cycles under g to all of Z^phi, and the verification of
+    that (independence and spanning, by dimension count) is part of the
     result.
     """
     g = maps.graph
@@ -675,44 +666,17 @@ def component_linking_cycles(maps: SymmetryMaps) -> LinkingCycleBasis:
             reps.append(v)
 
     plus = dec.plus
-    adj = {v: [] for v in plus.vertices}
-    for idx, e in enumerate(plus.edges):
-        adj[e.tail].append((idx, e.head))
-        adj[e.head].append((idx, e.tail))
+    root_paths, _ = maps.pair_plus.spanning_forest
 
-    def bfs_path(a, b):
-        # deterministic: explores edges in stored order
-        if a == b:
-            return []
-        parent = {a: None}
-        queue = [a]
-        qi = 0
-        while qi < len(queue):
-            x = queue[qi]
-            qi += 1
-            for idx, y in adj[x]:
-                if y not in parent:
-                    parent[y] = (idx, x)
-                    if y == b:
-                        path = []
-                        cur = y
-                        while parent[cur] is not None:
-                            idx, prev = parent[cur]
-                            path.append(idx)
-                            cur = prev
-                        return path[::-1]
-                    queue.append(y)
-        raise AssertionError("plus graph claimed connected but path not found")
+    def root_mask(v):
+        return sum(1 << j for j in root_paths[plus.vertex_index(v)])
 
     n_edges = g.graph.n_edges
     paths = []
     cycles = []
     for a, b in zip(reps, reps[1:]):
-        idxs = bfs_path(a, b)
-        paths.append(tuple(plus.edges[i].id for i in idxs))
-        block = 0
-        for i in idxs:
-            block ^= 1 << i
+        block = root_mask(a) ^ root_mask(b)
+        paths.append(tuple(e.id for j, e in enumerate(plus.edges) if block >> j & 1))
         cycles.append(maps.f_mod2(block))
 
     z_phi = maps.z_phi

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lattice import IntMatrix
-
 LEFT = "L"
 FIXED = "F"
 RIGHT = "R"
@@ -86,18 +84,6 @@ class Multigraph:
 
     def has_vertex(self, v):
         return v in self._vindex
-
-    def boundary_matrix(self) -> IntMatrix:
-        """|V| x |E| signed incidence: +1 at the head, -1 at the tail.
-
-        A loop contributes a zero column.
-        """
-        rows = [[0] * self.n_edges for _ in range(self.n_vertices)]
-        for j, e in enumerate(self.edges):
-            if not e.is_loop:
-                rows[self._vindex[e.head]][j] += 1
-                rows[self._vindex[e.tail]][j] -= 1
-        return IntMatrix(rows, shape=(self.n_vertices, self.n_edges))
 
     def components(self):
         """(count, {vertex: component index}); indices follow vertex order."""
@@ -198,6 +184,13 @@ class SymmetricGraph:
         g = self.graph
         out = []
         mirror = {LEFT: RIGHT, FIXED: FIXED, RIGHT: LEFT}
+        # the ids `decompose` makes for the plus and minus graphs
+        fixed = [x for x, side in self.edge_side.items() if side == FIXED]
+        vertex_ids = {AXIS_VERTEX, *(("s", x) for x in fixed)}
+        edge_ids = {(x, k) for x in fixed for k in (1, 2)}
+        taken = [v for v in g.vertices if v in vertex_ids]
+        taken += [e.id for e in g.edges if e.id in edge_ids]
+        out += [f"id {x!r} is reserved for the derived graphs" for x in taken]
         for v in g.vertices:
             w = self.vertex_involution[v]
             if not g.has_vertex(w):
@@ -393,9 +386,10 @@ class Decomposition:
     def union_graph(self) -> Multigraph:
         """Disjoint union of the plus and minus graphs, plus edges first.
 
-        Vertex and edge id sets of the two parts never collide, so the
-        union is a plain concatenation and its edge order matches the
-        block layout used for the mirror map matrices.
+        Validation rejects an input id equal to a derived one, so the
+        vertex and edge ids of the two parts never collide: the union is
+        a plain concatenation, and its vertex and edge indices are the
+        block layout of the mirror map matrices.
         """
         return Multigraph(
             self.plus.vertices + self.minus.vertices,

@@ -387,11 +387,9 @@ def _relabel(ops, index):
     return [(op[0], *(index[i] for i in op[1:3]), *op[3:]) for op in ops]
 
 
-def direct_sum_smith(first, second, matrix: IntMatrix, columns) -> SmithDecomposition:
-    """Smith decomposition of `matrix`, the block-diagonal matrix
-    [A 0; 0 B] of the decompositions `first` (of A) and `second` (of B)
-    with its columns moved: column j of [A 0; 0 B] is column columns[j]
-    of `matrix`.
+def direct_sum_smith(first, second) -> SmithDecomposition:
+    """Smith decomposition of the block-diagonal matrix [A 0; 0 B] of
+    the decompositions `first` (of A) and `second` (of B).
 
     The two logs act on disjoint rows and columns, so together they
     make the nonzero diagonal entries of both parts, with nothing else
@@ -400,12 +398,14 @@ def direct_sum_smith(first, second, matrix: IntMatrix, columns) -> SmithDecompos
     then makes the divisibility chain, so no Smith form runs on a matrix
     larger than k x k.
     """
-    m1, n1 = first.matrix.shape
-    m, n = matrix.shape
+    (m1, n1), (m2, n2) = first.matrix.shape, second.matrix.shape
+    m, n = m1 + m2, n1 + n2
+    rows = [row + (0,) * n2 for row in first.matrix.rows]
+    rows += [(0,) * n1 + row for row in second.matrix.rows]
     row_ops = [*first.row_ops, *_relabel(second.row_ops, range(m1, m))]
-    col_ops = _relabel(first.col_ops, columns[:n1]) + _relabel(second.col_ops, columns[n1:])
-    entries = [(d, i, columns[i]) for i, d in enumerate(first.diagonal) if d]
-    entries += [(d, m1 + i, columns[n1 + i]) for i, d in enumerate(second.diagonal) if d]
+    col_ops = [*first.col_ops, *_relabel(second.col_ops, range(n1, n))]
+    entries = [(d, i, i) for i, d in enumerate(first.diagonal) if d]
+    entries += [(d, m1 + i, n1 + i) for i, d in enumerate(second.diagonal) if d]
     entries.sort(key=lambda entry: entry[0] > 1)
     places = ([list(range(m)), row_ops], [list(range(n)), col_ops])
     for t, (_, *ends) in enumerate(entries):
@@ -423,7 +423,7 @@ def direct_sum_smith(first, second, matrix: IntMatrix, columns) -> SmithDecompos
     for t, d in enumerate(diagonal):
         smith[t][t] = d
     return SmithDecomposition(
-        matrix=matrix,
+        matrix=IntMatrix._of(rows, shape=(m, n)),
         smith=IntMatrix._of(smith, shape=(m, n)),
         row_ops=tuple(row_ops) + tuple(_relabel(inner.row_ops, block)),
         col_ops=tuple(col_ops) + tuple(_relabel(inner.col_ops, block)),

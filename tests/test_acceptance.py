@@ -200,7 +200,7 @@ def test_criterion_7_p_bicycles_match_invariant_factors():
         seed += 1
         if g.n_edges > 12:
             continue
-        pair = AdjointPair.from_graph(g)
+        pair = AdjointPair(g)
         factors = pair.critical_group.invariant_factors
         expected = sum(1 for d in factors if d % 2 == 0)
         got = pair.bicycle_space.dim
@@ -215,7 +215,7 @@ def test_criterion_8_laplacian_presentation(corpus_reports):
     for g, rep in corpus_reports:
         if not rep.laplacian_match:
             failures.append("Laplacian-route invariant factors disagree")
-        pair = AdjointPair.from_graph(g.graph)
+        pair = AdjointPair(g.graph)
         if pair.laplacian_invariant_factors != rep.group_g.invariant_factors:
             failures.append("recomputed Laplacian route disagrees")
     announce(8, "Laplacian presentation", failures)

@@ -142,7 +142,7 @@ class TestLatticePreservation:
                 rows = [list(row) for row in maps.f_matrix.rows]
                 rows[i][j] += 1
                 tampered = dataclasses.replace(maps, f_matrix=IntMatrix(rows))
-                image = tampered.f_matrix @ maps.pair_union.bond_lattice
+                image = tampered.f_matrix @ maps.pair_union.dt
                 exact = all(bonds.contains_relation(col) for col in image.columns())
                 assert verify_lattice_preservation(tampered).bonds_into_bonds == exact
                 outcomes.add(exact)
@@ -330,7 +330,7 @@ class TestInducedMaps:
         # on the theta graph K = Z/3; keeping edge a and killing b and c
         # sends the cycle a - b to a, which is nonzero in K
         theta = Multigraph(["1", "2"], [("a", "1", "2"), ("b", "1", "2"), ("c", "1", "2")])
-        pair = AdjointPair.from_graph(theta)
+        pair = AdjointPair(theta)
         matrix = IntMatrix([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
         with pytest.raises(RuntimeError, match="does not descend"):
             _descend("f", matrix, pair, pair)
@@ -549,10 +549,30 @@ class TestLinkingCycles:
             assert basis.independent_and_spanning
             assert len(basis.cycles) == g.fixed_subgraph_components()[0] - 1
 
+    def test_paths_link_consecutive_representatives(self, small_corpus):
+        # each path, as an edge set of G+, has odd degree exactly at the
+        # two representatives it links
+        graphs = [*small_corpus, *(mirror_grid(r, r) for r in (5, 7, 9, 11))]
+        linked = 0
+        for g in graphs:
+            dec = g.canonical_orientation().decompose()
+            basis = component_linking_cycles(build_maps(dec))
+            reps = basis.representatives
+            for path, ends in zip(basis.paths, zip(reps, reps[1:])):
+                degree = Counter()
+                for eid in path:
+                    e = dec.plus.edge(eid)
+                    degree[e.tail] += 1
+                    degree[e.head] += 1
+                assert len(set(path)) == len(path)
+                assert {v for v, k in degree.items() if k % 2} == set(ends)
+                linked += 1
+        assert linked >= 20, linked
+
 
 def reduced_laplacian_det(graph: Multigraph) -> int:
     """Spanning trees of a connected graph by the matrix-tree theorem."""
-    d = graph.boundary_matrix()
+    d = AdjointPair(graph).d
     lap = (d @ d.transpose()).rows
     return exact_det(IntMatrix([row[1:] for row in lap[1:]], shape=(len(lap) - 1,) * 2))
 
@@ -642,6 +662,8 @@ class TestWorkCounts:
         for name in ("kernel", "cokernel"):
             monkeypatch.setattr(GroupHom, name, on_hom_path(name, getattr(GroupHom, name)))
         counting_cached(GroupHom, "well_defined")
+        for name in ("spanning_forest", "relation_matrix"):
+            counting_cached(AdjointPair, name)
         monkeypatch.setattr(
             modp_module, "_echelonize", counting("echelonize", modp_module._echelonize)
         )
@@ -658,10 +680,14 @@ class TestWorkCounts:
         assert counts["cokernel"] == 2
         assert counts["well_defined"] == 2
         assert counts["snf"] == 11
-        # no Smith form runs on the union's relation matrix (44 x 46 on
-        # the benchmark's `large` graphs); the largest is K(G)'s
+        # one spanning forest per pair (G, G+, G- and G+ u G-), and a
+        # relation matrix for G, G+ and G- only: no Smith form runs on
+        # the union's block diagonal of theirs (44 x 46 on the
+        # benchmark's `large` graphs); the largest is K(G)'s
+        assert counts["spanning_forest"] == 4
+        assert counts["relation_matrix"] == 3
         maps = rep.maps
-        assert maps.pair_union.relation_matrix not in snf_inputs
+        assert maps.pair_union.critical_group.witness.matrix not in snf_inputs
         sizes = [a.n_rows * a.n_cols for a in snf_inputs]
         assert snf_inputs[sizes.index(max(sizes))] == maps.pair_g.relation_matrix
         assert sizes.count(max(sizes)) == 1

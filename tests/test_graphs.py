@@ -10,6 +10,8 @@ import pytest
 
 import mirrorcrit
 
+from mirrorcrit.critical import AdjointPair
+from mirrorcrit.factorization import main_theorem_verdict
 from mirrorcrit.graphs import (
     AXIS_VERTEX,
     FIXED,
@@ -48,23 +50,23 @@ class TestMultigraph:
 
     def test_boundary_matrix_single_edge(self):
         g = Multigraph(["u", "v"], [("e", "u", "v")])
-        assert g.boundary_matrix().rows == ((-1,), (1,))
+        assert AdjointPair(g).d.rows == ((-1,), (1,))
 
     def test_boundary_matrix_loop_column_zero(self):
         g = Multigraph(["u"], [("e", "u", "u")])
-        assert g.boundary_matrix().rows == ((0,),)
+        assert AdjointPair(g).d.rows == ((0,),)
 
     def test_boundary_columns_sum_to_zero(self):
         for seed in range(10):
             rng = random.Random(seed)
             g = random_symmetric_graph(rng=rng).graph
-            b = g.boundary_matrix()
+            b = AdjointPair(g).d
             for j in range(b.n_cols):
                 assert sum(b.column(j)) == 0
 
     def test_running_example_boundary_rank(self):
         g = running_example().graph
-        assert smith_normal_form(g.boundary_matrix()).rank == 3
+        assert smith_normal_form(AdjointPair(g).d).rank == 3
 
 
 class TestBondVectors:
@@ -72,7 +74,7 @@ class TestBondVectors:
     def test_single_vertex_signs(self):
         # +1 where the vertex is a head, -1 where it is a tail
         g = running_example().graph
-        rows = g.boundary_matrix().rows
+        rows = AdjointPair(g).d.rows
         assert rows[g.vertex_index("a")] == (-1, -1, 0, 0, 0)
         assert rows[g.vertex_index("b")] == (1, 0, 0, 1, 1)
 
@@ -80,7 +82,7 @@ class TestBondVectors:
         for seed in range(12):
             rng = random.Random(seed)
             g = random_symmetric_graph(rng=rng).graph
-            rank = smith_normal_form(g.boundary_matrix()).rank
+            rank = smith_normal_form(AdjointPair(g).d).rank
             assert rank == g.n_vertices - g.components()[0]
 
 
@@ -141,6 +143,44 @@ class TestValidation:
             g = random_symmetric_graph(rng=rng)
             for e in g.graph.edges:
                 assert g.edge_involution[g.edge_involution[e.id]] == e.id
+
+
+    @pytest.mark.parametrize(
+        "vertices, edges",
+        [
+            ({"a": ("s", "cb")}, {}),
+            ({"a": AXIS_VERTEX}, {}),
+            ({"d": ("s", "cb")}, {}),
+            ({}, {"db": ("cb", 1)}),
+        ],
+    )
+    def test_reserved_ids_rejected(self, vertices, edges):
+        # each renamed id equals one that decompose makes for G+ or G-
+        # (the running example's Left vertex a, Right vertex d and Right
+        # edge db; cb is its fixed edge)
+        g = running_example()
+
+        def v(x):
+            return vertices.get(x, x)
+
+        def e(x):
+            return edges.get(x, x)
+
+        sg = SymmetricGraph(
+            Multigraph(
+                map(v, g.graph.vertices),
+                [(e(x.id), v(x.tail), v(x.head)) for x in g.graph.edges],
+            ),
+            {v(a): v(b) for a, b in g.vertex_involution.items()},
+            {e(a): e(b) for a, b in g.edge_involution.items()},
+            {v(a): side for a, side in g.vertex_side.items()},
+            {e(a): side for a, side in g.edge_side.items()},
+        )
+        (taken,) = {**vertices, **edges}.values()
+        assert sg.validate() == [f"id {taken!r} is reserved for the derived graphs"]
+        for run in (sg.decompose, lambda: main_theorem_verdict(sg)):
+            with pytest.raises(InvalidSymmetricGraph, match="reserved"):
+                run()
 
 
 class TestCanonicalOrientation:

@@ -86,18 +86,18 @@ class TestKernelAndRowSpace:
     def test_running_example_cycle_space_dim(self):
         # |E| - |V| + #components = 5 - 4 + 1
         g = running_example()
-        pair = AdjointPair.from_graph(g.graph)
+        pair = AdjointPair(g.graph)
         assert pair.cycle_space_mod2.dim == 2
 
     def test_running_example_bond_space_dim(self):
         # |V| - #components = 3
         g = running_example()
-        pair = AdjointPair.from_graph(g.graph)
+        pair = AdjointPair(g.graph)
         assert pair.bond_space_mod2.dim == 3
 
     def test_single_loop_bond_space_is_zero(self):
         g = Multigraph(["v"], [("loop", "v", "v")])
-        pair = AdjointPair.from_graph(g)
+        pair = AdjointPair(g)
         assert pair.bond_space_mod2.dim == 0
         assert pair.cycle_space_mod2.dim == 1
 
@@ -138,7 +138,7 @@ class TestSubspaceOps:
     def test_running_example_bicycle_space(self):
         # the symmetric 4-cycle ab, ac, db, dc is the unique bicycle
         g = running_example()
-        pair = AdjointPair.from_graph(g.graph)
+        pair = AdjointPair(g.graph)
         bic = pair.bicycle_space
         assert bic.dim == 1
         assert bic.basis[0] == (1, 1, 1, 1, 0)
@@ -394,7 +394,7 @@ class TestBicycleConditions:
         rng = random.Random(6)
         for seed in range(12):
             g = random_multigraph(seed=seed, max_vertices=5, max_edges=8)
-            pair = AdjointPair.from_graph(g)
+            pair = AdjointPair(g)
             algebra = sorted(subspace_masks(pair.bicycle_space))
             brute = sorted(bicycle_masks_bruteforce(g))
             assert algebra == brute
