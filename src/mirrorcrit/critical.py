@@ -2,9 +2,9 @@
 
 The critical group of an adjoint pair (d, d^t) is C1 / (Z + B) where
 Z = ker(d) and B = im(d^t).  For a graph's boundary map d this is the
-usual critical group (sandpile/Jacobian group), whose order is
-the number of maximal spanning forests.  The torsion of coker(d d^t),
-the Laplacian's cokernel, is a second, independent presentation of the
+usual critical group (sandpile/Jacobian group), whose order is the
+number of maximal spanning forests.  The torsion of coker(d d^t), the
+Laplacian's cokernel, is a second, independent presentation of the
 same group.  The pair also holds its cycle, bond and bicycle spaces
 over GF(2); the bicycle space's dimension is the number of even
 invariant factors.  An AdjointPair holds its multigraph: d is built
