@@ -11,10 +11,8 @@ __version__ = "0.1.0"
 
 from .critical import (
     AdjointPair,
-    DualityReport,
     bicycle_masks_bruteforce,
     count_maximal_forests_bruteforce,
-    duality_order_check,
     forest_count,
 )
 from .factorization import (
@@ -40,6 +38,8 @@ from .graphs import (
     Multigraph,
     RIGHT,
     SymmetricGraph,
+    half_edges,
+    subdivision_vertex,
 )
 from .lattice import (
     FpAbelianGroup,
@@ -56,7 +56,6 @@ __all__ = [
     "AXIS_VERTEX",
     "AdjointPair",
     "Decomposition",
-    "DualityReport",
     "Edge",
     "FIXED",
     "FactorizationReport",
@@ -76,10 +75,10 @@ __all__ = [
     "build_maps",
     "component_linking_cycles",
     "count_maximal_forests_bruteforce",
-    "duality_order_check",
     "fixed_subspace",
     "forest_count",
     "g_injection",
+    "half_edges",
     "identify_kernel_cokernel",
     "integer_kernel",
     "kernel",
@@ -93,6 +92,7 @@ __all__ = [
     "serialize",
     "smith_normal_form",
     "snake_dimension_report",
+    "subdivision_vertex",
     "two_torsion_check",
     "verify_lattice_preservation",
 ]

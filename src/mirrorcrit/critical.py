@@ -296,38 +296,3 @@ def subspace_masks(space: ModpSubspace, limit=DEFAULT_ORACLE_LIMIT):
     for row in space.rows:
         masks += [m ^ row for m in masks]
     return masks
-
-
-@dataclass(frozen=True)
-class DualityReport:
-    """Isomorphism-type comparison of ker/coker across a transpose pair."""
-
-    ker_h: tuple[int, ...]
-    coker_ht: tuple[int, ...]
-    coker_h: tuple[int, ...]
-    ker_ht: tuple[int, ...]
-    kernel_matches_cokernel: bool
-    cokernel_matches_kernel: bool
-
-    @property
-    def passed(self):
-        return self.kernel_matches_cokernel and self.cokernel_matches_kernel
-
-
-def duality_order_check(ker_h, coker_h, ker_ht, coker_ht) -> DualityReport:
-    """ker(h) ~ coker(ht) and coker(h) ~ ker(ht), as invariant factors.
-
-    Takes the four groups ker(h), coker(h), ker(ht), coker(ht) of a
-    transpose pair of homs h, ht, computed once by the caller.
-    """
-    ker_h, coker_h, ker_ht, coker_ht = (
-        grp.invariant_factors for grp in (ker_h, coker_h, ker_ht, coker_ht)
-    )
-    return DualityReport(
-        ker_h=ker_h,
-        coker_ht=coker_ht,
-        coker_h=coker_h,
-        ker_ht=ker_ht,
-        kernel_matches_cokernel=(ker_h == coker_ht),
-        cokernel_matches_kernel=(coker_h == ker_ht),
-    )

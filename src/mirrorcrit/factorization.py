@@ -11,6 +11,8 @@ and verifies, in exact arithmetic:
   * f carries cycles to cycles and bonds to bonds (with the explicit
     cut-vector identities behind the proof);
   * ker(f*) and coker(f*) are 2-torsion, with the doubling witnesses;
+  * ker(f*) ~ coker((f^t)*) and coker(f*) ~ ker((f^t)*), compared as
+    invariant factors;
   * coker(f*) is the space of phi-fixed bicycles of G and ker(f*) the
     psi-fixed bicycles of G+ u G-, plus the alternate quotient
     presentations of both;
@@ -33,8 +35,16 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import add, sub
 
-from .critical import AdjointPair, DualityReport, duality_order_check, forest_count
-from .graphs import Decomposition, SymmetricGraph
+from .critical import AdjointPair, forest_count
+from .graphs import (
+    AXIS_VERTEX,
+    FIXED,
+    LEFT,
+    Decomposition,
+    SymmetricGraph,
+    half_edges,
+    subdivision_vertex,
+)
 from .lattice import FpAbelianGroup, GroupHom, IntMatrix
 from .modp import (
     ModpSubspace,
@@ -57,9 +67,10 @@ class SymmetryMaps:
     in minus-graph order.  psi (on E+ u E-) and phi (on the edges of G)
     are index tuples, i -> psi[i].  Every shared quantity (pairs,
     groups, induced homs and their kernels and cokernels, fixed GF(2)
-    spaces, f mod 2) is computed once, on first use, and held here, so
-    it lives exactly as long as this graph's analysis.  GF(2) vectors
-    are bit sets, bit j = coordinate j.
+    spaces, f mod 2, the axis components and the plus graph's
+    connectivity) is computed once, on first use, and held here, so it
+    lives exactly as long as this graph's analysis.  GF(2) vectors are
+    bit sets, bit j = coordinate j.
     """
 
     dec: Decomposition
@@ -85,6 +96,16 @@ class SymmetryMaps:
     @property
     def n_block(self):
         return self.n_plus + self.n_minus
+
+    @cached_property
+    def axis_components(self) -> tuple:
+        """(count, {fixed vertex: component index}) of the axis subgraph
+        (V^phi, E^phi)."""
+        return self.graph.fixed_subgraph_components()
+
+    @cached_property
+    def plus_connected(self) -> bool:
+        return self.dec.plus.is_connected()
 
     @cached_property
     def ft_matrix(self) -> IntMatrix:
@@ -195,52 +216,37 @@ def _descend(name, matrix, source: AdjointPair, target: AdjointPair) -> GroupHom
 def build_maps(dec: Decomposition) -> SymmetryMaps:
     """Populate f, psi and the edge action of phi; f^t is derived from f.
 
-    Columns of f, per the case analysis of the mirror map: a plus edge
-    from a Left edge e goes to e + phi(e); each half of a subdivided
-    fixed edge goes to the fixed edge itself; a minus edge e goes to
-    e - phi(e).  Signs are trivial because the orientation is
-    phi-equivariant.  psi swaps the two halves of every subdivided edge
-    and swaps each Left-origin plus edge with its mirror minus edge; it
-    is not induced by any graph automorphism, so it exists only mod 2.
-    The union graph's edge indices are the block layout of f and psi.
+    One pass over the edges of G, by side, fills the columns of f and
+    psi at the union graph's edge indices (the block layout): a Left
+    edge e is a plus edge, whose column is e + phi(e) and whose psi
+    partner is the minus edge phi(e); a Right edge e is a minus edge,
+    whose column is e - phi(e) and whose psi partner is the plus edge
+    phi(e); the two `half_edges` of a fixed edge x each have column x
+    and are swapped by psi.  Signs are trivial because the orientation
+    is phi-equivariant.  psi is not induced by any graph automorphism,
+    so it exists only mod 2.
     """
     g = dec.source
     graph = g.graph
     ephi = g.edge_involution
-    n_edges = graph.n_edges
-    plus_edges = dec.plus.edges
-    minus_edges = dec.minus.edges
     union = dec.union_graph()
-
-    columns = []
-    for e in plus_edges:
-        origin = dec.plus_edge_origin[e.id]
-        col = [0] * n_edges
-        if origin[0] == "left":
-            eid = origin[1]
-            col[graph.edge_index(eid)] += 1
-            col[graph.edge_index(ephi[eid])] += 1
-        else:
-            col[graph.edge_index(origin[1])] += 1
-        columns.append(col)
-    for e in minus_edges:
-        eid = dec.minus_edge_origin[e.id]
-        col = [0] * n_edges
-        col[graph.edge_index(eid)] += 1
-        col[graph.edge_index(ephi[eid])] -= 1
-        columns.append(col)
-    f_matrix = IntMatrix.from_columns(columns, n_edges)
-
     block = union.edge_index
-    psi = []
-    for e in plus_edges:
-        origin = dec.plus_edge_origin[e.id]
-        if origin[0] == "left":
-            psi.append(block(ephi[origin[1]]))
+    n_edges = graph.n_edges
+
+    columns = [[0] * n_edges for _ in range(union.n_edges)]
+    psi = [None] * union.n_edges
+    for i, e in enumerate(graph.edges):
+        side = g.edge_side[e.id]
+        if side == FIXED:
+            h1, h2 = map(block, half_edges(e.id))
+            columns[h1][i] = columns[h2][i] = 1
+            psi[h1], psi[h2] = h2, h1
         else:
-            psi.append(block(dec.half_pairing[e.id]))
-    for e in minus_edges:
-        psi.append(block(ephi[dec.minus_edge_origin[e.id]]))
+            j = block(e.id)
+            columns[j][i] = 1
+            columns[j][graph.edge_index(ephi[e.id])] = 1 if side == LEFT else -1
+            psi[j] = block(ephi[e.id])
+    f_matrix = IntMatrix.from_columns(columns, n_edges)
     phi = tuple(graph.edge_index(ephi[e.id]) for e in graph.edges)
 
     if not is_involution(psi) or not is_involution(phi):
@@ -305,7 +311,6 @@ def verify_lattice_preservation(maps: SymmetryMaps) -> LatticePreservationReport
     of d is the signed cut of v in G (zero at a loop).
     """
     g = maps.graph
-    dec = maps.dec
     f = maps.f_matrix
     union = maps.pair_union
 
@@ -327,10 +332,10 @@ def verify_lattice_preservation(maps: SymmetryMaps) -> LatticePreservationReport
                 acc = [a + sign * x for a, x in zip(acc, cut[v])]
         return tuple(acc)
 
-    sub_ok = all(not any(f_cut[s]) for s in dec.subdivision_vertex.values())
+    sub_ok = all(not any(f_cut[subdivision_vertex(e.id)]) for e in g.fixed_edges)
     fixed_ok = all(f_cut[v] == cut[v] for v in g.fixed_vertices)
     left_ok = all(f_cut[v] == cut_sum((v, vphi[v])) for v in g.left_vertices)
-    contracted_ok = f_cut[dec.contracted_vertex] == cut_sum(
+    contracted_ok = f_cut[AXIS_VERTEX] == cut_sum(
         g.left_vertices, g.right_vertices
     )
     right_ok = all(f_cut[v] == cut_sum((v,), (vphi[v],)) for v in g.right_vertices)
@@ -352,10 +357,6 @@ def verify_lattice_preservation(maps: SymmetryMaps) -> LatticePreservationReport
 
 @dataclass(frozen=True)
 class TorsionReport:
-    ker_f: FpAbelianGroup
-    coker_f: FpAbelianGroup
-    ker_ft: FpAbelianGroup
-    coker_ft: FpAbelianGroup
     all_two_torsion: bool
     doubling_witnesses: bool
 
@@ -395,12 +396,11 @@ def two_torsion_check(maps: SymmetryMaps) -> TorsionReport:
         folded = map(sub, f_row(e.id), f_row(ephi[e.id]))
         witnesses &= _equals_sparse(folded, {block(e.id): 2})
     for e in g.fixed_edges:
-        halves = {block((e.id, 1)): 1, block((e.id, 2)): 1}
+        halves = dict.fromkeys(map(block, half_edges(e.id)), 1)
         witnesses &= _equals_sparse(f_row(e.id), halves)
 
     groups = (maps.ker_f, maps.coker_f, maps.ker_ft, maps.coker_ft)
     return TorsionReport(
-        *groups,
         all_two_torsion=all(grp.annihilated_by(2) for grp in groups),
         doubling_witnesses=witnesses,
     )
@@ -419,8 +419,6 @@ def _equals_sparse(vec, entries) -> bool:
 class BicycleIdentification:
     dim_phi_fixed: int
     dim_psi_fixed: int
-    coker_order: int
-    ker_order: int
     coker_matches: bool
     ker_matches: bool
     ker_ft_mod2_dim: int
@@ -428,8 +426,6 @@ class BicycleIdentification:
     ker_f_psi_fixed_ok: bool
     dim_phi_ambient: int
     dim_psi_ambient: int
-    dim_sum_phi: int
-    dim_sum_psi: int
     phi_quotient_log2: int
     psi_quotient_log2: int
     alternate_ker_matches: bool
@@ -476,15 +472,12 @@ def identify_kernel_cokernel(maps: SymmetryMaps) -> BicycleIdentification:
     ker_f_ok = kernel(maps.f_matrix) == psi_ambient
 
     phi_ambient = fixed_ambient(maps.phi)
-    sum_phi, sum_psi = maps.sum_phi, maps.sum_psi
-    phi_quotient = phi_ambient.dim - sum_phi.dim
-    psi_quotient = psi_ambient.dim - sum_psi.dim
+    phi_quotient = phi_ambient.dim - maps.sum_phi.dim
+    psi_quotient = psi_ambient.dim - maps.sum_psi.dim
 
     return BicycleIdentification(
         dim_phi_fixed=phi_bic.dim,
         dim_psi_fixed=psi_bic.dim,
-        coker_order=coker_order,
-        ker_order=ker_order,
         coker_matches=(coker_order == 2**phi_bic.dim),
         ker_matches=(ker_order == 2**psi_bic.dim),
         ker_ft_mod2_dim=ker_ft2.dim,
@@ -492,8 +485,6 @@ def identify_kernel_cokernel(maps: SymmetryMaps) -> BicycleIdentification:
         ker_f_psi_fixed_ok=ker_f_ok,
         dim_phi_ambient=phi_ambient.dim,
         dim_psi_ambient=psi_ambient.dim,
-        dim_sum_phi=sum_phi.dim,
-        dim_sum_psi=sum_psi.dim,
         phi_quotient_log2=phi_quotient,
         psi_quotient_log2=psi_quotient,
         alternate_ker_matches=(2**phi_quotient == ker_order),
@@ -559,9 +550,6 @@ class SnakeReport:
     dim_cap_phi: int
     dim_sum_psi: int
     dim_sum_phi: int
-    exponent: int
-    log2_ker: int
-    log2_coker: int
     column_exactness: bool
     bond_dim_plus_formula: bool
     bond_dim_formula: bool
@@ -613,9 +601,6 @@ def snake_dimension_report(maps: SymmetryMaps) -> SnakeReport:
         dim_cap_phi=cap_phi.dim,
         dim_sum_psi=sum_psi.dim,
         dim_sum_phi=sum_phi.dim,
-        exponent=exponent,
-        log2_ker=log2_ker,
-        log2_coker=log2_coker,
         column_exactness=column_exact,
         bond_dim_plus_formula=(b_psi.dim == n_vr + len(g.fixed_edges)),
         bond_dim_formula=(b_phi.dim == n_vr + len(g.fixed_vertices) - 1),
@@ -635,7 +620,6 @@ class LinkingCycleBasis:
     paths: tuple
     cycles: tuple
     image_dim: int
-    dim_z_phi: int
     independent_and_spanning: bool
 
 
@@ -652,10 +636,9 @@ def component_linking_cycles(maps: SymmetryMaps) -> LinkingCycleBasis:
     result.
     """
     g = maps.graph
-    dec = maps.dec
-    if not dec.plus.is_connected():
+    if not maps.plus_connected:
         raise ValueError("the plus graph must be connected")
-    count, labels = g.fixed_subgraph_components()
+    count, labels = maps.axis_components
 
     reps = []
     seen = set()
@@ -665,7 +648,7 @@ def component_linking_cycles(maps: SymmetryMaps) -> LinkingCycleBasis:
             seen.add(c)
             reps.append(v)
 
-    plus = dec.plus
+    plus = maps.dec.plus
     root_paths, _ = maps.pair_plus.spanning_forest
 
     def root_mask(v):
@@ -696,7 +679,6 @@ def component_linking_cycles(maps: SymmetryMaps) -> LinkingCycleBasis:
         paths=tuple(paths),
         cycles=tuple(mask_to_row(c, n_edges) for c in cycles),
         image_dim=image.dim,
-        dim_z_phi=z_phi.dim,
         independent_and_spanning=ok,
     )
 
@@ -763,7 +745,6 @@ class FactorizationReport:
     identification: BicycleIdentification
     injection: InjectionReport
     snake: SnakeReport
-    duality: DualityReport
     linking: LinkingCycleBasis | None
     laplacian_match: bool
     verdicts: dict
@@ -782,8 +763,7 @@ def main_theorem_verdict(g: SymmetricGraph) -> FactorizationReport:
     else is asserted unconditionally.
     """
     g = g.canonical_orientation()
-    dec = g.decompose()
-    maps = build_maps(dec)
+    maps = build_maps(g.decompose())
 
     pair_g, pair_plus, pair_minus = maps.pair_g, maps.pair_plus, maps.pair_minus
     group_g = pair_g.critical_group
@@ -796,20 +776,18 @@ def main_theorem_verdict(g: SymmetricGraph) -> FactorizationReport:
     ident = identify_kernel_cokernel(maps)
     injection = g_injection(maps)
     snake = snake_dimension_report(maps)
-    duality = duality_order_check(
-        torsion.ker_f, torsion.coker_f, torsion.ker_ft, torsion.coker_ft
-    )
 
     kappa_g = forest_count(pair_g)
     kappa_plus = forest_count(pair_plus)
     kappa_minus = forest_count(pair_minus)
 
-    plus_connected = dec.plus.is_connected()
+    plus_connected = maps.plus_connected
     axis_nonempty = len(g.fixed_vertices) > 0
-    axis_forest = g.fixed_subgraph_is_forest()
-    applicable = plus_connected and axis_nonempty and axis_forest
     exponent = g.two_power_exponent()
-    axis_components = g.fixed_subgraph_components()[0]
+    axis_components = maps.axis_components[0]
+    # |V^phi| - |E^phi| is the component count exactly on a forest
+    axis_forest = exponent + 1 == axis_components
+    applicable = plus_connected and axis_nonempty and axis_forest
 
     linking = component_linking_cycles(maps) if applicable else None
 
@@ -818,8 +796,9 @@ def main_theorem_verdict(g: SymmetricGraph) -> FactorizationReport:
         for pair in (pair_g, pair_plus, pair_minus)
     )
 
-    ker_order = torsion.ker_f.order()
-    coker_order = torsion.coker_f.order()
+    ker_f, coker_f, ker_ft, coker_ft = maps.ker_f, maps.coker_f, maps.ker_ft, maps.coker_ft
+    ker_order = ker_f.order()
+    coker_order = coker_f.order()
     order_identity = (
         group_plus.order() * group_minus.order() * coker_order
         == group_g.order() * ker_order
@@ -833,7 +812,9 @@ def main_theorem_verdict(g: SymmetricGraph) -> FactorizationReport:
         "order_identity": order_identity,
         "two_torsion": torsion.all_two_torsion,
         "doubling_witnesses": torsion.doubling_witnesses,
-        "duality": duality.passed,
+        # ker(f*) ~ coker((f^t)*) and coker(f*) ~ ker((f^t)*)
+        "duality": ker_f.invariant_factors == coker_ft.invariant_factors
+        and coker_f.invariant_factors == ker_ft.invariant_factors,
         "bicycle_cokernel": ident.coker_matches,
         "bicycle_kernel": ident.ker_matches,
         "kernel_ft_basis": ident.ker_ft_basis_ok,
@@ -879,10 +860,10 @@ def main_theorem_verdict(g: SymmetricGraph) -> FactorizationReport:
         group_plus=group_plus,
         group_minus=group_minus,
         group_block=group_block,
-        ker_f=torsion.ker_f,
-        coker_f=torsion.coker_f,
-        ker_ft=torsion.ker_ft,
-        coker_ft=torsion.coker_ft,
+        ker_f=ker_f,
+        coker_f=coker_f,
+        ker_ft=ker_ft,
+        coker_ft=coker_ft,
         kappa_g=kappa_g,
         kappa_plus=kappa_plus,
         kappa_minus=kappa_minus,
@@ -897,7 +878,6 @@ def main_theorem_verdict(g: SymmetricGraph) -> FactorizationReport:
         identification=ident,
         injection=injection,
         snake=snake,
-        duality=duality,
         linking=linking,
         laplacian_match=laplacian_match,
         verdicts=verdicts,

@@ -10,7 +10,9 @@ that an involution-fixed edge must have both endpoints fixed.
 From a valid symmetric graph two graphs are derived: the plus graph
 (left plus fixed edges, every fixed edge subdivided at a fresh vertex)
 and the minus graph (right edges with all fixed vertices identified to
-a single vertex).
+a single vertex).  The ids of the derived pieces say where each came
+from (`subdivision_vertex`, `half_edges`, `AXIS_VERTEX`), and
+validation reserves them, so no separate provenance map is kept.
 """
 
 from __future__ import annotations
@@ -22,7 +24,19 @@ FIXED = "F"
 RIGHT = "R"
 SIDES = (LEFT, FIXED, RIGHT)
 
+# the vertex of G- that all fixed vertices are identified to
 AXIS_VERTEX = ("axis",)
+
+
+def subdivision_vertex(x):
+    """The vertex of G+ that subdivides the fixed edge x."""
+    return ("s", x)
+
+
+def half_edges(x):
+    """The two edges of G+ that the fixed edge x is cut into: from its
+    tail to `subdivision_vertex(x)`, then on to its head."""
+    return (x, 1), (x, 2)
 
 
 class InvalidSymmetricGraph(ValueError):
@@ -186,8 +200,8 @@ class SymmetricGraph:
         mirror = {LEFT: RIGHT, FIXED: FIXED, RIGHT: LEFT}
         # the ids `decompose` makes for the plus and minus graphs
         fixed = [x for x, side in self.edge_side.items() if side == FIXED]
-        vertex_ids = {AXIS_VERTEX, *(("s", x) for x in fixed)}
-        edge_ids = {(x, k) for x in fixed for k in (1, 2)}
+        vertex_ids = {AXIS_VERTEX, *map(subdivision_vertex, fixed)}
+        edge_ids = {h for x in fixed for h in half_edges(x)}
         taken = [v for v in g.vertices if v in vertex_ids]
         taken += [e.id for e in g.edges if e.id in edge_ids]
         out += [f"id {x!r} is reserved for the derived graphs" for x in taken]
@@ -282,10 +296,6 @@ class SymmetricGraph:
         """(component count, {fixed vertex: component index}) of (V^phi, E^phi)."""
         return Multigraph(self.fixed_vertices, self.fixed_edges).components()
 
-    def fixed_subgraph_is_forest(self):
-        count, _ = self.fixed_subgraph_components()
-        return len(self.fixed_vertices) - len(self.fixed_edges) == count
-
     def two_power_exponent(self):
         """|V^phi| - |E^phi| - 1, the exponent in the factorization theorem."""
         return len(self.fixed_vertices) - len(self.fixed_edges) - 1
@@ -293,55 +303,42 @@ class SymmetricGraph:
     # --- decomposition ---
 
     def decompose(self) -> "Decomposition":
-        """Build the plus and minus graphs with full provenance maps."""
+        """Build the plus and minus graphs.
+
+        Left and Right edges keep their ids; the fixed edge x becomes
+        `half_edges(x)` through `subdivision_vertex(x)`, and every fixed
+        vertex becomes `AXIS_VERTEX` in G-.  Orientations are inherited.
+        """
         bad = self.validate()
         if bad:
             raise InvalidSymmetricGraph(bad)
 
-        sub_vertex = {e.id: ("s", e.id) for e in self.fixed_edges}
         plus_vertices = [
             v for v in self.graph.vertices if self.vertex_side[v] in (LEFT, FIXED)
-        ] + [sub_vertex[e.id] for e in self.fixed_edges]
+        ] + [subdivision_vertex(e.id) for e in self.fixed_edges]
 
         plus_edges = []
-        plus_origin = {}
-        half_pairing = {}
         for e in self.graph.edges:
             side = self.edge_side[e.id]
             if side == LEFT:
-                plus_edges.append(Edge(e.id, e.tail, e.head))
-                plus_origin[e.id] = ("left", e.id)
+                plus_edges.append(e)
             elif side == FIXED:
-                s = sub_vertex[e.id]
-                h1, h2 = (e.id, 1), (e.id, 2)
-                plus_edges.append(Edge(h1, e.tail, s))
-                plus_edges.append(Edge(h2, s, e.head))
-                plus_origin[h1] = ("half", e.id, 1)
-                plus_origin[h2] = ("half", e.id, 2)
-                half_pairing[h1] = h2
-                half_pairing[h2] = h1
+                s = subdivision_vertex(e.id)
+                h1, h2 = half_edges(e.id)
+                plus_edges += [Edge(h1, e.tail, s), Edge(h2, s, e.head)]
 
-        minus_vertices = self.right_vertices + [AXIS_VERTEX]
         fixed_set = set(self.fixed_vertices)
 
         def squash(v):
             return AXIS_VERTEX if v in fixed_set else v
 
-        minus_edges = []
-        minus_origin = {}
-        for e in self.right_edges:
-            minus_edges.append(Edge(e.id, squash(e.tail), squash(e.head)))
-            minus_origin[e.id] = e.id
-
+        minus_edges = [
+            Edge(e.id, squash(e.tail), squash(e.head)) for e in self.right_edges
+        ]
         dec = Decomposition(
             source=self,
             plus=Multigraph(plus_vertices, plus_edges),
-            minus=Multigraph(minus_vertices, minus_edges),
-            plus_edge_origin=plus_origin,
-            minus_edge_origin=minus_origin,
-            subdivision_vertex=sub_vertex,
-            contracted_vertex=AXIS_VERTEX,
-            half_pairing=half_pairing,
+            minus=Multigraph(self.right_vertices + [AXIS_VERTEX], minus_edges),
         )
         dec._check_cardinalities()
         return dec
@@ -355,16 +352,16 @@ class SymmetricGraph:
 
 @dataclass(frozen=True, eq=False)
 class Decomposition:
-    """Plus/minus graphs plus the provenance maps tying them back to G."""
+    """The plus and minus graphs of `source`.
+
+    Their ids tie them back to G (see `SymmetricGraph.decompose`): a
+    plus edge is a Left edge of G or one of `half_edges(x)` of a fixed
+    edge x, and a minus edge is the Right edge of G with its id.
+    """
 
     source: SymmetricGraph
     plus: Multigraph
     minus: Multigraph
-    plus_edge_origin: dict
-    minus_edge_origin: dict
-    subdivision_vertex: dict
-    contracted_vertex: object
-    half_pairing: dict
 
     def _check_cardinalities(self):
         g = self.source

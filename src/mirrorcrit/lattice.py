@@ -4,8 +4,9 @@ Smith normal form with unimodular change-of-basis witnesses, lattices
 given by integer generator matrices, and finitely presented abelian
 groups (with kernels and cokernels of homomorphisms between them).
 The reduction works on S alone, each row operation over the pivot
-row's nonzero entries, and logs its elementary operations; each
-witness is built from that log only when a caller reads it.  The
+row's nonzero entries, and logs its elementary operations; S's
+diagonal is kept, and each witness is built from that log only when a
+caller reads it.  The
 decomposition of a block-diagonal matrix is composed from its blocks'
 logs and one Smith form of their nontrivial diagonal entries.  A
 homomorphism is computed in the Smith coordinates of its source and
@@ -151,18 +152,19 @@ class IntMatrix:
 class SmithDecomposition:
     """U * A * V = S with U, V unimodular and S in Smith normal form.
 
-    The reduction changes only S and logs its elementary row operations
-    (which make U) and column operations (which make V).  Each witness,
-    `left` = U, `right` = V, `left_inv` and `right_inv`, is built from
-    the log the first time it is read and then kept, so a caller that
-    reads only the diagonal builds none.  Having the inverses lets
-    unimodularity be certified without determinant computations.  A
-    caller that needs a few rows of a product with U or U^-1 replays the
-    log on those rows alone (`_replay`).
+    S is kept as its diagonal, min(m, n) entries.  The reduction logs
+    its elementary row operations (which make U) and column operations
+    (which make V).  Each witness, `left` = U, `right` = V, `left_inv`
+    and `right_inv`, is built from the log the first time it is read
+    and then kept, so a caller that reads only the diagonal builds
+    none.  Having the inverses lets unimodularity be certified without
+    determinant computations.  A caller that needs a few rows of a
+    product with U or U^-1 replays the log on those rows alone
+    (`_replay`).
     """
 
     matrix: IntMatrix
-    smith: IntMatrix
+    diagonal: tuple
     row_ops: tuple = field(repr=False)
     col_ops: tuple = field(repr=False)
 
@@ -187,11 +189,6 @@ class SmithDecomposition:
         return self._witness(self.matrix.n_cols, self.col_ops, transpose=True, inverse=True)
 
     @property
-    def diagonal(self):
-        k = min(self.smith.n_rows, self.smith.n_cols)
-        return tuple(self.smith.rows[i][i] for i in range(k))
-
-    @property
     def rank(self):
         return sum(1 for d in self.diagonal if d != 0)
 
@@ -201,7 +198,8 @@ class SmithDecomposition:
 
     def verify(self):
         """Entry-exact check of every decomposition invariant."""
-        if self.left @ self.matrix @ self.right != self.smith:
+        smith = _diagonal(self.diagonal, self.matrix.shape)
+        if self.left @ self.matrix @ self.right != smith:
             return False
         if not (self.left @ self.left_inv).is_identity():
             return False
@@ -215,10 +213,6 @@ class SmithDecomposition:
                 return False
             if a != 0 and b % a != 0:
                 return False
-        for i in range(self.smith.n_rows):
-            for j in range(self.smith.n_cols):
-                if i != j and self.smith.rows[i][j] != 0:
-                    return False
         return True
 
 
@@ -281,8 +275,8 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     Pivots are chosen as the nonzero entry of minimal absolute value
     (ties broken by smallest row, then column index), which keeps
     coefficient growth tame at the matrix sizes this library targets.
-    Deterministic for a fixed input.  Only S is reduced here; the
-    operations are logged for the witnesses.
+    Deterministic for a fixed input.  Only S is reduced here, and only
+    its diagonal is kept; the operations are logged for the witnesses.
     """
     m, n = a.n_rows, a.n_cols
     s = [list(row) for row in a.rows]
@@ -376,7 +370,7 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
 
     return SmithDecomposition(
         matrix=a,
-        smith=IntMatrix._of(s, shape=(m, n)),
+        diagonal=tuple(s[i][i] for i in range(min(m, n))),
         row_ops=tuple(row_ops),
         col_ops=tuple(col_ops),
     )
@@ -419,12 +413,9 @@ def direct_sum_smith(first, second) -> SmithDecomposition:
     inner = smith_normal_form(_diagonal([d for d, _, _ in entries[units:]]))
     block = range(units, len(entries))
     diagonal = (1,) * units + inner.diagonal
-    smith = [[0] * n for _ in range(m)]
-    for t, d in enumerate(diagonal):
-        smith[t][t] = d
     return SmithDecomposition(
         matrix=IntMatrix._of(rows, shape=(m, n)),
-        smith=IntMatrix._of(smith, shape=(m, n)),
+        diagonal=diagonal + (0,) * (min(m, n) - len(diagonal)),
         row_ops=tuple(row_ops) + tuple(_relabel(inner.row_ops, block)),
         col_ops=tuple(col_ops) + tuple(_relabel(inner.col_ops, block)),
     )
@@ -444,7 +435,8 @@ def integer_kernel(a: IntMatrix) -> IntMatrix:
 
 @dataclass(frozen=True, eq=False)
 class FpAbelianGroup:
-    """Finitely presented abelian group Z^n / (column lattice of relations).
+    """Finitely presented abelian group Z^n / (column lattice of relations),
+    the relation matrix being `witness.matrix`.
 
     `invariant_factors` is the increasing divisibility chain d_1 | d_2 | ...
     with every d_i > 1; together with `free_rank` it is a complete
@@ -452,7 +444,6 @@ class FpAbelianGroup:
     """
 
     ambient_rank: int
-    relations: IntMatrix
     witness: SmithDecomposition
     invariant_factors: tuple[int, ...]
     free_rank: int
@@ -472,7 +463,6 @@ class FpAbelianGroup:
         ambient_rank = witness.matrix.n_rows
         return cls(
             ambient_rank=ambient_rank,
-            relations=witness.matrix,
             witness=witness,
             invariant_factors=witness.nontrivial_factors,
             free_rank=ambient_rank - witness.rank,
@@ -535,10 +525,14 @@ class FpAbelianGroup:
         return f"FpAbelianGroup({self.describe()})"
 
 
-def _diagonal(entries) -> IntMatrix:
-    k = len(entries)
-    rows = [[d if i == j else 0 for j in range(k)] for i, d in enumerate(entries)]
-    return IntMatrix._of(rows, shape=(k, k))
+def _diagonal(entries, shape=None) -> IntMatrix:
+    """The matrix with `entries` down its diagonal, k x k for k entries
+    unless a shape is given."""
+    m, n = shape or (len(entries),) * 2
+    rows = [[0] * n for _ in range(m)]
+    for i, d in enumerate(entries):
+        rows[i][i] = d
+    return IntMatrix._of(rows, shape=(m, n))
 
 
 def _reduce(rows, moduli):

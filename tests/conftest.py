@@ -112,6 +112,69 @@ def identity_mirror_triangle() -> SymmetricGraph:
     )
 
 
+def empty_axis() -> SymmetricGraph:
+    """An edge and its mirror, with no fixed vertex: the axis is empty."""
+    graph = Multigraph(
+        ["u1", "u2", "w1", "w2"],
+        [("a", "u1", "u2"), ("b", "w1", "w2")],
+    )
+    return SymmetricGraph(
+        graph,
+        {"u1": "w1", "w1": "u1", "u2": "w2", "w2": "u2"},
+        {"a": "b", "b": "a"},
+        {"u1": LEFT, "u2": LEFT, "w1": RIGHT, "w2": RIGHT},
+        {"a": LEFT, "b": RIGHT},
+    ).canonical_orientation()
+
+
+def disconnected_plus() -> SymmetricGraph:
+    """Two separate axis edges with phi the identity: G+ is disconnected."""
+    two = Multigraph(
+        ["b", "c", "b2", "c2"],
+        [("e", "b", "c"), ("e2", "b2", "c2")],
+    )
+    return SymmetricGraph(
+        two,
+        {v: v for v in two.vertices},
+        {"e": "e", "e2": "e2"},
+        {v: FIXED for v in two.vertices},
+        {"e": FIXED, "e2": FIXED},
+    )
+
+
+# an even cycle on the axis: x + y is a phi-fixed bicycle, yet f* is onto
+CYCLIC_AXIS = """
+v a F
+v b F
+e x a b
+e y a b
+efix x
+efix y
+"""
+
+
+def relabel(g: SymmetricGraph, vertices: dict, edges: dict) -> SymmetricGraph:
+    """A copy of g with the vertex and edge ids in `vertices` and
+    `edges` renamed; every other id is kept."""
+
+    def v(x):
+        return vertices.get(x, x)
+
+    def e(x):
+        return edges.get(x, x)
+
+    return SymmetricGraph(
+        Multigraph(
+            map(v, g.graph.vertices),
+            [(e(x.id), v(x.tail), v(x.head)) for x in g.graph.edges],
+        ),
+        {v(a): v(b) for a, b in g.vertex_involution.items()},
+        {e(a): e(b) for a, b in g.edge_involution.items()},
+        {v(a): side for a, side in g.vertex_side.items()},
+        {e(a): side for a, side in g.edge_side.items()},
+    )
+
+
 def corpus_params(rng: random.Random):
     n_fixed = rng.randint(1, 3)
     n_left = rng.randint(0, 3)

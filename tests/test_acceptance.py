@@ -186,7 +186,8 @@ def test_criterion_6_snake_dimensions(corpus_reports):
             failures.append("dim B^phi formula fails")
         if snake.dim_z_phi - snake.dim_z_psi != rep.exponent:
             failures.append("cycle dimension gap formula fails")
-        if snake.exponent + snake.log2_ker != snake.log2_coker:
+        bicycles = rep.identification
+        if rep.exponent + bicycles.dim_psi_fixed != bicycles.dim_phi_fixed:
             failures.append("alternating-product identity fails")
     announce(6, "snake dimensions", failures)
 

@@ -17,7 +17,7 @@ from mirrorcrit.graphfile import ParseError, parse, parse_plain, serialize
 from mirrorcrit.graphs import FIXED, LEFT, RIGHT, InvalidSymmetricGraph
 from mirrorcrit.randgraph import random_symmetric_graph
 
-from conftest import mirror_cycle, running_example
+from conftest import CYCLIC_AXIS, mirror_cycle, running_example
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_graphs"
 
@@ -398,17 +398,6 @@ class TestUsageErrors:
             main(["oracle", "-h"])
         assert exc.value.code == 0
         assert "--max-enum" in capsys.readouterr().out
-
-
-# an even cycle on the axis: x + y is a phi-fixed bicycle, yet f* is onto
-CYCLIC_AXIS = """
-v a F
-v b F
-e x a b
-e y a b
-efix x
-efix y
-"""
 
 
 class TestCyclicAxis:

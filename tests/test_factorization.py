@@ -9,6 +9,7 @@ import pytest
 
 from mirrorcrit.critical import AdjointPair
 from mirrorcrit.factorization import (
+    VERDICT_ORDER,
     _descend,
     build_maps,
     component_linking_cycles,
@@ -19,13 +20,17 @@ from mirrorcrit.factorization import (
     two_torsion_check,
     verify_lattice_preservation,
 )
+from mirrorcrit.graphfile import parse
 from mirrorcrit.graphs import (
+    AXIS_VERTEX,
     FIXED,
     LEFT,
     RIGHT,
     InvalidSymmetricGraph,
     Multigraph,
     SymmetricGraph,
+    half_edges,
+    subdivision_vertex,
 )
 from mirrorcrit.lattice import (
     FpAbelianGroup,
@@ -38,9 +43,13 @@ from mirrorcrit.modp import is_involution
 from mirrorcrit.randgraph import mirror_grid
 
 from conftest import (
+    CYCLIC_AXIS,
+    disconnected_plus,
+    empty_axis,
     exact_det,
     identity_mirror_triangle,
     mirror_cycle,
+    relabel,
     running_example,
     single_fixed_edge,
 )
@@ -198,7 +207,7 @@ def _dense_reference(maps):
             bonds.contains_relation(_apply(f, cut)) for cut in union_cuts
         ),
         subdivision_bonds_vanish=all(
-            not any(f_of_plus_cut(s)) for s in dec.subdivision_vertex.values()
+            not any(f_of_plus_cut(subdivision_vertex(e.id))) for e in g.fixed_edges
         ),
         fixed_vertex_bonds_match=all(
             f_of_plus_cut(v) == cut_g(v) for v in g.fixed_vertices
@@ -207,7 +216,7 @@ def _dense_reference(maps):
             f_of_plus_cut(v) == _combine(1, cut_g(v), cut_g(vphi[v]))
             for v in g.left_vertices
         ),
-        contracted_bond_matches=f_of_minus_cut(dec.contracted_vertex)
+        contracted_bond_matches=f_of_minus_cut(AXIS_VERTEX)
         == _combine(-1, _cut(graph, set(g.left_vertices)), _cut(graph, set(g.right_vertices))),
         right_vertex_bonds_match=all(
             f_of_minus_cut(v) == _combine(-1, cut_g(v), cut_g(vphi[v]))
@@ -232,9 +241,8 @@ def _dense_reference(maps):
         vec = _combine(-1, unit_g(e.id), unit_g(ephi[e.id]))
         witnesses.append(_apply(ft, vec) == _unit(n_block, minus_pos[e.id], 2))
     for e in g.fixed_edges:
-        halves = _combine(
-            1, _unit(n_block, plus_pos[(e.id, 1)]), _unit(n_block, plus_pos[(e.id, 2)])
-        )
+        h1, h2 = half_edges(e.id)
+        halves = _combine(1, _unit(n_block, plus_pos[h1]), _unit(n_block, plus_pos[h2]))
         witnesses.append(_apply(ft, unit_g(e.id)) == halves)
     return flags, all(witnesses)
 
@@ -340,14 +348,15 @@ class TestTwoTorsion:
     def test_running_example(self, maps):
         report = two_torsion_check(maps)
         assert report.passed
-        assert report.ker_f.invariant_factors == (2,)
-        assert report.coker_f.invariant_factors == (2,)
+        assert maps.ker_f.invariant_factors == (2,)
+        assert maps.coker_f.invariant_factors == (2,)
 
     def test_mirror_cycle(self):
-        report = two_torsion_check(build_maps(mirror_cycle(3).decompose()))
+        m = build_maps(mirror_cycle(3).decompose())
+        report = two_torsion_check(m)
         assert report.passed
-        assert report.ker_f.is_trivial()
-        assert report.coker_f.invariant_factors == (2,)
+        assert m.ker_f.is_trivial()
+        assert m.coker_f.invariant_factors == (2,)
 
     def test_random_corpus(self, mixed_corpus):
         for g in mixed_corpus:
@@ -393,7 +402,7 @@ class TestIdentification:
     def test_running_example(self, maps):
         ident = identify_kernel_cokernel(maps)
         assert ident.coker_matches and ident.ker_matches
-        assert ident.coker_order == 2 and ident.ker_order == 2
+        assert maps.coker_f.order() == 2 and maps.ker_f.order() == 2
         assert ident.ker_ft_mod2_dim == 2  # |E_L|
         assert ident.ker_ft_basis_ok
         assert ident.ker_f_psi_fixed_ok
@@ -403,15 +412,16 @@ class TestIdentification:
         # dim Z^phi = 1 and dim B^phi = 2 meet in the bicycle line, so
         # dim (Z^phi + B^phi) = 2
         ident = identify_kernel_cokernel(maps)
-        assert ident.dim_sum_phi == 2
+        assert maps.sum_phi.dim == 2
         assert ident.dim_phi_ambient == 3
 
     def test_quotient_presentations_cross_over(self):
         # mirrored 4-cycle: ker(f*) = 0 and coker(f*) = Z/2; the
         # quotient on the G side gives the kernel, the one on the
         # G+ u G- side the cokernel (not the other way around)
-        ident = identify_kernel_cokernel(build_maps(mirror_cycle(2).decompose()))
-        assert ident.ker_order == 1 and ident.coker_order == 2
+        m = build_maps(mirror_cycle(2).decompose())
+        ident = identify_kernel_cokernel(m)
+        assert m.ker_f.order() == 1 and m.coker_f.order() == 2
         assert ident.phi_quotient_log2 == 0
         assert ident.psi_quotient_log2 == 1
         assert ident.alternate_ker_matches and ident.alternate_coker_matches
@@ -478,7 +488,7 @@ class TestSnakeDimensions:
         assert snake.dim_b_phi == 2   # |V_R| + |V^phi| - 1 = 1 + 2 - 1
         assert snake.dim_z_psi == 1
         assert snake.dim_z_phi == 1
-        assert snake.exponent == 0
+        assert maps.graph.two_power_exponent() == 0
         assert snake.column_exactness
         assert snake.bond_dim_plus_formula and snake.bond_dim_formula
         assert snake.cycle_dim_gap_formula
@@ -486,15 +496,17 @@ class TestSnakeDimensions:
         assert snake.final_two_power_identity
 
     def test_mirror_cycle_n3(self):
-        snake = snake_dimension_report(build_maps(mirror_cycle(3).decompose()))
-        assert snake.exponent == 1
-        assert snake.log2_coker - snake.log2_ker == 1
+        m = build_maps(mirror_cycle(3).decompose())
+        snake = snake_dimension_report(m)
+        assert m.graph.two_power_exponent() == 1
+        assert m.phi_bicycles.dim - m.psi_bicycles.dim == 1
         assert snake.cycle_dim_gap_formula
         assert snake.final_two_power_identity
 
     def test_single_fixed_edge_trivial(self):
-        snake = snake_dimension_report(build_maps(single_fixed_edge().decompose()))
-        assert snake.exponent == 0
+        m = build_maps(single_fixed_edge().decompose())
+        snake = snake_dimension_report(m)
+        assert m.graph.two_power_exponent() == 0
         assert snake.dim_z_psi == snake.dim_z_phi == 0
         assert snake.bond_dim_plus_formula and snake.bond_dim_formula
 
@@ -529,19 +541,8 @@ class TestLinkingCycles:
         assert basis.independent_and_spanning
 
     def test_requires_connected_plus(self):
-        two = Multigraph(
-            ["b", "c", "b2", "c2"],
-            [("e", "b", "c"), ("e2", "b2", "c2")],
-        )
-        g = SymmetricGraph(
-            two,
-            {v: v for v in two.vertices},
-            {"e": "e", "e2": "e2"},
-            {v: FIXED for v in two.vertices},
-            {"e": FIXED, "e2": FIXED},
-        )
         with pytest.raises(ValueError):
-            component_linking_cycles(build_maps(g.decompose()))
+            component_linking_cycles(build_maps(disconnected_plus().decompose()))
 
     def test_corpus(self, small_corpus):
         for g in small_corpus:
@@ -725,6 +726,72 @@ class TestWorkCounts:
         for decomposition in diagonal_only:
             assert not set(WITNESSES) & vars(decomposition).keys()
 
+    def test_each_hypothesis_traversed_once(self, monkeypatch):
+        # one analysis finds the axis components once, and the plus
+        # graph's connectivity once, and reads both from SymmetryMaps
+        calls = Counter()
+        components = Multigraph.components
+
+        def counting(graph):
+            calls[graph.vertices] += 1
+            return components(graph)
+
+        monkeypatch.setattr(Multigraph, "components", counting)
+        rep = main_theorem_verdict(mirror_grid(7, 7))
+        assert rep.overall_pass
+        axis = tuple(rep.graph.fixed_vertices)
+        assert calls == {axis: 1, rep.maps.dec.plus.vertices: 1}
+
+
+# the verdicts gated off when the axis is not a forest, and when G+ is
+# disconnected or the axis is empty
+NOT_FOREST = (
+    "alternate_presentations", "g_injective", "snake_cycle_gap", "snake_sum_ratio",
+    "final_two_power_identity", "ratio_is_two_power", "corollary_factorization",
+    "linking_cycle_basis",
+)
+NOT_CONNECTED_OR_EMPTY = (
+    "snake_bond_dims", "snake_cycle_gap", "final_two_power_identity",
+    "ratio_is_two_power", "corollary_factorization", "linking_cycle_basis",
+)
+
+# input -> (the verdicts that are not True, (axis_components, exponent,
+# plus_connected, axis_nonempty, axis_forest))
+GATE_INPUTS = {
+    "identity_mirror_triangle": (
+        identity_mirror_triangle, dict.fromkeys(NOT_FOREST), (1, -1, True, True, False),
+    ),
+    "empty_axis": (
+        empty_axis, dict.fromkeys(NOT_CONNECTED_OR_EMPTY), (0, -1, True, False, True),
+    ),
+    "disconnected_plus": (
+        disconnected_plus, dict.fromkeys(NOT_CONNECTED_OR_EMPTY), (2, 1, False, True, True),
+    ),
+    # bicycle_cokernel is not gated on the forest hypothesis yet
+    "cyclic_axis": (
+        lambda: parse(CYCLIC_AXIS),
+        {**dict.fromkeys(NOT_FOREST), "bicycle_cokernel": False},
+        (1, -1, True, True, False),
+    ),
+}
+
+
+class TestGates:
+    """The hypothesis flags and every verdict on the inputs that the
+    seeded generator never makes: a cyclic axis, an empty axis and a
+    disconnected plus graph."""
+
+    @pytest.mark.parametrize("name", list(GATE_INPUTS))
+    def test_verdicts_and_hypotheses(self, name):
+        build, not_true, flags = GATE_INPUTS[name]
+        rep = main_theorem_verdict(build())
+        assert rep.verdicts == {**dict.fromkeys(VERDICT_ORDER, True), **not_true}
+        hypotheses = (
+            rep.axis_components, rep.exponent, rep.plus_connected,
+            rep.axis_nonempty, rep.axis_forest,
+        )
+        assert hypotheses == flags
+
 
 class TestMainTheoremVerdict:
     def test_running_example(self):
@@ -796,39 +863,36 @@ class TestMainTheoremVerdict:
         assert rep.overall_pass
 
     def test_empty_axis_gated(self):
-        graph = Multigraph(
-            ["u1", "u2", "w1", "w2"],
-            [("a", "u1", "u2"), ("b", "w1", "w2")],
-        )
-        g = SymmetricGraph(
-            graph,
-            {"u1": "w1", "w1": "u1", "u2": "w2", "w2": "u2"},
-            {"a": "b", "b": "a"},
-            {"u1": LEFT, "u2": LEFT, "w1": RIGHT, "w2": RIGHT},
-            {"a": LEFT, "b": RIGHT},
-        ).canonical_orientation()
-        rep = main_theorem_verdict(g)
+        rep = main_theorem_verdict(empty_axis())
         assert rep.axis_nonempty is False
         assert rep.verdicts["ratio_is_two_power"] is None
         assert rep.overall_pass  # unconditional checks still hold
 
     def test_disconnected_plus_gated(self):
-        two = Multigraph(
-            ["b", "c", "b2", "c2"],
-            [("e", "b", "c"), ("e2", "b2", "c2")],
-        )
-        g = SymmetricGraph(
-            two,
-            {v: v for v in two.vertices},
-            {"e": "e", "e2": "e2"},
-            {v: FIXED for v in two.vertices},
-            {"e": FIXED, "e2": FIXED},
-        )
-        rep = main_theorem_verdict(g)
+        rep = main_theorem_verdict(disconnected_plus())
         assert rep.plus_connected is False
         assert rep.verdicts["snake_bond_dims"] is None
         assert rep.verdicts["corollary_factorization"] is None
         assert rep.overall_pass
+
+    def test_unreserved_tuple_ids(self):
+        # ids shaped like derived ones, of no fixed edge (the fixed edge
+        # is cb), are ordinary ids: the analysis matches the string ids'
+        plain = running_example()
+        tupled = relabel(plain, {"a": ("s", "z")}, {"ab": ("y", 1), "db": ("y", 2)})
+        assert tupled.validate() == []
+        reports = [main_theorem_verdict(g) for g in (plain, tupled)]
+        assert reports[0].verdicts == reports[1].verdicts
+        assert all(v is True for v in reports[1].verdicts.values())
+        factors = [
+            [
+                grp.invariant_factors
+                for grp in (rep.group_g, rep.group_plus, rep.group_minus, rep.group_block,
+                            rep.ker_f, rep.coker_f, rep.ker_ft, rep.coker_ft)
+            ]
+            for rep in reports
+        ]
+        assert factors[0] == factors[1]
 
     def test_invalid_input_raises(self):
         g = running_example()

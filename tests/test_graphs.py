@@ -21,11 +21,13 @@ from mirrorcrit.graphs import (
     InvalidSymmetricGraph,
     Multigraph,
     SymmetricGraph,
+    half_edges,
+    subdivision_vertex,
 )
 from mirrorcrit.lattice import IntMatrix, smith_normal_form
 from mirrorcrit.randgraph import random_symmetric_graph
 
-from conftest import mirror_cycle, running_example, single_fixed_edge
+from conftest import mirror_cycle, relabel, running_example, single_fixed_edge
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_graphs"
 
@@ -148,34 +150,17 @@ class TestValidation:
     @pytest.mark.parametrize(
         "vertices, edges",
         [
-            ({"a": ("s", "cb")}, {}),
+            ({"a": subdivision_vertex("cb")}, {}),
             ({"a": AXIS_VERTEX}, {}),
-            ({"d": ("s", "cb")}, {}),
-            ({}, {"db": ("cb", 1)}),
+            ({"d": subdivision_vertex("cb")}, {}),
+            ({}, {"db": half_edges("cb")[0]}),
         ],
     )
     def test_reserved_ids_rejected(self, vertices, edges):
         # each renamed id equals one that decompose makes for G+ or G-
         # (the running example's Left vertex a, Right vertex d and Right
         # edge db; cb is its fixed edge)
-        g = running_example()
-
-        def v(x):
-            return vertices.get(x, x)
-
-        def e(x):
-            return edges.get(x, x)
-
-        sg = SymmetricGraph(
-            Multigraph(
-                map(v, g.graph.vertices),
-                [(e(x.id), v(x.tail), v(x.head)) for x in g.graph.edges],
-            ),
-            {v(a): v(b) for a, b in g.vertex_involution.items()},
-            {e(a): e(b) for a, b in g.edge_involution.items()},
-            {v(a): side for a, side in g.vertex_side.items()},
-            {e(a): side for a, side in g.edge_side.items()},
-        )
+        sg = relabel(running_example(), vertices, edges)
         (taken,) = {**vertices, **edges}.values()
         assert sg.validate() == [f"id {taken!r} is reserved for the derived graphs"]
         for run in (sg.decompose, lambda: main_theorem_verdict(sg)):
@@ -247,7 +232,7 @@ class TestDecompose:
         # plus: 4-cycle on a, b, c and the subdivision vertex
         assert dec.plus.n_vertices == 4
         assert dec.plus.n_edges == 4
-        assert ("s", "cb") in dec.plus.vertices
+        assert subdivision_vertex("cb") in dec.plus.vertices
         # minus: two parallel edges between the contracted vertex and d
         assert dec.minus.n_vertices == 2
         assert dec.minus.n_edges == 2
@@ -282,7 +267,8 @@ class TestDecompose:
             bad.decompose()
 
     def test_cardinalities_and_regluing(self):
-        # provenance maps are bijective onto E_L u E^phi x {1,2} and E_R
+        # the plus edges are E_L and the two half_edges of each edge of
+        # E^phi, and the minus edges are E_R, each under its own id
         for seed in range(25):
             rng = random.Random(seed)
             g = random_symmetric_graph(rng=rng)
@@ -293,33 +279,32 @@ class TestDecompose:
             assert dec.plus.n_vertices == len(g.left_vertices) + len(g.fixed_vertices) + n_f
             assert dec.minus.n_vertices == len(g.right_vertices) + 1
 
-            left_origins = [
-                o[1] for o in dec.plus_edge_origin.values() if o[0] == "left"
-            ]
+            halves = {h: e.id for e in g.fixed_edges for h in half_edges(e.id)}
+            plus_ids = [e.id for e in dec.plus.edges]
+            left_origins = [eid for eid in plus_ids if eid not in halves]
             assert sorted(left_origins) == sorted(e.id for e in g.left_edges)
-            half_origins = [
-                (o[1], o[2]) for o in dec.plus_edge_origin.values() if o[0] == "half"
-            ]
+            half_origins = [eid for eid in plus_ids if eid in halves]
             assert sorted(half_origins) == sorted(
-                (e.id, k) for e in g.fixed_edges for k in (1, 2)
+                h for e in g.fixed_edges for h in half_edges(e.id)
             )
-            assert sorted(dec.minus_edge_origin.values()) == sorted(
+            assert sorted(e.id for e in dec.minus.edges) == sorted(
                 e.id for e in g.right_edges
             )
-            for h1, h2 in dec.half_pairing.items():
-                assert dec.half_pairing[h2] == h1
-                assert dec.plus_edge_origin[h1][1] == dec.plus_edge_origin[h2][1]
+            for e in g.fixed_edges:
+                h1, h2 = half_edges(e.id)
+                assert h1 != h2
+                assert halves[h1] == halves[h2] == e.id
 
     def test_orientations_inherited(self):
         g = running_example()
         dec = g.decompose()
+        left = {e.id for e in g.left_edges}
         for e in dec.plus.edges:
-            origin = dec.plus_edge_origin[e.id]
-            if origin[0] == "left":
-                src = g.graph.edge(origin[1])
+            if e.id in left:
+                src = g.graph.edge(e.id)
                 assert (e.tail, e.head) == (src.tail, src.head)
         for e in dec.minus.edges:
-            src = g.graph.edge(dec.minus_edge_origin[e.id])
+            src = g.graph.edge(e.id)
             fixed = set(g.fixed_vertices)
             expect_tail = AXIS_VERTEX if src.tail in fixed else src.tail
             expect_head = AXIS_VERTEX if src.head in fixed else src.head
@@ -327,9 +312,8 @@ class TestDecompose:
 
     def test_fixed_edge_halves_share_subdivision_vertex(self):
         dec = running_example().decompose()
-        h1 = dec.plus.edge(("cb", 1))
-        h2 = dec.plus.edge(("cb", 2))
-        s = dec.subdivision_vertex["cb"]
+        h1, h2 = (dec.plus.edge(h) for h in half_edges("cb"))
+        s = subdivision_vertex("cb")
         assert h1.head == s and h2.tail == s
         assert h1.tail == "c" and h2.head == "b"
 
@@ -376,7 +360,8 @@ class TestFixedSubgraph:
         assert count == 1
         assert set(labels) == {"b", "c"}
         assert g.two_power_exponent() == 0
-        assert g.fixed_subgraph_is_forest()
+        # a forest: |V^phi| - |E^phi| components
+        assert count == len(g.fixed_vertices) - len(g.fixed_edges)
 
     def test_mirror_cycle(self):
         g = mirror_cycle(4)
@@ -404,5 +389,5 @@ class TestFixedSubgraph:
             rng = random.Random(seed)
             g = random_symmetric_graph(rng=rng)
             count, _ = g.fixed_subgraph_components()
-            assert g.fixed_subgraph_is_forest()
+            assert count == len(g.fixed_vertices) - len(g.fixed_edges)
             assert count - 1 == g.two_power_exponent()
