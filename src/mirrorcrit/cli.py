@@ -27,13 +27,14 @@ from pathlib import Path
 
 from . import __version__
 from .critical import (
+    DEFAULT_ORACLE_LIMIT,
     AdjointPair,
     OracleLimitError,
     bicycle_masks_bruteforce,
     count_maximal_forests_bruteforce,
     subspace_masks,
 )
-from .factorization import VERDICT_ORDER, FactorizationReport, main_theorem_verdict
+from .factorization import VERDICT_ORDER, FactorizationReport, build_maps, main_theorem_verdict
 from .graphfile import ParseError, parse, parse_plain, serialize
 from .graphs import InvalidSymmetricGraph
 from .randgraph import random_symmetric_graph
@@ -225,45 +226,38 @@ def cmd_oracle(args) -> int:
         print("note: no valid symmetry data; running plain-graph checks only")
 
     limit = args.max_enum
-    ok = True
+    agreements = []
+
+    def check(line, agree):
+        agreements.append(agree)
+        print(f"{line}  {'ok' if agree else 'MISMATCH'}")
+
     try:
-        pair = AdjointPair(plain)
+        # a symmetric input is checked against the analysis' own maps
+        maps = None if symmetric is None else build_maps(symmetric.decompose())
+        pair = AdjointPair(plain) if maps is None else maps.pair_g
         order = pair.critical_group.order()
         forests = count_maximal_forests_bruteforce(plain, limit)
-        agree = order == forests
-        ok &= agree
-        print(f"forest count: enumeration {forests} vs |K| {order}  "
-              f"{'ok' if agree else 'MISMATCH'}")
+        check(f"forest count: enumeration {forests} vs |K| {order}", order == forests)
         algebra = sorted(subspace_masks(pair.bicycle_space, limit))
         brute = bicycle_masks_bruteforce(plain, limit)
-        agree = algebra == brute
-        ok &= agree
-        print(f"bicycles: enumeration found {len(brute)}, algebra {len(algebra)}  "
-              f"{'ok' if agree else 'MISMATCH'}")
-        if symmetric is not None:
-            report = main_theorem_verdict(symmetric)
-            maps = report.maps
-            fixed_brute = _fixed_masks(brute, maps.phi)
-            agree = report.coker_f.order() == len(fixed_brute)
-            ok &= agree
-            print(
-                f"coker f*: order {report.coker_f.order()} vs "
-                f"{len(fixed_brute)} phi-fixed enumerated bicycles  "
-                f"{'ok' if agree else 'MISMATCH'}"
+        check(
+            f"bicycles: enumeration found {len(brute)}, algebra {len(algebra)}",
+            algebra == brute,
+        )
+        if maps is not None:
+            coker, fixed = maps.coker_f.order(), len(_fixed_masks(brute, maps.phi))
+            check(
+                f"coker f*: order {coker} vs {fixed} phi-fixed enumerated bicycles",
+                coker == fixed,
             )
-            union = maps.pair_union.graph
-            brute_pm = bicycle_masks_bruteforce(union, limit)
-            fixed_pm = _fixed_masks(brute_pm, maps.psi)
-            agree = report.ker_f.order() == len(fixed_pm)
-            ok &= agree
-            print(
-                f"ker f*: order {report.ker_f.order()} vs "
-                f"{len(fixed_pm)} psi-fixed enumerated bicycles  "
-                f"{'ok' if agree else 'MISMATCH'}"
-            )
+            brute_pm = bicycle_masks_bruteforce(maps.pair_union.graph, limit)
+            ker, fixed = maps.ker_f.order(), len(_fixed_masks(brute_pm, maps.psi))
+            check(f"ker f*: order {ker} vs {fixed} psi-fixed enumerated bicycles", ker == fixed)
     except OracleLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    ok = all(agreements)
     print(f"oracle: {'all checks agree' if ok else 'DISAGREEMENT FOUND'}")
     return 0 if ok else 2
 
@@ -314,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-enum",
         type=int,
-        default=1 << 20,
+        default=DEFAULT_ORACLE_LIMIT,
         help="largest subset enumeration allowed (default 2^20)",
     )
     p.set_defaults(func=cmd_oracle)

@@ -757,13 +757,14 @@ class FactorizationReport:
 def main_theorem_verdict(g: SymmetricGraph) -> FactorizationReport:
     """Run the whole pipeline on one symmetric graph.
 
-    Raises InvalidSymmetricGraph on invalid input.  The three
-    hypotheses (plus graph connected, axis nonempty, fixed subgraph a
-    forest) gate the verdicts whose statements need them; everything
-    else is asserted unconditionally.
+    `decompose` validates g (raising InvalidSymmetricGraph) and orients
+    it; the report's graph is that oriented copy.  The three hypotheses
+    (plus graph connected, axis nonempty, fixed subgraph a forest) gate
+    the verdicts whose statements need them; everything else is
+    asserted unconditionally.
     """
-    g = g.canonical_orientation()
     maps = build_maps(g.decompose())
+    g = maps.graph
 
     pair_g, pair_plus, pair_minus = maps.pair_g, maps.pair_plus, maps.pair_minus
     group_g = pair_g.critical_group

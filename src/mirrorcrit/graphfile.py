@@ -202,7 +202,16 @@ def parse(text) -> SymmetricGraph:
 
 
 def serialize(g: SymmetricGraph) -> str:
-    """Write a graph back out; parse(serialize(g)) reproduces g."""
+    """Write a graph back out; parse(serialize(g)) reproduces
+    g.canonical_orientation(), which is g for a parsed or generated graph.
+
+    Raises ValueError on an id the format cannot carry: one that is not
+    a non-empty str free of whitespace and `#`.
+    """
+    for x in (*g.graph.vertices, *(e.id for e in g.graph.edges)):
+        if not (isinstance(x, str) and "#" not in x and x.split() == [x]):
+            raise ValueError(f"id {x!r} cannot be written: not a non-empty str "
+                             "free of whitespace and '#'")
     lines = []
     for v in g.graph.vertices:
         lines.append(f"v {v} {g.vertex_side[v]}")

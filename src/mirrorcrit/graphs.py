@@ -6,8 +6,11 @@ fixes every matrix layout downstream.  A mirror-symmetric graph adds an
 involution on vertices and edges together with Left/Fixed/Right side
 labels, subject to the usual compatibility conditions; the key one is
 that an involution-fixed edge must have both endpoints fixed.
+Orientation is not one: `canonical_orientation` turns every Right edge
+to mirror its Left partner.
 
-From a valid symmetric graph two graphs are derived: the plus graph
+`decompose` is the one gate into the pipeline: it validates and orients
+once, and from that oriented copy derives two graphs: the plus graph
 (left plus fixed edges, every fixed edge subdivided at a fresh vertex)
 and the minus graph (right edges with all fixed vertices identified to
 a single vertex).  The ids of the derived pieces say where each came
@@ -95,9 +98,6 @@ class Multigraph:
 
     def edge(self, eid):
         return self.edges[self._eindex[eid]]
-
-    def has_vertex(self, v):
-        return v in self._vindex
 
     def components(self):
         """(count, {vertex: component index}); indices follow vertex order."""
@@ -187,14 +187,10 @@ class SymmetricGraph:
     # --- validation ---
 
     def validate(self):
-        """Every violated invariant, with the offending id.  Empty = valid."""
-        return self._violations(orientation=True)
+        """Every violated invariant, with the offending id.  Empty = valid.
 
-    def validate_structural(self):
-        """Violations ignoring orientation equivariance."""
-        return self._violations(orientation=False)
-
-    def _violations(self, orientation):
+        Orientation is not checked: `decompose` orients every input.
+        """
         g = self.graph
         out = []
         mirror = {LEFT: RIGHT, FIXED: FIXED, RIGHT: LEFT}
@@ -207,7 +203,7 @@ class SymmetricGraph:
         out += [f"id {x!r} is reserved for the derived graphs" for x in taken]
         for v in g.vertices:
             w = self.vertex_involution[v]
-            if not g.has_vertex(w):
+            if w not in g._vindex:
                 out.append(f"vertex involution image {w!r} of {v!r} is not a vertex")
                 continue
             if self.vertex_involution[w] != v:
@@ -257,10 +253,6 @@ class SymmetricGraph:
                             f"edge {e.id!r} on side {side} touches vertex {v!r} "
                             f"on side {forbidden}"
                         )
-                if orientation and side == RIGHT and (
-                    f.tail != pv[e.tail] or f.head != pv[e.head]
-                ):
-                    out.append(f"orientation not phi-equivariant at edge {e.id!r}")
         return out
 
     def is_valid(self):
@@ -272,9 +264,10 @@ class SymmetricGraph:
         """Reorient every Right edge to mirror its Left partner.
 
         Left and Fixed edges keep their stored orientation; the result
-        is phi-equivariant as a directed graph.  Idempotent.
+        is phi-equivariant as a directed graph.  Idempotent.  Raises
+        InvalidSymmetricGraph with every violation `validate` finds.
         """
-        bad = self.validate_structural()
+        bad = self.validate()
         if bad:
             raise InvalidSymmetricGraph(bad)
         pv = self.vertex_involution
@@ -303,23 +296,24 @@ class SymmetricGraph:
     # --- decomposition ---
 
     def decompose(self) -> "Decomposition":
-        """Build the plus and minus graphs.
+        """Build the plus and minus graphs: the one gate into the pipeline.
 
-        Left and Right edges keep their ids; the fixed edge x becomes
-        `half_edges(x)` through `subdivision_vertex(x)`, and every fixed
-        vertex becomes `AXIS_VERTEX` in G-.  Orientations are inherited.
+        Validates and orients once (`canonical_orientation`, which raises
+        InvalidSymmetricGraph) and builds from that oriented copy, which
+        becomes `Decomposition.source`.  Left and Right edges keep their
+        ids and orientations; the fixed edge x becomes `half_edges(x)`
+        through `subdivision_vertex(x)`, and every fixed vertex becomes
+        `AXIS_VERTEX` in G-.
         """
-        bad = self.validate()
-        if bad:
-            raise InvalidSymmetricGraph(bad)
+        g = self.canonical_orientation()
 
         plus_vertices = [
-            v for v in self.graph.vertices if self.vertex_side[v] in (LEFT, FIXED)
-        ] + [subdivision_vertex(e.id) for e in self.fixed_edges]
+            v for v in g.graph.vertices if g.vertex_side[v] in (LEFT, FIXED)
+        ] + [subdivision_vertex(e.id) for e in g.fixed_edges]
 
         plus_edges = []
-        for e in self.graph.edges:
-            side = self.edge_side[e.id]
+        for e in g.graph.edges:
+            side = g.edge_side[e.id]
             if side == LEFT:
                 plus_edges.append(e)
             elif side == FIXED:
@@ -327,18 +321,18 @@ class SymmetricGraph:
                 h1, h2 = half_edges(e.id)
                 plus_edges += [Edge(h1, e.tail, s), Edge(h2, s, e.head)]
 
-        fixed_set = set(self.fixed_vertices)
+        fixed_set = set(g.fixed_vertices)
 
         def squash(v):
             return AXIS_VERTEX if v in fixed_set else v
 
         minus_edges = [
-            Edge(e.id, squash(e.tail), squash(e.head)) for e in self.right_edges
+            Edge(e.id, squash(e.tail), squash(e.head)) for e in g.right_edges
         ]
         dec = Decomposition(
-            source=self,
+            source=g,
             plus=Multigraph(plus_vertices, plus_edges),
-            minus=Multigraph(self.right_vertices + [AXIS_VERTEX], minus_edges),
+            minus=Multigraph(g.right_vertices + [AXIS_VERTEX], minus_edges),
         )
         dec._check_cardinalities()
         return dec

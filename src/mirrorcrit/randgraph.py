@@ -88,6 +88,7 @@ def random_symmetric_graph(
         edge_side[eid] = FIXED
         ephi[eid] = eid
 
+    # each Right edge mirrors its Left partner: the canonical orientation
     mirrored = []
     for k in range(n_left_edges):
         a, tail, head = edges[k]
@@ -101,7 +102,6 @@ def random_symmetric_graph(
     vertex_side.update({v: FIXED for v in fixed})
     vertex_side.update({v: RIGHT for v in right})
     sg = SymmetricGraph(graph, vphi, ephi, vertex_side, edge_side)
-    sg = sg.canonical_orientation()
     if not sg.is_valid():
         raise AssertionError("generated graph is not a valid symmetric graph")
     return sg

@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +18,7 @@ from mirrorcrit.graphfile import ParseError, parse, parse_plain, serialize
 from mirrorcrit.graphs import FIXED, LEFT, RIGHT, InvalidSymmetricGraph
 from mirrorcrit.randgraph import random_symmetric_graph
 
-from conftest import CYCLIC_AXIS, mirror_cycle, running_example
+from conftest import CYCLIC_AXIS, mirror_cycle, relabel, running_example
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_graphs"
 
@@ -219,6 +220,21 @@ class TestSerialize:
         g = mirror_cycle(5)
         assert parse(serialize(g)).graph.edges == g.graph.edges
 
+    @pytest.mark.parametrize(
+        "vertices, edges, bad",
+        [
+            ({}, {"ab": "e#1"}, "e#1"),
+            ({"a": "a b"}, {}, "a b"),
+            ({}, {"ab": ""}, ""),
+            ({"a": 1, "b": 2}, {}, 1),
+        ],
+    )
+    def test_unwritable_id_rejected(self, vertices, edges, bad):
+        # a line parse rejects, or an id that would come back as another
+        g = relabel(running_example(), vertices, edges)
+        with pytest.raises(ValueError, match=f"id {re.escape(repr(bad))} cannot be written"):
+            serialize(g)
+
 
 class TestAnalyzeCommand:
     def test_exit_zero_and_groups(self, capsys):
@@ -360,13 +376,14 @@ class TestOracleCommand:
         assert "2^2 edge subsets or 2^12 vertex subsets exceed the limit 16" in captured.err
 
     def test_internal_error_exit_three(self, monkeypatch, capsys):
-        # the pipeline failing after the enumerations is a bug, not bad input
-        import mirrorcrit.cli as cli_module
+        # the pipeline failing after the enumerations is a bug, not bad input:
+        # f* descends when the coker f* line reads it, after both enumerations
+        import mirrorcrit.factorization as factorization_module
 
-        def broken(g):
-            raise RuntimeError("f does not descend to the critical groups")
+        def broken(name, matrix, source, target):
+            raise RuntimeError(f"{name} does not descend to the critical groups")
 
-        monkeypatch.setattr(cli_module, "main_theorem_verdict", broken)
+        monkeypatch.setattr(factorization_module, "_descend", broken)
         code = main(["oracle", str(SAMPLES / "k4minus.sg")])
         captured = capsys.readouterr()
         assert code == 3

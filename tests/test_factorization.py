@@ -4,6 +4,7 @@ import dataclasses
 import random
 from collections import Counter
 from functools import cached_property
+from pathlib import Path
 
 import pytest
 
@@ -55,6 +56,7 @@ from conftest import (
 )
 
 WITNESSES = ("left", "right", "left_inv", "right_inv")
+SAMPLES = Path(__file__).resolve().parent.parent / "sample_graphs"
 
 # block edge order for the running example: ab, ac, (cb,1), (cb,2), dc, db
 # edge order of G: ab, ac, dc, db, cb
@@ -741,6 +743,54 @@ class TestWorkCounts:
         assert rep.overall_pass
         axis = tuple(rep.graph.fixed_vertices)
         assert calls == {axis: 1, rep.maps.dec.plus.vertices: 1}
+
+    def test_one_validation_walk(self, monkeypatch):
+        # decompose validates and orients once: no other validation entry
+        # point runs, and no second walk re-checks the oriented copy
+        grid = mirror_grid(7, 7)
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapper(self):
+                calls[name] += 1
+                return fn(self)
+
+            return wrapper
+
+        for name in [n for n in vars(SymmetricGraph) if n.startswith("validate")]:
+            monkeypatch.setattr(
+                SymmetricGraph, name, counting(name, getattr(SymmetricGraph, name))
+            )
+        assert main_theorem_verdict(grid).overall_pass
+        assert calls == {"validate": 1}
+
+    def test_oracle_reads_the_analysis_maps(self, monkeypatch, capsys):
+        # oracle on a symmetric input builds K(G) once and runs no
+        # verdicts: 6 Smith forms, for K(G), K(G+), K(G-), the diagonal
+        # of K(G+ u G-), and the cokernel and kernel of f*
+        import mirrorcrit.cli as cli_module
+        import mirrorcrit.critical as critical_module
+        import mirrorcrit.factorization as factorization_module
+        import mirrorcrit.lattice as lattice_module
+
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        snf = counting("snf", lattice_module.smith_normal_form)
+        monkeypatch.setattr(lattice_module, "smith_normal_form", snf)
+        monkeypatch.setattr(critical_module, "smith_normal_form", snf)
+        verdict = counting("main_theorem_verdict", main_theorem_verdict)
+        monkeypatch.setattr(cli_module, "main_theorem_verdict", verdict)
+        monkeypatch.setattr(factorization_module, "main_theorem_verdict", verdict)
+        assert cli_module.main(["oracle", str(SAMPLES / "k4minus.sg")]) == 0
+        assert "oracle: all checks agree" in capsys.readouterr().out
+        assert calls == {"snf": 6}
 
 
 # the verdicts gated off when the axis is not a forest, and when G+ is

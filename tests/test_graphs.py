@@ -10,6 +10,7 @@ import pytest
 
 import mirrorcrit
 
+from mirrorcrit.cli import report_document
 from mirrorcrit.critical import AdjointPair
 from mirrorcrit.factorization import main_theorem_verdict
 from mirrorcrit.graphs import (
@@ -181,11 +182,22 @@ class TestCanonicalOrientation:
             g.vertex_side,
             g.edge_side,
         )
-        assert any("orientation" in v for v in flipped.validate())
+        # orientation is not validated: decompose orients every input
+        assert flipped.validate() == []
         fixed = flipped.canonical_orientation()
-        assert fixed.validate() == []
         assert fixed.graph.edge("db").tail == "d"
         assert fixed.graph.edge("db").head == "b"
+        ours, canonical = flipped.decompose(), g.decompose()
+        assert ours.source.graph.edges == g.graph.edges
+        for part in ("plus", "minus"):
+            assert getattr(ours, part).vertices == getattr(canonical, part).vertices
+            assert getattr(ours, part).edges == getattr(canonical, part).edges
+        docs = [
+            report_document(main_theorem_verdict(h), "running.sg", b"") for h in (flipped, g)
+        ]
+        for doc in docs:
+            doc.pop("generated_at")
+        assert docs[0] == docs[1]
 
     def test_already_equivariant_unchanged(self):
         g = running_example()
