@@ -49,7 +49,7 @@ from .lattice import (
     integer_kernel,
     smith_normal_form,
 )
-from .modp import ModpSubspace, fixed_subspace, kernel, row_space
+from .modp import ModpSubspace, kernel, row_space
 from .randgraph import mirror_grid, random_multigraph, random_symmetric_graph
 
 __all__ = [
@@ -75,7 +75,6 @@ __all__ = [
     "build_maps",
     "component_linking_cycles",
     "count_maximal_forests_bruteforce",
-    "fixed_subspace",
     "forest_count",
     "g_injection",
     "half_edges",

@@ -8,8 +8,9 @@
 `analyze` runs the full factorization pipeline and exits 0 when every
 applicable verdict passes, 2 when any fails and 1 on input errors.
 A command-line usage error also exits 1.
-`oracle` cross-checks the algebra against exhaustive enumeration and
-accepts plain (non-symmetric) graph files as well.  `random` prints a
+`oracle` cross-checks the algebra against exhaustive enumeration; on a
+plain graph file, or one whose symmetry data `parse` rejects, it runs
+the plain-graph checks only.  `random` prints a
 seeded random symmetric graph in the text format.  Every command exits
 3 on an internal error (an exception that is not about bad input,
 reported as `internal error: ...` with the traceback on stderr).

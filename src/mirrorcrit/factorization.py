@@ -50,7 +50,6 @@ from .modp import (
     ModpSubspace,
     column_masks,
     fixed_ambient,
-    fixed_subspace,
     is_involution,
     kernel,
     mask_to_row,
@@ -166,20 +165,30 @@ class SymmetryMaps:
         return self.ft_star.cokernel()
 
     @cached_property
+    def phi_ambient(self) -> ModpSubspace:
+        """The phi-fixed vectors of GF(2)^E."""
+        return fixed_ambient(self.phi)
+
+    @cached_property
+    def psi_ambient(self) -> ModpSubspace:
+        """The psi-fixed vectors of GF(2)^(E+ u E-)."""
+        return fixed_ambient(self.psi)
+
+    @cached_property
     def z_phi(self) -> ModpSubspace:
-        return fixed_subspace(self.phi, self.pair_g.cycle_space_mod2)
+        return self.phi_ambient.intersection(self.pair_g.cycle_space_mod2)
 
     @cached_property
     def b_phi(self) -> ModpSubspace:
-        return fixed_subspace(self.phi, self.pair_g.bond_space_mod2)
+        return self.phi_ambient.intersection(self.pair_g.bond_space_mod2)
 
     @cached_property
     def z_psi(self) -> ModpSubspace:
-        return fixed_subspace(self.psi, self.pair_union.cycle_space_mod2)
+        return self.psi_ambient.intersection(self.pair_union.cycle_space_mod2)
 
     @cached_property
     def b_psi(self) -> ModpSubspace:
-        return fixed_subspace(self.psi, self.pair_union.bond_space_mod2)
+        return self.psi_ambient.intersection(self.pair_union.bond_space_mod2)
 
     @cached_property
     def sum_phi(self) -> ModpSubspace:
@@ -192,12 +201,12 @@ class SymmetryMaps:
     @cached_property
     def phi_bicycles(self) -> ModpSubspace:
         """Bicycles of G fixed by the edge action of phi."""
-        return fixed_subspace(self.phi, self.pair_g.bicycle_space)
+        return self.phi_ambient.intersection(self.pair_g.bicycle_space)
 
     @cached_property
     def psi_bicycles(self) -> ModpSubspace:
         """Bicycles of G+ u G- fixed by psi."""
-        return fixed_subspace(self.psi, self.pair_union.bicycle_space)
+        return self.psi_ambient.intersection(self.pair_union.bicycle_space)
 
 
 def _descend(name, matrix, source: AdjointPair, target: AdjointPair) -> GroupHom:
@@ -468,12 +477,10 @@ def identify_kernel_cokernel(maps: SymmetryMaps) -> BicycleIdentification:
     ker_ft_ok = ker_ft2 == predicted and ker_ft2.dim == len(g.left_edges)
 
     # ker(f mod 2) versus the psi-fixed ambient subspace
-    psi_ambient = fixed_ambient(maps.psi)
-    ker_f_ok = kernel(maps.f_matrix) == psi_ambient
+    ker_f_ok = kernel(maps.f_matrix) == maps.psi_ambient
 
-    phi_ambient = fixed_ambient(maps.phi)
-    phi_quotient = phi_ambient.dim - maps.sum_phi.dim
-    psi_quotient = psi_ambient.dim - maps.sum_psi.dim
+    phi_quotient = maps.phi_ambient.dim - maps.sum_phi.dim
+    psi_quotient = maps.psi_ambient.dim - maps.sum_psi.dim
 
     return BicycleIdentification(
         dim_phi_fixed=phi_bic.dim,
@@ -483,8 +490,8 @@ def identify_kernel_cokernel(maps: SymmetryMaps) -> BicycleIdentification:
         ker_ft_mod2_dim=ker_ft2.dim,
         ker_ft_basis_ok=ker_ft_ok,
         ker_f_psi_fixed_ok=ker_f_ok,
-        dim_phi_ambient=phi_ambient.dim,
-        dim_psi_ambient=psi_ambient.dim,
+        dim_phi_ambient=maps.phi_ambient.dim,
+        dim_psi_ambient=maps.psi_ambient.dim,
         phi_quotient_log2=phi_quotient,
         psi_quotient_log2=psi_quotient,
         alternate_ker_matches=(2**phi_quotient == ker_order),
@@ -757,8 +764,8 @@ class FactorizationReport:
 def main_theorem_verdict(g: SymmetricGraph) -> FactorizationReport:
     """Run the whole pipeline on one symmetric graph.
 
-    `decompose` validates g (raising InvalidSymmetricGraph) and orients
-    it; the report's graph is that oriented copy.  The three hypotheses
+    g is valid and oriented from its construction, so nothing is
+    validated here; the report's graph is g.  The three hypotheses
     (plus graph connected, axis nonempty, fixed subgraph a forest) gate
     the verdicts whose statements need them; everything else is
     asserted unconditionally.

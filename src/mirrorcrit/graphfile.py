@@ -11,9 +11,9 @@ Grammar (whitespace-separated tokens, `#` starts a comment):
 
 `epair`/`efix` lines may be omitted when the involution is inferable,
 i.e. when there is a single edge between the mirrored endpoint pair;
-parallel edges require explicit lines.  Parsing applies the canonical
-(phi-equivariant) orientation, so Right edge orientations in the file
-are cosmetic.
+parallel edges require explicit lines.  `parse` returns a constructed
+`SymmetricGraph`, which is valid and turns each Right edge to mirror
+its Left partner, so Right edge orientations in the file are cosmetic.
 """
 
 from __future__ import annotations
@@ -101,7 +101,10 @@ def parse_plain(text) -> Multigraph:
 
 
 def parse(text) -> SymmetricGraph:
-    """Parse, infer what is inferable, validate, canonically orient."""
+    """Parse and infer what is inferable; a malformed file raises
+    ParseError.  The graph is then constructed, which raises
+    InvalidSymmetricGraph on invalid symmetry data and orients every
+    Right edge to mirror its Left partner."""
     data = _collect(text, require_sides=True)
     vertex_side = dict(data.vertices)
     graph = Multigraph([v for v, _ in data.vertices], data.edges)
@@ -198,12 +201,11 @@ def parse(text) -> SymmetricGraph:
                 "use an epair line (first id = Left)",
             )
 
-    return SymmetricGraph(graph, vphi, ephi, vertex_side, edge_side).canonical_orientation()
+    return SymmetricGraph(graph, vphi, ephi, vertex_side, edge_side)
 
 
 def serialize(g: SymmetricGraph) -> str:
-    """Write a graph back out; parse(serialize(g)) reproduces
-    g.canonical_orientation(), which is g for a parsed or generated graph.
+    """Write a graph back out; parse(serialize(g)) reproduces g.
 
     Raises ValueError on an id the format cannot carry: one that is not
     a non-empty str free of whitespace and `#`.

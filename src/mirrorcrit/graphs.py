@@ -6,16 +6,17 @@ fixes every matrix layout downstream.  A mirror-symmetric graph adds an
 involution on vertices and edges together with Left/Fixed/Right side
 labels, subject to the usual compatibility conditions; the key one is
 that an involution-fixed edge must have both endpoints fixed.
-Orientation is not one: `canonical_orientation` turns every Right edge
-to mirror its Left partner.
 
-`decompose` is the one gate into the pipeline: it validates and orients
-once, and from that oriented copy derives two graphs: the plus graph
-(left plus fixed edges, every fixed edge subdivided at a fresh vertex)
-and the minus graph (right edges with all fixed vertices identified to
-a single vertex).  The ids of the derived pieces say where each came
-from (`subdivision_vertex`, `half_edges`, `AXIS_VERTEX`), and
-validation reserves them, so no separate provenance map is kept.
+Construction is the one gate into the pipeline: it raises
+`InvalidSymmetricGraph` with every violated condition, and otherwise
+keeps its own copy of the graph in which each Right edge mirrors its
+Left partner, so a constructed graph is valid and phi-equivariant.
+From it `decompose` derives two graphs: the plus graph (left plus fixed
+edges, every fixed edge subdivided at a fresh vertex) and the minus
+graph (right edges with all fixed vertices identified to a single
+vertex).  The ids of the derived pieces say where each came from
+(`subdivision_vertex`, `half_edges`, `AXIS_VERTEX`), and construction
+reserves them, so no separate provenance map is kept.
 """
 
 from __future__ import annotations
@@ -134,6 +135,8 @@ class SymmetricGraph:
     __slots__ = ("graph", "vertex_involution", "edge_involution", "vertex_side", "edge_side")
 
     def __init__(self, graph, vertex_involution, edge_involution, vertex_side, edge_side):
+        """Raises InvalidSymmetricGraph; otherwise `self.graph` is a copy
+        of `graph` with each Right edge turned to mirror its Left partner."""
         self.graph = graph
         self.vertex_involution = dict(vertex_involution)
         self.edge_involution = dict(edge_involution)
@@ -142,15 +145,26 @@ class SymmetricGraph:
         vset = set(graph.vertices)
         eset = {e.id for e in graph.edges}
         if set(self.vertex_involution) != vset or set(self.vertex_side) != vset:
-            raise ValueError("vertex maps must cover exactly the vertex set")
+            raise InvalidSymmetricGraph(["vertex maps must cover exactly the vertex set"])
         if set(self.edge_involution) != eset or set(self.edge_side) != eset:
-            raise ValueError("edge maps must cover exactly the edge set")
+            raise InvalidSymmetricGraph(["edge maps must cover exactly the edge set"])
         for v, s in self.vertex_side.items():
             if s not in SIDES:
-                raise ValueError(f"bad side {s!r} for vertex {v!r}")
+                raise InvalidSymmetricGraph([f"bad side {s!r} for vertex {v!r}"])
         for e, s in self.edge_side.items():
             if s not in SIDES:
-                raise ValueError(f"bad side {s!r} for edge {e!r}")
+                raise InvalidSymmetricGraph([f"bad side {s!r} for edge {e!r}"])
+        bad = self._violations()
+        if bad:
+            raise InvalidSymmetricGraph(bad)
+        pv = self.vertex_involution
+        edges = []
+        for e in graph.edges:
+            if self.edge_side[e.id] == RIGHT:
+                partner = graph.edge(self.edge_involution[e.id])
+                e = Edge(e.id, pv[partner.tail], pv[partner.head])
+            edges.append(e)
+        self.graph = Multigraph(graph.vertices, edges)
 
     # --- ordered side slices (graph order) ---
 
@@ -186,10 +200,10 @@ class SymmetricGraph:
 
     # --- validation ---
 
-    def validate(self):
+    def _violations(self):
         """Every violated invariant, with the offending id.  Empty = valid.
 
-        Orientation is not checked: `decompose` orients every input.
+        Orientation is not checked: `__init__` orients every Right edge.
         """
         g = self.graph
         out = []
@@ -255,34 +269,6 @@ class SymmetricGraph:
                         )
         return out
 
-    def is_valid(self):
-        return not self.validate()
-
-    # --- canonical orientation ---
-
-    def canonical_orientation(self) -> "SymmetricGraph":
-        """Reorient every Right edge to mirror its Left partner.
-
-        Left and Fixed edges keep their stored orientation; the result
-        is phi-equivariant as a directed graph.  Idempotent.  Raises
-        InvalidSymmetricGraph with every violation `validate` finds.
-        """
-        bad = self.validate()
-        if bad:
-            raise InvalidSymmetricGraph(bad)
-        pv = self.vertex_involution
-        new_edges = []
-        for e in self.graph.edges:
-            if self.edge_side[e.id] == RIGHT:
-                partner = self.graph.edge(self.edge_involution[e.id])
-                new_edges.append(Edge(e.id, pv[partner.tail], pv[partner.head]))
-            else:
-                new_edges.append(e)
-        graph = Multigraph(self.graph.vertices, new_edges)
-        return SymmetricGraph(
-            graph, self.vertex_involution, self.edge_involution, self.vertex_side, self.edge_side
-        )
-
     # --- the axis subgraph ---
 
     def fixed_subgraph_components(self):
@@ -296,24 +282,19 @@ class SymmetricGraph:
     # --- decomposition ---
 
     def decompose(self) -> "Decomposition":
-        """Build the plus and minus graphs: the one gate into the pipeline.
+        """Build the plus and minus graphs of this (valid, oriented) graph.
 
-        Validates and orients once (`canonical_orientation`, which raises
-        InvalidSymmetricGraph) and builds from that oriented copy, which
-        becomes `Decomposition.source`.  Left and Right edges keep their
-        ids and orientations; the fixed edge x becomes `half_edges(x)`
-        through `subdivision_vertex(x)`, and every fixed vertex becomes
-        `AXIS_VERTEX` in G-.
+        Left and Right edges keep their ids and orientations; the fixed
+        edge x becomes `half_edges(x)` through `subdivision_vertex(x)`,
+        and every fixed vertex becomes `AXIS_VERTEX` in G-.
         """
-        g = self.canonical_orientation()
-
         plus_vertices = [
-            v for v in g.graph.vertices if g.vertex_side[v] in (LEFT, FIXED)
-        ] + [subdivision_vertex(e.id) for e in g.fixed_edges]
+            v for v in self.graph.vertices if self.vertex_side[v] in (LEFT, FIXED)
+        ] + [subdivision_vertex(e.id) for e in self.fixed_edges]
 
         plus_edges = []
-        for e in g.graph.edges:
-            side = g.edge_side[e.id]
+        for e in self.graph.edges:
+            side = self.edge_side[e.id]
             if side == LEFT:
                 plus_edges.append(e)
             elif side == FIXED:
@@ -321,18 +302,18 @@ class SymmetricGraph:
                 h1, h2 = half_edges(e.id)
                 plus_edges += [Edge(h1, e.tail, s), Edge(h2, s, e.head)]
 
-        fixed_set = set(g.fixed_vertices)
+        fixed_set = set(self.fixed_vertices)
 
         def squash(v):
             return AXIS_VERTEX if v in fixed_set else v
 
         minus_edges = [
-            Edge(e.id, squash(e.tail), squash(e.head)) for e in g.right_edges
+            Edge(e.id, squash(e.tail), squash(e.head)) for e in self.right_edges
         ]
         dec = Decomposition(
-            source=g,
+            source=self,
             plus=Multigraph(plus_vertices, plus_edges),
-            minus=Multigraph(g.right_vertices + [AXIS_VERTEX], minus_edges),
+            minus=Multigraph(self.right_vertices + [AXIS_VERTEX], minus_edges),
         )
         dec._check_cardinalities()
         return dec
@@ -377,7 +358,7 @@ class Decomposition:
     def union_graph(self) -> Multigraph:
         """Disjoint union of the plus and minus graphs, plus edges first.
 
-        Validation rejects an input id equal to a derived one, so the
+        Construction rejects an input id equal to a derived one, so the
         vertex and edge ids of the two parts never collide: the union is
         a plain concatenation, and its vertex and edge indices are the
         block layout of the mirror map matrices.

@@ -189,10 +189,3 @@ def fixed_ambient(perm) -> ModpSubspace:
         raise ValueError("permutation is not an involution")
     rows = tuple(1 << i | 1 << j for i, j in enumerate(perm) if i <= j)
     return ModpSubspace(len(perm), rows)
-
-
-def fixed_subspace(perm, space: ModpSubspace) -> ModpSubspace:
-    """{x in space : x is fixed by the involution perm of the coordinates}."""
-    if len(perm) != space.ambient_dim:
-        raise ValueError("involution does not act on the ambient space")
-    return fixed_ambient(perm).intersection(space)

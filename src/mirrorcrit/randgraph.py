@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 
 from .graphfile import parse
-from .graphs import FIXED, LEFT, RIGHT, SymmetricGraph, Multigraph
+from .graphs import FIXED, LEFT, RIGHT, InvalidSymmetricGraph, Multigraph, SymmetricGraph
 
 
 def random_symmetric_graph(
@@ -29,7 +29,8 @@ def random_symmetric_graph(
     rng=None,
 ) -> SymmetricGraph:
     """Deterministic under a fixed seed; raises ValueError when the
-    requested sizes are infeasible."""
+    requested sizes are infeasible.  A draw that fails construction is
+    a bug of this generator, not bad input, and raises AssertionError."""
     if rng is None:
         rng = random.Random(seed)
     if n_left < 0 or n_fixed < 0 or n_left_edges < 0 or n_fixed_edges < 0:
@@ -88,7 +89,7 @@ def random_symmetric_graph(
         edge_side[eid] = FIXED
         ephi[eid] = eid
 
-    # each Right edge mirrors its Left partner: the canonical orientation
+    # each Right edge joins the mirrors of its Left partner's endpoints
     mirrored = []
     for k in range(n_left_edges):
         a, tail, head = edges[k]
@@ -101,10 +102,10 @@ def random_symmetric_graph(
     vertex_side = {v: LEFT for v in left}
     vertex_side.update({v: FIXED for v in fixed})
     vertex_side.update({v: RIGHT for v in right})
-    sg = SymmetricGraph(graph, vphi, ephi, vertex_side, edge_side)
-    if not sg.is_valid():
-        raise AssertionError("generated graph is not a valid symmetric graph")
-    return sg
+    try:
+        return SymmetricGraph(graph, vphi, ephi, vertex_side, edge_side)
+    except InvalidSymmetricGraph as exc:
+        raise AssertionError(f"generated graph is not a valid symmetric graph: {exc}") from exc
 
 
 def random_multigraph(seed=None, *, max_vertices=6, max_edges=12, rng=None) -> Multigraph:

@@ -52,7 +52,7 @@ def running_example() -> SymmetricGraph:
     ephi = {"ab": "db", "db": "ab", "ac": "dc", "dc": "ac", "cb": "cb"}
     vside = {"a": LEFT, "b": FIXED, "c": FIXED, "d": RIGHT}
     eside = {"ab": LEFT, "ac": LEFT, "dc": RIGHT, "db": RIGHT, "cb": FIXED}
-    return SymmetricGraph(graph, vphi, ephi, vside, eside).canonical_orientation()
+    return SymmetricGraph(graph, vphi, ephi, vside, eside)
 
 
 def mirror_cycle(n: int) -> SymmetricGraph:
@@ -80,8 +80,7 @@ def mirror_cycle(n: int) -> SymmetricGraph:
     vside.update({v: RIGHT for v in right})
     eside = {f"l{i}": LEFT for i in range(n)}
     eside.update({f"r{i}": RIGHT for i in range(n)})
-    sg = SymmetricGraph(Multigraph(vertices, edges), vphi, ephi, vside, eside)
-    return sg.canonical_orientation()
+    return SymmetricGraph(Multigraph(vertices, edges), vphi, ephi, vside, eside)
 
 
 def single_fixed_edge() -> SymmetricGraph:
@@ -124,7 +123,7 @@ def empty_axis() -> SymmetricGraph:
         {"a": "b", "b": "a"},
         {"u1": LEFT, "u2": LEFT, "w1": RIGHT, "w2": RIGHT},
         {"a": LEFT, "b": RIGHT},
-    ).canonical_orientation()
+    )
 
 
 def disconnected_plus() -> SymmetricGraph:

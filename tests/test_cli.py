@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import mirrorcrit
 from mirrorcrit.cli import main
 from mirrorcrit.graphfile import ParseError, parse, parse_plain, serialize
-from mirrorcrit.graphs import FIXED, LEFT, RIGHT, InvalidSymmetricGraph
+from mirrorcrit.graphs import FIXED, LEFT, RIGHT, InvalidSymmetricGraph, SymmetricGraph
 from mirrorcrit.randgraph import random_symmetric_graph
 
 from conftest import CYCLIC_AXIS, mirror_cycle, relabel, running_example
@@ -51,12 +51,15 @@ epair orientation1 orientation2
 """
 
 
+# a fixed edge between two swapped vertices
+INVALID_FIXED_EDGE = "v a L\nv b R\nphi a b\ne x a b\n"
+
+
 class TestParse:
     def test_running_example_file(self):
         g = parse(K4MINUS)
         assert g.graph.n_vertices == 4
         assert g.graph.n_edges == 5
-        assert g.validate() == []
         assert g.edge_side["cb"] == FIXED
         assert g.edge_side["ab"] == LEFT
         assert g.edge_side["db"] == RIGHT
@@ -65,7 +68,7 @@ class TestParse:
     def test_shipped_samples_parse(self):
         for name in ("k4minus.sg", "cycle12.sg"):
             g = parse((SAMPLES / name).read_text())
-            assert g.validate() == []
+            assert parse(serialize(g)).graph.edges == g.graph.edges
 
     def test_comments_and_blank_lines(self):
         g = parse("# heading\n\nv x F   # inline\n")
@@ -147,11 +150,11 @@ epair e1 e2
         assert g.edge_side["e2"] == RIGHT
 
     def test_canonical_orientation_applied(self):
-        # db stored backwards in the file; parse flips it
+        # db stored backwards in the file; construction flips it
         text = K4MINUS.replace("e db d b", "e db b d")
         g = parse(text)
         assert g.graph.edge("db").tail == "d"
-        assert g.validate() == []
+        assert g.graph.edges == parse(K4MINUS).graph.edges
 
     def test_parse_plain_ignores_symmetry(self):
         g = parse_plain("v a\nv b\ne e1 a b\n")
@@ -344,6 +347,19 @@ class TestOracleCommand:
         assert "plain-graph checks only" in out
         assert "enumeration 3 vs |K| 3" in out
 
+    def test_invalid_symmetry_falls_back(self, tmp_path, capsys):
+        # parses, but its one edge is fixed with moved endpoints: the
+        # symmetry is rejected and the plain-graph checks still run
+        f = tmp_path / "invalid.sg"
+        f.write_text(INVALID_FIXED_EDGE)
+        code = main(["oracle", str(f)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "note: no valid symmetry data; running plain-graph checks only" in out
+        assert "oracle: all checks agree" in out
+        with pytest.raises(InvalidSymmetricGraph, match="fixed edge not fixed point-wise: 'x'"):
+            parse(INVALID_FIXED_EDGE)
+
     def test_random_ten_edge_graph(self, tmp_path, capsys):
         rng = random.Random(42)
         g = random_symmetric_graph(
@@ -477,10 +493,13 @@ class TestRandomCommand:
             )
             out = capsys.readouterr().out
             assert code == 0
-            assert parse(out).validate() == []
+            # parse constructs the graph, which raises on invalid output
+            assert parse(out).graph.n_edges == 7
 
     def test_generator_validity_over_many_seeds(self):
-        # property: every feasible draw is a valid symmetric graph
+        # property: every feasible draw constructs, i.e. is a valid
+        # symmetric graph (an invalid draw raises AssertionError, which
+        # the ValueError of an infeasible one does not catch)
         count = 0
         for seed in range(1000):
             rng = random.Random(seed)
@@ -495,8 +514,17 @@ class TestRandomCommand:
             except ValueError:
                 continue
             count += 1
-            assert g.validate() == []
+            assert g.graph.n_edges == 2 * len(g.left_edges) + len(g.fixed_edges)
         assert count > 400
+
+    def test_generator_bug_exits_three(self, monkeypatch, capsys):
+        # a draw that fails construction is an internal error, not bad
+        # input: exit 3, although InvalidSymmetricGraph is a ValueError
+        monkeypatch.setattr(SymmetricGraph, "_violations", lambda self: ["boom"])
+        assert main(["random"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: AssertionError:")
+        assert "boom" in err
 
     def test_infeasible_parameters(self, capsys):
         code = main(

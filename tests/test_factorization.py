@@ -86,8 +86,7 @@ def tripod():
     ephi = {"t1": "m1", "m1": "t1", "t2": "m2", "m2": "t2", "t3": "m3", "m3": "t3"}
     vside = {"L1": LEFT, "R1": RIGHT, "F1": FIXED, "F2": FIXED, "F3": FIXED}
     eside = {"t1": LEFT, "t2": LEFT, "t3": LEFT, "m1": RIGHT, "m2": RIGHT, "m3": RIGHT}
-    sg = SymmetricGraph(Multigraph(vertices, edges), vphi, ephi, vside, eside)
-    return sg.canonical_orientation()
+    return SymmetricGraph(Multigraph(vertices, edges), vphi, ephi, vside, eside)
 
 
 class TestBuildMaps:
@@ -558,7 +557,7 @@ class TestLinkingCycles:
         graphs = [*small_corpus, *(mirror_grid(r, r) for r in (5, 7, 9, 11))]
         linked = 0
         for g in graphs:
-            dec = g.canonical_orientation().decompose()
+            dec = g.decompose()
             basis = component_linking_cycles(build_maps(dec))
             reps = basis.representatives
             for path, ends in zip(basis.paths, zip(reps, reps[1:])):
@@ -587,7 +586,6 @@ class TestMirrorGrid:
         g = mirror_grid(3, 5)
         assert (g.graph.n_vertices, g.graph.n_edges) == (15, 3 * 4 + 2 * 5)
         assert len(g.fixed_edges) == 2
-        assert g.is_valid()
         for rows, cols in ((3, 4), (0, 3), (3, 0)):
             with pytest.raises(ValueError):
                 mirror_grid(rows, cols)
@@ -704,7 +702,7 @@ class TestWorkCounts:
         # wide and tall, whatever the ambient ranks, and no input entry
         # exceeds the hom's largest modulus, here and on the 5x5 grid,
         # whose moduli (up to 6,600) leave room for unreduced entries
-        grid = build_maps(mirror_grid(5, 5).canonical_orientation().decompose())
+        grid = build_maps(mirror_grid(5, 5).decompose())
         for hom in (grid.f_star, grid.ft_star):
             hom.kernel()
             hom.cokernel()
@@ -744,25 +742,75 @@ class TestWorkCounts:
         axis = tuple(rep.graph.fixed_vertices)
         assert calls == {axis: 1, rep.maps.dec.plus.vertices: 1}
 
-    def test_one_validation_walk(self, monkeypatch):
-        # decompose validates and orients once: no other validation entry
-        # point runs, and no second walk re-checks the oriented copy
-        grid = mirror_grid(7, 7)
+    def test_each_fixed_ambient_built_once(self, monkeypatch):
+        # the phi- and psi-fixed ambients are built once each and shared
+        # by the six fixed spaces and identify_kernel_cokernel; psi and
+        # phi are each checked once in build_maps and once more when
+        # their ambient is built
+        import mirrorcrit.factorization as factorization_module
+        import mirrorcrit.modp as modp_module
+
         calls = Counter()
 
         def counting(name, fn):
-            def wrapper(self):
-                calls[name] += 1
-                return fn(self)
+            def wrapper(perm):
+                calls[name, len(perm)] += 1
+                return fn(perm)
 
             return wrapper
 
-        for name in [n for n in vars(SymmetricGraph) if n.startswith("validate")]:
-            monkeypatch.setattr(
-                SymmetricGraph, name, counting(name, getattr(SymmetricGraph, name))
-            )
-        assert main_theorem_verdict(grid).overall_pass
-        assert calls == {"validate": 1}
+        check = counting("is_involution", modp_module.is_involution)
+        monkeypatch.setattr(modp_module, "is_involution", check)
+        monkeypatch.setattr(factorization_module, "is_involution", check)
+        monkeypatch.setattr(
+            factorization_module,
+            "fixed_ambient",
+            counting("fixed_ambient", modp_module.fixed_ambient),
+        )
+        rep = main_theorem_verdict(mirror_grid(7, 7))
+        assert rep.overall_pass
+        n_phi, n_psi = len(rep.maps.phi), len(rep.maps.psi)
+        assert n_phi != n_psi
+        assert calls == {
+            ("fixed_ambient", n_phi): 1,
+            ("fixed_ambient", n_psi): 1,
+            ("is_involution", n_phi): 2,
+            ("is_involution", n_psi): 2,
+        }
+
+    @staticmethod
+    def count_violation_walks(monkeypatch):
+        calls = Counter()
+        walk = SymmetricGraph._violations
+
+        def counting(self):
+            calls["walk"] += 1
+            return walk(self)
+
+        monkeypatch.setattr(SymmetricGraph, "_violations", counting)
+        return calls
+
+    def test_parse_walks_once(self, monkeypatch):
+        calls = self.count_violation_walks(monkeypatch)
+        parse((SAMPLES / "k4minus.sg").read_text())
+        assert calls == {"walk": 1}
+
+    def test_verdict_walks_none(self, monkeypatch):
+        # a constructed graph is valid and oriented: the pipeline
+        # validates nothing and rebuilds no SymmetricGraph
+        g = parse((SAMPLES / "k4minus.sg").read_text())
+        calls = self.count_violation_walks(monkeypatch)
+        assert main_theorem_verdict(g).overall_pass
+        assert calls == {}
+
+    def test_one_validation_walk(self, monkeypatch, capsys):
+        # one `analyze` run validates its input once, in parse
+        import mirrorcrit.cli as cli_module
+
+        calls = self.count_violation_walks(monkeypatch)
+        assert cli_module.main(["analyze", str(SAMPLES / "k4minus.sg")]) == 0
+        capsys.readouterr()
+        assert calls == {"walk": 1}
 
     def test_oracle_reads_the_analysis_maps(self, monkeypatch, capsys):
         # oracle on a symmetric input builds K(G) once and runs no
@@ -930,7 +978,6 @@ class TestMainTheoremVerdict:
         # is cb), are ordinary ids: the analysis matches the string ids'
         plain = running_example()
         tupled = relabel(plain, {"a": ("s", "z")}, {"ab": ("y", 1), "db": ("y", 2)})
-        assert tupled.validate() == []
         reports = [main_theorem_verdict(g) for g in (plain, tupled)]
         assert reports[0].verdicts == reports[1].verdicts
         assert all(v is True for v in reports[1].verdicts.values())
@@ -948,11 +995,16 @@ class TestMainTheoremVerdict:
         g = running_example()
         vside = dict(g.vertex_side)
         vside["a"] = FIXED
-        bad = SymmetricGraph(
-            g.graph, g.vertex_involution, g.edge_involution, vside, g.edge_side
-        )
-        with pytest.raises(InvalidSymmetricGraph):
-            main_theorem_verdict(bad)
+        # construction raises, so no invalid graph reaches the pipeline
+        with pytest.raises(InvalidSymmetricGraph) as exc:
+            main_theorem_verdict(
+                SymmetricGraph(g.graph, g.vertex_involution, g.edge_involution, vside, g.edge_side)
+            )
+        assert exc.value.violations == [
+            "vertex 'a' is marked Fixed but phi moves it to 'd'",
+            "vertex sides of 'a' and 'd' are not mirrored",
+            "vertex sides of 'd' and 'a' are not mirrored",
+        ]
 
     def test_corpus_all_pass(self, small_corpus, mixed_corpus):
         for g in small_corpus + mixed_corpus:

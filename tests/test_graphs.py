@@ -89,9 +89,44 @@ class TestBondVectors:
             assert rank == g.n_vertices - g.components()[0]
 
 
+def rebuilt(g, edges=None):
+    """A graph with g's maps, built on `edges` (g's own by default)."""
+    graph = g.graph if edges is None else Multigraph(g.graph.vertices, edges)
+    return SymmetricGraph(
+        graph, g.vertex_involution, g.edge_involution, g.vertex_side, g.edge_side
+    )
+
+
+def analysis_document(g):
+    doc = report_document(main_theorem_verdict(g), "g.sg", b"")
+    doc.pop("generated_at")
+    return doc
+
+
 class TestValidation:
+    # construction is the only gate: an invalid graph is never built, and
+    # InvalidSymmetricGraph lists every violated condition
     def test_running_example_valid(self):
-        assert running_example().validate() == []
+        assert isinstance(running_example(), SymmetricGraph)
+        for name in ("validate", "is_valid", "canonical_orientation"):
+            assert not hasattr(SymmetricGraph, name)
+
+    def test_maps_must_cover_the_graph_with_known_sides(self):
+        g = running_example()
+        vside = dict(g.vertex_side)
+        cases = [
+            (dict(vside, zz=LEFT), g.edge_side, "vertex maps must cover exactly the vertex set"),
+            (vside, {"ab": LEFT}, "edge maps must cover exactly the edge set"),
+            (dict(vside, a="X"), g.edge_side, "bad side 'X' for vertex 'a'"),
+            (vside, dict(g.edge_side, cb="X"), "bad side 'X' for edge 'cb'"),
+        ]
+        for vertex_side, edge_side, message in cases:
+            with pytest.raises(InvalidSymmetricGraph) as exc:
+                SymmetricGraph(
+                    g.graph, g.vertex_involution, g.edge_involution, vertex_side, edge_side
+                )
+            assert exc.value.violations == [message]
+            assert isinstance(exc.value, ValueError)
 
     def test_involution_incompatible_with_endpoints(self):
         g = running_example()
@@ -105,40 +140,52 @@ class TestValidation:
         eside["cb"] = LEFT
         eside["ab"] = RIGHT
         eside["db"] = FIXED
-        bad = SymmetricGraph(g.graph, g.vertex_involution, ephi, g.vertex_side, eside)
-        assert any("incompatible with endpoints" in v for v in bad.validate())
+        with pytest.raises(InvalidSymmetricGraph) as exc:
+            SymmetricGraph(g.graph, g.vertex_involution, ephi, g.vertex_side, eside)
+        assert exc.value.violations == [
+            f"edge involution incompatible with endpoints at {e!r}" for e in ("ab", "db", "cb")
+        ]
 
     def test_fixed_edge_not_pointwise_fixed(self):
         # one edge between the two swapped vertices, declared fixed
         graph = Multigraph(["u", "w"], [("e", "u", "w")])
-        bad = SymmetricGraph(
-            graph,
-            {"u": "w", "w": "u"},
-            {"e": "e"},
-            {"u": LEFT, "w": RIGHT},
-            {"e": FIXED},
-        )
-        assert any("fixed point-wise" in v for v in bad.validate())
+        with pytest.raises(InvalidSymmetricGraph) as exc:
+            SymmetricGraph(
+                graph,
+                {"u": "w", "w": "u"},
+                {"e": "e"},
+                {"u": LEFT, "w": RIGHT},
+                {"e": FIXED},
+            )
+        assert exc.value.violations == [
+            "fixed edge not fixed point-wise: 'e' has endpoint 'u'",
+            "fixed edge not fixed point-wise: 'e' has endpoint 'w'",
+        ]
 
     def test_crossing_edge_rejected(self):
         # parallel edges between mirror-partner vertices, paired by phi:
         # every side assignment puts a Left edge on a Right vertex
         graph = Multigraph(["u", "w"], [("e1", "u", "w"), ("e2", "w", "u")])
-        bad = SymmetricGraph(
-            graph,
-            {"u": "w", "w": "u"},
-            {"e1": "e2", "e2": "e1"},
-            {"u": LEFT, "w": RIGHT},
-            {"e1": LEFT, "e2": RIGHT},
-        )
-        assert any("touches vertex" in v for v in bad.validate())
+        with pytest.raises(InvalidSymmetricGraph) as exc:
+            SymmetricGraph(
+                graph,
+                {"u": "w", "w": "u"},
+                {"e1": "e2", "e2": "e1"},
+                {"u": LEFT, "w": RIGHT},
+                {"e1": LEFT, "e2": RIGHT},
+            )
+        assert exc.value.violations == [
+            "edge 'e1' on side L touches vertex 'w' on side R",
+            "edge 'e2' on side R touches vertex 'u' on side L",
+        ]
 
     def test_side_mismatch(self):
         g = running_example()
         vside = dict(g.vertex_side)
         vside["a"] = FIXED
-        bad = SymmetricGraph(g.graph, g.vertex_involution, g.edge_involution, vside, g.edge_side)
-        assert any("marked Fixed but phi moves it" in v for v in bad.validate())
+        with pytest.raises(InvalidSymmetricGraph) as exc:
+            SymmetricGraph(g.graph, g.vertex_involution, g.edge_involution, vside, g.edge_side)
+        assert exc.value.violations == SIDE_MISMATCH
 
     def test_edge_involution_squares_to_identity(self):
         for seed in range(20):
@@ -161,81 +208,69 @@ class TestValidation:
         # each renamed id equals one that decompose makes for G+ or G-
         # (the running example's Left vertex a, Right vertex d and Right
         # edge db; cb is its fixed edge)
-        sg = relabel(running_example(), vertices, edges)
         (taken,) = {**vertices, **edges}.values()
-        assert sg.validate() == [f"id {taken!r} is reserved for the derived graphs"]
-        for run in (sg.decompose, lambda: main_theorem_verdict(sg)):
-            with pytest.raises(InvalidSymmetricGraph, match="reserved"):
-                run()
+        with pytest.raises(InvalidSymmetricGraph) as exc:
+            relabel(running_example(), vertices, edges)
+        assert exc.value.violations == [f"id {taken!r} is reserved for the derived graphs"]
+
+
+# the violations of the running example with its Left vertex a marked Fixed
+SIDE_MISMATCH = [
+    "vertex 'a' is marked Fixed but phi moves it to 'd'",
+    "vertex sides of 'a' and 'd' are not mirrored",
+    "vertex sides of 'd' and 'a' are not mirrored",
+]
 
 
 class TestCanonicalOrientation:
+    # construction turns each Right edge to mirror its Left partner, so a
+    # graph built with other Right orientations analyzes identically
     def test_right_edge_reoriented(self):
         g = running_example()
-        edges = [
-            Edge("db", "b", "d") if e.id == "db" else e for e in g.graph.edges
-        ]
-        flipped = SymmetricGraph(
-            Multigraph(g.graph.vertices, edges),
-            g.vertex_involution,
-            g.edge_involution,
-            g.vertex_side,
-            g.edge_side,
+        flipped = rebuilt(
+            g, [Edge("db", "b", "d") if e.id == "db" else e for e in g.graph.edges]
         )
-        # orientation is not validated: decompose orients every input
-        assert flipped.validate() == []
-        fixed = flipped.canonical_orientation()
-        assert fixed.graph.edge("db").tail == "d"
-        assert fixed.graph.edge("db").head == "b"
+        assert flipped.graph.edge("db").tail == "d"
+        assert flipped.graph.edge("db").head == "b"
+        assert flipped.graph.edges == g.graph.edges
         ours, canonical = flipped.decompose(), g.decompose()
-        assert ours.source.graph.edges == g.graph.edges
         for part in ("plus", "minus"):
             assert getattr(ours, part).vertices == getattr(canonical, part).vertices
             assert getattr(ours, part).edges == getattr(canonical, part).edges
-        docs = [
-            report_document(main_theorem_verdict(h), "running.sg", b"") for h in (flipped, g)
-        ]
-        for doc in docs:
-            doc.pop("generated_at")
-        assert docs[0] == docs[1]
+        assert analysis_document(flipped) == analysis_document(g)
 
     def test_already_equivariant_unchanged(self):
         g = running_example()
-        again = g.canonical_orientation()
-        assert again.graph.edges == g.graph.edges
+        assert rebuilt(g).graph.edges == g.graph.edges
 
     def test_idempotent(self):
         for seed in range(15):
             rng = random.Random(seed)
             g = random_symmetric_graph(rng=rng)
-            once = g.canonical_orientation()
-            twice = once.canonical_orientation()
-            assert once.graph.edges == twice.graph.edges
+            once = rebuilt(g)
+            twice = rebuilt(once)
+            assert once.graph.edges == twice.graph.edges == g.graph.edges
 
     def test_hexagon_mirror(self):
         # C6 with arbitrary stored right-side orientations: all three
         # right edges flip to mirror the left ones
         g = mirror_cycle(3)
-        scrambled_edges = []
-        for e in g.graph.edges:
-            if g.edge_side[e.id] == RIGHT:
-                scrambled_edges.append(Edge(e.id, e.head, e.tail))
-            else:
-                scrambled_edges.append(e)
-        scrambled = SymmetricGraph(
-            Multigraph(g.graph.vertices, scrambled_edges),
-            g.vertex_involution,
-            g.edge_involution,
-            g.vertex_side,
-            g.edge_side,
+        scrambled = rebuilt(
+            g,
+            [
+                Edge(e.id, e.head, e.tail) if g.edge_side[e.id] == RIGHT else e
+                for e in g.graph.edges
+            ],
         )
-        fixed = scrambled.canonical_orientation()
-        assert fixed.validate() == []
-        for e in fixed.graph.edges:
-            if fixed.edge_side[e.id] == RIGHT:
-                partner = fixed.graph.edge(fixed.edge_involution[e.id])
-                assert e.tail == fixed.vertex_involution[partner.tail]
-                assert e.head == fixed.vertex_involution[partner.head]
+        for e in scrambled.graph.edges:
+            if scrambled.edge_side[e.id] == RIGHT:
+                partner = scrambled.graph.edge(scrambled.edge_involution[e.id])
+                assert e.tail == scrambled.vertex_involution[partner.tail]
+                assert e.head == scrambled.vertex_involution[partner.head]
+        ours, canonical = scrambled.decompose(), g.decompose()
+        for part in ("plus", "minus"):
+            assert getattr(ours, part).edges == getattr(canonical, part).edges
+        assert analysis_document(scrambled) == analysis_document(g)
 
 
 class TestDecompose:
@@ -274,9 +309,10 @@ class TestDecompose:
         g = running_example()
         vside = dict(g.vertex_side)
         vside["a"] = FIXED
-        bad = SymmetricGraph(g.graph, g.vertex_involution, g.edge_involution, vside, g.edge_side)
-        with pytest.raises(InvalidSymmetricGraph):
-            bad.decompose()
+        # an invalid graph is never built, so decompose never sees one
+        with pytest.raises(InvalidSymmetricGraph) as exc:
+            SymmetricGraph(g.graph, g.vertex_involution, g.edge_involution, vside, g.edge_side)
+        assert exc.value.violations == SIDE_MISMATCH
 
     def test_cardinalities_and_regluing(self):
         # the plus edges are E_L and the two half_edges of each edge of
@@ -341,8 +377,7 @@ class TestDecompose:
             {"e1": "e2", "e2": "e1"},
             {"b": FIXED, "c": FIXED},
             {"e1": LEFT, "e2": RIGHT},
-        ).canonical_orientation()
-        assert g.validate() == []
+        )
         dec = g.decompose()
         assert dec.minus.n_edges == 1
         assert dec.minus.edges[0].is_loop
@@ -391,8 +426,7 @@ class TestFixedSubgraph:
             {"a": "b", "b": "a"},
             {"u": LEFT, "w": RIGHT},
             {"a": LEFT, "b": RIGHT},
-        ).canonical_orientation()
-        assert g.validate() == []
+        )
         count, labels = g.fixed_subgraph_components()
         assert count == 0 and labels == {}
 

@@ -258,8 +258,7 @@ class TestDirectSumSmith:
         # the union's group is read off the parts; a one-pass Smith form
         # of its relation matrix gives the same factors, and homs built
         # on that reference group the same kernels and cokernels
-        graphs = [g.canonical_orientation() for g in mixed_corpus]
-        graphs += [mirror_grid(r, r).canonical_orientation() for r in (5, 7)]
+        graphs = [*mixed_corpus, *(mirror_grid(r, r) for r in (5, 7))]
         for g in graphs:
             maps = build_maps(g.decompose())
             pair = maps.pair_union
@@ -561,7 +560,7 @@ class TestSmithRows:
 
     @pytest.mark.parametrize("name", GRAPHS)
     def test_graph_homs(self, name):
-        maps = build_maps(self.GRAPHS[name]().canonical_orientation().decompose())
+        maps = build_maps(self.GRAPHS[name]().decompose())
         for hom in (maps.f_star, maps.ft_star):
             assert hom.target.moduli
             assert hom._smith_rows == self._full_witness_rows(hom)
@@ -596,7 +595,7 @@ def witness_cases():
         ]
         cases[f"random-{k:03d}"] = IntMatrix(rows, shape=(n_rows, n_cols))
     for name, g in (("running_example", running_example()), ("large", _large_graph(1))):
-        maps = build_maps(g.canonical_orientation().decompose())
+        maps = build_maps(g.decompose())
         for side in ("g", "plus", "minus", "union"):
             pair = getattr(maps, f"pair_{side}")
             cases[f"{name}/{side}"] = integer_kernel(pair.d).hstack(pair.dt)
