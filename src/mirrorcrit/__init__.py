@@ -46,11 +46,10 @@ from .lattice import (
     GroupHom,
     IntMatrix,
     SmithDecomposition,
-    integer_kernel,
     smith_normal_form,
 )
 from .modp import ModpSubspace, kernel, row_space
-from .randgraph import mirror_grid, random_multigraph, random_symmetric_graph
+from .randgraph import mirror_grid, random_symmetric_graph
 
 __all__ = [
     "AXIS_VERTEX",
@@ -79,13 +78,11 @@ __all__ = [
     "g_injection",
     "half_edges",
     "identify_kernel_cokernel",
-    "integer_kernel",
     "kernel",
     "main_theorem_verdict",
     "mirror_grid",
     "parse",
     "parse_plain",
-    "random_multigraph",
     "random_symmetric_graph",
     "row_space",
     "serialize",

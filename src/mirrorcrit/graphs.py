@@ -130,9 +130,17 @@ class Multigraph:
 
 
 class SymmetricGraph:
-    """Multigraph plus a mirror involution with side labels."""
+    """Multigraph plus a mirror involution with side labels.
 
-    __slots__ = ("graph", "vertex_involution", "edge_involution", "vertex_side", "edge_side")
+    `left_vertices` ... `right_edges` are the side slices of the oriented
+    graph, as tuples in graph order.
+    """
+
+    __slots__ = (
+        "graph", "vertex_involution", "edge_involution", "vertex_side", "edge_side",
+        "left_vertices", "fixed_vertices", "right_vertices",
+        "left_edges", "fixed_edges", "right_edges",
+    )
 
     def __init__(self, graph, vertex_involution, edge_involution, vertex_side, edge_side):
         """Raises InvalidSymmetricGraph; otherwise `self.graph` is a copy
@@ -165,38 +173,14 @@ class SymmetricGraph:
                 e = Edge(e.id, pv[partner.tail], pv[partner.head])
             edges.append(e)
         self.graph = Multigraph(graph.vertices, edges)
-
-    # --- ordered side slices (graph order) ---
-
-    def vertices_on(self, side):
-        return [v for v in self.graph.vertices if self.vertex_side[v] == side]
-
-    def edges_on(self, side):
-        return [e for e in self.graph.edges if self.edge_side[e.id] == side]
-
-    @property
-    def left_vertices(self):
-        return self.vertices_on(LEFT)
-
-    @property
-    def fixed_vertices(self):
-        return self.vertices_on(FIXED)
-
-    @property
-    def right_vertices(self):
-        return self.vertices_on(RIGHT)
-
-    @property
-    def left_edges(self):
-        return self.edges_on(LEFT)
-
-    @property
-    def fixed_edges(self):
-        return self.edges_on(FIXED)
-
-    @property
-    def right_edges(self):
-        return self.edges_on(RIGHT)
+        self.left_vertices, self.fixed_vertices, self.right_vertices = (
+            tuple(v for v in self.graph.vertices if self.vertex_side[v] == side)
+            for side in SIDES
+        )
+        self.left_edges, self.fixed_edges, self.right_edges = (
+            tuple(e for e in self.graph.edges if self.edge_side[e.id] == side)
+            for side in SIDES
+        )
 
     # --- validation ---
 
@@ -313,7 +297,7 @@ class SymmetricGraph:
         dec = Decomposition(
             source=self,
             plus=Multigraph(plus_vertices, plus_edges),
-            minus=Multigraph(self.right_vertices + [AXIS_VERTEX], minus_edges),
+            minus=Multigraph((*self.right_vertices, AXIS_VERTEX), minus_edges),
         )
         dec._check_cardinalities()
         return dec

@@ -1,14 +1,13 @@
 """Exact integer linear algebra.
 
-Smith normal form with unimodular change-of-basis witnesses, lattices
-given by integer generator matrices, and finitely presented abelian
-groups (with kernels and cokernels of homomorphisms between them).
-The reduction works on S alone, each row operation over the pivot
-row's nonzero entries, and logs its elementary operations; S's
-diagonal is kept, and each witness is built from that log only when a
-caller reads it.  The
-decomposition of a block-diagonal matrix is composed from its blocks'
-logs and one Smith form of their nontrivial diagonal entries.  A
+Smith normal form with unimodular change-of-basis witnesses, and
+finitely presented abelian groups given by integer relation matrices
+(with kernels and cokernels of homomorphisms between them).  The
+reduction works on S alone, each row operation over the pivot row's
+nonzero entries, and logs its elementary operations; S's diagonal is
+kept, and each witness is built from that log only when a caller reads
+it.  The decomposition of a block-diagonal matrix is composed from its
+blocks' logs and one Smith form of their nontrivial diagonal entries.  A
 homomorphism is computed in the Smith coordinates of its source and
 target, where each group is a product of cyclic groups Z/d: its
 well-definedness is read off that matrix directly.  Its cokernel, and
@@ -61,10 +60,6 @@ class IntMatrix:
         return self
 
     @classmethod
-    def identity(cls, n):
-        return cls._of(_unit_rows(range(n), n), shape=(n, n))
-
-    @classmethod
     def zero(cls, n_rows, n_cols):
         return cls._of([[0] * n_cols for _ in range(n_rows)], shape=(n_rows, n_cols))
 
@@ -79,12 +74,6 @@ class IntMatrix:
     @property
     def shape(self):
         return (self.n_rows, self.n_cols)
-
-    def column(self, j):
-        return tuple(row[j] for row in self.rows)
-
-    def columns(self):
-        return [self.column(j) for j in range(self.n_cols)]
 
     def transpose(self):
         if not self.n_rows:
@@ -107,34 +96,14 @@ class IntMatrix:
             rows.append(acc)
         return IntMatrix._of(rows, shape=(self.n_rows, other.n_cols))
 
-    def mul_vector(self, vec):
-        """Matrix times vector, over the vector's nonzero entries only.
-
-        Entries are taken with `operator.index`, as in the constructor.
-        """
-        vec = list(map(operator.index, vec))
-        if len(vec) != self.n_cols:
-            raise ValueError("vector length does not match n_cols")
-        support = [(k, x) for k, x in enumerate(vec) if x]
-        return [sum(row[k] * x for k, x in support) for row in self.rows]
-
     def hstack(self, other):
         if self.n_rows != other.n_rows:
             raise ValueError("row counts differ")
         rows = map(tuple.__add__, self.rows, other.rows)
         return IntMatrix._of(rows, shape=(self.n_rows, self.n_cols + other.n_cols))
 
-    def scale(self, k):
-        k = operator.index(k)
-        return IntMatrix._of([[k * x for x in row] for row in self.rows], shape=self.shape)
-
     def is_zero(self):
         return all(x == 0 for row in self.rows for x in row)
-
-    def is_identity(self):
-        return self.n_rows == self.n_cols and all(
-            x == int(i == j) for i, row in enumerate(self.rows) for j, x in enumerate(row)
-        )
 
     def __eq__(self, other):
         if not isinstance(other, IntMatrix):
@@ -157,10 +126,8 @@ class SmithDecomposition:
     (which make V).  Each witness, `left` = U, `right` = V, `left_inv`
     and `right_inv`, is built from the log the first time it is read
     and then kept, so a caller that reads only the diagonal builds
-    none.  Having the inverses lets unimodularity be certified without
-    determinant computations.  A caller that needs a few rows of a
-    product with U or U^-1 replays the log on those rows alone
-    (`_replay`).
+    none.  A caller that needs a few rows of a product with U or U^-1
+    replays the log on those rows alone (`_replay`).
     """
 
     matrix: IntMatrix
@@ -195,25 +162,6 @@ class SmithDecomposition:
     @property
     def nontrivial_factors(self):
         return tuple(d for d in self.diagonal if d > 1)
-
-    def verify(self):
-        """Entry-exact check of every decomposition invariant."""
-        smith = _diagonal(self.diagonal, self.matrix.shape)
-        if self.left @ self.matrix @ self.right != smith:
-            return False
-        if not (self.left @ self.left_inv).is_identity():
-            return False
-        if not (self.right @ self.right_inv).is_identity():
-            return False
-        diag = self.diagonal
-        if any(d < 0 for d in diag):
-            return False
-        for a, b in zip(diag, diag[1:]):
-            if a == 0 and b != 0:
-                return False
-            if a != 0 and b % a != 0:
-                return False
-        return True
 
 
 _SWAP, _ADD, _NEGATE = range(3)
@@ -421,18 +369,6 @@ def direct_sum_smith(first, second) -> SmithDecomposition:
     )
 
 
-def integer_kernel(a: IntMatrix) -> IntMatrix:
-    """Basis of the integer kernel lattice, as columns.
-
-    With U A V = S, the columns of V beyond the rank satisfy
-    A (V e_j) = d_j U^{-1} e_j = 0 and form a basis of ker(A).
-    """
-    snf = smith_normal_form(a)
-    r = snf.rank
-    cols = [snf.right.column(j) for j in range(r, a.n_cols)]
-    return IntMatrix.from_columns(cols, a.n_cols)
-
-
 @dataclass(frozen=True, eq=False)
 class FpAbelianGroup:
     """Finitely presented abelian group Z^n / (column lattice of relations),
@@ -474,20 +410,11 @@ class FpAbelianGroup:
             return None
         return math.prod(self.invariant_factors)
 
-    def is_trivial(self):
-        return not self.invariant_factors and self.free_rank == 0
-
     def annihilated_by(self, k: int) -> bool:
         """True iff k*x = 0 for every element (so: k-torsion and finite)."""
         if k < 1:
             raise ValueError("k must be >= 1")
         return self.free_rank == 0 and all(k % d == 0 for d in self.invariant_factors)
-
-    def same_type(self, other: "FpAbelianGroup") -> bool:
-        return (
-            self.invariant_factors == other.invariant_factors
-            and self.free_rank == other.free_rank
-        )
 
     @property
     def moduli(self) -> tuple[int, ...]:
@@ -501,21 +428,6 @@ class FpAbelianGroup:
         """
         return self.invariant_factors + (0,) * self.free_rank
 
-    def contains_relation(self, vec) -> bool:
-        """True iff `vec` lies in the relation lattice."""
-        return self.element_order(vec) == 1
-
-    def element_order(self, vec):
-        """Order of the class of `vec`, or None when infinite."""
-        w = self.witness.left.mul_vector(vec)
-        order = 1
-        for d, x in zip(self.moduli, w[self.ambient_rank - len(self.moduli):]):
-            if d:
-                order = math.lcm(order, d // math.gcd(d, x % d))
-            elif x:
-                return None
-        return order
-
     def describe(self) -> str:
         """Human-readable isomorphism type, largest factor first."""
         parts = ["Z"] * self.free_rank + [f"Z/{d}" for d in reversed(self.invariant_factors)]
@@ -525,14 +437,13 @@ class FpAbelianGroup:
         return f"FpAbelianGroup({self.describe()})"
 
 
-def _diagonal(entries, shape=None) -> IntMatrix:
-    """The matrix with `entries` down its diagonal, k x k for k entries
-    unless a shape is given."""
-    m, n = shape or (len(entries),) * 2
-    rows = [[0] * n for _ in range(m)]
+def _diagonal(entries) -> IntMatrix:
+    """The k x k matrix with the k `entries` down its diagonal."""
+    k = len(entries)
+    rows = [[0] * k for _ in range(k)]
     for i, d in enumerate(entries):
         rows[i][i] = d
-    return IntMatrix._of(rows, shape=(m, n))
+    return IntMatrix._of(rows, shape=(k, k))
 
 
 def _reduce(rows, moduli):

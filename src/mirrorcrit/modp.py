@@ -3,14 +3,14 @@
 Subspaces are kept in reduced row-echelon form, so equality of spaces
 is a plain comparison of their canonical rows.  A row is a Python-int
 bit set (bit j = coordinate j) from construction on, and a row
-operation is one XOR; `ModpSubspace.basis` is the 0/1 tuple view of the
-rows.  Matrices come in as `IntMatrix` and vectors as integer sequences
-or bit sets; an integer entry is read by its low bit.  Every span, sum,
-kernel and intersection is one elimination: kernels and intersections
-reduce an augmented row block and keep the right halves of the rows
-whose left block vanished (the Zassenhaus method).  Membership reduces
-a vector against the pivots of the reduced basis, and fixed ambient
-spaces are built reduced, so neither eliminates.
+operation is one XOR.  Matrices come in as `IntMatrix` and vectors as
+integer sequences or bit sets; an integer entry is read by its low
+bit.  Every span, sum, kernel and intersection is one elimination:
+kernels and intersections reduce an augmented row block and keep the
+right halves of the rows whose left block vanished (the Zassenhaus
+method).  Membership reduces a vector against the pivots of the
+reduced basis, and fixed ambient spaces are built reduced, so neither
+eliminates.
 """
 
 from __future__ import annotations
@@ -101,11 +101,6 @@ class ModpSubspace:
     def from_rows(cls, ambient_dim, rows) -> "ModpSubspace":
         """The span of rows given as integer sequences or bit sets."""
         return cls(ambient_dim, _echelonize([_mask(r, ambient_dim) for r in rows]))
-
-    @property
-    def basis(self) -> tuple:
-        """The reduced echelon basis as a tuple of 0/1 row tuples."""
-        return tuple(mask_to_row(r, self.ambient_dim) for r in self.rows)
 
     @property
     def dim(self):

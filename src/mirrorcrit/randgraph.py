@@ -108,19 +108,6 @@ def random_symmetric_graph(
         raise AssertionError(f"generated graph is not a valid symmetric graph: {exc}") from exc
 
 
-def random_multigraph(seed=None, *, max_vertices=6, max_edges=12, rng=None) -> Multigraph:
-    """Plain random multigraph (loops and parallels allowed)."""
-    if rng is None:
-        rng = random.Random(seed)
-    n = rng.randint(1, max_vertices)
-    m = rng.randint(0, max_edges)
-    vertices = [f"v{i}" for i in range(1, n + 1)]
-    edges = [
-        (f"e{k}", rng.choice(vertices), rng.choice(vertices)) for k in range(m)
-    ]
-    return Multigraph(vertices, edges)
-
-
 def mirror_grid(rows, cols) -> SymmetricGraph:
     """The rows x cols grid graph, mirrored in its middle column.
 

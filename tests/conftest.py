@@ -1,7 +1,8 @@
-"""Shared graph builders and corpus fixtures."""
+"""Shared graph builders, corpus fixtures and reference helpers."""
 
 from __future__ import annotations
 
+import math
 import random
 import warnings
 
@@ -10,6 +11,8 @@ from sympy import ZZ
 from sympy.polys.matrices import DomainMatrix
 
 from mirrorcrit.graphs import FIXED, LEFT, RIGHT, Multigraph, SymmetricGraph
+from mirrorcrit.lattice import IntMatrix, smith_normal_form
+from mirrorcrit.modp import mask_to_row
 from mirrorcrit.randgraph import random_symmetric_graph
 
 # After a failing test, hypothesis' pytest plugin imports its patch
@@ -30,6 +33,92 @@ def exact_det(m) -> int:
     (Bareiss) determinant over ZZ."""
     rows = [[ZZ(x) for x in row] for row in m.rows]
     return int(DomainMatrix(rows, m.shape, ZZ).det())
+
+
+def apply(matrix, vec) -> list:
+    """The integer matrix times the vector `vec`, as the textbook sum."""
+    return [sum(a * x for a, x in zip(row, vec)) for row in matrix.rows]
+
+
+def identity(n, k=1) -> IntMatrix:
+    """k times the n x n identity matrix."""
+    return IntMatrix([[k * (i == j) for j in range(n)] for i in range(n)], shape=(n, n))
+
+
+def is_identity(m) -> bool:
+    return m.n_rows == m.n_cols and all(
+        x == int(i == j) for i, row in enumerate(m.rows) for j, x in enumerate(row)
+    )
+
+
+def verify_smith(snf) -> bool:
+    """Entry-exact check of every invariant of a Smith decomposition:
+    U A V = S, U U^-1 = V V^-1 = 1 (which certifies unimodularity with
+    no determinant), and S a nonnegative divisibility chain."""
+    (m, n), diag = snf.matrix.shape, snf.diagonal
+    smith = IntMatrix([[diag[i] if i == j else 0 for j in range(n)] for i in range(m)],
+                      shape=(m, n))
+    if snf.left @ snf.matrix @ snf.right != smith:
+        return False
+    if not is_identity(snf.left @ snf.left_inv):
+        return False
+    if not is_identity(snf.right @ snf.right_inv):
+        return False
+    if any(d < 0 for d in diag):
+        return False
+    for a, b in zip(diag, diag[1:]):
+        if a == 0 and b != 0:
+            return False
+        if a != 0 and b % a != 0:
+            return False
+    return True
+
+
+def integer_kernel(a) -> IntMatrix:
+    """Basis of the integer kernel lattice, as columns.
+
+    With U A V = S, the columns of V beyond the rank satisfy
+    A (V e_j) = d_j U^{-1} e_j = 0 and form a basis of ker(A).
+    """
+    snf = smith_normal_form(a)
+    return IntMatrix.from_columns(snf.right.transpose().rows[snf.rank:], a.n_cols)
+
+
+def element_order(group, vec):
+    """Order of the class of `vec` in the presented group, or None when
+    infinite, read off its last Smith coordinates (see
+    `FpAbelianGroup.moduli`)."""
+    w = apply(group.witness.left, vec)
+    order = 1
+    for d, x in zip(group.moduli, w[group.ambient_rank - len(group.moduli):]):
+        if d:
+            order = math.lcm(order, d // math.gcd(d, x % d))
+        elif x:
+            return None
+    return order
+
+
+def contains_relation(group, vec) -> bool:
+    """True iff `vec` lies in the group's relation lattice."""
+    return element_order(group, vec) == 1
+
+
+def basis(space) -> tuple:
+    """The reduced echelon basis of a GF(2) subspace, as 0/1 row tuples."""
+    return tuple(mask_to_row(r, space.ambient_dim) for r in space.rows)
+
+
+def random_multigraph(seed=None, *, max_vertices=6, max_edges=12, rng=None) -> Multigraph:
+    """Plain random multigraph (loops and parallels allowed)."""
+    if rng is None:
+        rng = random.Random(seed)
+    n = rng.randint(1, max_vertices)
+    m = rng.randint(0, max_edges)
+    vertices = [f"v{i}" for i in range(1, n + 1)]
+    edges = [
+        (f"e{k}", rng.choice(vertices), rng.choice(vertices)) for k in range(m)
+    ]
+    return Multigraph(vertices, edges)
 
 
 def running_example() -> SymmetricGraph:

@@ -18,12 +18,18 @@ from mirrorcrit.lattice import (
     FpAbelianGroup,
     GroupHom,
     IntMatrix,
-    integer_kernel,
     smith_normal_form,
 )
-from mirrorcrit.randgraph import random_multigraph
 
-from conftest import mirror_cycle, running_example
+from conftest import (
+    apply,
+    contains_relation,
+    identity,
+    integer_kernel,
+    mirror_cycle,
+    random_multigraph,
+    running_example,
+)
 
 
 def triangle():
@@ -54,9 +60,9 @@ class TestAdjointPair:
         assert z.n_cols == 2
         assert b.shape == (5, 4)
         # cycles and bonds are orthogonal under the standard form
-        for i in range(z.n_cols):
-            for j in range(b.n_cols):
-                assert sum(a * c for a, c in zip(z.column(i), b.column(j))) == 0
+        for z_col in z.transpose().rows:
+            for b_col in b.transpose().rows:
+                assert sum(a * c for a, c in zip(z_col, b_col)) == 0
 
     def test_bonds_are_exactly_the_vectors_orthogonal_to_cycles(self):
         # d is totally unimodular, so B = im(dt) is saturated and the
@@ -76,11 +82,11 @@ class TestAdjointPair:
                     vec = [rng.randint(-3, 3) for _ in range(m)]
                 else:
                     c = [rng.randint(-3, 3) for _ in range(pair.c0_rank)]
-                    vec = pair.dt.mul_vector(c)
+                    vec = apply(pair.dt, c)
                     if k % 3 == 1:
                         vec[rng.randrange(m)] += rng.choice((-1, 1))
-                orthogonal = not any(cycles_t.mul_vector(vec))
-                assert orthogonal == bonds.contains_relation(vec), (seed, vec)
+                orthogonal = not any(apply(cycles_t, vec))
+                assert orthogonal == contains_relation(bonds, vec), (seed, vec)
                 outcomes.add(orthogonal)
         assert outcomes == {True, False}
 
@@ -119,7 +125,7 @@ class TestForestCycleBasis:
         assert (pair.d @ z).is_zero()
         # column c is e_j for its non-tree edge j plus edges of the forest
         # union-find built before j, so j is its last nonzero coordinate
-        nontree = [max(i for i, x in enumerate(col) if x) for col in z.columns()]
+        nontree = [max(i for i, x in enumerate(col) if x) for col in z.transpose().rows]
         assert [[z.rows[j][c] for c in range(z.n_cols)] for j in nontree] == [
             [int(i == c) for c in range(z.n_cols)] for i in range(z.n_cols)
         ]
@@ -145,7 +151,7 @@ class TestCriticalGroup:
 
     def test_tree_trivial(self):
         tree = Multigraph(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")])
-        assert AdjointPair(tree).critical_group.is_trivial()
+        assert AdjointPair(tree).critical_group.order() == 1
 
     def test_hexagon(self):
         assert AdjointPair(cycle_graph(6)).critical_group.describe() == "Z/6"
@@ -187,11 +193,11 @@ class TestCriticalGroup:
         # automorphism of Z/3, so kernel and cokernel are both trivial
         g = Multigraph(["1", "2"], [("a", "1", "2"), ("b", "1", "2"), ("c", "1", "2")])
         k = AdjointPair(g).critical_group
-        hom = GroupHom(k, k, IntMatrix.identity(3).scale(2))
+        hom = GroupHom(k, k, identity(3, 2))
         assert hom.well_defined
         assert hom.source.order() == 3
-        assert hom.kernel().is_trivial()
-        assert hom.cokernel().is_trivial()
+        assert hom.kernel().order() == 1
+        assert hom.cokernel().order() == 1
 
 
 class TestForestCount:
@@ -363,7 +369,7 @@ class TestDuality:
     def test_identity_homs(self):
         pair = AdjointPair(triangle())
         k = pair.critical_group
-        ident = GroupHom(source=k, target=k, matrix=IntMatrix.identity(3))
+        ident = GroupHom(source=k, target=k, matrix=identity(3))
         ker, coker = ident.kernel().invariant_factors, ident.cokernel().invariant_factors
         assert ker == coker
         assert ker == ()

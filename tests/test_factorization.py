@@ -38,17 +38,20 @@ from mirrorcrit.lattice import (
     GroupHom,
     IntMatrix,
     SmithDecomposition,
-    integer_kernel,
 )
 from mirrorcrit.modp import is_involution
 from mirrorcrit.randgraph import mirror_grid
 
 from conftest import (
     CYCLIC_AXIS,
+    apply,
+    basis,
+    contains_relation,
     disconnected_plus,
     empty_axis,
     exact_det,
     identity_mirror_triangle,
+    integer_kernel,
     mirror_cycle,
     relabel,
     running_example,
@@ -92,29 +95,29 @@ def tripod():
 class TestBuildMaps:
     def test_left_edge_column(self, maps):
         # f(ab, 0) = ab + db
-        assert maps.f_matrix.column(0) == (1, 0, 0, 1, 0)
+        assert maps.f_matrix.transpose().rows[0] == (1, 0, 0, 1, 0)
 
     def test_half_edge_columns(self, maps):
         # both halves of cb map to cb itself
-        assert maps.f_matrix.column(2) == (0, 0, 0, 0, 1)
-        assert maps.f_matrix.column(3) == (0, 0, 0, 0, 1)
+        assert maps.f_matrix.transpose().rows[2] == (0, 0, 0, 0, 1)
+        assert maps.f_matrix.transpose().rows[3] == (0, 0, 0, 0, 1)
 
     def test_right_edge_column(self, maps):
         # f(0, dc) = dc - ac
-        assert maps.f_matrix.column(4) == (0, -1, 1, 0, 0)
+        assert maps.f_matrix.transpose().rows[4] == (0, -1, 1, 0, 0)
 
     def test_ft_of_fixed_edge(self, maps):
         # f^t(cb) = (half1 + half2, 0)
         cb = [0, 0, 0, 0, 1]
-        assert maps.ft_matrix.mul_vector(cb) == [0, 0, 1, 1, 0, 0]
+        assert apply(maps.ft_matrix, cb) == [0, 0, 1, 1, 0, 0]
 
     def test_ft_is_transpose(self, maps):
         assert maps.ft_matrix == maps.f_matrix.transpose()
 
     def test_psi_is_fixed_point_free_involution(self, maps):
         assert is_involution(maps.psi)
-        assert len(maps.psi) == maps.n_block
-        for j in range(maps.n_block):
+        assert len(maps.psi) == maps.n_plus + maps.n_minus
+        for j in range(len(maps.psi)):
             assert maps.psi[j] != j
 
     def test_psi_swaps_halves_and_mirrors(self, maps):
@@ -153,14 +156,10 @@ class TestLatticePreservation:
                 rows[i][j] += 1
                 tampered = dataclasses.replace(maps, f_matrix=IntMatrix(rows))
                 image = tampered.f_matrix @ maps.pair_union.dt
-                exact = all(bonds.contains_relation(col) for col in image.columns())
+                exact = all(contains_relation(bonds, col) for col in image.transpose().rows)
                 assert verify_lattice_preservation(tampered).bonds_into_bonds == exact
                 outcomes.add(exact)
         assert False in outcomes
-
-
-def _apply(matrix, vec):
-    return [sum(a * x for a, x in zip(row, vec)) for row in matrix.rows]
 
 
 def _cut(graph, subset):
@@ -185,13 +184,14 @@ def _dense_reference(maps):
     g, dec = maps.graph, maps.dec
     graph, f, ft = g.graph, maps.f_matrix, maps.ft_matrix
     vphi, ephi = g.vertex_involution, g.edge_involution
-    n_edges, n_plus, n_minus, n_block = graph.n_edges, maps.n_plus, maps.n_minus, maps.n_block
+    n_edges, n_plus, n_minus = graph.n_edges, maps.n_plus, maps.n_minus
+    n_block = n_plus + n_minus
 
     def f_of_plus_cut(v):
-        return _apply(f, _cut(dec.plus, {v}) + [0] * n_minus)
+        return apply(f, _cut(dec.plus, {v}) + [0] * n_minus)
 
     def f_of_minus_cut(v):
-        return _apply(f, [0] * n_plus + _cut(dec.minus, {v}))
+        return apply(f, [0] * n_plus + _cut(dec.minus, {v}))
 
     def cut_g(v):
         return _cut(graph, {v})
@@ -201,11 +201,11 @@ def _dense_reference(maps):
     bonds = FpAbelianGroup.quotient(n_edges, maps.pair_g.dt)
     flags = dict(
         cycles_into_cycles=all(
-            not any(_apply(maps.pair_g.d, _apply(f, z)))
-            for z in integer_kernel(maps.pair_union.d).columns()
+            not any(apply(maps.pair_g.d, apply(f, z)))
+            for z in integer_kernel(maps.pair_union.d).transpose().rows
         ),
         bonds_into_bonds=all(
-            bonds.contains_relation(_apply(f, cut)) for cut in union_cuts
+            contains_relation(bonds, apply(f, cut)) for cut in union_cuts
         ),
         subdivision_bonds_vanish=all(
             not any(f_of_plus_cut(subdivision_vertex(e.id))) for e in g.fixed_edges
@@ -235,16 +235,16 @@ def _dense_reference(maps):
     for e in g.left_edges:
         mirror = ephi[e.id]
         block = _combine(-1, _unit(n_block, plus_pos[e.id]), _unit(n_block, minus_pos[mirror]))
-        witnesses.append(_apply(f, block) == _unit(n_edges, graph.edge_index(e.id), 2))
+        witnesses.append(apply(f, block) == _unit(n_edges, graph.edge_index(e.id), 2))
         vec = _combine(1, unit_g(e.id), unit_g(mirror))
-        witnesses.append(_apply(ft, vec) == _unit(n_block, plus_pos[e.id], 2))
+        witnesses.append(apply(ft, vec) == _unit(n_block, plus_pos[e.id], 2))
     for e in g.right_edges:
         vec = _combine(-1, unit_g(e.id), unit_g(ephi[e.id]))
-        witnesses.append(_apply(ft, vec) == _unit(n_block, minus_pos[e.id], 2))
+        witnesses.append(apply(ft, vec) == _unit(n_block, minus_pos[e.id], 2))
     for e in g.fixed_edges:
         h1, h2 = half_edges(e.id)
         halves = _combine(1, _unit(n_block, plus_pos[h1]), _unit(n_block, plus_pos[h2]))
-        witnesses.append(_apply(ft, unit_g(e.id)) == halves)
+        witnesses.append(apply(ft, unit_g(e.id)) == halves)
     return flags, all(witnesses)
 
 
@@ -325,15 +325,15 @@ class TestInducedMaps:
         for n in (2, 3, 5):
             m = build_maps(mirror_cycle(n).decompose())
             f_star = m.f_star
-            assert f_star.kernel().is_trivial()
+            assert f_star.kernel().order() == 1
             assert f_star.cokernel().invariant_factors == (2,)
 
     def test_single_fixed_edge_zero_map(self):
         m = build_maps(single_fixed_edge().decompose())
         f_star = m.f_star
-        assert f_star.source.is_trivial()
-        assert f_star.target.is_trivial()
-        assert m.ft_star.source.is_trivial()
+        assert f_star.source.order() == 1
+        assert f_star.target.order() == 1
+        assert m.ft_star.source.order() == 1
 
     def test_ill_defined_matrix_does_not_descend(self):
         # on the theta graph K = Z/3; keeping edge a and killing b and c
@@ -356,7 +356,7 @@ class TestTwoTorsion:
         m = build_maps(mirror_cycle(3).decompose())
         report = two_torsion_check(m)
         assert report.passed
-        assert m.ker_f.is_trivial()
+        assert m.ker_f.order() == 1
         assert m.coker_f.invariant_factors == (2,)
 
     def test_random_corpus(self, mixed_corpus):
@@ -373,7 +373,7 @@ class TestBicycleSpaces:
 
     def test_running_example_phi_fixed_is_symmetric_square(self, maps):
         space = maps.phi_bicycles
-        assert space.basis[0] == (1, 1, 1, 1, 0)
+        assert basis(space)[0] == (1, 1, 1, 1, 0)
 
     def test_whole_union_is_psi_fixed_bicycle(self, maps):
         space = maps.psi_bicycles
@@ -437,7 +437,9 @@ class TestIdentification:
     def test_restricted_kernels_are_fixed_bicycle_spaces(self, mixed_corpus):
         # coker(f*) is the kernel of f^t restricted to the bicycles of
         # G, and ker(f*) the kernel of f restricted to the bicycles of
-        # G+ u G-; both equal the corresponding fixed subspaces
+        # G+ u G-; both equal the corresponding fixed subspaces, which
+        # the analysis builds as Z^phi cap B^phi and Z^psi cap B^psi, and
+        # which are the fixed ambients cut down to the bicycle spaces
         from mirrorcrit.modp import kernel as modp_kernel
 
         for g in mixed_corpus:
@@ -445,9 +447,11 @@ class TestIdentification:
             bic_g = m.pair_g.bicycle_space
             restricted_ft = modp_kernel(m.ft_matrix).intersection(bic_g)
             assert restricted_ft == m.phi_bicycles
+            assert m.phi_ambient.intersection(bic_g) == m.phi_bicycles
             bic_pm = m.pair_union.bicycle_space
             restricted_f = modp_kernel(m.f_matrix).intersection(bic_pm)
             assert restricted_f == m.psi_bicycles
+            assert m.psi_ambient.intersection(bic_pm) == m.psi_bicycles
 
     def test_f_mod2_maps_bicycles_to_bicycles(self, mixed_corpus):
         # the mod-2 reduction of f carries the bicycle space of the
@@ -456,8 +460,8 @@ class TestIdentification:
         for g in mixed_corpus:
             m = build_maps(g.decompose())
             bic_g = m.pair_g.bicycle_space
-            for row in m.pair_union.bicycle_space.basis:
-                assert bic_g.contains(m.f_matrix.mul_vector(row))
+            for row in basis(m.pair_union.bicycle_space):
+                assert bic_g.contains(apply(m.f_matrix, row))
 
 
 class TestInjection:
@@ -668,9 +672,6 @@ class TestWorkCounts:
         monkeypatch.setattr(
             modp_module, "_echelonize", counting("echelonize", modp_module._echelonize)
         )
-        monkeypatch.setattr(
-            IntMatrix, "mul_vector", counting("mul_vector", IntMatrix.mul_vector)
-        )
         # a Smith form builds a witness only when a caller reads it
         for kind in WITNESSES:
             counting_cached(SmithDecomposition, kind)
@@ -715,10 +716,7 @@ class TestWorkCounts:
         # kernel, intersection); membership reduces against the pivots of
         # the reduced basis and the fixed ambients are built reduced, so
         # neither eliminates
-        assert counts["echelonize"] == 22
-        # the cut and doubling identities read rows and columns of f, f^t
-        # and f @ dt_union, so no dense matrix-vector product runs
-        assert counts["mul_vector"] == 0
+        assert counts["echelonize"] == 18
         # the diagonal-only Smith forms build none
         diagonal_only = [
             pair.laplacian_snf for pair in (maps.pair_g, maps.pair_plus, maps.pair_minus)
@@ -909,9 +907,9 @@ class TestMainTheoremVerdict:
         for n in range(2, 9):
             rep = main_theorem_verdict(mirror_cycle(n))
             assert rep.group_g.invariant_factors == (2 * n,)
-            assert rep.group_plus.is_trivial()
+            assert rep.group_plus.order() == 1
             assert rep.group_minus.order() == n
-            assert rep.ker_f.is_trivial()
+            assert rep.ker_f.order() == 1
             assert rep.coker_f.invariant_factors == (2,)
             assert rep.exponent == 1
             assert rep.overall_pass
@@ -925,9 +923,9 @@ class TestMainTheoremVerdict:
                 2, IntMatrix([[n, 0], [0, 2]])
             )
             if n % 2 == 0:
-                assert not rep.group_g.same_type(split)
+                assert rep.group_g.describe() != split.describe()
             else:
-                assert rep.group_g.same_type(split)
+                assert rep.group_g.describe() == split.describe()
 
     def test_order_identity_written_out(self):
         rep = main_theorem_verdict(running_example())
@@ -953,7 +951,7 @@ class TestMainTheoremVerdict:
         assert rep.group_g.invariant_factors == (3,)
         assert rep.group_plus.invariant_factors == (6,)
         assert rep.ker_f.invariant_factors == (2,)
-        assert rep.coker_f.is_trivial()
+        assert rep.coker_f.order() == 1
         assert rep.verdicts["ratio_is_two_power"] is None
         assert rep.verdicts["g_injective"] is None
         assert rep.verdicts["order_identity"] is True

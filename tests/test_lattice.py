@@ -30,12 +30,21 @@ from mirrorcrit.lattice import (
     GroupHom,
     IntMatrix,
     direct_sum_smith,
-    integer_kernel,
     smith_normal_form,
 )
-from mirrorcrit.randgraph import mirror_grid, random_multigraph, random_symmetric_graph
+from mirrorcrit.randgraph import mirror_grid, random_symmetric_graph
 
-from conftest import exact_det, running_example
+from conftest import (
+    apply,
+    contains_relation,
+    element_order,
+    exact_det,
+    identity,
+    integer_kernel,
+    random_multigraph,
+    running_example,
+    verify_smith,
+)
 
 WITNESS_GOLDEN = Path(__file__).resolve().parent / "golden_witnesses.json"
 
@@ -69,23 +78,17 @@ class TestIntMatrix:
         m = IntMatrix([[True, False, 7], [-big, 3 * big, 0]])
         assert m.rows == ((1, 0, 7), (-big, 3 * big, 0))
         assert all(type(x) is int for row in m.rows for x in row)
-        # mul_vector takes its vector's entries the same way
-        image = IntMatrix([[1, 2], [0, big]]).mul_vector([True, big])
-        assert image == [1 + 2 * big, big * big]
-        assert all(type(x) is int for x in image)
         for bad in (2.7, 2.0, Fraction(3, 1), "1"):
             with pytest.raises(TypeError):
                 IntMatrix([[1, bad]])
             with pytest.raises(TypeError):
                 IntMatrix.from_columns([[bad]], 1)
-            with pytest.raises(TypeError):
-                IntMatrix([[1, 2]]).mul_vector([1, bad])
 
     def test_shapes_and_stacking(self):
         a = IntMatrix([[1, 2], [3, 4]])
         assert a.shape == (2, 2)
         assert a.transpose().rows == ((1, 3), (2, 4))
-        assert a.hstack(IntMatrix.identity(2)).shape == (2, 4)
+        assert a.hstack(identity(2)).shape == (2, 4)
         empty = IntMatrix([], shape=(0, 3))
         assert empty.transpose().shape == (3, 0)
         assert empty.transpose().transpose() == empty
@@ -94,7 +97,6 @@ class TestIntMatrix:
         a = IntMatrix([[1, 2], [3, 4]])
         b = IntMatrix([[0, 1], [1, 0]])
         assert (a @ b).rows == ((2, 1), (4, 3))
-        assert a.mul_vector([1, 1]) == [3, 7]
 
     def test_products_match_the_textbook_sum(self):
         # every density from empty to full, empty shapes (0 x n, n x 0,
@@ -114,43 +116,39 @@ class TestIntMatrix:
 
             a = IntMatrix([[entry() for _ in range(m)] for _ in range(n)], shape=(n, m))
             b = IntMatrix([[entry() for _ in range(p)] for _ in range(m)], shape=(m, p))
-            vec = [entry() for _ in range(m)]
             product = a @ b
             assert product.shape == (n, p)
             assert product.rows == tuple(
                 tuple(sum(a.rows[i][t] * b.rows[t][j] for t in range(m)) for j in range(p))
                 for i in range(n)
             )
-            image = a.mul_vector(vec)
-            assert image == [sum(a.rows[i][t] * vec[t] for t in range(m)) for i in range(n)]
             assert all(type(x) is int for row in product.rows for x in row)
-            assert all(type(x) is int for x in image)
             bigs += any(abs(x) >= big for row in product.rows for x in row)
         assert bigs >= 10
 
 
 class TestSmithNormalForm:
     def test_identity(self):
-        snf = smith_normal_form(IntMatrix.identity(3))
+        snf = smith_normal_form(identity(3))
         assert snf.diagonal == (1, 1, 1)
-        assert snf.verify()
+        assert verify_smith(snf)
 
     def test_coprime_diagonal_collapses(self):
         snf = smith_normal_form(IntMatrix([[2, 0], [0, 3]]))
         assert snf.diagonal == (1, 6)
-        assert snf.verify()
+        assert verify_smith(snf)
 
     def test_running_example_laplacian(self):
         snf = smith_normal_form(RUNNING_EXAMPLE_LAPLACIAN)
         assert snf.diagonal == (1, 1, 8, 0)
-        assert snf.verify()
+        assert verify_smith(snf)
         assert sympy_diagonal(RUNNING_EXAMPLE_LAPLACIAN) == [1, 1, 8, 0]
 
     def test_zero_and_empty(self):
         assert smith_normal_form(IntMatrix.zero(2, 3)).diagonal == (0, 0)
         snf = smith_normal_form(IntMatrix([], shape=(0, 4)))
         assert snf.diagonal == ()
-        assert snf.verify()
+        assert verify_smith(snf)
 
     def test_determinism(self):
         rng = random.Random(3)
@@ -167,7 +165,7 @@ class TestSmithNormalForm:
         for _ in range(150):
             a = random_matrix(rng)
             snf = smith_normal_form(a)
-            assert snf.verify(), a.rows
+            assert verify_smith(snf), a.rows
             assert abs(exact_det(snf.left)) == 1
             assert abs(exact_det(snf.right)) == 1
             assert list(snf.diagonal) == sympy_diagonal(a)
@@ -241,7 +239,7 @@ class TestDirectSumSmith:
             parts = smith_normal_form(a), smith_normal_form(b)
             dec = direct_sum_smith(*parts)
             assert dec.matrix == matrix
-            assert dec.verify(), (a.rows, b.rows)
+            assert verify_smith(dec), (a.rows, b.rows)
             assert dec.diagonal == smith_normal_form(matrix).diagonal
             assert list(dec.diagonal) == sympy_diagonal(matrix)
             diagonal = set(dec.diagonal)
@@ -263,17 +261,17 @@ class TestDirectSumSmith:
             maps = build_maps(g.decompose())
             pair = maps.pair_union
             group = pair.critical_group
-            assert group.witness.verify()
+            assert verify_smith(group.witness)
             reference = FpAbelianGroup.quotient(pair.c1_rank, pair.relation_matrix)
             assert group.invariant_factors == reference.invariant_factors
             assert group.free_rank == reference.free_rank == 0
             target = maps.pair_g.critical_group
             f_star = GroupHom(reference, target, maps.f_matrix)
             ft_star = GroupHom(target, reference, maps.ft_matrix)
-            assert f_star.kernel().same_type(maps.ker_f)
-            assert f_star.cokernel().same_type(maps.coker_f)
-            assert ft_star.kernel().same_type(maps.ker_ft)
-            assert ft_star.cokernel().same_type(maps.coker_ft)
+            assert f_star.kernel().describe() == maps.ker_f.describe()
+            assert f_star.cokernel().describe() == maps.coker_f.describe()
+            assert ft_star.kernel().describe() == maps.ker_ft.describe()
+            assert ft_star.cokernel().describe() == maps.coker_ft.describe()
 
 
 class TestFpAbelianGroup:
@@ -284,8 +282,7 @@ class TestFpAbelianGroup:
         assert g.describe() == "Z/2"
 
     def test_full_lattice_is_trivial(self):
-        g = FpAbelianGroup.quotient(2, IntMatrix.identity(2))
-        assert g.is_trivial()
+        g = FpAbelianGroup.quotient(2, identity(2))
         assert g.order() == 1
         assert g.describe() == "0"
 
@@ -306,17 +303,17 @@ class TestFpAbelianGroup:
 
     def test_element_order(self):
         g = FpAbelianGroup.quotient(1, IntMatrix([[6]]))
-        assert g.element_order([1]) == 6
-        assert g.element_order([2]) == 3
-        assert g.element_order([3]) == 2
-        assert g.element_order([0]) == 1
+        assert element_order(g, [1]) == 6
+        assert element_order(g, [2]) == 3
+        assert element_order(g, [3]) == 2
+        assert element_order(g, [0]) == 1
         free = FpAbelianGroup.quotient(1, IntMatrix.zero(1, 0))
-        assert free.element_order([1]) is None
+        assert element_order(free, [1]) is None
 
     def test_contains_relation(self):
         g = FpAbelianGroup.quotient(2, IntMatrix([[2, 0], [0, 3]]))
-        assert g.contains_relation([4, 3])
-        assert not g.contains_relation([1, 0])
+        assert contains_relation(g, [4, 3])
+        assert not contains_relation(g, [1, 0])
 
     def test_order_invariant_under_remixing(self):
         # invariant factors depend only on the lattice, not the chosen
@@ -328,19 +325,19 @@ class TestFpAbelianGroup:
             gens = IntMatrix([[rng.randint(-4, 4) for _ in range(k)] for _ in range(n)])
             g = FpAbelianGroup.quotient(n, gens)
             # random unimodular column mix: product of elementary ops
-            mixed = [list(col) for col in gens.columns()]
+            mixed = [list(col) for col in gens.transpose().rows]
             for _ in range(10):
                 i, j = rng.randrange(k), rng.randrange(k)
                 if i != j:
                     q = rng.randint(-2, 2)
                     mixed[j] = [a + q * b for a, b in zip(mixed[j], mixed[i])]
             remixed = FpAbelianGroup.quotient(n, IntMatrix.from_columns(mixed, n))
-            assert g.same_type(remixed)
+            assert g.describe() == remixed.describe()
             perm = list(range(n))
             rng.shuffle(perm)
             permuted_rows = [gens.rows[i] for i in perm]
             permuted = FpAbelianGroup.quotient(n, IntMatrix(permuted_rows, shape=(n, k)))
-            assert g.same_type(permuted)
+            assert g.describe() == permuted.describe()
 
 
 class TestGroupHom:
@@ -375,8 +372,8 @@ class TestGroupHom:
     def test_kernel_of_identity_on_z6(self):
         z6 = FpAbelianGroup.quotient(1, IntMatrix([[6]]))
         h = GroupHom(source=z6, target=z6, matrix=IntMatrix([[1]]))
-        assert h.kernel().is_trivial()
-        assert h.cokernel().is_trivial()
+        assert h.kernel().order() == 1
+        assert h.cokernel().order() == 1
 
     def test_kernel_of_doubling_on_z6(self):
         # oracle: 2x = 0 in Z/6 exactly for x in {0, 3}
@@ -412,7 +409,7 @@ class TestGroupHom:
                 continue
             source = FpAbelianGroup.quotient(n, src_rel)
             k = rng.randint(1, 6)
-            tgt_rel = (mat @ src_rel).hstack(IntMatrix.identity(m).scale(k))
+            tgt_rel = (mat @ src_rel).hstack(identity(m, k))
             target = FpAbelianGroup.quotient(m, tgt_rel)
             hom = GroupHom(source=source, target=target, matrix=mat)
             assert hom.well_defined
@@ -439,14 +436,14 @@ class TestGroupHom:
             source = FpAbelianGroup.quotient(n, src_rel)
             tgt_rel = mat @ src_rel
             if rng.random() < 0.5:
-                tgt_rel = tgt_rel.hstack(IntMatrix.identity(m).scale(rng.randint(1, 4)))
+                tgt_rel = tgt_rel.hstack(identity(m, rng.randint(1, 4)))
             target = FpAbelianGroup.quotient(m, tgt_rel)
             free_targets += target.free_rank > 0
             hom = GroupHom(source=source, target=target, matrix=mat)
             kernel = [
                 x
                 for x in itertools.product(*map(range, ds))
-                if target.contains_relation(mat.mul_vector(x))
+                if contains_relation(target, apply(mat, x))
             ]
             ker = hom.kernel()
             assert ker.free_rank == 0
@@ -473,7 +470,7 @@ class TestSmithCoordinateHomAgainstSympy:
         r_t = target.witness.matrix
         order_t = self._index(r_t)
         assert order_t == target.order()
-        images = (matrix @ source.witness.matrix).columns()
+        images = (matrix @ source.witness.matrix).transpose().rows
         expected = all(
             self._index(r_t.hstack(IntMatrix.from_columns([v], r_t.n_rows))) == order_t
             for v in images
@@ -506,7 +503,7 @@ class TestSmithCoordinateHomAgainstSympy:
             if not n_s:
                 continue
             c0, c1 = rng.randint(-3, 3), rng.randint(-2, 2)
-            rows = [list(row) for row in (pairs[0].dt @ pairs[0].d).scale(c1).rows]
+            rows = [[c1 * x for x in row] for row in (pairs[0].dt @ pairs[0].d).rows]
             for i in range(n_s):
                 rows[i][i] += c0
             if rng.random() < 0.5:
