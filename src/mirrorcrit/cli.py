@@ -6,20 +6,21 @@
     mirrorcrit version
 
 `analyze` runs the full factorization pipeline and exits 0 when every
-applicable verdict passes, 2 when any fails and 1 on input errors.
-A command-line usage error also exits 1.
-`oracle` cross-checks the algebra against exhaustive enumeration; on a
-plain graph file, or one whose symmetry data `parse` rejects, it runs
-the plain-graph checks only.  `random` prints a
-seeded random symmetric graph in the text format.  Every command exits
-3 on an internal error (an exception that is not about bad input,
-reported as `internal error: ...` with the traceback on stderr).
+applicable verdict passes, 2 when any fails and 1 on input errors.  A
+command-line usage error also exits 1.  `oracle` cross-checks the algebra
+against exhaustive enumeration; on a plain graph file, or one whose symmetry
+data `parse` rejects, it runs the plain-graph checks only.  `random` prints
+a seeded random symmetric graph in the text format.  Every command exits 3
+on an internal error (an exception that is not about bad input, reported as
+`internal error: ...` with the traceback on stderr).  `main(argv)` may be
+called repeatedly in one process; it builds its parser once.
 """
 
 from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import hashlib
 import json
 import sys
@@ -295,6 +296,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="mirrorcrit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -433,6 +433,71 @@ class TestUsageErrors:
         assert "--max-enum" in capsys.readouterr().out
 
 
+class TestParserReuse:
+    # main parses every call with one parser, built on first use; no
+    # call's options, defaults or exit may carry into the next call
+    def test_one_build_and_no_state_carried(self, monkeypatch, tmp_path, capsys):
+        import mirrorcrit.cli as cli_module
+
+        builds = []
+        init = cli_module._Parser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            # a subcommand's parser is a _Parser too, with prog "mirrorcrit <command>"
+            if kwargs.get("prog") == "mirrorcrit":
+                builds.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli_module._Parser, "__init__", counting_init)
+        k4minus = str(SAMPLES / "k4minus.sg")
+        sparse = tmp_path / "sparse.sg"
+        sparse.write_text("".join(f"v x{i} F\n" for i in range(12)) + "e a x0 x1\ne b x1 x0\n")
+
+        assert main(["analyze", k4minus, "--format", "structured"]) == 0
+        assert json.loads(capsys.readouterr().out)["overall_pass"] is True
+        assert main(["analyze", k4minus]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("mirrorcrit ") and out.endswith("overall: PASS\n")
+
+        assert main(["oracle", str(sparse), "--max-enum", "16"]) == 1
+        assert "exceed the limit 16" in capsys.readouterr().err
+        assert main(["oracle", str(sparse)]) == 0
+        assert "oracle: all checks agree" in capsys.readouterr().out
+
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", k4minus, "--max-enum", "1e6"])
+        assert exc.value.code == 1
+        assert capsys.readouterr().err.startswith("usage: mirrorcrit oracle")
+        assert main(["oracle", k4minus]) == 0
+        assert "oracle: all checks agree" in capsys.readouterr().out
+
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "-h"])
+        assert exc.value.code == 0
+        assert "--max-enum" in capsys.readouterr().out
+        assert main(["version"]) == 0
+        assert capsys.readouterr().out == f"mirrorcrit {mirrorcrit.__version__}\n"
+
+        assert len(builds) <= 1
+
+    def test_in_process_matches_fresh_process(self, capsys):
+        argv = ["analyze", str(SAMPLES / "k4minus.sg"), "--format", "structured"]
+        docs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            docs.append(json.loads(capsys.readouterr().out))
+        env = dict(os.environ, PYTHONPATH=str(Path(mirrorcrit.__file__).parents[1]))
+        result = subprocess.run(
+            [sys.executable, "-m", "mirrorcrit.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        docs.append(json.loads(result.stdout))
+        for doc in docs:
+            doc.pop("generated_at")
+        assert docs[0] == docs[1] == docs[2]
+
+
 class TestCyclicAxis:
     @pytest.mark.xfail(
         strict=True,
