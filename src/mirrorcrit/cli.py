@@ -58,9 +58,8 @@ def report_document(report: FactorizationReport, path: str, raw: bytes) -> dict:
     Deterministic for a fixed input file except for `generated_at`,
     which consumers should ignore when comparing documents.
     """
-    g = report.graph
-    snake = report.snake
-    ident = report.identification
+    maps = report.maps
+    g = maps.graph
     doc = {
         "schema_version": SCHEMA_VERSION,
         "tool_name": "mirrorcrit",
@@ -77,47 +76,47 @@ def report_document(report: FactorizationReport, path: str, raw: bytes) -> dict:
             "left_edges": len(g.left_edges),
             "fixed_edges": len(g.fixed_edges),
             "right_edges": len(g.right_edges),
-            "plus_vertices": report.maps.dec.plus.n_vertices,
-            "plus_edges": report.maps.dec.plus.n_edges,
-            "minus_vertices": report.maps.dec.minus.n_vertices,
-            "minus_edges": report.maps.dec.minus.n_edges,
+            "plus_vertices": maps.dec.plus.n_vertices,
+            "plus_edges": maps.dec.plus.n_edges,
+            "minus_vertices": maps.dec.minus.n_vertices,
+            "minus_edges": maps.dec.minus.n_edges,
         },
         "groups": {
-            "K_G": _group_doc(report.group_g),
-            "K_plus": _group_doc(report.group_plus),
-            "K_minus": _group_doc(report.group_minus),
-            "K_plus_minus": _group_doc(report.group_block),
-            "ker_f_star": _group_doc(report.ker_f),
-            "coker_f_star": _group_doc(report.coker_f),
-            "ker_ft_star": _group_doc(report.ker_ft),
-            "coker_ft_star": _group_doc(report.coker_ft),
+            "K_G": _group_doc(maps.pair_g.critical_group),
+            "K_plus": _group_doc(maps.pair_plus.critical_group),
+            "K_minus": _group_doc(maps.pair_minus.critical_group),
+            "K_plus_minus": _group_doc(maps.pair_union.critical_group),
+            "ker_f_star": _group_doc(maps.ker_f),
+            "coker_f_star": _group_doc(maps.coker_f),
+            "ker_ft_star": _group_doc(maps.ker_ft),
+            "coker_ft_star": _group_doc(maps.coker_ft),
         },
         "kappa": {
             "G": report.kappa_g,
             "G_plus": report.kappa_plus,
             "G_minus": report.kappa_minus,
         },
-        "exponent": report.exponent,
-        "axis_components": report.axis_components,
+        "exponent": maps.exponent,
+        "axis_components": maps.axis_components[0],
         "applicability": {
-            "plus_connected": report.plus_connected,
-            "axis_nonempty": report.axis_nonempty,
-            "axis_forest": report.axis_forest,
-            "theorem_applicable": report.theorem_applicable,
+            "plus_connected": maps.plus_connected,
+            "axis_nonempty": maps.axis_nonempty,
+            "axis_forest": maps.axis_forest,
+            "theorem_applicable": maps.theorem_applicable,
         },
         "bicycles": {
-            "dim_phi_fixed": ident.dim_phi_fixed,
-            "dim_psi_fixed": ident.dim_psi_fixed,
+            "dim_phi_fixed": maps.phi_bicycles.dim,
+            "dim_psi_fixed": maps.psi_bicycles.dim,
         },
         "snake_dimensions": {
-            "dim_Z_psi": snake.dim_z_psi,
-            "dim_B_psi": snake.dim_b_psi,
-            "dim_Z_phi": snake.dim_z_phi,
-            "dim_B_phi": snake.dim_b_phi,
-            "dim_cap_psi": snake.dim_cap_psi,
-            "dim_cap_phi": snake.dim_cap_phi,
-            "dim_sum_psi": snake.dim_sum_psi,
-            "dim_sum_phi": snake.dim_sum_phi,
+            "dim_Z_psi": maps.z_psi.dim,
+            "dim_B_psi": maps.b_psi.dim,
+            "dim_Z_phi": maps.z_phi.dim,
+            "dim_B_phi": maps.b_phi.dim,
+            "dim_cap_psi": maps.psi_bicycles.dim,
+            "dim_cap_phi": maps.phi_bicycles.dim,
+            "dim_sum_psi": maps.sum_psi.dim,
+            "dim_sum_phi": maps.sum_phi.dim,
         },
         "verdicts": {k: report.verdicts[k] for k in VERDICT_ORDER},
         "overall_pass": report.overall_pass,
@@ -298,7 +297,11 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="mirrorcrit", description=__doc__)
+    parser = _Parser(
+        prog="mirrorcrit",
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="run the factorization analysis on a graph file")

@@ -52,7 +52,6 @@ from .modp import (
     fixed_ambient,
     is_involution,
     kernel,
-    mask_to_row,
 )
 
 
@@ -64,12 +63,14 @@ class SymmetryMaps:
     Column/row order over E+ u E- is the edge order of the union graph
     `pair_union.graph`: plus edges in plus-graph order, then minus edges
     in minus-graph order.  psi (on E+ u E-) and phi (on the edges of G)
-    are index tuples, i -> psi[i].  Every shared quantity (pairs,
-    groups, induced homs and their kernels and cokernels, fixed GF(2)
-    spaces, f mod 2, the axis components and the plus graph's
-    connectivity) is computed once, on first use, and held here, so it
-    lives exactly as long as this graph's analysis.  GF(2) vectors are
-    bit sets, bit j = coordinate j.
+    are index tuples, i -> psi[i].  This is the one holder of every fact
+    of the analysis: the pairs and their critical groups, the induced
+    homs and their kernels and cokernels, the fixed GF(2) spaces (whose
+    `dim`s the reports print), f mod 2, and the theorem's hypotheses
+    (the axis components, the plus graph's connectivity, the exponent
+    and the flags derived from them).  Each is computed once, on first
+    use, and lives exactly as long as this graph's analysis.  GF(2)
+    vectors are bit sets, bit j = coordinate j.
     """
 
     dec: Decomposition
@@ -88,10 +89,6 @@ class SymmetryMaps:
     def n_plus(self):
         return self.dec.plus.n_edges
 
-    @property
-    def n_minus(self):
-        return self.dec.minus.n_edges
-
     @cached_property
     def axis_components(self) -> tuple:
         """(count, {fixed vertex: component index}) of the axis subgraph
@@ -101,6 +98,26 @@ class SymmetryMaps:
     @cached_property
     def plus_connected(self) -> bool:
         return self.dec.plus.is_connected()
+
+    @cached_property
+    def exponent(self) -> int:
+        """|V^phi| - |E^phi| - 1, the power of 2 in the order formula."""
+        return self.graph.two_power_exponent()
+
+    @property
+    def axis_nonempty(self) -> bool:
+        return len(self.graph.fixed_vertices) > 0
+
+    @property
+    def axis_forest(self) -> bool:
+        # |V^phi| - |E^phi| is the component count exactly on a forest
+        return self.exponent + 1 == self.axis_components[0]
+
+    @property
+    def theorem_applicable(self) -> bool:
+        """The three hypotheses: plus graph connected, axis nonempty,
+        fixed subgraph a forest."""
+        return self.plus_connected and self.axis_nonempty and self.axis_forest
 
     @cached_property
     def ft_matrix(self) -> IntMatrix:
@@ -424,17 +441,10 @@ def _equals_sparse(vec, entries) -> bool:
 
 @dataclass(frozen=True)
 class BicycleIdentification:
-    dim_phi_fixed: int
-    dim_psi_fixed: int
     coker_matches: bool
     ker_matches: bool
-    ker_ft_mod2_dim: int
     ker_ft_basis_ok: bool
     ker_f_psi_fixed_ok: bool
-    dim_phi_ambient: int
-    dim_psi_ambient: int
-    phi_quotient_log2: int
-    psi_quotient_log2: int
     alternate_ker_matches: bool
     alternate_coker_matches: bool
 
@@ -460,8 +470,6 @@ def identify_kernel_cokernel(maps: SymmetryMaps) -> BicycleIdentification:
     """
     g = maps.graph
     graph = g.graph
-    phi_bic = maps.phi_bicycles
-    psi_bic = maps.psi_bicycles
     coker_order = maps.coker_f.order()
     ker_order = maps.ker_f.order()
 
@@ -481,17 +489,10 @@ def identify_kernel_cokernel(maps: SymmetryMaps) -> BicycleIdentification:
     psi_quotient = maps.psi_ambient.dim - maps.sum_psi.dim
 
     return BicycleIdentification(
-        dim_phi_fixed=phi_bic.dim,
-        dim_psi_fixed=psi_bic.dim,
-        coker_matches=(coker_order == 2**phi_bic.dim),
-        ker_matches=(ker_order == 2**psi_bic.dim),
-        ker_ft_mod2_dim=ker_ft2.dim,
+        coker_matches=(coker_order == 2**maps.phi_bicycles.dim),
+        ker_matches=(ker_order == 2**maps.psi_bicycles.dim),
         ker_ft_basis_ok=ker_ft_ok,
         ker_f_psi_fixed_ok=ker_f_ok,
-        dim_phi_ambient=maps.phi_ambient.dim,
-        dim_psi_ambient=maps.psi_ambient.dim,
-        phi_quotient_log2=phi_quotient,
-        psi_quotient_log2=psi_quotient,
         alternate_ker_matches=(2**phi_quotient == ker_order),
         alternate_coker_matches=(2**psi_quotient == coker_order),
     )
@@ -503,9 +504,6 @@ def identify_kernel_cokernel(maps: SymmetryMaps) -> BicycleIdentification:
 
 @dataclass(frozen=True)
 class InjectionReport:
-    domain_dim: int
-    image_dim: int
-    images: tuple
     halves_agree: bool
     image_in_phi_fixed_bicycles: bool
     injective: bool
@@ -532,9 +530,6 @@ def g_injection(maps: SymmetryMaps) -> InjectionReport:
         rows.append(y1)
     image = ModpSubspace.from_rows(n_edges, rows)
     return InjectionReport(
-        domain_dim=domain.dim,
-        image_dim=image.dim,
-        images=tuple(mask_to_row(y, n_edges) for y in rows),
         halves_agree=halves_agree,
         image_in_phi_fixed_bicycles=all(phi_bic.contains(r) for r in rows),
         injective=(image.dim == domain.dim),
@@ -547,14 +542,6 @@ def g_injection(maps: SymmetryMaps) -> InjectionReport:
 
 @dataclass(frozen=True)
 class SnakeReport:
-    dim_z_psi: int
-    dim_b_psi: int
-    dim_z_phi: int
-    dim_b_phi: int
-    dim_cap_psi: int
-    dim_cap_phi: int
-    dim_sum_psi: int
-    dim_sum_phi: int
     column_exactness: bool
     bond_dim_plus_formula: bool
     bond_dim_formula: bool
@@ -581,7 +568,7 @@ def snake_dimension_report(maps: SymmetryMaps) -> SnakeReport:
     z_phi, b_phi, sum_phi = maps.z_phi, maps.b_phi, maps.sum_phi
     cap_psi, cap_phi = maps.psi_bicycles, maps.phi_bicycles
 
-    exponent = g.two_power_exponent()
+    exponent = maps.exponent
     log2_ker = cap_psi.dim
     log2_coker = cap_phi.dim
 
@@ -592,14 +579,6 @@ def snake_dimension_report(maps: SymmetryMaps) -> SnakeReport:
 
     n_vr = len(g.right_vertices)
     return SnakeReport(
-        dim_z_psi=z_psi.dim,
-        dim_b_psi=b_psi.dim,
-        dim_z_phi=z_phi.dim,
-        dim_b_phi=b_phi.dim,
-        dim_cap_psi=cap_psi.dim,
-        dim_cap_phi=cap_phi.dim,
-        dim_sum_psi=sum_psi.dim,
-        dim_sum_phi=sum_phi.dim,
         column_exactness=column_exact,
         bond_dim_plus_formula=(b_psi.dim == n_vr + len(g.fixed_edges)),
         bond_dim_formula=(b_phi.dim == n_vr + len(g.fixed_vertices) - 1),
@@ -613,39 +592,25 @@ def snake_dimension_report(maps: SymmetryMaps) -> SnakeReport:
 # constructive cycle basis for the axis components
 
 
-@dataclass(frozen=True)
-class LinkingCycleBasis:
-    representatives: tuple
-    paths: tuple
-    cycles: tuple
-    image_dim: int
-    independent_and_spanning: bool
-
-
-def component_linking_cycles(maps: SymmetryMaps) -> LinkingCycleBasis:
+def component_linking_cycles(maps: SymmetryMaps) -> bool:
     """Cycles p + phi(p) linking consecutive axis components.
 
     Choose one representative vertex per component of the fixed
     subgraph; connect consecutive representatives by their path in the
-    plus graph's spanning tree (the XOR of their two root paths), its
-    edges listed in plus-graph order; symmetrizing each path yields a
-    phi-fixed cycle of G.  These cycles complete the image of the
-    psi-fixed cycles under g to all of Z^phi, and the verification of
-    that (independence and spanning, by dimension count) is part of the
-    result.
+    plus graph's spanning tree (the XOR of their two root paths);
+    symmetrizing each path yields a phi-fixed cycle of G.  True when
+    these cycles complete the image of the psi-fixed cycles under g to
+    all of Z^phi (independence and spanning, by dimension count).
     """
     g = maps.graph
     if not maps.plus_connected:
         raise ValueError("the plus graph must be connected")
     count, labels = maps.axis_components
 
-    reps = []
-    seen = set()
+    first = {}
     for v in g.fixed_vertices:
-        c = labels[v]
-        if c not in seen:
-            seen.add(c)
-            reps.append(v)
+        first.setdefault(labels[v], v)
+    reps = list(first.values())
 
     plus = maps.dec.plus
     root_paths, _ = maps.pair_plus.spanning_forest
@@ -653,14 +618,9 @@ def component_linking_cycles(maps: SymmetryMaps) -> LinkingCycleBasis:
     def root_mask(v):
         return sum(1 << j for j in root_paths[plus.vertex_index(v)])
 
-    n_edges = g.graph.n_edges
-    paths = []
-    cycles = []
-    for a, b in zip(reps, reps[1:]):
-        block = root_mask(a) ^ root_mask(b)
-        paths.append(tuple(e.id for j, e in enumerate(plus.edges) if block >> j & 1))
-        cycles.append(maps.f_mod2(block))
+    cycles = [maps.f_mod2(root_mask(a) ^ root_mask(b)) for a, b in zip(reps, reps[1:])]
 
+    n_edges = g.graph.n_edges
     z_phi = maps.z_phi
     plus_mask = (1 << maps.n_plus) - 1
     image_rows = [maps.f_mod2(vec & plus_mask) for vec in maps.z_psi.rows]
@@ -668,17 +628,10 @@ def component_linking_cycles(maps: SymmetryMaps) -> LinkingCycleBasis:
 
     m = max(count - 1, 0)
     combined = ModpSubspace.from_rows(n_edges, [*image.rows, *cycles])
-    ok = (
+    return (
         all(z_phi.contains(c) for c in cycles)
         and combined.dim == image.dim + m
         and combined.dim == z_phi.dim
-    )
-    return LinkingCycleBasis(
-        representatives=tuple(reps),
-        paths=tuple(paths),
-        cycles=tuple(mask_to_row(c, n_edges) for c in cycles),
-        image_dim=image.dim,
-        independent_and_spanning=ok,
     )
 
 
@@ -712,40 +665,20 @@ VERDICT_ORDER = (
 
 @dataclass(frozen=True, eq=False)
 class FactorizationReport:
-    """Everything the analysis produces for one symmetric graph.
+    """The verdicts of the analysis of one symmetric graph, with the
+    spanning-forest counts and the analysis they were read off.
 
     Verdicts are True/False when the check applies and None when a
-    hypothesis it needs is not met.  Each quantity behind them is
-    computed once per analysis, on the graph's SymmetryMaps, and nothing
-    is cached across graphs: every run starts from scratch.
+    hypothesis it needs is not met.  Everything else the analysis found
+    (the graph, the groups, the fixed-space dimensions and the
+    hypotheses) is held once, on `maps`, and nothing is cached across
+    graphs: every run starts from scratch.
     """
 
-    graph: SymmetricGraph
     maps: SymmetryMaps
-    group_g: FpAbelianGroup
-    group_plus: FpAbelianGroup
-    group_minus: FpAbelianGroup
-    group_block: FpAbelianGroup
-    ker_f: FpAbelianGroup
-    coker_f: FpAbelianGroup
-    ker_ft: FpAbelianGroup
-    coker_ft: FpAbelianGroup
     kappa_g: int
     kappa_plus: int
     kappa_minus: int
-    exponent: int
-    axis_components: int
-    plus_connected: bool
-    axis_nonempty: bool
-    axis_forest: bool
-    theorem_applicable: bool
-    lattice_report: LatticePreservationReport
-    torsion_report: TorsionReport
-    identification: BicycleIdentification
-    injection: InjectionReport
-    snake: SnakeReport
-    linking: LinkingCycleBasis | None
-    laplacian_match: bool
     verdicts: dict
 
     @property
@@ -757,19 +690,16 @@ def main_theorem_verdict(g: SymmetricGraph) -> FactorizationReport:
     """Run the whole pipeline on one symmetric graph.
 
     g is valid and oriented from its construction, so nothing is
-    validated here; the report's graph is g.  The three hypotheses
+    validated here; the analysis' graph is g.  The three hypotheses
     (plus graph connected, axis nonempty, fixed subgraph a forest) gate
     the verdicts whose statements need them; everything else is
     asserted unconditionally.
     """
     maps = build_maps(g.decompose())
-    g = maps.graph
 
     pair_g, pair_plus, pair_minus = maps.pair_g, maps.pair_plus, maps.pair_minus
-    group_g = pair_g.critical_group
-    group_plus = pair_plus.critical_group
-    group_minus = pair_minus.critical_group
-    group_block = maps.pair_union.critical_group
+    order_g = pair_g.critical_group.order()
+    order_pm = pair_plus.critical_group.order() * pair_minus.critical_group.order()
 
     lattice_report = verify_lattice_preservation(maps)
     torsion = two_torsion_check(maps)
@@ -781,15 +711,9 @@ def main_theorem_verdict(g: SymmetricGraph) -> FactorizationReport:
     kappa_plus = forest_count(pair_plus)
     kappa_minus = forest_count(pair_minus)
 
-    plus_connected = maps.plus_connected
-    axis_nonempty = len(g.fixed_vertices) > 0
-    exponent = g.two_power_exponent()
-    axis_components = maps.axis_components[0]
-    # |V^phi| - |E^phi| is the component count exactly on a forest
-    axis_forest = exponent + 1 == axis_components
-    applicable = plus_connected and axis_nonempty and axis_forest
-
-    linking = component_linking_cycles(maps) if applicable else None
+    exponent = maps.exponent
+    axis_forest = maps.axis_forest
+    applicable = maps.theorem_applicable
 
     laplacian_match = all(
         pair.laplacian_invariant_factors == pair.critical_group.invariant_factors
@@ -800,9 +724,9 @@ def main_theorem_verdict(g: SymmetricGraph) -> FactorizationReport:
     ker_order = ker_f.order()
     coker_order = coker_f.order()
     order_identity = (
-        group_plus.order() * group_minus.order() * coker_order
-        == group_g.order() * ker_order
-    ) and group_block.order() == group_plus.order() * group_minus.order()
+        order_pm * coker_order == order_g * ker_order
+        and maps.pair_union.critical_group.order() == order_pm
+    )
 
     def gated(flag, value):
         return value if flag else None
@@ -832,7 +756,7 @@ def main_theorem_verdict(g: SymmetricGraph) -> FactorizationReport:
             and injection.injective,
         ),
         "snake_bond_dims": gated(
-            plus_connected and axis_nonempty,
+            maps.plus_connected and maps.axis_nonempty,
             snake.bond_dim_plus_formula and snake.bond_dim_formula,
         ),
         "snake_cycle_gap": gated(applicable, snake.cycle_dim_gap_formula),
@@ -840,45 +764,21 @@ def main_theorem_verdict(g: SymmetricGraph) -> FactorizationReport:
         "final_two_power_identity": gated(applicable, snake.final_two_power_identity),
         "ratio_is_two_power": gated(
             applicable,
-            group_g.order() == 2**exponent * group_plus.order() * group_minus.order()
-            and coker_order == 2**exponent * ker_order,
+            order_g == 2**exponent * order_pm and coker_order == 2**exponent * ker_order,
         ),
         "corollary_factorization": gated(
             applicable, kappa_g == 2**exponent * kappa_plus * kappa_minus
         ),
-        "linking_cycle_basis": gated(
-            applicable, linking.independent_and_spanning if linking else None
-        ),
+        # component_linking_cycles needs a connected plus graph to run
+        "linking_cycle_basis": component_linking_cycles(maps) if applicable else None,
     }
     if tuple(verdicts) != VERDICT_ORDER:
         raise AssertionError("verdicts out of VERDICT_ORDER")
 
     return FactorizationReport(
-        graph=g,
         maps=maps,
-        group_g=group_g,
-        group_plus=group_plus,
-        group_minus=group_minus,
-        group_block=group_block,
-        ker_f=ker_f,
-        coker_f=coker_f,
-        ker_ft=ker_ft,
-        coker_ft=coker_ft,
         kappa_g=kappa_g,
         kappa_plus=kappa_plus,
         kappa_minus=kappa_minus,
-        exponent=exponent,
-        axis_components=axis_components,
-        plus_connected=plus_connected,
-        axis_nonempty=axis_nonempty,
-        axis_forest=axis_forest,
-        theorem_applicable=applicable,
-        lattice_report=lattice_report,
-        torsion_report=torsion,
-        identification=ident,
-        injection=injection,
-        snake=snake,
-        linking=linking,
-        laplacian_match=laplacian_match,
         verdicts=verdicts,
     )

@@ -59,11 +59,6 @@ def _mask(row, n) -> int:
     return bits
 
 
-def mask_to_row(mask, n) -> tuple:
-    """The 0/1 tuple of length n with bit j of `mask` at position j."""
-    return tuple((mask >> j) & 1 for j in range(n))
-
-
 def column_masks(m) -> list:
     """The columns of the integer matrix m mod 2, each a bit set over
     the rows of m."""

@@ -12,7 +12,6 @@ from sympy.polys.matrices import DomainMatrix
 
 from mirrorcrit.graphs import FIXED, LEFT, RIGHT, Multigraph, SymmetricGraph
 from mirrorcrit.lattice import IntMatrix, smith_normal_form
-from mirrorcrit.modp import mask_to_row
 from mirrorcrit.randgraph import random_symmetric_graph
 
 # After a failing test, hypothesis' pytest plugin imports its patch
@@ -101,6 +100,11 @@ def element_order(group, vec):
 def contains_relation(group, vec) -> bool:
     """True iff `vec` lies in the group's relation lattice."""
     return element_order(group, vec) == 1
+
+
+def mask_to_row(mask, n) -> tuple:
+    """The 0/1 tuple of length n with bit j of `mask` at position j."""
+    return tuple((mask >> j) & 1 for j in range(n))
 
 
 def basis(space) -> tuple:

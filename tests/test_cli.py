@@ -432,6 +432,16 @@ class TestUsageErrors:
         assert exc.value.code == 0
         assert "--max-enum" in capsys.readouterr().out
 
+    def test_top_level_help_keeps_the_synopsis_lines(self, capsys):
+        # the module docstring is the description; its synopsis lines
+        # are printed as written, not reflowed into one paragraph
+        with pytest.raises(SystemExit) as exc:
+            main(["-h"])
+        assert exc.value.code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "    mirrorcrit analyze PATH [--format text|structured]" in lines
+        assert "    mirrorcrit oracle PATH [--max-enum N]" in lines
+
 
 class TestParserReuse:
     # main parses every call with one parser, built on first use; no

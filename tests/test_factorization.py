@@ -39,7 +39,7 @@ from mirrorcrit.lattice import (
     IntMatrix,
     SmithDecomposition,
 )
-from mirrorcrit.modp import is_involution
+from mirrorcrit.modp import is_involution, kernel
 from mirrorcrit.randgraph import mirror_grid
 
 from conftest import (
@@ -116,7 +116,7 @@ class TestBuildMaps:
 
     def test_psi_is_fixed_point_free_involution(self, maps):
         assert is_involution(maps.psi)
-        assert len(maps.psi) == maps.n_plus + maps.n_minus
+        assert len(maps.psi) == maps.n_plus + maps.dec.minus.n_edges
         for j in range(len(maps.psi)):
             assert maps.psi[j] != j
 
@@ -184,7 +184,7 @@ def _dense_reference(maps):
     g, dec = maps.graph, maps.dec
     graph, f, ft = g.graph, maps.f_matrix, maps.ft_matrix
     vphi, ephi = g.vertex_involution, g.edge_involution
-    n_edges, n_plus, n_minus = graph.n_edges, maps.n_plus, maps.n_minus
+    n_edges, n_plus, n_minus = graph.n_edges, maps.n_plus, dec.minus.n_edges
     n_block = n_plus + n_minus
 
     def f_of_plus_cut(v):
@@ -404,7 +404,7 @@ class TestIdentification:
         ident = identify_kernel_cokernel(maps)
         assert ident.coker_matches and ident.ker_matches
         assert maps.coker_f.order() == 2 and maps.ker_f.order() == 2
-        assert ident.ker_ft_mod2_dim == 2  # |E_L|
+        assert kernel(maps.ft_matrix).dim == 2  # |E_L|
         assert ident.ker_ft_basis_ok
         assert ident.ker_f_psi_fixed_ok
         assert ident.alternate_ker_matches and ident.alternate_coker_matches
@@ -412,9 +412,8 @@ class TestIdentification:
     def test_running_example_sum_dimension(self, maps):
         # dim Z^phi = 1 and dim B^phi = 2 meet in the bicycle line, so
         # dim (Z^phi + B^phi) = 2
-        ident = identify_kernel_cokernel(maps)
         assert maps.sum_phi.dim == 2
-        assert ident.dim_phi_ambient == 3
+        assert maps.phi_ambient.dim == 3
 
     def test_quotient_presentations_cross_over(self):
         # mirrored 4-cycle: ker(f*) = 0 and coker(f*) = Z/2; the
@@ -423,8 +422,8 @@ class TestIdentification:
         m = build_maps(mirror_cycle(2).decompose())
         ident = identify_kernel_cokernel(m)
         assert m.ker_f.order() == 1 and m.coker_f.order() == 2
-        assert ident.phi_quotient_log2 == 0
-        assert ident.psi_quotient_log2 == 1
+        assert m.phi_ambient.dim - m.sum_phi.dim == 0
+        assert m.psi_ambient.dim - m.sum_psi.dim == 1
         assert ident.alternate_ker_matches and ident.alternate_coker_matches
 
     def test_corpus(self, small_corpus):
@@ -440,16 +439,14 @@ class TestIdentification:
         # G+ u G-; both equal the corresponding fixed subspaces, which
         # the analysis builds as Z^phi cap B^phi and Z^psi cap B^psi, and
         # which are the fixed ambients cut down to the bicycle spaces
-        from mirrorcrit.modp import kernel as modp_kernel
-
         for g in mixed_corpus:
             m = build_maps(g.decompose())
             bic_g = m.pair_g.bicycle_space
-            restricted_ft = modp_kernel(m.ft_matrix).intersection(bic_g)
+            restricted_ft = kernel(m.ft_matrix).intersection(bic_g)
             assert restricted_ft == m.phi_bicycles
             assert m.phi_ambient.intersection(bic_g) == m.phi_bicycles
             bic_pm = m.pair_union.bicycle_space
-            restricted_f = modp_kernel(m.f_matrix).intersection(bic_pm)
+            restricted_f = kernel(m.f_matrix).intersection(bic_pm)
             assert restricted_f == m.psi_bicycles
             assert m.psi_ambient.intersection(bic_pm) == m.psi_bicycles
 
@@ -467,15 +464,18 @@ class TestIdentification:
 class TestInjection:
     def test_running_example_image_is_shaded_cycle(self, maps):
         report = g_injection(maps)
-        assert report.domain_dim == 1
+        assert maps.psi_bicycles.dim == 1
         assert report.injective
         assert report.halves_agree
         assert report.image_in_phi_fixed_bicycles
-        assert report.images[0] == (1, 1, 1, 1, 0)
+        # an injective g from a line into the phi-fixed bicycle line is
+        # onto it, so the image is the shaded cycle
+        assert basis(maps.phi_bicycles) == ((1, 1, 1, 1, 0),)
 
     def test_mirror_cycle_vacuous(self):
-        report = g_injection(build_maps(mirror_cycle(3).decompose()))
-        assert report.domain_dim == 0
+        m = build_maps(mirror_cycle(3).decompose())
+        report = g_injection(m)
+        assert m.psi_bicycles.dim == 0
         assert report.injective
 
     def test_corpus_injective(self, small_corpus):
@@ -489,11 +489,11 @@ class TestInjection:
 class TestSnakeDimensions:
     def test_running_example(self, maps):
         snake = snake_dimension_report(maps)
-        assert snake.dim_b_psi == 2   # |V_R| + |E^phi| = 1 + 1
-        assert snake.dim_b_phi == 2   # |V_R| + |V^phi| - 1 = 1 + 2 - 1
-        assert snake.dim_z_psi == 1
-        assert snake.dim_z_phi == 1
-        assert maps.graph.two_power_exponent() == 0
+        assert maps.b_psi.dim == 2   # |V_R| + |E^phi| = 1 + 1
+        assert maps.b_phi.dim == 2   # |V_R| + |V^phi| - 1 = 1 + 2 - 1
+        assert maps.z_psi.dim == 1
+        assert maps.z_phi.dim == 1
+        assert maps.exponent == 0
         assert snake.column_exactness
         assert snake.bond_dim_plus_formula and snake.bond_dim_formula
         assert snake.cycle_dim_gap_formula
@@ -503,7 +503,7 @@ class TestSnakeDimensions:
     def test_mirror_cycle_n3(self):
         m = build_maps(mirror_cycle(3).decompose())
         snake = snake_dimension_report(m)
-        assert m.graph.two_power_exponent() == 1
+        assert m.exponent == 1
         assert m.phi_bicycles.dim - m.psi_bicycles.dim == 1
         assert snake.cycle_dim_gap_formula
         assert snake.final_two_power_identity
@@ -511,8 +511,8 @@ class TestSnakeDimensions:
     def test_single_fixed_edge_trivial(self):
         m = build_maps(single_fixed_edge().decompose())
         snake = snake_dimension_report(m)
-        assert m.graph.two_power_exponent() == 0
-        assert snake.dim_z_psi == snake.dim_z_phi == 0
+        assert m.exponent == 0
+        assert m.z_psi.dim == m.z_phi.dim == 0
         assert snake.bond_dim_plus_formula and snake.bond_dim_formula
 
     def test_corpus(self, small_corpus):
@@ -528,22 +528,22 @@ class TestSnakeDimensions:
 
 class TestLinkingCycles:
     def test_mirror_cycle_single_link(self):
+        # two axis components, one link; the symmetrized path is the
+        # whole cycle, the one phi-fixed cycle
         m = build_maps(mirror_cycle(3).decompose())
-        basis = component_linking_cycles(m)
-        assert len(basis.cycles) == 1
-        # the symmetrized path is the whole cycle
-        assert basis.cycles[0] == (1,) * 6
-        assert basis.independent_and_spanning
+        assert component_linking_cycles(m)
+        assert m.axis_components[0] == 2
+        assert basis(m.z_phi) == ((1,) * 6,)
 
     def test_running_example_empty(self, maps):
-        basis = component_linking_cycles(maps)
-        assert basis.cycles == ()
-        assert basis.independent_and_spanning
+        # one axis component: no link to add
+        assert component_linking_cycles(maps)
+        assert maps.axis_components[0] == 1
 
     def test_three_axis_components(self):
-        basis = component_linking_cycles(build_maps(tripod().decompose()))
-        assert len(basis.cycles) == 2
-        assert basis.independent_and_spanning
+        m = build_maps(tripod().decompose())
+        assert component_linking_cycles(m)
+        assert m.axis_components[0] == 3
 
     def test_requires_connected_plus(self):
         with pytest.raises(ValueError):
@@ -551,26 +551,31 @@ class TestLinkingCycles:
 
     def test_corpus(self, small_corpus):
         for g in small_corpus:
-            basis = component_linking_cycles(build_maps(g.decompose()))
-            assert basis.independent_and_spanning
-            assert len(basis.cycles) == g.fixed_subgraph_components()[0] - 1
+            assert component_linking_cycles(build_maps(g.decompose()))
 
     def test_paths_link_consecutive_representatives(self, small_corpus):
-        # each path, as an edge set of G+, has odd degree exactly at the
-        # two representatives it links
+        # the XOR of two root paths of G+'s spanning forest, the path
+        # that component_linking_cycles symmetrizes, has odd degree
+        # exactly at the two vertices it links, taken here as the first
+        # vertex of each axis component
         graphs = [*small_corpus, *(mirror_grid(r, r) for r in (5, 7, 9, 11))]
         linked = 0
         for g in graphs:
-            dec = g.decompose()
-            basis = component_linking_cycles(build_maps(dec))
-            reps = basis.representatives
-            for path, ends in zip(basis.paths, zip(reps, reps[1:])):
+            maps = build_maps(g.decompose())
+            plus = maps.dec.plus
+            root_paths, _ = maps.pair_plus.spanning_forest
+            _, labels = maps.axis_components
+            first = {}
+            for v in g.fixed_vertices:
+                first.setdefault(labels[v], v)
+            reps = list(first.values())
+            for ends in zip(reps, reps[1:]):
+                a, b = (set(root_paths[plus.vertex_index(v)]) for v in ends)
                 degree = Counter()
-                for eid in path:
-                    e = dec.plus.edge(eid)
+                for j in a ^ b:
+                    e = plus.edges[j]
                     degree[e.tail] += 1
                     degree[e.head] += 1
-                assert len(set(path)) == len(path)
                 assert {v for v, k in degree.items() if k % 2} == set(ends)
                 linked += 1
         assert linked >= 20, linked
@@ -601,7 +606,7 @@ class TestMirrorGrid:
         assert len(rep.verdicts) == 20
         assert all(v is True for v in rep.verdicts.values())
         two_torsion = (2,) * ((r - 1) // 2)
-        for group in (rep.ker_f, rep.coker_f, rep.ker_ft, rep.coker_ft):
+        for group in (rep.maps.ker_f, rep.maps.coker_f, rep.maps.ker_ft, rep.maps.coker_ft):
             assert group.invariant_factors == two_torsion
             assert group.free_rank == 0
         assert rep.kappa_g == reduced_laplacian_det(g.graph)
@@ -720,7 +725,7 @@ class TestWorkCounts:
         # the diagonal-only Smith forms build none
         diagonal_only = [
             pair.laplacian_snf for pair in (maps.pair_g, maps.pair_plus, maps.pair_minus)
-        ] + [grp.witness for grp in (rep.coker_f, rep.coker_ft, rep.ker_f, rep.ker_ft)]
+        ] + [grp.witness for grp in (maps.coker_f, maps.coker_ft, maps.ker_f, maps.ker_ft)]
         for decomposition in diagonal_only:
             assert not set(WITNESSES) & vars(decomposition).keys()
 
@@ -737,7 +742,7 @@ class TestWorkCounts:
         monkeypatch.setattr(Multigraph, "components", counting)
         rep = main_theorem_verdict(mirror_grid(7, 7))
         assert rep.overall_pass
-        axis = tuple(rep.graph.fixed_vertices)
+        axis = tuple(rep.maps.graph.fixed_vertices)
         assert calls == {axis: 1, rep.maps.dec.plus.vertices: 1}
 
     def test_each_fixed_ambient_built_once(self, monkeypatch):
@@ -882,9 +887,10 @@ class TestGates:
         build, not_true, flags = GATE_INPUTS[name]
         rep = main_theorem_verdict(build())
         assert rep.verdicts == {**dict.fromkeys(VERDICT_ORDER, True), **not_true}
+        maps = rep.maps
         hypotheses = (
-            rep.axis_components, rep.exponent, rep.plus_connected,
-            rep.axis_nonempty, rep.axis_forest,
+            maps.axis_components[0], maps.exponent, maps.plus_connected,
+            maps.axis_nonempty, maps.axis_forest,
         )
         assert hypotheses == flags
 
@@ -892,51 +898,55 @@ class TestGates:
 class TestMainTheoremVerdict:
     def test_running_example(self):
         rep = main_theorem_verdict(running_example())
-        assert rep.group_g.invariant_factors == (8,)
-        assert rep.group_plus.invariant_factors == (4,)
-        assert rep.group_minus.invariant_factors == (2,)
-        assert rep.ker_f.invariant_factors == (2,)
-        assert rep.coker_f.invariant_factors == (2,)
-        assert rep.exponent == 0
+        maps = rep.maps
+        assert maps.pair_g.critical_group.invariant_factors == (8,)
+        assert maps.pair_plus.critical_group.invariant_factors == (4,)
+        assert maps.pair_minus.critical_group.invariant_factors == (2,)
+        assert maps.ker_f.invariant_factors == (2,)
+        assert maps.coker_f.invariant_factors == (2,)
+        assert maps.exponent == 0
         assert (rep.kappa_g, rep.kappa_plus, rep.kappa_minus) == (8, 4, 2)
-        assert rep.theorem_applicable
+        assert maps.theorem_applicable
         assert rep.overall_pass
         assert all(v is True for v in rep.verdicts.values())
 
     def test_mirror_cycle_family(self):
         for n in range(2, 9):
             rep = main_theorem_verdict(mirror_cycle(n))
-            assert rep.group_g.invariant_factors == (2 * n,)
-            assert rep.group_plus.order() == 1
-            assert rep.group_minus.order() == n
-            assert rep.ker_f.order() == 1
-            assert rep.coker_f.invariant_factors == (2,)
-            assert rep.exponent == 1
+            maps = rep.maps
+            assert maps.pair_g.critical_group.invariant_factors == (2 * n,)
+            assert maps.pair_plus.critical_group.order() == 1
+            assert maps.pair_minus.critical_group.order() == n
+            assert maps.ker_f.order() == 1
+            assert maps.coker_f.invariant_factors == (2,)
+            assert maps.exponent == 1
             assert rep.overall_pass
 
     def test_mirror_cycle_non_splitness(self):
         # for even n the extension 0 -> Z/n -> K -> Z/2 -> 0 does not
         # split: Z/2n and Z/n + Z/2 have different invariant factors
         for n in range(2, 9):
-            rep = main_theorem_verdict(mirror_cycle(n))
+            group_g = main_theorem_verdict(mirror_cycle(n)).maps.pair_g.critical_group
             split = FpAbelianGroup.quotient(
                 2, IntMatrix([[n, 0], [0, 2]])
             )
             if n % 2 == 0:
-                assert rep.group_g.describe() != split.describe()
+                assert group_g.describe() != split.describe()
             else:
-                assert rep.group_g.describe() == split.describe()
+                assert group_g.describe() == split.describe()
 
     def test_order_identity_written_out(self):
-        rep = main_theorem_verdict(running_example())
+        maps = main_theorem_verdict(running_example()).maps
         assert (
-            rep.group_plus.order() * rep.group_minus.order() * rep.coker_f.order()
-            == rep.group_g.order() * rep.ker_f.order()
+            maps.pair_plus.critical_group.order()
+            * maps.pair_minus.critical_group.order()
+            * maps.coker_f.order()
+            == maps.pair_g.critical_group.order() * maps.ker_f.order()
         )
 
     def test_tripod_exponent_two(self):
         rep = main_theorem_verdict(tripod())
-        assert rep.exponent == 2
+        assert rep.maps.exponent == 2
         assert rep.kappa_g == 12
         assert rep.kappa_plus == 1 and rep.kappa_minus == 3
         assert rep.overall_pass
@@ -946,12 +956,13 @@ class TestMainTheoremVerdict:
         # pass; everything needing the forest hypothesis is n/a, and
         # the counterexample numbers show why the gate exists
         rep = main_theorem_verdict(identity_mirror_triangle())
-        assert rep.axis_forest is False
-        assert not rep.theorem_applicable
-        assert rep.group_g.invariant_factors == (3,)
-        assert rep.group_plus.invariant_factors == (6,)
-        assert rep.ker_f.invariant_factors == (2,)
-        assert rep.coker_f.order() == 1
+        maps = rep.maps
+        assert maps.axis_forest is False
+        assert not maps.theorem_applicable
+        assert maps.pair_g.critical_group.invariant_factors == (3,)
+        assert maps.pair_plus.critical_group.invariant_factors == (6,)
+        assert maps.ker_f.invariant_factors == (2,)
+        assert maps.coker_f.order() == 1
         assert rep.verdicts["ratio_is_two_power"] is None
         assert rep.verdicts["g_injective"] is None
         assert rep.verdicts["order_identity"] is True
@@ -960,13 +971,13 @@ class TestMainTheoremVerdict:
 
     def test_empty_axis_gated(self):
         rep = main_theorem_verdict(empty_axis())
-        assert rep.axis_nonempty is False
+        assert rep.maps.axis_nonempty is False
         assert rep.verdicts["ratio_is_two_power"] is None
         assert rep.overall_pass  # unconditional checks still hold
 
     def test_disconnected_plus_gated(self):
         rep = main_theorem_verdict(disconnected_plus())
-        assert rep.plus_connected is False
+        assert rep.maps.plus_connected is False
         assert rep.verdicts["snake_bond_dims"] is None
         assert rep.verdicts["corollary_factorization"] is None
         assert rep.overall_pass
@@ -981,11 +992,11 @@ class TestMainTheoremVerdict:
         assert all(v is True for v in reports[1].verdicts.values())
         factors = [
             [
-                grp.invariant_factors
-                for grp in (rep.group_g, rep.group_plus, rep.group_minus, rep.group_block,
-                            rep.ker_f, rep.coker_f, rep.ker_ft, rep.coker_ft)
+                *(pair.critical_group.invariant_factors
+                  for pair in (m.pair_g, m.pair_plus, m.pair_minus, m.pair_union)),
+                *(grp.invariant_factors for grp in (m.ker_f, m.coker_f, m.ker_ft, m.coker_ft)),
             ]
-            for rep in reports
+            for m in (rep.maps for rep in reports)
         ]
         assert factors[0] == factors[1]
 
@@ -1014,6 +1025,6 @@ class TestMainTheoremVerdict:
     def test_connected_corpus_applicable(self, small_corpus):
         for g in small_corpus:
             rep = main_theorem_verdict(g)
-            assert rep.theorem_applicable
+            assert rep.maps.theorem_applicable
             assert rep.verdicts["ratio_is_two_power"] is True
             assert rep.verdicts["corollary_factorization"] is True

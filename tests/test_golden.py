@@ -3,9 +3,12 @@
 The digests in golden_reports.json are SHA-256 hashes of the structured
 `analyze` documents (without `generated_at` and `input_path`) of the
 shipped sample graphs, of the first 50 graphs of the seeded mixed
-corpus, and of four larger inputs (40 to 220 edges): the 5x5, 7x7 and
-11x11 mirror grids and one random graph.  A change that alters any
-report on purpose regenerates them:
+corpus, of four larger inputs (40 to 220 edges): the 5x5, 7x7 and
+11x11 mirror grids and one random graph, and of the four inputs whose
+hypotheses fail (the identity-mirrored triangle and a doubled axis edge,
+both with a cyclic axis, an empty axis and a disconnected plus graph),
+which pin the null verdicts and the `applicability` block.
+A change that alters any report on purpose regenerates them:
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden_reports.json
 """
@@ -19,10 +22,16 @@ import tempfile
 from pathlib import Path
 
 from mirrorcrit.cli import main
-from mirrorcrit.graphfile import serialize
+from mirrorcrit.graphfile import parse, serialize
 from mirrorcrit.randgraph import mirror_grid, random_symmetric_graph
 
-from conftest import symmetric_corpus
+from conftest import (
+    CYCLIC_AXIS,
+    disconnected_plus,
+    empty_axis,
+    identity_mirror_triangle,
+    symmetric_corpus,
+)
 
 HERE = Path(__file__).resolve().parent
 SAMPLES = HERE.parent / "sample_graphs"
@@ -35,6 +44,12 @@ LARGER = {
     "random-w3": lambda: random_symmetric_graph(
         seed=1, n_left=20, n_fixed=4, n_left_edges=40, n_fixed_edges=2
     ),
+}
+GATED = {
+    "identity_mirror_triangle": identity_mirror_triangle,
+    "empty_axis": empty_axis,
+    "disconnected_plus": disconnected_plus,
+    "cyclic_axis": lambda: parse(CYCLIC_AXIS),
 }
 
 
@@ -57,7 +72,7 @@ def report_digests(workdir: Path) -> dict:
         path = workdir / f"corpus-{i:03d}.sg"
         path.write_text(serialize(g))
         digests[f"corpus-{i:03d}"] = document_digest(path)
-    for name, make in LARGER.items():
+    for name, make in {**LARGER, **GATED}.items():
         path = workdir / f"{name}.sg"
         path.write_text(serialize(make()))
         digests[name] = document_digest(path)
