@@ -13,15 +13,17 @@ with each edge's ends taken from the graph.  The pair of a disjoint
 union keeps its two parts, and its critical group is composed from
 theirs.
 
-This module also houses the brute-force oracles (forest enumeration over
-edge subsets of the forest size, bicycle enumeration over the cuts of
-vertex bipartitions) that the higher-level checks are tested against,
-behind an enumeration guard.
+This module also houses the brute-force oracles that the higher-level
+checks are tested against, behind an enumeration guard: forest
+enumeration by a backtracking walk over the edges that takes an edge
+only when it joins two components, and bicycle enumeration over the
+cuts of vertex bipartitions in Gray-code order, with the vertices each
+cut meets oddly kept up to date by one XOR per step.  Both stay
+enumerations and do no linear algebra.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -225,33 +227,57 @@ def forest_count(pair: AdjointPair) -> int:
 
 
 def count_maximal_forests_bruteforce(g: Multigraph, limit=DEFAULT_ORACLE_LIMIT) -> int:
-    """Exhaustive forest count (the oracle route): walks the edge subsets
-    of size |V| - #components(G), the size of every maximal spanning
-    forest, and counts the acyclic ones.
+    """Exhaustive forest count (the oracle route): a backtracking walk
+    over the edges in index order that branches on including and
+    excluding each one, counting the maximal spanning forests (|V| -
+    #components(G) edges) as the leaves it reaches.
+
+    An edge is included only when it joins two components of the forest
+    taken so far, so every branch stays acyclic and loops are never
+    taken; a branch is dropped when too few non-loop edges remain to
+    reach the forest size.  The union-find has no path compression, so
+    one assignment undoes a union.  The walk keeps its own stack, so its
+    depth is not bounded by Python's recursion limit.  It enumerates and
+    does no linear algebra, so it is independent of the matrix-tree
+    route.
     """
     m = g.n_edges
     if 2**m > limit:
         raise OracleLimitError(f"2^{m} subsets exceed the limit {limit}")
     n = g.n_vertices
     comp_count, _ = g.components()
+    target = n - comp_count
     endpoints = [(g.vertex_index(e.tail), g.vertex_index(e.head)) for e in g.edges]
+    # room[j]: the non-loop edges from index j on, the most a forest can
+    # still take
+    room = [0] * (m + 1)
+    for j in range(m - 1, -1, -1):
+        room[j] = room[j + 1] + (endpoints[j][0] != endpoints[j][1])
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
     count = 0
-    for subset in itertools.combinations(endpoints, n - comp_count):
-        parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a, b in subset:
-            ra, rb = find(a), find(b)
-            if ra == rb:
-                break
-            parent[ra] = rb
-        else:
+    # (next edge, edges taken) to visit, or (None, root) to undo a union;
+    # the include branch sits above its undo, which sits above the
+    # exclude branch
+    stack = [(0, 0)]
+    while stack:
+        j, taken = stack.pop()
+        if j is None:
+            parent[taken] = taken
+        elif taken == target:
             count += 1
+        elif room[j] >= target - taken:
+            stack.append((j + 1, taken))
+            tail, head = endpoints[j]
+            a, b = find(tail), find(head)
+            if a != b:
+                parent[a] = b
+                stack += ((None, a), (j + 1, taken + 1))
     return count
 
 
@@ -261,10 +287,15 @@ def bicycle_masks_bruteforce(g: Multigraph, limit=DEFAULT_ORACLE_LIMIT):
 
     Walks the 2^(|V| - 1) bipartitions that keep the last vertex on one
     side (a bipartition and its complement share a cut) in Gray-code
-    order: each step moves one vertex across, XORing its incidence mask
-    into the cut (a loop's two ends cancel there), and keeps the cuts
-    that meet every vertex evenly (the cycles).  No linear algebra is
-    involved, so this is independent of the mod-2 route.
+    order: each step moves one vertex u across, XORing its incidence
+    mask into the cut (a loop's two ends cancel there), and keeps the
+    cuts that meet every vertex evenly (the cycles).  Which vertices the
+    cut meets oddly is kept as a bit set beside it: the parity of |cut
+    cap inc_w| is additive in the cut, so the step XORs in flips[u], the
+    vertices w with |inc_u cap inc_w| odd, and a cut is kept when the
+    set is empty.  Each kept cut is re-tested vertex by vertex.  This
+    enumerates and does no linear algebra, so it is independent of the
+    mod-2 route.
     """
     m = g.n_edges
     n = g.n_vertices
@@ -276,13 +307,21 @@ def bicycle_masks_bruteforce(g: Multigraph, limit=DEFAULT_ORACLE_LIMIT):
     for j, e in enumerate(g.edges):
         incidence[g.vertex_index(e.tail)] ^= 1 << j
         incidence[g.vertex_index(e.head)] ^= 1 << j
+    flips = [
+        sum(1 << w for w, inc_w in enumerate(incidence) if (inc_u & inc_w).bit_count() & 1)
+        for inc_u in incidence
+    ]
     bicycles = set()
-    cut = 0
+    cut = odd = 0
     for step in range(1 << max(n - 1, 0)):
         if step:
             # Gray code: each step flips the vertex at its lowest set bit
-            cut ^= incidence[(step & -step).bit_length() - 1]
-        if not any((cut & inc).bit_count() & 1 for inc in incidence):
+            u = (step & -step).bit_length() - 1
+            cut ^= incidence[u]
+            odd ^= flips[u]
+        if not odd:
+            if any((cut & inc).bit_count() & 1 for inc in incidence):
+                raise RuntimeError(f"cut {cut:#x} kept but meets a vertex oddly")
             bicycles.add(cut)
     return sorted(bicycles)
 

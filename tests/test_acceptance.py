@@ -17,7 +17,6 @@ from mirrorcrit.critical import (
     count_maximal_forests_bruteforce,
 )
 from mirrorcrit.factorization import main_theorem_verdict
-from mirrorcrit.graphfile import parse
 from mirrorcrit.lattice import FpAbelianGroup, IntMatrix, smith_normal_form
 
 from conftest import (

@@ -13,6 +13,7 @@ from mirrorcrit.critical import (
     forest_count,
 )
 from mirrorcrit.factorization import build_maps
+from mirrorcrit.graphfile import parse
 from mirrorcrit.graphs import Multigraph
 from mirrorcrit.lattice import (
     FpAbelianGroup,
@@ -22,6 +23,7 @@ from mirrorcrit.lattice import (
 )
 
 from conftest import (
+    CYCLIC_AXIS,
     apply,
     contains_relation,
     identity,
@@ -330,6 +332,32 @@ class TestOraclesAgainstEdgeSubsetWalks:
                 assert got == outcome(bicycles_by_edge_subsets, g, limit)
                 if isinstance(got, list):
                     assert all(a < b for a, b in zip(got, got[1:]))
+
+    @FOREST
+    @given(multigraphs())
+    @example(parse(CYCLIC_AXIS).graph)
+    def test_drawn_multigraphs(self, g):
+        for limit in self.LIMITS:
+            assert outcome(count_maximal_forests_bruteforce, g, limit) == outcome(
+                forests_by_edge_subsets, g, limit
+            )
+            assert outcome(bicycle_masks_bruteforce, g, limit) == outcome(
+                bicycles_by_edge_subsets, g, limit
+            )
+
+    def test_forest_walk_prunes_by_acyclicity(self):
+        # a path's 29 edges, then 30 loops: C(59, 29) edge subsets have
+        # the forest size, and one of them is acyclic
+        path = [(f"p{i}", f"v{i}", f"v{i + 1}") for i in range(29)]
+        loops = [(f"l{i}", f"v{i}", f"v{i}") for i in range(30)]
+        g = Multigraph([f"v{i}" for i in range(30)], path + loops)
+        assert count_maximal_forests_bruteforce(g, limit=2**59) == 1
+        # a branch per edge, deeper than Python's recursion limit
+        long_path = Multigraph(
+            [f"v{i}" for i in range(3000)],
+            [(f"p{i}", f"v{i}", f"v{i + 1}") for i in range(2999)],
+        )
+        assert count_maximal_forests_bruteforce(long_path, limit=2**2999) == 1
 
     def test_each_side_of_the_bicycle_guard_trips(self):
         more_edges, more_vertices = oracle_inputs()[3:5]
