@@ -14,11 +14,12 @@ union keeps its two parts, and its critical group is composed from
 theirs.
 
 This module also houses the brute-force oracles that the higher-level
-checks are tested against, behind an enumeration guard: forest
-enumeration by a backtracking walk over the edges that takes an edge
-only when it joins two components, and bicycle enumeration over the
-cuts of vertex bipartitions in Gray-code order, with the vertices each
-cut meets oddly kept up to date by one XOR per step.  Both stay
+checks are tested against, behind an enumeration guard: a backtracking
+walk over spanning trees and a Gray-code walk over the cuts of vertex
+bipartitions.  Both walk one biconnected block at a time, which is
+exact: every cycle lies in one block, so the forest count is the
+product of the blocks' tree counts, and the GF(2) cycle and cut spaces,
+hence the bicycle space, are direct sums over the blocks.  Both stay
 enumerations and do no linear algebra.
 """
 
@@ -226,76 +227,130 @@ def forest_count(pair: AdjointPair) -> int:
     return math.prod(d for d in pair.laplacian_snf.diagonal if d > 0)
 
 
-def count_maximal_forests_bruteforce(g: Multigraph, limit=DEFAULT_ORACLE_LIMIT) -> int:
-    """Exhaustive forest count (the oracle route): a backtracking walk
-    over the edges in index order that branches on including and
-    excluding each one, counting the maximal spanning forests (|V| -
-    #components(G) edges) as the leaves it reaches.
+def _blocks(g: Multigraph) -> list:
+    """g's non-loop edges split into biconnected blocks, each given as
+    its vertex count and its edges (index, tail, head), with the ends
+    numbered within the block.  Tarjan's search with an explicit stack:
+    each edge goes on `pending` when first seen, and when nothing below
+    u reaches above its parent p, the edges from the tree edge p-u on
+    are a block.  Only the tree edge into u is skipped when scanning u,
+    so an edge parallel to it stays in its block.
+    """
+    n = g.n_vertices
+    ends = [(g.vertex_index(e.tail), g.vertex_index(e.head)) for e in g.edges]
+    adj = [[] for _ in range(n)]
+    for j, (a, b) in enumerate(ends):
+        if a != b:
+            adj[a].append((b, j))
+            adj[b].append((a, j))
+    disc, low = [0] * n, [0] * n
+    clock, pending, blocks = 0, [], []
+    for root in range(n):
+        if disc[root]:
+            continue
+        clock += 1
+        disc[root] = low[root] = clock
+        # (vertex, tree edge into it, its unscanned edges, where that
+        # tree edge sits on `pending`)
+        stack = [(root, None, iter(adj[root]), 0)]
+        while stack:
+            u, via, todo, mark = stack[-1]
+            for w, j in todo:
+                if not disc[w]:
+                    clock += 1
+                    disc[w] = low[w] = clock
+                    stack.append((w, j, iter(adj[w]), len(pending)))
+                    pending.append(j)
+                    break
+                if j != via and disc[w] < disc[u]:
+                    pending.append(j)
+                    low[u] = min(low[u], disc[w])
+            else:
+                stack.pop()
+                if not stack:
+                    break
+                p = stack[-1][0]
+                low[p] = min(low[p], low[u])
+                if low[u] >= disc[p]:
+                    local = {}
+                    edges = [
+                        (j, local.setdefault(ends[j][0], len(local)),
+                         local.setdefault(ends[j][1], len(local)))
+                        for j in pending[mark:]
+                    ]
+                    blocks.append((len(local), edges))
+                    del pending[mark:]
+    return blocks
 
-    An edge is included only when it joins two components of the forest
-    taken so far, so every branch stays acyclic and loops are never
-    taken; a branch is dropped when too few non-loop edges remain to
-    reach the forest size.  The union-find has no path compression, so
-    one assignment undoes a union.  The walk keeps its own stack, so its
-    depth is not bounded by Python's recursion limit.  It enumerates and
-    does no linear algebra, so it is independent of the matrix-tree
+
+def count_maximal_forests_bruteforce(g: Multigraph, limit=DEFAULT_ORACLE_LIMIT) -> int:
+    """Exhaustive forest count (the oracle route): the product of the
+    biconnected blocks' spanning-tree counts.
+
+    Every cycle lies in one block, so an edge set is a maximal spanning
+    forest exactly when it meets each block in a spanning tree of it
+    (loops lie in no block), and the counts multiply.  A block's trees
+    are the leaves with |V_B| - 1 edges of a backtracking walk that
+    includes or excludes each edge in turn, includes one only when it
+    joins two components of the forest so far, and drops a branch when
+    too few edges remain.  The union-find has no path compression, so
+    one assignment undoes a union, and the walk keeps its own stack, so
+    its depth is not bounded by Python's recursion limit.  It enumerates
+    and does no linear algebra, so it is independent of the matrix-tree
     route.
     """
     m = g.n_edges
     if 2**m > limit:
         raise OracleLimitError(f"2^{m} subsets exceed the limit {limit}")
-    n = g.n_vertices
-    comp_count, _ = g.components()
-    target = n - comp_count
-    endpoints = [(g.vertex_index(e.tail), g.vertex_index(e.head)) for e in g.edges]
-    # room[j]: the non-loop edges from index j on, the most a forest can
-    # still take
-    room = [0] * (m + 1)
-    for j in range(m - 1, -1, -1):
-        room[j] = room[j + 1] + (endpoints[j][0] != endpoints[j][1])
-    parent = list(range(n))
 
     def find(x):
         while parent[x] != x:
             x = parent[x]
         return x
 
-    count = 0
-    # (next edge, edges taken) to visit, or (None, root) to undo a union;
-    # the include branch sits above its undo, which sits above the
-    # exclude branch
-    stack = [(0, 0)]
-    while stack:
-        j, taken = stack.pop()
-        if j is None:
-            parent[taken] = taken
-        elif taken == target:
-            count += 1
-        elif room[j] >= target - taken:
-            stack.append((j + 1, taken))
-            tail, head = endpoints[j]
-            a, b = find(tail), find(head)
-            if a != b:
-                parent[a] = b
-                stack += ((None, a), (j + 1, taken + 1))
+    count = 1
+    for size, edges in _blocks(g):
+        parent = list(range(size))
+        trees = 0
+        # (next edge, edges taken) to visit, or (None, root) to undo a
+        # union; the include branch sits above its undo, which sits above
+        # the exclude branch
+        stack = [(0, 0)]
+        while stack:
+            j, taken = stack.pop()
+            if j is None:
+                parent[taken] = taken
+            elif taken == size - 1:
+                trees += 1
+            elif len(edges) - j >= size - 1 - taken:
+                stack.append((j + 1, taken))
+                _, tail, head = edges[j]
+                a, b = find(tail), find(head)
+                if a != b:
+                    parent[a] = b
+                    stack += ((None, a), (j + 1, taken + 1))
+        count *= trees
     return count
 
 
 def bicycle_masks_bruteforce(g: Multigraph, limit=DEFAULT_ORACLE_LIMIT):
     """All bicycles of g as edge-subset bitmasks in increasing order, by
-    direct inspection.
+    direct inspection of each biconnected block.
 
-    Walks the 2^(|V| - 1) bipartitions that keep the last vertex on one
-    side (a bipartition and its complement share a cut) in Gray-code
+    Over GF(2) the cut space is the direct sum of the blocks' cut spaces,
+    and so is the cycle space once loops, which lie in no cut, are set
+    aside; so g's bicycles are the ORs of one bicycle from each block
+    (Godsil and Royle, Algebraic Graph Theory, ch. 14).  A block's walk
+    visits the 2^(|V_B| - 1) bipartitions that keep its last vertex on
+    one side (a bipartition and its complement share a cut) in Gray-code
     order: each step moves one vertex u across, XORing its incidence
-    mask into the cut (a loop's two ends cancel there), and keeps the
-    cuts that meet every vertex evenly (the cycles).  Which vertices the
-    cut meets oddly is kept as a bit set beside it: the parity of |cut
-    cap inc_w| is additive in the cut, so the step XORs in flips[u], the
-    vertices w with |inc_u cap inc_w| odd, and a cut is kept when the
-    set is empty.  Each kept cut is re-tested vertex by vertex.  This
-    enumerates and does no linear algebra, so it is independent of the
-    mod-2 route.
+    mask into the cut, and keeps the cuts that meet every vertex evenly
+    (the cycles).  Which vertices the cut meets oddly is kept as a bit
+    set beside it: the parity of |cut cap inc_w| is additive in the cut,
+    so the step XORs in flips[u], the vertices w with |inc_u cap inc_w|
+    odd, and a cut is kept when the set is empty.  Each kept cut is
+    re-tested vertex by vertex.  This enumerates and does no linear
+    algebra, so it is independent of the mod-2 route.
     """
     m = g.n_edges
     n = g.n_vertices
@@ -303,26 +358,29 @@ def bicycle_masks_bruteforce(g: Multigraph, limit=DEFAULT_ORACLE_LIMIT):
         raise OracleLimitError(
             f"2^{m} edge subsets or 2^{n} vertex subsets exceed the limit {limit}"
         )
-    incidence = [0] * n
-    for j, e in enumerate(g.edges):
-        incidence[g.vertex_index(e.tail)] ^= 1 << j
-        incidence[g.vertex_index(e.head)] ^= 1 << j
-    flips = [
-        sum(1 << w for w, inc_w in enumerate(incidence) if (inc_u & inc_w).bit_count() & 1)
-        for inc_u in incidence
-    ]
-    bicycles = set()
-    cut = odd = 0
-    for step in range(1 << max(n - 1, 0)):
-        if step:
-            # Gray code: each step flips the vertex at its lowest set bit
-            u = (step & -step).bit_length() - 1
-            cut ^= incidence[u]
-            odd ^= flips[u]
-        if not odd:
-            if any((cut & inc).bit_count() & 1 for inc in incidence):
-                raise RuntimeError(f"cut {cut:#x} kept but meets a vertex oddly")
-            bicycles.add(cut)
+    bicycles = [0]
+    for size, edges in _blocks(g):
+        incidence = [0] * size
+        for j, tail, head in edges:
+            incidence[tail] ^= 1 << j
+            incidence[head] ^= 1 << j
+        flips = [
+            sum(1 << w for w, inc_w in enumerate(incidence) if (inc_u & inc_w).bit_count() & 1)
+            for inc_u in incidence
+        ]
+        found = []
+        cut = odd = 0
+        for step in range(1 << (size - 1)):
+            if step:
+                # Gray code: each step flips the vertex at its lowest set bit
+                u = (step & -step).bit_length() - 1
+                cut ^= incidence[u]
+                odd ^= flips[u]
+            if not odd:
+                if any((cut & inc).bit_count() & 1 for inc in incidence):
+                    raise RuntimeError(f"cut {cut:#x} kept but meets a vertex oddly")
+                found.append(cut)
+        bicycles = [a | b for a in bicycles for b in found]
     return sorted(bicycles)
 
 

@@ -11,6 +11,7 @@ from mirrorcrit.critical import (
     bicycle_masks_bruteforce,
     count_maximal_forests_bruteforce,
     forest_count,
+    subspace_masks,
 )
 from mirrorcrit.factorization import build_maps
 from mirrorcrit.graphfile import parse
@@ -290,11 +291,53 @@ def oracle_inputs():
         # |E| > |V| and |V| > |E|: each side of the bicycle guard at 16
         Multigraph(["a", "b"], [(f"p{i}", "a", "b") for i in range(5)]),
         Multigraph([f"v{i}" for i in range(5)], [("x", "v0", "v1")]),
+        # block structures: two triangles sharing the cut vertex c
+        Multigraph(
+            list("abcde"),
+            [("p", "a", "b"), ("q", "b", "c"), ("r", "c", "a"),
+             ("s", "c", "d"), ("t", "d", "e"), ("u", "e", "c")],
+        ),
+        # two 4-cycles joined by the bridge dh: 2 x 2 bicycles
+        Multigraph(
+            list("abcdefgh"),
+            [("p", "a", "b"), ("q", "b", "c"), ("r", "c", "d"), ("s", "d", "a"),
+             ("t", "e", "f"), ("u", "f", "g"), ("v", "g", "h"), ("w", "h", "e"),
+             ("x", "d", "h")],
+        ),
+        # a parallel pair hanging off the cut vertex c of a triangle
+        Multigraph(
+            list("abcd"),
+            [("p", "a", "b"), ("q", "b", "c"), ("r", "c", "a"),
+             ("s", "c", "d"), ("t", "d", "c")],
+        ),
+        # a loop at the cut vertex c between a triangle and a pendant edge
+        Multigraph(
+            list("abcd"),
+            [("p", "a", "b"), ("l", "c", "c"), ("q", "b", "c"), ("r", "c", "a"),
+             ("s", "c", "d")],
+        ),
+        # three components: a triangle, an edge and the isolated vertex f
+        Multigraph(
+            list("abcdef"),
+            [("p", "a", "b"), ("q", "d", "e"), ("r", "b", "c"), ("s", "c", "a")],
+        ),
     ]
     graphs += [
         random_multigraph(seed=seed, max_vertices=8, max_edges=10) for seed in range(200)
     ]
     return graphs
+
+
+def has_cut_vertex(g):
+    """Whether removing some vertex leaves more components."""
+    count = g.components()[0]
+    return any(
+        Multigraph(
+            [u for u in g.vertices if u != v],
+            [e for e in g.edges if v not in (e.tail, e.head)],
+        ).components()[0] > count
+        for v in g.vertices
+    )
 
 
 def outcome(oracle, g, limit):
@@ -305,14 +348,18 @@ def outcome(oracle, g, limit):
 
 
 class TestOraclesAgainstEdgeSubsetWalks:
-    """The oracles walk only the set they count; the references walk all
-    2^|E| edge subsets and filter."""
+    """The oracles split the graph into its biconnected blocks and walk,
+    in each block, only the set they count: the spanning trees, whose
+    counts multiply, and the bicycles, which combine as ORs across the
+    blocks.  The references walk all 2^|E| edge subsets of the whole
+    graph and filter, so they do not rely on the block decomposition."""
 
     LIMITS = (1, 16, 1 << 10)
 
     def test_inputs_cover_the_awkward_cases(self):
         graphs = oracle_inputs()
-        assert any(g.components()[0] > 1 for g in graphs)
+        assert any(g.components()[0] >= 3 for g in graphs)
+        assert any(has_cut_vertex(g) for g in graphs)
         assert any(e.is_loop for g in graphs for e in g.edges)
         assert any(
             len({frozenset((e.tail, e.head)) for e in g.edges}) < g.n_edges for g in graphs
@@ -358,6 +405,33 @@ class TestOraclesAgainstEdgeSubsetWalks:
             [(f"p{i}", f"v{i}", f"v{i + 1}") for i in range(2999)],
         )
         assert count_maximal_forests_bruteforce(long_path, limit=2**2999) == 1
+
+    def test_walks_run_per_block(self):
+        # 30 triangles glued at cut vertices: 3^30 spanning trees, more
+        # than any walk over the whole graph's forests could visit
+        triangles = Multigraph(
+            [f"v{i}" for i in range(61)],
+            [
+                (f"{name}{i}", f"v{2 * i + a}", f"v{2 * i + b}")
+                for i in range(30)
+                for name, a, b in (("a", 0, 1), ("b", 1, 2), ("c", 2, 0))
+            ],
+        )
+        assert count_maximal_forests_bruteforce(triangles, limit=2**90) == 3**30
+        assert forest_count(AdjointPair(triangles)) == 3**30
+        # 12 four-cycles glued at cut vertices: one bicycle (the whole
+        # cycle) per block, 2^12 in all, among 2^36 bipartitions
+        squares = Multigraph(
+            [f"v{i}" for i in range(37)],
+            [
+                (f"e{i}_{k}", f"v{3 * i + k}", f"v{3 * i + (k + 1) % 4}")
+                for i in range(12)
+                for k in range(4)
+            ],
+        )
+        bicycles = bicycle_masks_bruteforce(squares, limit=2**48)
+        assert len(bicycles) == 2**12
+        assert bicycles == sorted(subspace_masks(AdjointPair(squares).bicycle_space, 2**48))
 
     def test_each_side_of_the_bicycle_guard_trips(self):
         more_edges, more_vertices = oracle_inputs()[3:5]
