@@ -48,7 +48,7 @@ from .lattice import (
     SmithDecomposition,
     smith_normal_form,
 )
-from .modp import ModpSubspace, kernel, row_space
+from .modp import ModpSubspace, kernel
 from .randgraph import mirror_grid, random_symmetric_graph
 
 __all__ = [
@@ -84,7 +84,6 @@ __all__ = [
     "parse",
     "parse_plain",
     "random_symmetric_graph",
-    "row_space",
     "serialize",
     "smith_normal_form",
     "snake_dimension_report",

@@ -7,11 +7,13 @@ number of maximal spanning forests.  The torsion of coker(d d^t), the
 Laplacian's cokernel, is a second, independent presentation of the
 same group.  The pair also holds its cycle, bond and bicycle spaces
 over GF(2); the bicycle space's dimension is the number of even
-invariant factors.  An AdjointPair holds its multigraph: d is built
-from it, and its cycle lattice is read off one spanning forest of it,
-with each edge's ends taken from the graph.  The pair of a disjoint
-union keeps its two parts, and its critical group is composed from
-theirs.
+invariant factors.  An AdjointPair holds its multigraph, and d and the
+fundamental cycles of one spanning forest as signed supports (see
+`lattice`); the relation matrix [Z | B], the input of a Smith form, is
+the one dense matrix built from them.  The Laplacian is read off the
+graph's degrees and adjacencies, never off d, so it stays an
+independent second route.  The pair of a disjoint union keeps its two
+parts, and its critical group is composed from theirs.
 
 This module also houses the brute-force oracles that the higher-level
 checks are tested against, behind an enumeration guard: a backtracking
@@ -34,10 +36,12 @@ from .lattice import (
     FpAbelianGroup,
     IntMatrix,
     SmithDecomposition,
+    combine,
     direct_sum_smith,
     smith_normal_form,
+    support_rows,
 )
-from .modp import ModpSubspace, kernel, row_space
+from .modp import ModpSubspace
 
 DEFAULT_ORACLE_LIMIT = 1 << 20
 
@@ -51,7 +55,8 @@ class AdjointPair:
     """The boundary map d: C1 -> C0 of a multigraph and its transpose dt.
 
     With the standard bases orthonormal, the adjoint of d *is* its
-    transpose, so dt is derived from d.  Every derived lattice, group
+    transpose, so the cuts (dt's columns) are d's rows.  Every derived
+    lattice, group
     and GF(2) space is computed once, on first use, and kept on the
     pair.  The pair of a disjoint union keeps the pairs of its two
     parts, in the union's vertex and edge order, as `parts`; its
@@ -70,22 +75,18 @@ class AdjointPair:
         return self.graph.n_vertices
 
     @cached_property
-    def d(self) -> IntMatrix:
-        """|V| x |E| signed incidence: +1 at the head, -1 at the tail.
-
-        A loop contributes a zero column.
-        """
+    def boundary(self) -> tuple:
+        """d's columns: edge j as {head: 1, tail: -1}; a loop's is empty."""
         g = self.graph
-        rows = [[0] * g.n_edges for _ in range(g.n_vertices)]
-        for j, e in enumerate(g.edges):
-            if not e.is_loop:
-                rows[g.vertex_index(e.head)][j] += 1
-                rows[g.vertex_index(e.tail)][j] -= 1
-        return IntMatrix(rows, shape=(g.n_vertices, g.n_edges))
+        return tuple(
+            {} if e.is_loop else {g.vertex_index(e.head): 1, g.vertex_index(e.tail): -1}
+            for e in g.edges
+        )
 
     @cached_property
-    def dt(self) -> IntMatrix:
-        return self.d.transpose()
+    def cuts(self) -> tuple:
+        """d's rows: the signed cut of each vertex, a column of dt."""
+        return support_rows(self.boundary, self.c0_rank)
 
     @cached_property
     def spanning_forest(self) -> tuple:
@@ -133,38 +134,38 @@ class AdjointPair:
         return paths, tuple(cotree)
 
     @cached_property
-    def cycle_lattice(self) -> IntMatrix:
-        """Columns are a basis of Z = ker(d): the fundamental cycles of
-        `spanning_forest`.
+    def cycles(self) -> tuple:
+        """A basis of Z = ker(d), as supports: the fundamental cycles of
+        `spanning_forest`, in cotree order.
 
         A non-tree edge j gives e_j plus the signed tree path between its
         ends (for a loop the two root paths cancel, leaving e_j).  These
-        E - rank(d) columns lie in ker(d) and are the identity on the
+        E - rank(d) vectors lie in ker(d) and are the identity on the
         non-tree coordinates, and a forest carries no cycle, so z - (sum
-        of z_j times column j over the non-tree j) vanishes for every z
+        of z_j times cycle j over the non-tree j) vanishes for every z
         in ker(d): they span ker(d) itself, not a sublattice (Bacher, de
         la Harpe and Nagnibeda, Bull. SMF 1997).
         """
         g = self.graph
         paths, cotree = self.spanning_forest
-        columns = []
-        for j in cotree:
-            e = g.edges[j]
-            col = [0] * self.c1_rank
-            col[j] = 1
-            # d of the tree path from head to tail is e_tail - e_head,
-            # which cancels d e_j = e_head - e_tail
-            for k, sign in paths[g.vertex_index(e.tail)].items():
-                col[k] += sign
-            for k, sign in paths[g.vertex_index(e.head)].items():
-                col[k] -= sign
-            columns.append(col)
-        return IntMatrix.from_columns(columns, self.c1_rank)
+        # d of the tree path from head to tail is e_tail - e_head, which
+        # cancels d e_j = e_head - e_tail
+        ends = [(g.vertex_index(g.edges[j].tail), g.vertex_index(g.edges[j].head)) for j in cotree]
+        return tuple(
+            combine(((1, {j: 1}), (1, paths[tail]), (-1, paths[head])))
+            for j, (tail, head) in zip(cotree, ends)
+        )
 
     @cached_property
     def relation_matrix(self) -> IntMatrix:
-        """[Z | B]: the cycle basis, then the vertex cuts (dt's columns)."""
-        return self.cycle_lattice.hstack(self.dt)
+        """[Z | B], dense for the Smith form: the cycle basis, then the
+        vertex cuts (dt's columns)."""
+        columns = self.cycles + self.cuts
+        rows = [[0] * len(columns) for _ in range(self.c1_rank)]
+        for k, col in enumerate(columns):
+            for j, x in col.items():
+                rows[j][k] = x
+        return IntMatrix(rows, shape=(self.c1_rank, len(columns)))
 
     @cached_property
     def critical_group(self) -> FpAbelianGroup:
@@ -181,7 +182,19 @@ class AdjointPair:
 
     @cached_property
     def laplacian(self) -> IntMatrix:
-        return self.d @ self.dt
+        """d dt, read off the graph without d: the degrees (loops not
+        counted) on the diagonal, minus the edges joining u and v off it."""
+        g = self.graph
+        n = g.n_vertices
+        rows = [[0] * n for _ in range(n)]
+        for e in g.edges:
+            if not e.is_loop:
+                a, b = g.vertex_index(e.tail), g.vertex_index(e.head)
+                rows[a][a] += 1
+                rows[b][b] += 1
+                rows[a][b] -= 1
+                rows[b][a] -= 1
+        return IntMatrix(rows, shape=(n, n))
 
     @cached_property
     def laplacian_snf(self) -> SmithDecomposition:
@@ -201,13 +214,13 @@ class AdjointPair:
 
     @cached_property
     def cycle_space_mod2(self) -> ModpSubspace:
-        """Z = ker(d) over GF(2)."""
-        return kernel(self.d)
+        """Z = ker(d) over GF(2): the span of the fundamental cycles."""
+        return ModpSubspace.from_rows(self.c1_rank, self.cycles)
 
     @cached_property
     def bond_space_mod2(self) -> ModpSubspace:
-        """B = im(dt) over GF(2): the row space of d."""
-        return row_space(self.d)
+        """B = im(dt) over GF(2): the span of the vertex cuts."""
+        return ModpSubspace.from_rows(self.c1_rank, self.cuts)
 
     @cached_property
     def bicycle_space(self) -> ModpSubspace:

@@ -4,7 +4,9 @@ From a valid symmetric graph this module builds the edge-space map
 
     f : Z(E+) + Z(E-) -> Z(E),
 
-its transpose, and the involution psi on E+ u E- (phi acts on E), then
+as the signed supports of its columns (see `lattice`), its transpose as
+the supports of its rows, and the involution psi on E+ u E- (phi acts
+on E), then
 computes the induced map f* : K(G+) + K(G-) -> K(G) on critical groups
 and verifies, in exact arithmetic:
 
@@ -33,7 +35,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add, sub
 
 from .critical import AdjointPair, forest_count
 from .graphs import (
@@ -45,14 +46,8 @@ from .graphs import (
     half_edges,
     subdivision_vertex,
 )
-from .lattice import FpAbelianGroup, GroupHom, IntMatrix
-from .modp import (
-    ModpSubspace,
-    column_masks,
-    fixed_ambient,
-    is_involution,
-    kernel,
-)
+from .lattice import FpAbelianGroup, GroupHom, combine, image, support_rows
+from .modp import ModpSubspace, fixed_ambient, is_involution, kernel, support_bits
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,9 +55,11 @@ class SymmetryMaps:
     """The analysis of one decomposition: f, f^t, psi, phi and everything
     derived from them.
 
-    Column/row order over E+ u E- is the edge order of the union graph
-    `pair_union.graph`: plus edges in plus-graph order, then minus edges
-    in minus-graph order.  psi (on E+ u E-) and phi (on the edges of G)
+    f is held as `f_columns`, {edge of G: value} per edge of E+ u E-;
+    its rows and f mod 2 are derived from them.  Column/row order over
+    E+ u E- is the edge order of the union graph `pair_union.graph`:
+    plus edges in plus-graph order, then minus edges in minus-graph
+    order.  psi (on E+ u E-) and phi (on the edges of G)
     are index tuples, i -> psi[i].  This is the one holder of every fact
     of the analysis: the pairs and their critical groups, the induced
     homs and their kernels and cokernels, the fixed GF(2) spaces (whose
@@ -74,7 +71,7 @@ class SymmetryMaps:
     """
 
     dec: Decomposition
-    f_matrix: IntMatrix
+    f_columns: tuple
     psi: tuple
     phi: tuple
     # the pair of G+ u G-, which presents K(G+) + K(G-) as one quotient
@@ -120,13 +117,14 @@ class SymmetryMaps:
         return self.plus_connected and self.axis_nonempty and self.axis_forest
 
     @cached_property
-    def ft_matrix(self) -> IntMatrix:
-        return self.f_matrix.transpose()
+    def f_rows(self) -> tuple:
+        """Row i of f, as {edge of E+ u E-: value}: f^t's columns."""
+        return support_rows(self.f_columns, self.graph.graph.n_edges)
 
     @cached_property
     def f_columns_mod2(self) -> list:
         """Column j of f mod 2, as a bit set over the edges of G."""
-        return column_masks(self.f_matrix)
+        return [support_bits(col) for col in self.f_columns]
 
     def f_mod2(self, vec: int) -> int:
         """f(vec) mod 2 for a bit set over E+ u E-: the XOR of the
@@ -154,12 +152,12 @@ class SymmetryMaps:
     @cached_property
     def f_star(self) -> GroupHom:
         """f* : K(G+) + K(G-) -> K(G), on the block presentation."""
-        return _descend("f", self.f_matrix, self.pair_union, self.pair_g)
+        return _descend("f", self.f_columns, self.pair_union, self.pair_g)
 
     @cached_property
     def ft_star(self) -> GroupHom:
         """(f^t)* : K(G) -> K(G+) + K(G-)."""
-        return _descend("f^t", self.ft_matrix, self.pair_g, self.pair_union)
+        return _descend("f^t", self.f_rows, self.pair_g, self.pair_union)
 
     @cached_property
     def ker_f(self) -> FpAbelianGroup:
@@ -224,14 +222,15 @@ class SymmetryMaps:
         return self.z_psi.intersection(self.b_psi)
 
 
-def _descend(name, matrix, source: AdjointPair, target: AdjointPair) -> GroupHom:
-    """The hom of critical groups induced by `matrix`, checked well defined.
+def _descend(name, columns, source: AdjointPair, target: AdjointPair) -> GroupHom:
+    """The hom of critical groups induced by the edge map with these
+    column supports, checked well defined.
 
     `GroupHom` carries it in the Smith coordinates of the two critical
     groups; its well-definedness check covers every source generator, so
     an edge map that does not descend raises here.
     """
-    hom = GroupHom(source.critical_group, target.critical_group, matrix)
+    hom = GroupHom(source.critical_group, target.critical_group, columns)
     if not hom.well_defined:
         raise RuntimeError(f"{name} does not descend to the critical groups")
     return hom
@@ -240,8 +239,8 @@ def _descend(name, matrix, source: AdjointPair, target: AdjointPair) -> GroupHom
 def build_maps(dec: Decomposition) -> SymmetryMaps:
     """Populate f, psi and the edge action of phi; f^t is derived from f.
 
-    One pass over the edges of G, by side, fills the columns of f and
-    psi at the union graph's edge indices (the block layout): a Left
+    One pass over the edges of G, by side, sets the column supports of f
+    and psi at the union graph's edge indices (the block layout): a Left
     edge e is a plus edge, whose column is e + phi(e) and whose psi
     partner is the minus edge phi(e); a Right edge e is a minus edge,
     whose column is e - phi(e) and whose psi partner is the plus edge
@@ -255,29 +254,26 @@ def build_maps(dec: Decomposition) -> SymmetryMaps:
     ephi = g.edge_involution
     union = dec.union_graph()
     block = union.edge_index
-    n_edges = graph.n_edges
 
-    columns = [[0] * n_edges for _ in range(union.n_edges)]
+    columns = [None] * union.n_edges
     psi = [None] * union.n_edges
     for i, e in enumerate(graph.edges):
         side = g.edge_side[e.id]
         if side == FIXED:
             h1, h2 = map(block, half_edges(e.id))
-            columns[h1][i] = columns[h2][i] = 1
+            columns[h1], columns[h2] = {i: 1}, {i: 1}
             psi[h1], psi[h2] = h2, h1
         else:
             j = block(e.id)
-            columns[j][i] = 1
-            columns[j][graph.edge_index(ephi[e.id])] = 1 if side == LEFT else -1
+            columns[j] = {i: 1, graph.edge_index(ephi[e.id]): 1 if side == LEFT else -1}
             psi[j] = block(ephi[e.id])
-    f_matrix = IntMatrix.from_columns(columns, n_edges)
     phi = tuple(graph.edge_index(ephi[e.id]) for e in graph.edges)
 
     if not is_involution(psi) or not is_involution(phi):
         raise AssertionError("psi and phi must square to the identity")
     return SymmetryMaps(
         dec=dec,
-        f_matrix=f_matrix,
+        f_columns=tuple(columns),
         psi=tuple(psi),
         phi=phi,
         pair_union=AdjointPair(
@@ -325,38 +321,36 @@ def verify_lattice_preservation(maps: SymmetryMaps) -> LatticePreservationReport
     complement of its orthogonal complement, Z = ker(d), so a vector is
     in B exactly when it is orthogonal to every cycle.
 
+    Every vector is a support: f of each cycle of G+ u G- must have
+    zero boundary, and f of each of its vertex cuts must be orthogonal
+    to G's fundamental cycles.
+
     Bond preservation is refined into the five cut-vector identities
     that actually drive it: the cut at a subdivision vertex dies, cuts
     at fixed vertices map to the matching cut of G, cuts at left
     vertices symmetrize, the cut at the contracted vertex becomes
     b(V_L) - b(V_R), and cuts at right vertices antisymmetrize.  They
-    are read off matrices already in hand: column k of f @ dt_union
-    (the bond image above) is f of the cut of union vertex k, and row v
-    of d is the signed cut of v in G (zero at a loop).
+    are read off the f images of the union's cuts above and the signed
+    cuts of G (a loop is in no cut), compared as supports.
     """
     g = maps.graph
-    f = maps.f_matrix
-    union = maps.pair_union
+    f = maps.f_columns
+    union, pair_g = maps.pair_union, maps.pair_g
 
-    z_image = maps.pair_g.d @ (f @ union.cycle_lattice)
-    cycles_ok = z_image.is_zero()
+    cycles_ok = not any(image(pair_g.boundary, image(f, z)) for z in union.cycles)
 
-    bond_image = f @ union.dt
-    bonds_ok = (maps.pair_g.cycle_lattice.transpose() @ bond_image).is_zero()
+    f_cut = {v: image(f, c) for v, c in zip(union.graph.vertices, union.cuts)}
+    cycle_rows = support_rows(pair_g.cycles, pair_g.c1_rank)
+    bonds_ok = not any(image(cycle_rows, y) for y in f_cut.values())
 
-    f_cut = dict(zip(union.graph.vertices, bond_image.transpose().rows))
-    cut = dict(zip(g.graph.vertices, maps.pair_g.d.rows))
+    cut = dict(zip(g.graph.vertices, pair_g.cuts))
     vphi = g.vertex_involution
 
     def cut_sum(added, subtracted=()):
         """The sum of the cuts of `added` minus those of `subtracted`."""
-        acc = [0] * g.graph.n_edges
-        for sign, vertices in ((1, added), (-1, subtracted)):
-            for v in vertices:
-                acc = [a + sign * x for a, x in zip(acc, cut[v])]
-        return tuple(acc)
+        return combine([(1, cut[v]) for v in added] + [(-1, cut[v]) for v in subtracted])
 
-    sub_ok = all(not any(f_cut[subdivision_vertex(e.id)]) for e in g.fixed_edges)
+    sub_ok = all(not f_cut[subdivision_vertex(e.id)] for e in g.fixed_edges)
     fixed_ok = all(f_cut[v] == cut[v] for v in g.fixed_vertices)
     left_ok = all(f_cut[v] == cut_sum((v, vphi[v])) for v in g.left_vertices)
     contracted_ok = f_cut[AXIS_VERTEX] == cut_sum(
@@ -395,15 +389,14 @@ def two_torsion_check(maps: SymmetryMaps) -> TorsionReport:
     The witnesses are the matrix identities behind 2-torsion: for a Left
     edge e,  f(e, -phi(e)) = 2e  and  f^t(e + phi(e)) = 2(e, 0);  for a
     Right edge e,  f^t(e - phi(e)) = 2(0, e);  for a fixed edge e with
-    halves e', e'',  f^t(e) = (e' + e'', 0).  Each is read off rows:
-    f(e_j) is row j of f^t and f^t(e_i) is row i of f, so every left-hand
-    side is one row or the sum or difference of two.
+    halves e', e'',  f^t(e) = (e' + e'', 0).  f(e_j) is column j of f
+    and f^t(e_i) is row i, so each left-hand side is one support or the
+    sum or difference of two, compared as a dict.
     """
     g = maps.graph
     graph = g.graph
     ephi = g.edge_involution
-    f_rows = maps.f_matrix.rows
-    ft_rows = maps.ft_matrix.rows
+    f_columns, f_rows = maps.f_columns, maps.f_rows
     block = maps.pair_union.graph.edge_index
 
     def f_row(eid):
@@ -412,27 +405,20 @@ def two_torsion_check(maps: SymmetryMaps) -> TorsionReport:
     witnesses = True
     for e in g.left_edges:
         mirror = ephi[e.id]
-        doubled = map(sub, ft_rows[block(e.id)], ft_rows[block(mirror)])
-        witnesses &= _equals_sparse(doubled, {graph.edge_index(e.id): 2})
-        folded = map(add, f_row(e.id), f_row(mirror))
-        witnesses &= _equals_sparse(folded, {block(e.id): 2})
+        doubled = combine(((1, f_columns[block(e.id)]), (-1, f_columns[block(mirror)])))
+        witnesses &= doubled == {graph.edge_index(e.id): 2}
+        witnesses &= combine(((1, f_row(e.id)), (1, f_row(mirror)))) == {block(e.id): 2}
     for e in g.right_edges:
-        folded = map(sub, f_row(e.id), f_row(ephi[e.id]))
-        witnesses &= _equals_sparse(folded, {block(e.id): 2})
+        folded = combine(((1, f_row(e.id)), (-1, f_row(ephi[e.id]))))
+        witnesses &= folded == {block(e.id): 2}
     for e in g.fixed_edges:
-        halves = dict.fromkeys(map(block, half_edges(e.id)), 1)
-        witnesses &= _equals_sparse(f_row(e.id), halves)
+        witnesses &= f_row(e.id) == dict.fromkeys(map(block, half_edges(e.id)), 1)
 
     groups = (maps.ker_f, maps.coker_f, maps.ker_ft, maps.coker_ft)
     return TorsionReport(
         all_two_torsion=all(grp.annihilated_by(2) for grp in groups),
         doubling_witnesses=witnesses,
     )
-
-
-def _equals_sparse(vec, entries) -> bool:
-    """`vec` has the `{index: value}` entries and is zero elsewhere."""
-    return all(x == entries.get(k, 0) for k, x in enumerate(vec))
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +460,7 @@ def identify_kernel_cokernel(maps: SymmetryMaps) -> BicycleIdentification:
     ker_order = maps.ker_f.order()
 
     # ker(f^t mod 2) versus its predicted basis {e + phi(e) : e Left}
-    ker_ft2 = kernel(maps.ft_matrix)
+    ker_ft2 = kernel(maps.f_rows, maps.pair_union.c1_rank)
     rows = [
         1 << graph.edge_index(e.id) | 1 << graph.edge_index(g.edge_involution[e.id])
         for e in g.left_edges
@@ -483,7 +469,7 @@ def identify_kernel_cokernel(maps: SymmetryMaps) -> BicycleIdentification:
     ker_ft_ok = ker_ft2 == predicted and ker_ft2.dim == len(g.left_edges)
 
     # ker(f mod 2) versus the psi-fixed ambient subspace
-    ker_f_ok = kernel(maps.f_matrix) == maps.psi_ambient
+    ker_f_ok = kernel(maps.f_columns_mod2, graph.n_edges) == maps.psi_ambient
 
     phi_quotient = maps.phi_ambient.dim - maps.sum_phi.dim
     psi_quotient = maps.psi_ambient.dim - maps.sum_psi.dim

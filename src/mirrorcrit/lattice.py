@@ -1,5 +1,10 @@
 """Exact integer linear algebra.
 
+A sparse vector is a signed support, the dict {index: value} of its
+nonzero entries, and a sparse matrix the tuple of its columns' supports:
+the form of a graph's edge maps (f, d, the cycle bases), whose products
+then cost O(nonzeros).  `IntMatrix` is only the input of a Smith form.
+
 Smith normal form with unimodular change-of-basis witnesses, and
 finitely presented abelian groups given by integer relation matrices
 (with kernels and cokernels of homomorphisms between them).  The
@@ -8,12 +13,13 @@ nonzero entries, and logs its elementary operations; S's diagonal is
 kept, and each witness is built from that log only when a caller reads
 it.  The decomposition of a block-diagonal matrix is composed from its
 blocks' logs and one Smith form of their nontrivial diagonal entries.  A
-homomorphism is computed in the Smith coordinates of its source and
-target, where each group is a product of cyclic groups Z/d: its
-well-definedness is read off that matrix directly.  Its cokernel, and
-its kernel as the cokernel of the dual hom (for a finite source), are
-one Smith form each, at most k_s + k_t wide, k being the number of
-nontrivial cyclic factors; for finite groups no entry exceeds a modulus.
+homomorphism is given by the supports of its columns and computed in the
+Smith coordinates of its source and target, where each group is a
+product of cyclic groups Z/d: its well-definedness is read off that
+matrix directly.  Its cokernel, and its kernel as the cokernel of the
+dual hom (for a finite source), are one Smith form each, at most k_s +
+k_t wide, k being the number of nontrivial cyclic factors; for finite
+groups no entry exceeds a modulus.
 
 Everything runs on Python ints, so there is no overflow, ever.
 """
@@ -26,8 +32,35 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 
+def combine(terms) -> dict:
+    """The sum of c * vec over the (c, vec) pairs of `terms`, vec being
+    a support; entries that cancel are dropped."""
+    acc = {}
+    for c, vec in terms:
+        for k, x in vec.items():
+            acc[k] = acc.get(k, 0) + c * x
+    return {k: x for k, x in acc.items() if x}
+
+
+def image(columns, vec) -> dict:
+    """The sparse matrix with these column supports times the support
+    vec."""
+    return combine((x, columns[k]) for k, x in vec.items())
+
+
+def support_rows(columns, n_rows) -> tuple:
+    """The rows of the sparse matrix with these column supports, as
+    supports: the columns of its transpose."""
+    rows = [{} for _ in range(n_rows)]
+    for j, col in enumerate(columns):
+        for i, x in col.items():
+            rows[i][j] = x
+    return tuple(rows)
+
+
 class IntMatrix:
-    """Immutable dense integer matrix with an explicit shape.
+    """Immutable dense integer matrix with an explicit shape, the input
+    of a Smith form.
 
     The explicit shape matters: empty edge sets and empty generator
     lists produce 0xN and Nx0 matrices all over the place.  Entries are
@@ -63,14 +96,6 @@ class IntMatrix:
     def zero(cls, n_rows, n_cols):
         return cls._of([[0] * n_cols for _ in range(n_rows)], shape=(n_rows, n_cols))
 
-    @classmethod
-    def from_columns(cls, columns, n_rows):
-        columns = [tuple(c) for c in columns]
-        if any(len(c) != n_rows for c in columns):
-            raise ValueError("column length does not match n_rows")
-        rows = [[c[i] for c in columns] for i in range(n_rows)]
-        return cls(rows, shape=(n_rows, len(columns)))
-
     @property
     def shape(self):
         return (self.n_rows, self.n_cols)
@@ -101,9 +126,6 @@ class IntMatrix:
             raise ValueError("row counts differ")
         rows = map(tuple.__add__, self.rows, other.rows)
         return IntMatrix._of(rows, shape=(self.n_rows, self.n_cols + other.n_cols))
-
-    def is_zero(self):
-        return all(x == 0 for row in self.rows for x in row)
 
     def __eq__(self, other):
         if not isinstance(other, IntMatrix):
@@ -456,8 +478,10 @@ class GroupHom:
     """Homomorphism between presented groups, given on ambient generators
     and computed in the Smith coordinates of its source and target.
 
-    With U_s and U_t the left witnesses of the two groups, M acts on
-    Smith coordinates as W = U_t M U_s^-1: column i of W is the image of
+    M is given by `columns`, the support of the image of each source
+    generator e_i.  With U_s and U_t the left witnesses of the two
+    groups, M acts on Smith coordinates as W = U_t M U_s^-1: column i of
+    W is the image of
     the source generator U_s^-1 e_i, in target coordinates.  A target
     coordinate with d = 1 is zero in the group, so only the last k_t rows
     of W matter, each reduced mod its d (see `FpAbelianGroup.moduli`).
@@ -469,14 +493,12 @@ class GroupHom:
 
     source: FpAbelianGroup
     target: FpAbelianGroup
-    matrix: IntMatrix
+    columns: tuple
 
     def __post_init__(self):
-        if self.matrix.shape != (self.target.ambient_rank, self.source.ambient_rank):
-            raise ValueError(
-                f"matrix shape {self.matrix.shape} does not map ambient rank "
-                f"{self.source.ambient_rank} into {self.target.ambient_rank}"
-            )
+        n_s, n_t = self.source.ambient_rank, self.target.ambient_rank
+        if len(self.columns) != n_s or any(not 0 <= i < n_t for c in self.columns for i in c):
+            raise ValueError(f"{len(self.columns)} columns do not map rank {n_s} into {n_t}")
 
     @cached_property
     def _smith_rows(self):
@@ -484,15 +506,18 @@ class GroupHom:
         target modulus (a free row stays unreduced).
 
         Neither U_t nor U_s^-1 is built: the k_t unit rows e_i are
-        right-multiplied by the target's logged row operations, M, and
-        the source's inverse operations, at O(k_t) per operation.
+        right-multiplied by the target's logged row operations, at O(k_t)
+        per operation, by M's column supports, at O(k_t) per nonzero, and
+        by the source's inverse operations.
         """
         moduli = self.target.moduli
         n_t = self.target.ambient_rank
         rows = _unit_rows(range(n_t - len(moduli), n_t), n_t)
         rows = _reduce(_replay(rows, self.target.witness.row_ops), moduli)
-        product = IntMatrix._of(rows, shape=(len(rows), n_t)) @ self.matrix
-        rows = _reduce(product.rows, moduli)
+        product = [
+            [sum(row[k] * x for k, x in col.items()) for col in self.columns] for row in rows
+        ]
+        rows = _reduce(product, moduli)
         return _reduce(_replay(rows, self.source.witness.row_ops, inverse=True), moduli)
 
     @cached_property

@@ -3,9 +3,9 @@
 Subspaces are kept in reduced row-echelon form, so equality of spaces
 is a plain comparison of their canonical rows.  A row is a Python-int
 bit set (bit j = coordinate j) from construction on, and a row
-operation is one XOR.  Matrices come in as `IntMatrix` and vectors as
-integer sequences or bit sets; an integer entry is read by its low
-bit.  Every span, sum, kernel and intersection is one elimination:
+operation is one XOR.  Vectors and a matrix's columns come in as bit
+sets, integer sequences or supports ({index: value}, see `lattice`); an
+integer entry is read by its low bit.  Every span, sum, kernel and intersection is one elimination:
 kernels and intersections reduce an augmented row block and keep the
 right halves of the rows whose left block vanished (the Zassenhaus
 method).  Membership reduces a vector against the pivots of the
@@ -43,9 +43,21 @@ def _echelonize(rows, skip=0):
     return tuple(pivots[bit] >> skip for bit in sorted(pivots) if bit >> skip)
 
 
+def support_bits(vec) -> int:
+    """The support {index: value} mod 2, as a bit set."""
+    bits = 0
+    for k, x in vec.items():
+        if x & 1:
+            bits |= 1 << k
+    return bits
+
+
 def _mask(row, n) -> int:
-    """A row of length n as a bit set: a bit set passes through, an
-    integer sequence packs each entry's low bit (so 2 packs as 0)."""
+    """A row of length n as a bit set: a bit set passes through, and an
+    integer sequence or a support packs each entry's low bit (so 2 packs
+    as 0)."""
+    if isinstance(row, dict):
+        row = support_bits(row)
     if isinstance(row, int):
         if row >> n:
             raise ValueError("ambient dimension mismatch")
@@ -57,18 +69,6 @@ def _mask(row, n) -> int:
         if x & 1:
             bits |= 1 << j
     return bits
-
-
-def column_masks(m) -> list:
-    """The columns of the integer matrix m mod 2, each a bit set over
-    the rows of m."""
-    cols = [0] * m.n_cols
-    for i, row in enumerate(m.rows):
-        bit = 1 << i
-        for j, x in enumerate(row):
-            if x & 1:
-                cols[j] |= bit
-    return cols
 
 
 def _vanishing_left(n_left, n_right, rows):
@@ -143,22 +143,15 @@ class ModpSubspace:
         return f"ModpSubspace(dim {self.dim} in {self.ambient_dim})"
 
 
-def kernel(m) -> ModpSubspace:
-    """Null space {x : M x = 0 mod 2} of the integer matrix M, in
-    echelon form.
+def kernel(columns, n_rows) -> ModpSubspace:
+    """Null space {x : M x = 0 mod 2} of the matrix M with these columns
+    over n_rows rows, in echelon form.
 
     Reduces the rows (column j of M | e_j): a combination (M x | x) has
     a vanishing left half exactly when M x = 0.
     """
-    k = m.n_rows
-    rows = [col | 1 << (k + j) for j, col in enumerate(column_masks(m))]
-    return _vanishing_left(k, m.n_cols, rows)
-
-
-def row_space(m) -> ModpSubspace:
-    """Row space of the integer matrix M mod 2 (equivalently the image
-    of its transpose)."""
-    return ModpSubspace.from_rows(m.n_cols, m.rows)
+    rows = [_mask(col, n_rows) | 1 << (n_rows + j) for j, col in enumerate(columns)]
+    return _vanishing_left(n_rows, len(columns), rows)
 
 
 def is_involution(perm) -> bool:

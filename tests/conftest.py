@@ -12,6 +12,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from mirrorcrit.graphs import FIXED, LEFT, RIGHT, Multigraph, SymmetricGraph
 from mirrorcrit.lattice import IntMatrix, smith_normal_form
+from mirrorcrit.modp import ModpSubspace, kernel
 from mirrorcrit.randgraph import random_symmetric_graph
 
 # After a failing test, hypothesis' pytest plugin imports its patch
@@ -37,6 +38,52 @@ def exact_det(m) -> int:
 def apply(matrix, vec) -> list:
     """The integer matrix times the vector `vec`, as the textbook sum."""
     return [sum(a * x for a, x in zip(row, vec)) for row in matrix.rows]
+
+
+def from_columns(columns, n_rows) -> IntMatrix:
+    """The dense matrix with these columns (integer sequences)."""
+    return IntMatrix([[c[i] for c in columns] for i in range(n_rows)],
+                     shape=(n_rows, len(columns)))
+
+
+def dense(columns, n_rows) -> IntMatrix:
+    """The dense matrix with these column supports ({row: value})."""
+    rows = [[0] * len(columns) for _ in range(n_rows)]
+    for j, col in enumerate(columns):
+        for i, x in col.items():
+            rows[i][j] = x
+    return IntMatrix(rows, shape=(n_rows, len(columns)))
+
+
+def supports(m) -> tuple:
+    """The column supports of the dense matrix m: its nonzero entries."""
+    return tuple({i: x for i, x in enumerate(col) if x} for col in m.transpose().rows)
+
+
+def dense_f(maps) -> IntMatrix:
+    """f of an analysis as a dense |E| x |E+ u E-| matrix."""
+    return dense(maps.f_columns, maps.graph.graph.n_edges)
+
+
+def incidence(graph) -> IntMatrix:
+    """The signed incidence matrix d of a multigraph, built from its
+    edges: +1 at the head, -1 at the tail, a zero column for a loop."""
+    rows = [[0] * graph.n_edges for _ in range(graph.n_vertices)]
+    for j, e in enumerate(graph.edges):
+        if not e.is_loop:
+            rows[graph.vertex_index(e.head)][j] += 1
+            rows[graph.vertex_index(e.tail)][j] -= 1
+    return IntMatrix(rows, shape=(graph.n_vertices, graph.n_edges))
+
+
+def matrix_kernel(m) -> ModpSubspace:
+    """ker(M mod 2) of the dense integer matrix M."""
+    return kernel(m.transpose().rows, m.n_rows)
+
+
+def row_space(m) -> ModpSubspace:
+    """The row space of the dense integer matrix M mod 2."""
+    return ModpSubspace.from_rows(m.n_cols, m.rows)
 
 
 def identity(n, k=1) -> IntMatrix:
@@ -80,7 +127,7 @@ def integer_kernel(a) -> IntMatrix:
     A (V e_j) = d_j U^{-1} e_j = 0 and form a basis of ker(A).
     """
     snf = smith_normal_form(a)
-    return IntMatrix.from_columns(snf.right.transpose().rows[snf.rank:], a.n_cols)
+    return from_columns(snf.right.transpose().rows[snf.rank:], a.n_cols)
 
 
 def element_order(group, vec):

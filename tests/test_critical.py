@@ -27,11 +27,14 @@ from conftest import (
     CYCLIC_AXIS,
     apply,
     contains_relation,
+    dense,
     identity,
+    incidence,
     integer_kernel,
     mirror_cycle,
     random_multigraph,
     running_example,
+    supports,
 )
 
 
@@ -50,16 +53,16 @@ class TestAdjointPair:
         # tree: no cycles; loop: one cycle, no bonds
         tree = Multigraph(["1", "2"], [("e", "1", "2")])
         pair = AdjointPair(tree)
-        assert pair.cycle_lattice.n_cols == 0
+        assert pair.cycles == ()
         loop = Multigraph(["1"], [("e", "1", "1")])
         pair = AdjointPair(loop)
-        assert pair.cycle_lattice.n_cols == 1
-        assert pair.dt.is_zero()
+        assert pair.cycles == ({0: 1},)
+        assert pair.cuts == ({},)
 
     def test_running_example_ranks_and_orthogonality(self):
         pair = AdjointPair(running_example().graph)
-        z = pair.cycle_lattice
-        b = pair.dt
+        z = dense(pair.cycles, pair.c1_rank)
+        b = dense(pair.cuts, pair.c1_rank)
         assert z.n_cols == 2
         assert b.shape == (5, 4)
         # cycles and bonds are orthogonal under the standard form
@@ -74,18 +77,19 @@ class TestAdjointPair:
         outcomes = set()
         for seed in range(300):
             pair = AdjointPair(random_multigraph(seed))
-            assert set(smith_normal_form(pair.d).diagonal) <= {0, 1}
+            assert set(smith_normal_form(incidence(pair.graph)).diagonal) <= {0, 1}
             m = pair.c1_rank
             if m == 0:
                 continue
-            bonds = FpAbelianGroup.quotient(m, pair.dt)
-            cycles_t = pair.cycle_lattice.transpose()
+            dt = dense(pair.cuts, m)
+            bonds = FpAbelianGroup.quotient(m, dt)
+            cycles_t = dense(pair.cycles, m).transpose()
             for k in range(20):
                 if k % 3 == 2:
                     vec = [rng.randint(-3, 3) for _ in range(m)]
                 else:
                     c = [rng.randint(-3, 3) for _ in range(pair.c0_rank)]
-                    vec = apply(pair.dt, c)
+                    vec = apply(dt, c)
                     if k % 3 == 1:
                         vec[rng.randrange(m)] += rng.choice((-1, 1))
                 orthogonal = not any(apply(cycles_t, vec))
@@ -112,9 +116,25 @@ def multigraphs(draw):
 FOREST = settings(max_examples=200, derandomize=True, database=None, deadline=None)
 
 
+class TestBoundarySupports:
+    """d's columns and rows as the pair holds them, and the Laplacian it
+    reads off the graph's degrees and adjacencies, against the dense d
+    built from the edges and the product d dt."""
+
+    @FOREST
+    @given(multigraphs())
+    @example(Multigraph(["1", "2"], [("a", "1", "1"), ("b", "1", "2"), ("c", "2", "1")]))
+    def test_supports_and_laplacian_match_the_incidence_matrix(self, g):
+        pair = AdjointPair(g)
+        d = incidence(g)
+        assert dense(pair.boundary, pair.c0_rank) == d
+        assert pair.cuts == supports(d.transpose())
+        assert pair.laplacian == d @ d.transpose()
+
+
 class TestForestCycleBasis:
-    """`cycle_lattice`, the fundamental cycles of a spanning forest,
-    against the Smith-form kernel basis `integer_kernel(d)`."""
+    """`cycles`, the fundamental cycles of a spanning forest, against
+    the Smith-form kernel basis `integer_kernel(d)`."""
 
     @FOREST
     @given(multigraphs())
@@ -123,9 +143,10 @@ class TestForestCycleBasis:
     @example(Multigraph(["1", "2"], [("a", "1", "1"), ("b", "1", "2"), ("c", "2", "1")]))
     def test_same_lattice_as_integer_kernel(self, g):
         pair = AdjointPair(g)
-        z, reference = pair.cycle_lattice, integer_kernel(pair.d)
+        d = incidence(g)
+        z, reference = dense(pair.cycles, pair.c1_rank), integer_kernel(d)
         assert z.shape == reference.shape
-        assert (pair.d @ z).is_zero()
+        assert d @ z == IntMatrix.zero(d.n_rows, z.n_cols)
         # column c is e_j for its non-tree edge j plus edges of the forest
         # union-find built before j, so j is its last nonzero coordinate
         nontree = [max(i for i, x in enumerate(col) if x) for col in z.transpose().rows]
@@ -134,7 +155,8 @@ class TestForestCycleBasis:
         ]
         # the other edges form a forest: d is injective on them
         tree = [j for j in range(pair.c1_rank) if j not in nontree]
-        tree_columns = IntMatrix([pair.dt.rows[j] for j in tree], shape=(len(tree), pair.c0_rank))
+        dt = d.transpose()
+        tree_columns = IntMatrix([dt.rows[j] for j in tree], shape=(len(tree), pair.c0_rank))
         assert smith_normal_form(tree_columns).rank == len(tree)
         # each lattice contains the other: both have rank E - rank(d), and
         # together they still generate a saturated lattice of that rank
@@ -196,7 +218,7 @@ class TestCriticalGroup:
         # automorphism of Z/3, so kernel and cokernel are both trivial
         g = Multigraph(["1", "2"], [("a", "1", "2"), ("b", "1", "2"), ("c", "1", "2")])
         k = AdjointPair(g).critical_group
-        hom = GroupHom(k, k, identity(3, 2))
+        hom = GroupHom(k, k, supports(identity(3, 2)))
         assert hom.well_defined
         assert hom.source.order() == 3
         assert hom.kernel().order() == 1
@@ -471,7 +493,7 @@ class TestDuality:
     def test_identity_homs(self):
         pair = AdjointPair(triangle())
         k = pair.critical_group
-        ident = GroupHom(source=k, target=k, matrix=identity(3))
+        ident = GroupHom(source=k, target=k, columns=supports(identity(3)))
         ker, coker = ident.kernel().invariant_factors, ident.cokernel().invariant_factors
         assert ker == coker
         assert ker == ()

@@ -39,7 +39,7 @@ from mirrorcrit.lattice import (
     IntMatrix,
     SmithDecomposition,
 )
-from mirrorcrit.modp import is_involution, kernel
+from mirrorcrit.modp import is_involution
 from mirrorcrit.randgraph import mirror_grid
 
 from conftest import (
@@ -47,15 +47,20 @@ from conftest import (
     apply,
     basis,
     contains_relation,
+    dense,
+    dense_f,
     disconnected_plus,
     empty_axis,
     exact_det,
     identity_mirror_triangle,
+    incidence,
     integer_kernel,
+    matrix_kernel,
     mirror_cycle,
     relabel,
     running_example,
     single_fixed_edge,
+    supports,
 )
 
 WITNESSES = ("left", "right", "left_inv", "right_inv")
@@ -95,24 +100,27 @@ def tripod():
 class TestBuildMaps:
     def test_left_edge_column(self, maps):
         # f(ab, 0) = ab + db
-        assert maps.f_matrix.transpose().rows[0] == (1, 0, 0, 1, 0)
+        assert maps.f_columns[0] == {0: 1, 3: 1}
+        assert dense_f(maps).transpose().rows[0] == (1, 0, 0, 1, 0)
 
     def test_half_edge_columns(self, maps):
         # both halves of cb map to cb itself
-        assert maps.f_matrix.transpose().rows[2] == (0, 0, 0, 0, 1)
-        assert maps.f_matrix.transpose().rows[3] == (0, 0, 0, 0, 1)
+        assert maps.f_columns[2] == maps.f_columns[3] == {4: 1}
 
     def test_right_edge_column(self, maps):
         # f(0, dc) = dc - ac
-        assert maps.f_matrix.transpose().rows[4] == (0, -1, 1, 0, 0)
+        assert maps.f_columns[4] == {2: 1, 1: -1}
+        assert dense_f(maps).transpose().rows[4] == (0, -1, 1, 0, 0)
 
     def test_ft_of_fixed_edge(self, maps):
         # f^t(cb) = (half1 + half2, 0)
         cb = [0, 0, 0, 0, 1]
-        assert apply(maps.ft_matrix, cb) == [0, 0, 1, 1, 0, 0]
+        assert apply(dense_f(maps).transpose(), cb) == [0, 0, 1, 1, 0, 0]
+        assert maps.f_rows[4] == {2: 1, 3: 1}
 
     def test_ft_is_transpose(self, maps):
-        assert maps.ft_matrix == maps.f_matrix.transpose()
+        # f's rows, the supports f^t is held as, are f's transpose
+        assert dense(maps.f_rows, len(maps.psi)) == dense_f(maps).transpose()
 
     def test_psi_is_fixed_point_free_involution(self, maps):
         assert is_involution(maps.psi)
@@ -146,20 +154,32 @@ class TestLatticePreservation:
             assert verify_lattice_preservation(build_maps(g.decompose())).passed
 
     def test_bond_check_is_exact_membership(self, maps):
-        # tamper one entry of f at a time: bonds_into_bonds must equal
-        # exact membership of the bond image in B = im(dt)
-        bonds = FpAbelianGroup.quotient(maps.pair_g.c1_rank, maps.pair_g.dt)
+        # tamper one entry of f at a time, zeros included: bonds_into_bonds
+        # must equal exact membership of the bond image in B = im(dt)
+        bonds = FpAbelianGroup.quotient(
+            maps.pair_g.c1_rank, incidence(maps.graph.graph).transpose()
+        )
+        dt_union = incidence(maps.pair_union.graph).transpose()
         outcomes = set()
-        for i in range(maps.f_matrix.n_rows):
-            for j in range(maps.f_matrix.n_cols):
-                rows = [list(row) for row in maps.f_matrix.rows]
-                rows[i][j] += 1
-                tampered = dataclasses.replace(maps, f_matrix=IntMatrix(rows))
-                image = tampered.f_matrix @ maps.pair_union.dt
-                exact = all(contains_relation(bonds, col) for col in image.transpose().rows)
-                assert verify_lattice_preservation(tampered).bonds_into_bonds == exact
-                outcomes.add(exact)
+        for tampered in _single_entry_tamperings(maps):
+            image = dense_f(tampered) @ dt_union
+            exact = all(contains_relation(bonds, col) for col in image.transpose().rows)
+            assert verify_lattice_preservation(tampered).bonds_into_bonds == exact
+            outcomes.add(exact)
         assert False in outcomes
+
+
+def _single_entry_tamperings(maps):
+    """maps with one entry of f raised by 1, for every entry, zeros
+    included, as f's column supports (an entry that becomes 0 leaves its
+    column); a column then holds up to three entries."""
+    for i in range(maps.graph.graph.n_edges):
+        for j in range(len(maps.f_columns)):
+            columns = list(maps.f_columns)
+            column = dict(columns[j])
+            column[i] = column.get(i, 0) + 1
+            columns[j] = {k: x for k, x in column.items() if x}
+            yield dataclasses.replace(maps, f_columns=tuple(columns))
 
 
 def _cut(graph, subset):
@@ -182,7 +202,8 @@ def _dense_reference(maps):
     textbook way: f or f^t times each explicit cut or unit vector,
     compared with dense expected vectors."""
     g, dec = maps.graph, maps.dec
-    graph, f, ft = g.graph, maps.f_matrix, maps.ft_matrix
+    f = dense_f(maps)
+    graph, ft = g.graph, f.transpose()
     vphi, ephi = g.vertex_involution, g.edge_involution
     n_edges, n_plus, n_minus = graph.n_edges, maps.n_plus, dec.minus.n_edges
     n_block = n_plus + n_minus
@@ -198,11 +219,12 @@ def _dense_reference(maps):
 
     union = dec.union_graph()
     union_cuts = [_cut(union, {v}) for v in union.vertices]
-    bonds = FpAbelianGroup.quotient(n_edges, maps.pair_g.dt)
+    d = incidence(graph)
+    bonds = FpAbelianGroup.quotient(n_edges, d.transpose())
     flags = dict(
         cycles_into_cycles=all(
-            not any(apply(maps.pair_g.d, apply(f, z)))
-            for z in integer_kernel(maps.pair_union.d).transpose().rows
+            not any(apply(d, apply(f, z)))
+            for z in integer_kernel(incidence(union)).transpose().rows
         ),
         bonds_into_bonds=all(
             contains_relation(bonds, apply(f, cut)) for cut in union_cuts
@@ -262,13 +284,7 @@ class TestIdentitiesAgainstDenseReference:
         outcomes = Counter()
         for g in _tamper_graphs(mixed_corpus):
             maps = build_maps(g.decompose())
-            tamperings = [maps]
-            for i in range(maps.f_matrix.n_rows):
-                for j in range(maps.f_matrix.n_cols):
-                    rows = [list(row) for row in maps.f_matrix.rows]
-                    rows[i][j] += 1
-                    tamperings.append(dataclasses.replace(maps, f_matrix=IntMatrix(rows)))
-            for tampered in tamperings:
+            for tampered in [maps, *_single_entry_tamperings(maps)]:
                 flags, _ = _dense_reference(tampered)
                 report = verify_lattice_preservation(tampered)
                 assert dataclasses.asdict(report) == flags
@@ -286,6 +302,8 @@ class TestIdentitiesAgainstDenseReference:
         for g in _tamper_graphs(mixed_corpus):
             maps = build_maps(g.decompose())
             pair_g, pair_union = maps.pair_g, maps.pair_union
+            d_g, d_union = incidence(pair_g.graph), incidence(pair_union.graph)
+            f = dense_f(maps)
             shape = (pair_g.c0_rank, pair_union.c0_rank)
             draws = [{}] + [{(v, u): 1} for v in range(shape[0]) for u in range(shape[1])]
             draws += [
@@ -297,10 +315,10 @@ class TestIdentitiesAgainstDenseReference:
                     [[entries.get((v, u), 0) for u in range(shape[1])] for v in range(shape[0])],
                     shape=shape,
                 )
-                shift = pair_g.dt @ a @ pair_union.d
-                rows = [list(map(sum, zip(r, s))) for r, s in zip(maps.f_matrix.rows, shift.rows)]
+                shift = d_g.transpose() @ a @ d_union
+                rows = [list(map(sum, zip(r, s))) for r, s in zip(f.rows, shift.rows)]
                 tampered = dataclasses.replace(
-                    maps, f_matrix=IntMatrix(rows, shape=maps.f_matrix.shape)
+                    maps, f_columns=supports(IntMatrix(rows, shape=f.shape))
                 )
                 flags, witnesses = _dense_reference(tampered)
                 lattice = verify_lattice_preservation(tampered)
@@ -342,7 +360,7 @@ class TestInducedMaps:
         pair = AdjointPair(theta)
         matrix = IntMatrix([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
         with pytest.raises(RuntimeError, match="does not descend"):
-            _descend("f", matrix, pair, pair)
+            _descend("f", supports(matrix), pair, pair)
 
 
 class TestTwoTorsion:
@@ -404,7 +422,7 @@ class TestIdentification:
         ident = identify_kernel_cokernel(maps)
         assert ident.coker_matches and ident.ker_matches
         assert maps.coker_f.order() == 2 and maps.ker_f.order() == 2
-        assert kernel(maps.ft_matrix).dim == 2  # |E_L|
+        assert matrix_kernel(dense_f(maps).transpose()).dim == 2  # |E_L|
         assert ident.ker_ft_basis_ok
         assert ident.ker_f_psi_fixed_ok
         assert ident.alternate_ker_matches and ident.alternate_coker_matches
@@ -442,11 +460,11 @@ class TestIdentification:
         for g in mixed_corpus:
             m = build_maps(g.decompose())
             bic_g = m.pair_g.bicycle_space
-            restricted_ft = kernel(m.ft_matrix).intersection(bic_g)
+            restricted_ft = matrix_kernel(dense_f(m).transpose()).intersection(bic_g)
             assert restricted_ft == m.phi_bicycles
             assert m.phi_ambient.intersection(bic_g) == m.phi_bicycles
             bic_pm = m.pair_union.bicycle_space
-            restricted_f = kernel(m.f_matrix).intersection(bic_pm)
+            restricted_f = matrix_kernel(dense_f(m)).intersection(bic_pm)
             assert restricted_f == m.psi_bicycles
             assert m.psi_ambient.intersection(bic_pm) == m.psi_bicycles
 
@@ -458,7 +476,7 @@ class TestIdentification:
             m = build_maps(g.decompose())
             bic_g = m.pair_g.bicycle_space
             for row in basis(m.pair_union.bicycle_space):
-                assert bic_g.contains(apply(m.f_matrix, row))
+                assert bic_g.contains(apply(dense_f(m), row))
 
 
 class TestInjection:
@@ -583,7 +601,7 @@ class TestLinkingCycles:
 
 def reduced_laplacian_det(graph: Multigraph) -> int:
     """Spanning trees of a connected graph by the matrix-tree theorem."""
-    d = AdjointPair(graph).d
+    d = incidence(graph)
     lap = (d @ d.transpose()).rows
     return exact_det(IntMatrix([row[1:] for row in lap[1:]], shape=(len(lap) - 1,) * 2))
 
@@ -626,6 +644,7 @@ class TestWorkCounts:
         # the cycle lattices come from spanning forests and bond
         # membership needs none
         import mirrorcrit.critical as critical_module
+        import mirrorcrit.factorization as factorization_module
         import mirrorcrit.lattice as lattice_module
         import mirrorcrit.modp as modp_module
 
@@ -681,53 +700,78 @@ class TestWorkCounts:
         for kind in WITNESSES:
             counting_cached(SmithDecomposition, kind)
 
-        rep = main_theorem_verdict(running_example())
-        assert rep.overall_pass
-        assert counts["kernel"] == 2
-        assert counts["cokernel"] == 2
-        assert counts["well_defined"] == 2
-        assert counts["snf"] == 11
-        # one spanning forest per pair (G, G+, G- and G+ u G-), and a
-        # relation matrix for G, G+ and G- only: no Smith form runs on
-        # the union's block diagonal of theirs (44 x 46 on the
-        # benchmark's `large` graphs); the largest is K(G)'s
-        assert counts["spanning_forest"] == 4
-        assert counts["relation_matrix"] == 3
-        maps = rep.maps
-        assert maps.pair_union.critical_group.witness.matrix not in snf_inputs
-        sizes = [a.n_rows * a.n_cols for a in snf_inputs]
-        assert snf_inputs[sizes.index(max(sizes))] == maps.pair_g.relation_matrix
-        assert sizes.count(max(sizes)) == 1
-        # no Smith form's witness is built: kernels and cokernels read
-        # only diagonals, and a hom's Smith coordinates replay the
-        # critical groups' logs on k_t rows, so neither U nor U^-1 is
-        assert {kind: counts[kind] for kind in WITNESSES} == {
-            "left": 0, "right": 0, "left_inv": 0, "right_inv": 0,
-        }
+        # f, d and the cycles are signed supports: no analysis multiplies
+        # or transposes a dense matrix, and the GF(2) kernel runs for f
+        # and f^t only, never for d (the mod-2 cycle space is the span of
+        # the fundamental cycles)
+        gf2_kernels = []
+
+        def recording_kernel(columns, n_rows):
+            gf2_kernels.append((len(columns), n_rows))
+            return gf2_kernel(columns, n_rows)
+
+        gf2_kernel = modp_module.kernel
+        for module in (critical_module, factorization_module, modp_module):
+            if getattr(module, "kernel", None) is gf2_kernel:
+                monkeypatch.setattr(module, "kernel", recording_kernel)
+        for name in ("__matmul__", "transpose"):
+            monkeypatch.setattr(IntMatrix, name, counting(name, getattr(IntMatrix, name)))
+
+        for g in (running_example(), mirror_grid(9, 9)):
+            counts.clear()
+            snf_inputs.clear()
+            gf2_kernels.clear()
+            rep = main_theorem_verdict(g)
+            assert rep.overall_pass
+            assert counts["kernel"] == 2
+            assert counts["cokernel"] == 2
+            assert counts["well_defined"] == 2
+            assert counts["snf"] == 11
+            # one spanning forest per pair (G, G+, G- and G+ u G-), and a
+            # relation matrix for G, G+ and G- only: no Smith form runs on
+            # the union's block diagonal of theirs (44 x 46 on the
+            # benchmark's `large` graphs); the largest is K(G)'s
+            assert counts["spanning_forest"] == 4
+            assert counts["relation_matrix"] == 3
+            maps = rep.maps
+            assert maps.pair_union.critical_group.witness.matrix not in snf_inputs
+            sizes = [a.n_rows * a.n_cols for a in snf_inputs]
+            assert snf_inputs[sizes.index(max(sizes))] == maps.pair_g.relation_matrix
+            assert sizes.count(max(sizes)) == 1
+            # no Smith form's witness is built: kernels and cokernels read
+            # only diagonals, and a hom's Smith coordinates replay the
+            # critical groups' logs on k_t rows, so neither U nor U^-1 is
+            assert {kind: counts[kind] for kind in WITNESSES} == {
+                "left": 0, "right": 0, "left_inv": 0, "right_inv": 0,
+            }
+            # one GF(2) elimination per subspace construction (from_rows,
+            # kernel, intersection); membership reduces against the pivots
+            # of the reduced basis and the fixed ambients are built
+            # reduced, so neither eliminates
+            assert counts["echelonize"] == 18
+            assert counts["__matmul__"] == counts["transpose"] == 0
+            n_edges, n_union = maps.graph.graph.n_edges, len(maps.psi)
+            assert sorted(gf2_kernels) == sorted([(n_union, n_edges), (n_edges, n_union)])
+            # the diagonal-only Smith forms build none
+            diagonal_only = [
+                pair.laplacian_snf for pair in (maps.pair_g, maps.pair_plus, maps.pair_minus)
+            ] + [grp.witness for grp in (maps.coker_f, maps.coker_ft, maps.ker_f, maps.ker_ft)]
+            for decomposition in diagonal_only:
+                assert not set(WITNESSES) & vars(decomposition).keys()
         # every Smith form of a kernel or cokernel is at most k_s + k_t
         # wide and tall, whatever the ambient ranks, and no input entry
-        # exceeds the hom's largest modulus, here and on the 5x5 grid,
-        # whose moduli (up to 6,600) leave room for unreduced entries
+        # exceeds the hom's largest modulus, on both inputs above and on
+        # the 5x5 grid, whose moduli (up to 6,600) leave room for
+        # unreduced entries
         grid = build_maps(mirror_grid(5, 5).decompose())
         for hom in (grid.f_star, grid.ft_star):
             hom.kernel()
             hom.cokernel()
-        assert len(hom_inputs) == 8
+        assert len(hom_inputs) == 12
         for hom, a in hom_inputs:
             moduli = hom.source.moduli + hom.target.moduli
             assert max(a.shape) <= len(moduli)
             assert all(abs(x) <= max(moduli) for row in a.rows for x in row)
-        # one GF(2) elimination per subspace construction (from_rows,
-        # kernel, intersection); membership reduces against the pivots of
-        # the reduced basis and the fixed ambients are built reduced, so
-        # neither eliminates
-        assert counts["echelonize"] == 18
-        # the diagonal-only Smith forms build none
-        diagonal_only = [
-            pair.laplacian_snf for pair in (maps.pair_g, maps.pair_plus, maps.pair_minus)
-        ] + [grp.witness for grp in (maps.coker_f, maps.coker_ft, maps.ker_f, maps.ker_ft)]
-        for decomposition in diagonal_only:
-            assert not set(WITNESSES) & vars(decomposition).keys()
 
     def test_each_hypothesis_traversed_once(self, monkeypatch):
         # one analysis finds the axis components once, and the plus

@@ -3,8 +3,9 @@
 The digests in golden_reports.json are SHA-256 hashes of the structured
 `analyze` documents (without `generated_at` and `input_path`) of the
 shipped sample graphs, of the first 50 graphs of the seeded mixed
-corpus, of four larger inputs (40 to 220 edges): the 5x5, 7x7 and
-11x11 mirror grids and one random graph, and of the four inputs whose
+corpus, of six larger inputs (40 to 312 edges): the 5x5, 7x7, 11x11 and
+13x13 mirror grids, the random graph W3 and random 50 (the first draw of
+`first_connected_draw`), and of the four inputs whose
 hypotheses fail (the identity-mirrored triangle and a doubled axis edge,
 both with a cyclic axis, an empty axis and a disconnected plus graph),
 which pin the null verdicts and the `applicability` block.
@@ -17,6 +18,7 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import sys
 import tempfile
 from pathlib import Path
@@ -41,9 +43,11 @@ LARGER = {
     "mirror_grid-5x5": lambda: mirror_grid(5, 5),
     "mirror_grid-7x7": lambda: mirror_grid(7, 7),
     "mirror_grid-11x11": lambda: mirror_grid(11, 11),
+    "mirror_grid-13x13": lambda: mirror_grid(13, 13),
     "random-w3": lambda: random_symmetric_graph(
         seed=1, n_left=20, n_fixed=4, n_left_edges=40, n_fixed_edges=2
     ),
+    "random-50": lambda: first_connected_draw(50),
 }
 GATED = {
     "identity_mirror_triangle": identity_mirror_triangle,
@@ -51,6 +55,19 @@ GATED = {
     "disconnected_plus": disconnected_plus,
     "cyclic_axis": lambda: parse(CYCLIC_AXIS),
 }
+
+
+def first_connected_draw(size):
+    """The first draw whose plus graph is connected, of the generator at
+    `size` left vertices, seeded from `random.Random(7)`."""
+    master = random.Random(7)
+    while True:
+        g = random_symmetric_graph(
+            seed=master.getrandbits(64), n_left=size, n_fixed=size // 10,
+            n_left_edges=2 * size, n_fixed_edges=size // 20,
+        )
+        if g.decompose().plus.is_connected():
+            return g
 
 
 def document_digest(path) -> str:

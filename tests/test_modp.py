@@ -22,10 +22,17 @@ from mirrorcrit.modp import (
     fixed_ambient,
     is_involution,
     kernel,
-    row_space,
 )
 
-from conftest import apply, basis, identity, random_multigraph, running_example
+from conftest import (
+    apply,
+    basis,
+    identity,
+    matrix_kernel,
+    random_multigraph,
+    row_space,
+    running_example,
+)
 
 
 def random_subspace(rng, ambient, max_rows=4):
@@ -46,9 +53,11 @@ class TestReduction:
 
     def test_entries_reduced(self):
         assert basis(ModpSubspace.from_rows(2, [[2, -1]])) == ((0, 1),)
-        assert kernel(IntMatrix([[2]])).dim == 1
-        assert basis(kernel(IntMatrix([[2, -1, 3]]))) == ((1, 0, 0), (0, 1, 1))
+        assert matrix_kernel(IntMatrix([[2]])).dim == 1
+        assert basis(matrix_kernel(IntMatrix([[2, -1, 3]]))) == ((1, 0, 0), (0, 1, 1))
+        assert basis(kernel([{0: 2}, {0: -1}, {0: 3}], 1)) == ((1, 0, 0), (0, 1, 1))
         assert basis(row_space(IntMatrix([[2, 3]]))) == ((0, 1),)
+        assert basis(ModpSubspace.from_rows(3, [{0: 2, 1: -1, 2: 3}])) == ((0, 1, 1),)
         line = ModpSubspace.from_rows(2, [[0, 1]])
         assert line.contains([2, -1])
         assert not line.contains([3, 0])
@@ -63,8 +72,8 @@ class TestReduction:
             residues = [[x % 2 for x in row] for row in rows]
             m = IntMatrix(rows, shape=(n_rows, n_cols))
             r = IntMatrix(residues, shape=(n_rows, n_cols))
-            ker = kernel(m)
-            assert ker == kernel(r)
+            ker = matrix_kernel(m)
+            assert ker == matrix_kernel(r)
             assert row_space(m) == row_space(r)
             s = ModpSubspace.from_rows(n_cols, rows)
             assert s == ModpSubspace.from_rows(n_cols, residues)
@@ -76,10 +85,10 @@ class TestReduction:
 
 class TestKernelAndRowSpace:
     def test_zero_matrix_full_kernel(self):
-        assert kernel(IntMatrix.zero(2, 3)).dim == 3
+        assert matrix_kernel(IntMatrix.zero(2, 3)).dim == 3
 
     def test_identity_zero_kernel(self):
-        assert kernel(identity(3)).dim == 0
+        assert matrix_kernel(identity(3)).dim == 0
 
     def test_running_example_cycle_space_dim(self):
         # |E| - |V| + #components = 5 - 4 + 1
@@ -108,7 +117,7 @@ class TestKernelAndRowSpace:
             n_cols = rng.randint(1, 6)
             n_rows = rng.randint(1, 5)
             m = IntMatrix([[rng.randrange(2) for _ in range(n_cols)] for _ in range(n_rows)])
-            ker = kernel(m)
+            ker = matrix_kernel(m)
             assert ker.dim == m.n_cols - row_space(m).dim
             for vec in basis(ker):
                 assert not any(x % 2 for x in apply(m, vec))
@@ -200,7 +209,7 @@ class TestAgainstEnumeration:
                 [[rng.randrange(2) for _ in range(n_cols)] for _ in range(n_rows)],
                 shape=(n_rows, n_cols),
             )
-            ker = kernel(m)
+            ker = matrix_kernel(m)
             expected = {
                 as_mask(x)
                 for x in itertools.product((0, 1), repeat=n_cols)
@@ -309,7 +318,7 @@ class TestWideRows:
     def test_kernel(self, case):
         n, a, _, _, _ = case
         m = IntMatrix(a, shape=(len(a), n))
-        assert basis(kernel(m)) == _rows(_gf2(a, n).nullspace())
+        assert basis(matrix_kernel(m)) == _rows(_gf2(a, n).nullspace())
 
 
 class TestFixedSubspace:
