@@ -27,8 +27,11 @@ The factorization theorem needs three hypotheses, which are tracked as
 applicability flags rather than assumed: the plus graph is connected,
 the axis is nonempty (some vertex is fixed), and the fixed subgraph is
 a forest (true for any honest mirror drawing, where fixed edges lie on
-the axis line).  Checks whose proofs need a hypothesis are reported as
-"not applicable" instead of pass/fail when it is missing.
+the axis line).  The table `VERDICTS`, at the end of this module, names
+each verdict, the hypotheses it needs and how it is read off the
+checks.  A verdict whose hypotheses are not all met is reported as "not
+applicable" (None) instead of pass/fail, and a check that only such
+verdicts read is not run.
 """
 
 from __future__ import annotations
@@ -625,30 +628,6 @@ def component_linking_cycles(maps: SymmetryMaps) -> bool:
 # the full pipeline
 
 
-VERDICT_ORDER = (
-    "lattice_preservation",
-    "order_identity",
-    "two_torsion",
-    "doubling_witnesses",
-    "duality",
-    "bicycle_cokernel",
-    "bicycle_kernel",
-    "kernel_ft_basis",
-    "kernel_f_psi_fixed",
-    "laplacian_presentation",
-    "column_exactness",
-    "alternate_presentations",
-    "g_injective",
-    "snake_bond_dims",
-    "snake_cycle_gap",
-    "snake_sum_ratio",
-    "final_two_power_identity",
-    "ratio_is_two_power",
-    "corollary_factorization",
-    "linking_cycle_basis",
-)
-
-
 @dataclass(frozen=True, eq=False)
 class FactorizationReport:
     """The verdicts of the analysis of one symmetric graph, with the
@@ -672,99 +651,111 @@ class FactorizationReport:
         return all(v is not False for v in self.verdicts.values())
 
 
+class _Analysis:
+    """One analysis as the verdict readers see it: the report (the maps
+    and the forest counts), the six checks' reports and the group orders,
+    each computed on first read and at most once.  A check is looked up
+    by its global name when it runs, so a wrapped check is the one that
+    runs."""
+
+    def __init__(self, report: FactorizationReport):
+        self.report, self.maps = report, report.maps
+
+    lattice = cached_property(lambda a: verify_lattice_preservation(a.maps))
+    torsion = cached_property(lambda a: two_torsion_check(a.maps))
+    ident = cached_property(lambda a: identify_kernel_cokernel(a.maps))
+    injection = cached_property(lambda a: g_injection(a.maps))
+    snake = cached_property(lambda a: snake_dimension_report(a.maps))
+    linking = cached_property(lambda a: component_linking_cycles(a.maps))
+    order_g = cached_property(lambda a: a.maps.pair_g.critical_group.order())
+    order_pm = cached_property(
+        lambda a: a.maps.pair_plus.critical_group.order()
+        * a.maps.pair_minus.critical_group.order()
+    )
+    ker_order = cached_property(lambda a: a.maps.ker_f.order())
+    coker_order = cached_property(lambda a: a.maps.coker_f.order())
+
+
+# the three hypotheses, as names of SymmetryMaps flags, and the one that
+# the quotient presentations, the injection and the sum-ratio identity
+# need alone
+HYPOTHESES = ("plus_connected", "axis_nonempty", "axis_forest")
+FOREST = ("axis_forest",)
+
+# Every verdict, in report order: (name, the hypotheses it needs, reader
+# of an _Analysis).
+VERDICTS = (
+    ("lattice_preservation", (), lambda a: a.lattice.passed),
+    (
+        "order_identity", (),
+        lambda a: a.order_pm * a.coker_order == a.order_g * a.ker_order
+        and a.maps.pair_union.critical_group.order() == a.order_pm,
+    ),
+    ("two_torsion", (), lambda a: a.torsion.all_two_torsion),
+    ("doubling_witnesses", (), lambda a: a.torsion.doubling_witnesses),
+    (
+        # ker(f*) ~ coker((f^t)*) and coker(f*) ~ ker((f^t)*)
+        "duality", (),
+        lambda a: a.maps.ker_f.invariant_factors == a.maps.coker_ft.invariant_factors
+        and a.maps.coker_f.invariant_factors == a.maps.ker_ft.invariant_factors,
+    ),
+    ("bicycle_cokernel", (), lambda a: a.ident.coker_matches),
+    ("bicycle_kernel", (), lambda a: a.ident.ker_matches),
+    ("kernel_ft_basis", (), lambda a: a.ident.ker_ft_basis_ok),
+    ("kernel_f_psi_fixed", (), lambda a: a.ident.ker_f_psi_fixed_ok),
+    (
+        "laplacian_presentation", (),
+        lambda a: all(
+            pair.laplacian_invariant_factors == pair.critical_group.invariant_factors
+            for pair in (a.maps.pair_g, a.maps.pair_plus, a.maps.pair_minus)
+        ),
+    ),
+    ("column_exactness", (), lambda a: a.snake.column_exactness),
+    (
+        "alternate_presentations", FOREST,
+        lambda a: a.ident.alternate_coker_matches and a.ident.alternate_ker_matches,
+    ),
+    (
+        "g_injective", FOREST,
+        lambda a: a.injection.halves_agree
+        and a.injection.image_in_phi_fixed_bicycles
+        and a.injection.injective,
+    ),
+    (
+        "snake_bond_dims", ("plus_connected", "axis_nonempty"),
+        lambda a: a.snake.bond_dim_plus_formula and a.snake.bond_dim_formula,
+    ),
+    ("snake_cycle_gap", HYPOTHESES, lambda a: a.snake.cycle_dim_gap_formula),
+    ("snake_sum_ratio", FOREST, lambda a: a.snake.sum_ratio_matches_ker_coker),
+    ("final_two_power_identity", HYPOTHESES, lambda a: a.snake.final_two_power_identity),
+    (
+        "ratio_is_two_power", HYPOTHESES,
+        lambda a: a.order_g == 2**a.maps.exponent * a.order_pm
+        and a.coker_order == 2**a.maps.exponent * a.ker_order,
+    ),
+    (
+        "corollary_factorization", HYPOTHESES,
+        lambda a: a.report.kappa_g
+        == 2**a.maps.exponent * a.report.kappa_plus * a.report.kappa_minus,
+    ),
+    ("linking_cycle_basis", HYPOTHESES, lambda a: a.linking),
+)
+
+
 def main_theorem_verdict(g: SymmetricGraph) -> FactorizationReport:
     """Run the whole pipeline on one symmetric graph.
 
     g is valid and oriented from its construction, so nothing is
-    validated here; the analysis' graph is g.  The three hypotheses
-    (plus graph connected, axis nonempty, fixed subgraph a forest) gate
-    the verdicts whose statements need them; everything else is
-    asserted unconditionally.
+    validated here; the analysis' graph is g.  The verdicts are read in
+    the order of `VERDICTS`: one whose hypotheses all hold is read, and
+    one whose hypotheses do not is None, with no check run for it.  Each
+    check runs at most once, for the first verdict that reads it.
     """
     maps = build_maps(g.decompose())
-
-    pair_g, pair_plus, pair_minus = maps.pair_g, maps.pair_plus, maps.pair_minus
-    order_g = pair_g.critical_group.order()
-    order_pm = pair_plus.critical_group.order() * pair_minus.critical_group.order()
-
-    lattice_report = verify_lattice_preservation(maps)
-    torsion = two_torsion_check(maps)
-    ident = identify_kernel_cokernel(maps)
-    injection = g_injection(maps)
-    snake = snake_dimension_report(maps)
-
-    kappa_g = forest_count(pair_g)
-    kappa_plus = forest_count(pair_plus)
-    kappa_minus = forest_count(pair_minus)
-
-    exponent = maps.exponent
-    axis_forest = maps.axis_forest
-    applicable = maps.theorem_applicable
-
-    laplacian_match = all(
-        pair.laplacian_invariant_factors == pair.critical_group.invariant_factors
-        for pair in (pair_g, pair_plus, pair_minus)
-    )
-
-    ker_f, coker_f, ker_ft, coker_ft = maps.ker_f, maps.coker_f, maps.ker_ft, maps.coker_ft
-    ker_order = ker_f.order()
-    coker_order = coker_f.order()
-    order_identity = (
-        order_pm * coker_order == order_g * ker_order
-        and maps.pair_union.critical_group.order() == order_pm
-    )
-
-    def gated(flag, value):
-        return value if flag else None
-
-    verdicts = {
-        "lattice_preservation": lattice_report.passed,
-        "order_identity": order_identity,
-        "two_torsion": torsion.all_two_torsion,
-        "doubling_witnesses": torsion.doubling_witnesses,
-        # ker(f*) ~ coker((f^t)*) and coker(f*) ~ ker((f^t)*)
-        "duality": ker_f.invariant_factors == coker_ft.invariant_factors
-        and coker_f.invariant_factors == ker_ft.invariant_factors,
-        "bicycle_cokernel": ident.coker_matches,
-        "bicycle_kernel": ident.ker_matches,
-        "kernel_ft_basis": ident.ker_ft_basis_ok,
-        "kernel_f_psi_fixed": ident.ker_f_psi_fixed_ok,
-        "laplacian_presentation": laplacian_match,
-        "column_exactness": snake.column_exactness,
-        # the quotient presentations, the injection, and the sum-ratio
-        # identity need only an acyclic axis, not connectivity
-        "alternate_presentations": gated(
-            axis_forest, ident.alternate_coker_matches and ident.alternate_ker_matches
-        ),
-        "g_injective": gated(
-            axis_forest, injection.halves_agree
-            and injection.image_in_phi_fixed_bicycles
-            and injection.injective,
-        ),
-        "snake_bond_dims": gated(
-            maps.plus_connected and maps.axis_nonempty,
-            snake.bond_dim_plus_formula and snake.bond_dim_formula,
-        ),
-        "snake_cycle_gap": gated(applicable, snake.cycle_dim_gap_formula),
-        "snake_sum_ratio": gated(axis_forest, snake.sum_ratio_matches_ker_coker),
-        "final_two_power_identity": gated(applicable, snake.final_two_power_identity),
-        "ratio_is_two_power": gated(
-            applicable,
-            order_g == 2**exponent * order_pm and coker_order == 2**exponent * ker_order,
-        ),
-        "corollary_factorization": gated(
-            applicable, kappa_g == 2**exponent * kappa_plus * kappa_minus
-        ),
-        # component_linking_cycles needs a connected plus graph to run
-        "linking_cycle_basis": component_linking_cycles(maps) if applicable else None,
-    }
-    if tuple(verdicts) != VERDICT_ORDER:
-        raise AssertionError("verdicts out of VERDICT_ORDER")
-
-    return FactorizationReport(
-        maps=maps,
-        kappa_g=kappa_g,
-        kappa_plus=kappa_plus,
-        kappa_minus=kappa_minus,
-        verdicts=verdicts,
-    )
+    kappas = (forest_count(pair) for pair in (maps.pair_g, maps.pair_plus, maps.pair_minus))
+    report = FactorizationReport(maps, *kappas, verdicts={})
+    analysis = _Analysis(report)
+    met = {flag for flag in HYPOTHESES if getattr(maps, flag)}
+    for name, hypotheses, reader in VERDICTS:
+        report.verdicts[name] = reader(analysis) if met.issuperset(hypotheses) else None
+    return report

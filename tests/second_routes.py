@@ -23,6 +23,14 @@ elimination:
     Fixed edge ab} / (C+ + C-), where a' is the mirror of a, or the axis
     vertex of G- when a is Fixed.
 
+**Wedges.**  `wedge` glues two graph files at one Fixed vertex each.
+The critical group of a wedge is the direct sum of the parts' groups,
+and the plus and minus graphs of the wedge are the wedges of the parts'
+(glued at the glued vertex, and at the axis vertex of the minus graphs).
+So kappa of G, G+ and G- multiplies, K(G), K(G+) and K(G-) are direct
+sums, the exponent |V^phi| - |E^phi| - 1 adds, and both fixed-bicycle
+dimensions add.
+
 **Relabelled and mirrored copies.**  `transformed` renames every id,
 shuffles the lines within each kind and, to mirror the drawing, swaps
 L and R and the arguments of every `phi` and `epair` line.  The
@@ -141,16 +149,53 @@ def psi_fixed_bicycle_dim(desc) -> int:
     return n_plus + len(minus) - _rank(rows) - c_plus - c_minus
 
 
-def transformed(text, seed, mirror=True) -> str:
-    """A copy of a graph file with every id renamed, the lines of each
-    kind shuffled (the kinds keep their order, since each id is declared
-    before its use) and, when `mirror`, the drawing mirrored."""
-    rng = random.Random(seed)
+def _lines(text) -> dict:
+    """The arguments of each line of a graph file, by kind."""
     lines = {kind: [] for kind in KINDS}
     for raw in text.splitlines():
         tokens = raw.split("#", 1)[0].split()
         if tokens:
             lines[tokens[0]].append(tokens[1:])
+    return lines
+
+
+def _write(lines) -> str:
+    return "".join(" ".join((kind, *args)) + "\n" for kind in KINDS for args in lines[kind])
+
+
+def wedge(text_a, text_b, vertex_a, vertex_b) -> str:
+    """Two graph files glued into one, vertex_b of the second on
+    vertex_a of the first; both must be Fixed.  The ids of the first
+    file get the prefix `a.` and those of the second `b.`, and the glued
+    vertex is `a.<vertex_a>`.  Each file must state its `epair` and
+    `efix` lines, as `serialize` writes them: a loop at each glued vertex
+    would make a parallel pair that no line can be inferred for."""
+    out = {kind: [] for kind in KINDS}
+    for prefix, text, glued in (("a", text_a, vertex_a), ("b", text_b, vertex_b)):
+        lines = _lines(text)
+        if [glued, "F"] not in lines["v"]:
+            raise ValueError(f"{glued!r} is not a Fixed vertex")
+
+        def v(x):
+            return f"a.{vertex_a}" if x == glued else f"{prefix}.{x}"
+
+        def e(x):
+            return f"{prefix}.{x}"
+
+        out["v"] += [(v(x), s) for x, s in lines["v"] if prefix == "a" or x != glued]
+        out["phi"] += [(v(a), v(b)) for a, b in lines["phi"]]
+        out["e"] += [(e(x), v(t), v(h)) for x, t, h in lines["e"]]
+        out["epair"] += [(e(a), e(b)) for a, b in lines["epair"]]
+        out["efix"] += [(e(x),) for (x,) in lines["efix"]]
+    return _write(out)
+
+
+def transformed(text, seed, mirror=True) -> str:
+    """A copy of a graph file with every id renamed, the lines of each
+    kind shuffled (the kinds keep their order, since each id is declared
+    before its use) and, when `mirror`, the drawing mirrored."""
+    rng = random.Random(seed)
+    lines = _lines(text)
     vertex_ids = [args[0] for args in lines["v"]]
     edge_ids = [args[0] for args in lines["e"]]
     vertex_names = dict(zip(vertex_ids, rng.sample(range(len(vertex_ids)), len(vertex_ids))))
@@ -174,11 +219,9 @@ def transformed(text, seed, mirror=True) -> str:
         "epair": [pair(e(a), e(b)) for a, b in lines["epair"]],
         "efix": [(e(x),) for (x,) in lines["efix"]],
     }
-    result = []
     for kind in KINDS:
         rng.shuffle(out[kind])
-        result += [" ".join((kind, *args)) for args in out[kind]]
-    return "\n".join(result) + "\n"
+    return _write(out)
 
 
 if __name__ == "__main__":

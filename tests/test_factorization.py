@@ -10,7 +10,7 @@ import pytest
 
 from mirrorcrit.critical import AdjointPair
 from mirrorcrit.factorization import (
-    VERDICT_ORDER,
+    VERDICTS,
     _descend,
     build_maps,
     component_linking_cycles,
@@ -64,6 +64,11 @@ from conftest import (
 )
 
 WITNESSES = ("left", "right", "left_inv", "right_inv")
+# the check functions the verdicts read, which the tracer wraps by name
+CHECKS = (
+    "verify_lattice_preservation", "two_torsion_check", "identify_kernel_cokernel",
+    "g_injection", "snake_dimension_report", "component_linking_cycles",
+)
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_graphs"
 
 # block edge order for the running example: ab, ac, (cb,1), (cb,2), dc, db
@@ -631,6 +636,27 @@ class TestMirrorGrid:
 
 
 class TestWorkCounts:
+    @staticmethod
+    def count_checks(monkeypatch):
+        """Counts the calls of the six checks and of forest_count, wrapped
+        by name in the factorization module, where the tracer wraps them;
+        a verdict reader that held the function objects would count none."""
+        import mirrorcrit.factorization as factorization_module
+
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for name in (*CHECKS, "forest_count"):
+            fn = getattr(factorization_module, name)
+            monkeypatch.setattr(factorization_module, name, counting(name, fn))
+        return calls
+
     def test_each_quantity_computed_once(self, monkeypatch):
         # one analysis computes each kernel, cokernel and well-definedness
         # check once; 11 SNFs cover every group, lattice and cross-check:
@@ -717,12 +743,17 @@ class TestWorkCounts:
         for name in ("__matmul__", "transpose"):
             monkeypatch.setattr(IntMatrix, name, counting(name, getattr(IntMatrix, name)))
 
+        checks = self.count_checks(monkeypatch)
         for g in (running_example(), mirror_grid(9, 9)):
             counts.clear()
             snf_inputs.clear()
             gf2_kernels.clear()
+            checks.clear()
             rep = main_theorem_verdict(g)
             assert rep.overall_pass
+            # each check runs once, however many verdicts read it, and
+            # the report's three forest counts are the only ones
+            assert checks == Counter({**dict.fromkeys(CHECKS, 1), "forest_count": 3})
             assert counts["kernel"] == 2
             assert counts["cokernel"] == 2
             assert counts["well_defined"] == 2
@@ -772,6 +803,24 @@ class TestWorkCounts:
             moduli = hom.source.moduli + hom.target.moduli
             assert max(a.shape) <= len(moduli)
             assert all(abs(x) <= max(moduli) for row in a.rows for x in row)
+
+    def test_gated_out_checks_do_not_run(self, monkeypatch):
+        # a check runs only for a verdict whose hypotheses hold: a cyclic
+        # axis runs no injection, and none of these inputs meets all
+        # three hypotheses, so none links axis components; the checks of
+        # the unconditional verdicts run once each
+        checks = self.count_checks(monkeypatch)
+        injections = (
+            (parse(CYCLIC_AXIS), 0), (identity_mirror_triangle(), 0),
+            (empty_axis(), 1), (disconnected_plus(), 1),
+        )
+        for g, injection in injections:
+            checks.clear()
+            main_theorem_verdict(g)
+            assert checks == Counter({
+                **dict.fromkeys(CHECKS, 1), "g_injection": injection,
+                "component_linking_cycles": 0, "forest_count": 3,
+            })
 
     def test_each_hypothesis_traversed_once(self, monkeypatch):
         # one analysis finds the axis components once, and the plus
@@ -930,7 +979,8 @@ class TestGates:
     def test_verdicts_and_hypotheses(self, name):
         build, not_true, flags = GATE_INPUTS[name]
         rep = main_theorem_verdict(build())
-        assert rep.verdicts == {**dict.fromkeys(VERDICT_ORDER, True), **not_true}
+        everything_true = {verdict: True for verdict, _, _ in VERDICTS}
+        assert rep.verdicts == {**everything_true, **not_true}
         maps = rep.maps
         hypotheses = (
             maps.axis_components[0], maps.exponent, maps.plus_connected,

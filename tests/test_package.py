@@ -32,3 +32,20 @@ def test_readme_api_example_prints_its_comments():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines() == expected
+
+
+def test_readme_gating_table_is_the_verdict_table():
+    # the README's table of verdicts and the hypotheses each needs, row
+    # for row, names and hypotheses both, against the table the
+    # pipeline walks
+    from mirrorcrit.factorization import VERDICTS
+
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Hypotheses and gating", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| (.+) \|$", section, re.M)
+    table = [
+        (name, () if needs == "none" else tuple(re.findall(r"`(\w+)`", needs)))
+        for name, needs in rows
+    ]
+    assert len(table) == 20
+    assert table == [(name, tuple(hypotheses)) for name, hypotheses, _ in VERDICTS]

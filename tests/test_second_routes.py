@@ -1,12 +1,15 @@
 """Second routes at sizes the oracle never reaches (its walks stop at
-2^20 subsets): both fixed-bicycle dimensions from the vertex space, and
+2^20 subsets): both fixed-bicycle dimensions from the vertex space,
 reports that must not change under relabelling, reordering and
-mirroring.  Both run over the generator's draws and the 5x5 to 13x13
-mirror grids."""
+mirroring, and reports of wedges that split into their parts'.  They
+run over the generator's draws, and the first two over the 5x5 to
+13x13 mirror grids too."""
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from sympy import Matrix, ZZ
+from sympy.matrices.normalforms import invariant_factors
 
 from mirrorcrit.cli import report_document
 from mirrorcrit.factorization import build_maps, main_theorem_verdict
@@ -21,7 +24,7 @@ from conftest import (
     mirror_cycle,
     running_example,
 )
-from second_routes import phi_fixed_bicycle_dim, psi_fixed_bicycle_dim, transformed
+from second_routes import phi_fixed_bicycle_dim, psi_fixed_bicycle_dim, transformed, wedge
 
 ROUTES = settings(max_examples=150, derandomize=True, database=None, deadline=None)
 GRIDS = (5, 7, 9, 11, 13)
@@ -30,12 +33,12 @@ RUN_FIELDS = ("input_path", "input_sha256", "generated_at")
 
 
 @st.composite
-def generator_draws(draw):
+def generator_draws(draw, min_fixed=0):
     """Graphs of the seeded generator, disconnected plus graphs and empty
-    axes included."""
+    axes included (unless `min_fixed` is positive)."""
     params = dict(
         n_left=draw(st.integers(0, 6)),
-        n_fixed=draw(st.integers(0, 4)),
+        n_fixed=draw(st.integers(min_fixed, 4)),
         n_left_edges=draw(st.integers(0, 10)),
         n_fixed_edges=draw(st.integers(0, 3)),
     )
@@ -132,3 +135,44 @@ class TestRelabelledAndMirrored:
             else:
                 assert a == b
         assert kinds == {"v", "phi", "e", "epair", "efix"}
+
+
+def direct_sum(*groups) -> tuple:
+    """The invariant factors of the direct sum of these finite groups:
+    sympy's Smith form of the diagonal of all their factors."""
+    factors = [d for group in groups for d in group.invariant_factors]
+    if not factors:
+        return ()
+    return tuple(int(d) for d in invariant_factors(Matrix.diag(*factors), domain=ZZ) if d != 1)
+
+
+class TestWedge:
+    """Two graphs glued at one Fixed vertex each: kappa of G, G+ and G-
+    multiplies, K(G), K(G+) and K(G-) are the direct sums of the parts'
+    groups, the exponent and both fixed-bicycle dimensions add, and when
+    both parts meet all three hypotheses every verdict of the wedge is
+    true."""
+
+    @ROUTES
+    @given(generator_draws(min_fixed=1), generator_draws(min_fixed=1), st.data())
+    def test_generator_draws(self, a, b, data):
+        vertex_a = data.draw(st.sampled_from(a.fixed_vertices))
+        vertex_b = data.draw(st.sampled_from(b.fixed_vertices))
+        glued = parse(wedge(serialize(a), serialize(b), vertex_a, vertex_b))
+        parts = [main_theorem_verdict(g) for g in (a, b)]
+        rep = main_theorem_verdict(glued)
+        for kappa in ("kappa_g", "kappa_plus", "kappa_minus"):
+            assert getattr(rep, kappa) == getattr(parts[0], kappa) * getattr(parts[1], kappa)
+        for pair in ("pair_g", "pair_plus", "pair_minus"):
+            group = getattr(rep.maps, pair).critical_group
+            summands = [getattr(part.maps, pair).critical_group for part in parts]
+            assert group.free_rank == 0 == sum(s.free_rank for s in summands)
+            assert group.invariant_factors == direct_sum(*summands)
+        m, m_a, m_b = rep.maps, parts[0].maps, parts[1].maps
+        assert m.exponent == m_a.exponent + m_b.exponent
+        assert m.phi_bicycles.dim == m_a.phi_bicycles.dim + m_b.phi_bicycles.dim
+        assert m.psi_bicycles.dim == m_a.psi_bicycles.dim + m_b.psi_bicycles.dim
+        applicable = [part.maps.theorem_applicable for part in parts]
+        assert rep.maps.theorem_applicable == all(applicable)
+        if all(applicable):
+            assert all(v is True for v in rep.verdicts.values())
