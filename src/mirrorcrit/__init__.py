@@ -45,7 +45,6 @@ from .lattice import (
     FpAbelianGroup,
     GroupHom,
     IntMatrix,
-    SmithDecomposition,
     smith_normal_form,
 )
 from .modp import ModpSubspace, kernel
@@ -67,7 +66,6 @@ __all__ = [
     "Multigraph",
     "ParseError",
     "RIGHT",
-    "SmithDecomposition",
     "SymmetricGraph",
     "SymmetryMaps",
     "bicycle_masks_bruteforce",

@@ -35,7 +35,6 @@ from .graphs import Multigraph
 from .lattice import (
     FpAbelianGroup,
     IntMatrix,
-    SmithDecomposition,
     combine,
     direct_sum_smith,
     smith_normal_form,
@@ -174,11 +173,9 @@ class AdjointPair:
         diagonal, present the same group, and no Smith form of its size
         runs."""
         if not self.parts:
-            return FpAbelianGroup.quotient(self.c1_rank, self.relation_matrix)
+            return smith_normal_form(self.relation_matrix)
         first, second = self.parts
-        return FpAbelianGroup.from_smith(direct_sum_smith(
-            first.critical_group.witness, second.critical_group.witness,
-        ))
+        return direct_sum_smith(first.critical_group, second.critical_group)
 
     @cached_property
     def laplacian(self) -> IntMatrix:
@@ -197,20 +194,15 @@ class AdjointPair:
         return IntMatrix(rows, shape=(n, n))
 
     @cached_property
-    def laplacian_snf(self) -> SmithDecomposition:
-        return smith_normal_form(self.laplacian)
-
-    @property
-    def laplacian_invariant_factors(self) -> tuple[int, ...]:
-        """Invariant factors of the torsion of coker(d dt), an independent
-        presentation of K.
+    def laplacian_snf(self) -> FpAbelianGroup:
+        """coker(d dt), whose invariant factors are those of K: an
+        independent presentation of K's torsion.
 
         coker(d dt) = K + coker(d); dropping the free rank (= rank of
         coker(d)) leaves the invariant factors of K whenever coker(d) is
-        torsion-free, which holds for every graph boundary map.  The
-        Laplacian's Smith form already lists them.
+        torsion-free, which holds for every graph boundary map.
         """
-        return self.laplacian_snf.nontrivial_factors
+        return smith_normal_form(self.laplacian)
 
     @cached_property
     def cycle_space_mod2(self) -> ModpSubspace:
@@ -235,7 +227,7 @@ def forest_count(pair: AdjointPair) -> int:
 
     Equals the product of the nonzero invariant factors of the graph
     Laplacian, hence the order of the critical group.  The Laplacian's
-    Smith form is the one `laplacian_invariant_factors` reads.
+    Smith form is `laplacian_snf`, whose invariant factors are K's.
     """
     return math.prod(d for d in pair.laplacian_snf.diagonal if d > 0)
 

@@ -706,7 +706,7 @@ VERDICTS = (
     (
         "laplacian_presentation", (),
         lambda a: all(
-            pair.laplacian_invariant_factors == pair.critical_group.invariant_factors
+            pair.laplacian_snf.invariant_factors == pair.critical_group.invariant_factors
             for pair in (a.maps.pair_g, a.maps.pair_plus, a.maps.pair_minus)
         ),
     ),

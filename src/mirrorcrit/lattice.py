@@ -5,21 +5,22 @@ nonzero entries, and a sparse matrix the tuple of its columns' supports:
 the form of a graph's edge maps (f, d, the cycle bases), whose products
 then cost O(nonzeros).  `IntMatrix` is only the input of a Smith form.
 
-Smith normal form with unimodular change-of-basis witnesses, and
-finitely presented abelian groups given by integer relation matrices
-(with kernels and cokernels of homomorphisms between them).  The
-reduction works on S alone, each row operation over the pivot row's
-nonzero entries, and logs its elementary operations; S's diagonal is
-kept, and each witness is built from that log only when a caller reads
-it.  The decomposition of a block-diagonal matrix is composed from its
-blocks' logs and one Smith form of their nontrivial diagonal entries.  A
-homomorphism is given by the supports of its columns and computed in the
-Smith coordinates of its source and target, where each group is a
-product of cyclic groups Z/d: its well-definedness is read off that
-matrix directly.  Its cokernel, and its kernel as the cokernel of the
-dual hom (for a finite source), are one Smith form each, at most k_s +
-k_t wide, k being the number of nontrivial cyclic factors; for finite
-groups no entry exceeds a modulus.
+A finitely presented abelian group Z^m / A is held as the Smith
+decomposition U A V = S of its relation matrix, with unimodular
+change-of-basis witnesses (and kernels and cokernels of homomorphisms
+between such groups).  The reduction works on S alone, each row operation
+over the pivot row's nonzero entries, and logs its elementary
+operations; S's diagonal is kept, and each witness is built from that
+log only when a caller reads it.  `_replay` right-multiplies rows by a
+log's product or by its inverse, its two modes.  The decomposition of a
+block-diagonal matrix is composed from its blocks' logs and one Smith
+form of their nontrivial diagonal entries.  A homomorphism is given by
+the supports of its columns and computed in the Smith coordinates of its
+source and target, where each group is a product of cyclic groups Z/d:
+its well-definedness is read off that matrix directly.  Its cokernel, and
+its kernel as the cokernel of the dual hom (for a finite source), are
+one Smith form each, at most k_s + k_t wide, k being the number of
+nontrivial cyclic factors; for finite groups no entry exceeds a modulus.
 
 Everything runs on Python ints, so there is no overflow, ever.
 """
@@ -139,9 +140,11 @@ class IntMatrix:
         return f"IntMatrix({self.n_rows}x{self.n_cols})"
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
-    """U * A * V = S with U, V unimodular and S in Smith normal form.
+@dataclass(frozen=True, eq=False)
+class FpAbelianGroup:
+    """The finitely presented abelian group Z^m / (column lattice of
+    `matrix`), held as that matrix's Smith decomposition U A V = S, U
+    and V unimodular.
 
     S is kept as its diagonal, min(m, n) entries.  The reduction logs
     its elementary row operations (which make U) and column operations
@@ -150,6 +153,10 @@ class SmithDecomposition:
     and then kept, so a caller that reads only the diagonal builds
     none.  A caller that needs a few rows of a product with U or U^-1
     replays the log on those rows alone (`_replay`).
+
+    `invariant_factors` is the increasing divisibility chain d_1 | d_2 | ...
+    with every d_i > 1; together with `free_rank` it is a complete
+    isomorphism invariant, and groups are compared by it alone.
     """
 
     matrix: IntMatrix
@@ -157,8 +164,8 @@ class SmithDecomposition:
     row_ops: tuple = field(repr=False)
     col_ops: tuple = field(repr=False)
 
-    def _witness(self, size, ops, transpose=False, inverse=False) -> IntMatrix:
-        rows = _replay(_unit_rows(range(size), size), ops, transpose, inverse)
+    def _witness(self, size, ops, inverse=False) -> IntMatrix:
+        rows = _replay(_unit_rows(range(size), size), ops, inverse)
         return IntMatrix._of(rows, shape=(size, size))
 
     @cached_property
@@ -171,19 +178,59 @@ class SmithDecomposition:
 
     @cached_property
     def right(self) -> IntMatrix:
-        return self._witness(self.matrix.n_cols, self.col_ops, transpose=True)
+        return self._witness(self.matrix.n_cols, self.col_ops).transpose()
 
     @cached_property
     def right_inv(self) -> IntMatrix:
-        return self._witness(self.matrix.n_cols, self.col_ops, transpose=True, inverse=True)
+        return self._witness(self.matrix.n_cols, self.col_ops, inverse=True).transpose()
 
     @property
-    def rank(self):
+    def ambient_rank(self) -> int:
+        return self.matrix.n_rows
+
+    @property
+    def rank(self) -> int:
         return sum(1 for d in self.diagonal if d != 0)
 
-    @property
-    def nontrivial_factors(self):
+    @cached_property
+    def invariant_factors(self) -> tuple[int, ...]:
         return tuple(d for d in self.diagonal if d > 1)
+
+    @cached_property
+    def free_rank(self) -> int:
+        return self.ambient_rank - self.rank
+
+    def order(self):
+        """Group order, or None when the group is infinite."""
+        if self.free_rank:
+            return None
+        return math.prod(self.invariant_factors)
+
+    def annihilated_by(self, k: int) -> bool:
+        """True iff k*x = 0 for every element (so: k-torsion and finite)."""
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        return self.free_rank == 0 and all(k % d == 0 for d in self.invariant_factors)
+
+    @property
+    def moduli(self) -> tuple[int, ...]:
+        """The order of each nontrivial Smith generator: the invariant
+        factors, then 0 for each free generator.
+
+        With U R V = S, x -> U x carries the group onto the product of
+        the Z/d_i, with generators U^-1 e_i.  The leading coordinates
+        have d_i = 1 and vanish, so these are the last len(moduli)
+        coordinates of U x.
+        """
+        return self.invariant_factors + (0,) * self.free_rank
+
+    def describe(self) -> str:
+        """Human-readable isomorphism type, largest factor first."""
+        parts = ["Z"] * self.free_rank + [f"Z/{d}" for d in reversed(self.invariant_factors)]
+        return " + ".join(parts) if parts else "0"
+
+    def __repr__(self):
+        return f"FpAbelianGroup({self.describe()})"
 
 
 _SWAP, _ADD, _NEGATE = range(3)
@@ -194,28 +241,25 @@ def _unit_rows(indices, size):
     return [[int(i == j) for j in range(size)] for i in indices]
 
 
-def _replay(rows, ops, transpose=False, inverse=False):
+def _replay(rows, ops, inverse=False):
     """Right-multiply each of `rows` (lists of ints, changed in place
-    and returned) by L, L^-1, L^T or L^-T for the product L = E_k ... E_1
-    of a log's elementary matrices, at O(len(rows)) per operation.
+    and returned) by L or L^-1 for the product L = E_k ... E_1 of a
+    log's elementary matrices, at O(len(rows)) per operation.
 
     A log entry is (_SWAP, i, j), (_ADD, dst, src, q) for "row dst +=
     q * row src", or (_NEGATE, i).  For a row log L = U; for a column
     log L = V^T, since "column dst += q * column src" is the transpose
-    of that row operation.  So the identity's rows give U, U^-1, V
-    (transpose) and V^-1 (both), and k unit rows give k rows of them.
+    of that row operation.  So the identity's rows give U and U^-1, or
+    V^T and V^-T, and k unit rows give k rows of them.
     Right-multiplying by E applies "entry src += q * entry dst" to each
-    row, by E^T "entry dst += q * entry src", and an inverse negates q;
-    swaps and negations are their own inverses and transposes.  L and
-    L^-T take the log in reverse order, L^-1 and L^T in order.
+    row, and by E^-1 the same with -q; swaps and negations are their
+    own inverses.  L takes the log in reverse order, L^-1 in order.
     """
-    if transpose == inverse:
+    if not inverse:
         ops = reversed(ops)
     for op in ops:
         if op[0] == _ADD:
             _, dst, src, q = op
-            if transpose:
-                dst, src = src, dst
             if inverse:
                 q = -q
             for row in rows:
@@ -239,8 +283,9 @@ def _first_min(values):
     return (low, mags.index(low)) if low else None
 
 
-def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
-    """Smith normal form over the integers.
+def smith_normal_form(a: IntMatrix) -> FpAbelianGroup:
+    """Smith normal form over the integers: the group Z^m / a, held as
+    a's Smith decomposition.
 
     Pivots are chosen as the nonzero entry of minimal absolute value
     (ties broken by smallest row, then column index), which keeps
@@ -338,7 +383,7 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
             row_ops.append((_ADD, t, bad, 1))
         t += 1
 
-    return SmithDecomposition(
+    return FpAbelianGroup(
         matrix=a,
         diagonal=tuple(s[i][i] for i in range(min(m, n))),
         row_ops=tuple(row_ops),
@@ -351,9 +396,9 @@ def _relabel(ops, index):
     return [(op[0], *(index[i] for i in op[1:3]), *op[3:]) for op in ops]
 
 
-def direct_sum_smith(first, second) -> SmithDecomposition:
-    """Smith decomposition of the block-diagonal matrix [A 0; 0 B] of
-    the decompositions `first` (of A) and `second` (of B).
+def direct_sum_smith(first, second) -> FpAbelianGroup:
+    """The direct sum of the groups `first` = Z^m1 / A and `second` =
+    Z^m2 / B, as the Smith decomposition of [A 0; 0 B].
 
     The two logs act on disjoint rows and columns, so together they
     make the nonzero diagonal entries of both parts, with nothing else
@@ -383,80 +428,12 @@ def direct_sum_smith(first, second) -> SmithDecomposition:
     inner = smith_normal_form(_diagonal([d for d, _, _ in entries[units:]]))
     block = range(units, len(entries))
     diagonal = (1,) * units + inner.diagonal
-    return SmithDecomposition(
+    return FpAbelianGroup(
         matrix=IntMatrix._of(rows, shape=(m, n)),
         diagonal=diagonal + (0,) * (min(m, n) - len(diagonal)),
         row_ops=tuple(row_ops) + tuple(_relabel(inner.row_ops, block)),
         col_ops=tuple(col_ops) + tuple(_relabel(inner.col_ops, block)),
     )
-
-
-@dataclass(frozen=True, eq=False)
-class FpAbelianGroup:
-    """Finitely presented abelian group Z^n / (column lattice of relations),
-    the relation matrix being `witness.matrix`.
-
-    `invariant_factors` is the increasing divisibility chain d_1 | d_2 | ...
-    with every d_i > 1; together with `free_rank` it is a complete
-    isomorphism invariant, and groups are compared by it alone.
-    """
-
-    ambient_rank: int
-    witness: SmithDecomposition
-    invariant_factors: tuple[int, ...]
-    free_rank: int
-
-    @classmethod
-    def quotient(cls, ambient_rank: int, generators: IntMatrix) -> "FpAbelianGroup":
-        if generators.n_rows != ambient_rank:
-            raise ValueError(
-                f"generator matrix has {generators.n_rows} rows, expected {ambient_rank}"
-            )
-        return cls.from_smith(smith_normal_form(generators))
-
-    @classmethod
-    def from_smith(cls, witness: SmithDecomposition) -> "FpAbelianGroup":
-        """The quotient by the columns of `witness.matrix`, read off that
-        matrix's Smith decomposition."""
-        ambient_rank = witness.matrix.n_rows
-        return cls(
-            ambient_rank=ambient_rank,
-            witness=witness,
-            invariant_factors=witness.nontrivial_factors,
-            free_rank=ambient_rank - witness.rank,
-        )
-
-    def order(self):
-        """Group order, or None when the group is infinite."""
-        if self.free_rank:
-            return None
-        return math.prod(self.invariant_factors)
-
-    def annihilated_by(self, k: int) -> bool:
-        """True iff k*x = 0 for every element (so: k-torsion and finite)."""
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        return self.free_rank == 0 and all(k % d == 0 for d in self.invariant_factors)
-
-    @property
-    def moduli(self) -> tuple[int, ...]:
-        """The order of each nontrivial Smith generator: the invariant
-        factors, then 0 for each free generator.
-
-        With U R V = S, x -> U x carries the group onto the product of
-        the Z/d_i, with generators U^-1 e_i.  The leading coordinates
-        have d_i = 1 and vanish, so these are the last len(moduli)
-        coordinates of U x.
-        """
-        return self.invariant_factors + (0,) * self.free_rank
-
-    def describe(self) -> str:
-        """Human-readable isomorphism type, largest factor first."""
-        parts = ["Z"] * self.free_rank + [f"Z/{d}" for d in reversed(self.invariant_factors)]
-        return " + ".join(parts) if parts else "0"
-
-    def __repr__(self):
-        return f"FpAbelianGroup({self.describe()})"
 
 
 def _diagonal(entries) -> IntMatrix:
@@ -513,12 +490,12 @@ class GroupHom:
         moduli = self.target.moduli
         n_t = self.target.ambient_rank
         rows = _unit_rows(range(n_t - len(moduli), n_t), n_t)
-        rows = _reduce(_replay(rows, self.target.witness.row_ops), moduli)
+        rows = _reduce(_replay(rows, self.target.row_ops), moduli)
         product = [
             [sum(row[k] * x for k, x in col.items()) for col in self.columns] for row in rows
         ]
         rows = _reduce(product, moduli)
-        return _reduce(_replay(rows, self.source.witness.row_ops, inverse=True), moduli)
+        return _reduce(_replay(rows, self.source.row_ops, inverse=True), moduli)
 
     @cached_property
     def well_defined(self) -> bool:
@@ -566,11 +543,11 @@ class GroupHom:
         finite = [(row, t) for row, t in zip(self._block.rows, self.target.moduli) if t]
         dual = [[row[i] * s // t for row, t in finite] for i, s in enumerate(moduli)]
         gens = _diagonal(moduli).hstack(IntMatrix._of(dual, shape=(k_s, len(finite))))
-        return FpAbelianGroup.quotient(k_s, gens)
+        return smith_normal_form(gens)
 
     def cokernel(self) -> FpAbelianGroup:
         """Target modulo (target relations + image), as [D_t | M']."""
         if not self.well_defined:
             raise ValueError("homomorphism is not well defined")
         gens = _diagonal(self.target.moduli).hstack(self._block)
-        return FpAbelianGroup.quotient(self._block.n_rows, gens)
+        return smith_normal_form(gens)

@@ -134,7 +134,7 @@ def element_order(group, vec):
     """Order of the class of `vec` in the presented group, or None when
     infinite, read off its last Smith coordinates (see
     `FpAbelianGroup.moduli`)."""
-    w = apply(group.witness.left, vec)
+    w = apply(group.left, vec)
     order = 1
     for d, x in zip(group.moduli, w[group.ambient_rank - len(group.moduli):]):
         if d:

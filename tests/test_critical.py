@@ -17,7 +17,6 @@ from mirrorcrit.factorization import build_maps
 from mirrorcrit.graphfile import parse
 from mirrorcrit.graphs import Multigraph
 from mirrorcrit.lattice import (
-    FpAbelianGroup,
     GroupHom,
     IntMatrix,
     smith_normal_form,
@@ -82,7 +81,7 @@ class TestAdjointPair:
             if m == 0:
                 continue
             dt = dense(pair.cuts, m)
-            bonds = FpAbelianGroup.quotient(m, dt)
+            bonds = smith_normal_form(dt)
             cycles_t = dense(pair.cycles, m).transpose()
             for k in range(20):
                 if k % 3 == 2:
@@ -119,7 +118,8 @@ FOREST = settings(max_examples=200, derandomize=True, database=None, deadline=No
 class TestBoundarySupports:
     """d's columns and rows as the pair holds them, and the Laplacian it
     reads off the graph's degrees and adjacencies, against the dense d
-    built from the edges and the product d dt."""
+    built from the edges and the product d dt; the Laplacian's group
+    against the critical group."""
 
     @FOREST
     @given(multigraphs())
@@ -130,6 +130,12 @@ class TestBoundarySupports:
         assert dense(pair.boundary, pair.c0_rank) == d
         assert pair.cuts == supports(d.transpose())
         assert pair.laplacian == d @ d.transpose()
+        # coker(d dt) = K + Z^c, c the number of components, on loops,
+        # parallel edges, isolated vertices and several components alike
+        assert pair.laplacian_snf.free_rank == g.components()[0]
+        assert pair.laplacian_snf.invariant_factors == pair.critical_group.invariant_factors
+        assert pair.critical_group.free_rank == 0
+        assert forest_count(pair) == pair.critical_group.order()
 
 
 class TestForestCycleBasis:
@@ -183,8 +189,8 @@ class TestCriticalGroup:
 
     def test_laplacian_presentation_running_example(self):
         pair = AdjointPair(running_example().graph)
-        assert pair.laplacian_invariant_factors == (8,)
-        assert pair.laplacian_invariant_factors == pair.critical_group.invariant_factors
+        assert pair.laplacian_snf.invariant_factors == (8,)
+        assert pair.laplacian_snf.invariant_factors == pair.critical_group.invariant_factors
 
     def test_laplacian_presentation_two_triangles(self):
         two = Multigraph(
@@ -199,19 +205,19 @@ class TestCriticalGroup:
             ],
         )
         pair = AdjointPair(two)
-        assert pair.laplacian_invariant_factors == (3, 3)
+        assert pair.laplacian_snf.invariant_factors == (3, 3)
         assert forest_count(pair) == 9 == count_maximal_forests_bruteforce(two)
 
     def test_laplacian_presentation_single_vertex(self):
         g = Multigraph(["1"], [])
-        assert AdjointPair(g).laplacian_invariant_factors == ()
+        assert AdjointPair(g).laplacian_snf.invariant_factors == ()
 
     def test_laplacian_matches_quotient_on_corpus(self, mixed_corpus):
         for g in mixed_corpus:
             pair = AdjointPair(g.graph)
             # the Laplacian route has free rank 0 by construction
             assert pair.critical_group.free_rank == 0
-            assert pair.laplacian_invariant_factors == pair.critical_group.invariant_factors
+            assert pair.laplacian_snf.invariant_factors == pair.critical_group.invariant_factors
 
     def test_doubling_on_theta_graph(self):
         # tripled edge on two vertices: K = Z/3, and doubling is an
