@@ -16,7 +16,6 @@ from .critical import (
     forest_count,
 )
 from .factorization import (
-    FactorizationReport,
     SymmetryMaps,
     build_maps,
     component_linking_cycles,
@@ -56,7 +55,6 @@ __all__ = [
     "Decomposition",
     "Edge",
     "FIXED",
-    "FactorizationReport",
     "FpAbelianGroup",
     "GroupHom",
     "IntMatrix",

@@ -36,7 +36,7 @@ from .critical import (
     count_maximal_forests_bruteforce,
     subspace_masks,
 )
-from .factorization import FactorizationReport, build_maps, main_theorem_verdict
+from .factorization import SymmetryMaps, build_maps, main_theorem_verdict
 from .graphfile import ParseError, parse, parse_plain, serialize
 from .graphs import InvalidSymmetricGraph
 from .randgraph import random_symmetric_graph
@@ -52,13 +52,12 @@ def _group_doc(group):
     }
 
 
-def report_document(report: FactorizationReport, path: str, raw: bytes) -> dict:
+def report_document(maps: SymmetryMaps, path: str, raw: bytes) -> dict:
     """Stable-keyed document with every report field.
 
     Deterministic for a fixed input file except for `generated_at`,
     which consumers should ignore when comparing documents.
     """
-    maps = report.maps
     g = maps.graph
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -92,9 +91,9 @@ def report_document(report: FactorizationReport, path: str, raw: bytes) -> dict:
             "coker_ft_star": _group_doc(maps.coker_ft),
         },
         "kappa": {
-            "G": report.kappa_g,
-            "G_plus": report.kappa_plus,
-            "G_minus": report.kappa_minus,
+            "G": maps.kappa_g,
+            "G_plus": maps.kappa_plus,
+            "G_minus": maps.kappa_minus,
         },
         "exponent": maps.exponent,
         "axis_components": maps.axis_components[0],
@@ -118,8 +117,8 @@ def report_document(report: FactorizationReport, path: str, raw: bytes) -> dict:
             "dim_sum_psi": maps.sum_psi.dim,
             "dim_sum_phi": maps.sum_phi.dim,
         },
-        "verdicts": dict(report.verdicts),
-        "overall_pass": report.overall_pass,
+        "verdicts": dict(maps.verdicts),
+        "overall_pass": maps.overall_pass,
     }
     return doc
 

@@ -31,7 +31,9 @@ the axis line).  The table `VERDICTS`, at the end of this module, names
 each verdict, the hypotheses it needs and how it is read off the
 checks.  A verdict whose hypotheses are not all met is reported as "not
 applicable" (None) instead of pass/fail, and a check that only such
-verdicts read is not run.
+verdicts read is not run.  `main_theorem_verdict` returns one object,
+the analysis (`SymmetryMaps`), which holds every group, forest count,
+check report and verdict.
 """
 
 from __future__ import annotations
@@ -64,11 +66,13 @@ class SymmetryMaps:
     plus edges in plus-graph order, then minus edges in minus-graph
     order.  psi (on E+ u E-) and phi (on the edges of G)
     are index tuples, i -> psi[i].  This is the one holder of every fact
-    of the analysis: the pairs and their critical groups, the induced
-    homs and their kernels and cokernels, the fixed GF(2) spaces (whose
-    `dim`s the reports print), f mod 2, and the theorem's hypotheses
-    (the axis components, the plus graph's connectivity, the exponent
-    and the flags derived from them).  Each is computed once, on first
+    of the analysis, and `main_theorem_verdict` returns it as the
+    report: the pairs and their critical groups, the induced homs and
+    their kernels and cokernels, the fixed GF(2) spaces (whose `dim`s
+    the reports print), f mod 2, the theorem's hypotheses (the axis
+    components, the plus graph's connectivity, the exponent and the
+    flags derived from them), the three spanning-forest counts, the six
+    checks' reports and the verdicts.  Each is computed once, on first
     use, and lives exactly as long as this graph's analysis.  GF(2)
     vectors are bit sets, bit j = coordinate j.
     """
@@ -223,6 +227,35 @@ class SymmetryMaps:
     def psi_bicycles(self) -> ModpSubspace:
         """Bicycles of G+ u G- fixed by psi: Z^psi cap B^psi."""
         return self.z_psi.intersection(self.b_psi)
+
+    # The forest counts and the six checks' reports.  Each names its
+    # function in its body, so it is looked up by its global name when it
+    # runs and a wrapped function (the tracer's) is the one that runs.
+    kappa_g = cached_property(lambda m: forest_count(m.pair_g))
+    kappa_plus = cached_property(lambda m: forest_count(m.pair_plus))
+    kappa_minus = cached_property(lambda m: forest_count(m.pair_minus))
+    lattice_report = cached_property(lambda m: verify_lattice_preservation(m))
+    torsion_report = cached_property(lambda m: two_torsion_check(m))
+    identification = cached_property(lambda m: identify_kernel_cokernel(m))
+    injection_report = cached_property(lambda m: g_injection(m))
+    snake_report = cached_property(lambda m: snake_dimension_report(m))
+    linking_ok = cached_property(lambda m: component_linking_cycles(m))
+
+    @cached_property
+    def verdicts(self) -> dict:
+        """{name: verdict} in the order of `VERDICTS`: one whose
+        hypotheses all hold is read, and one whose hypotheses do not is
+        None, with no check run for it.  Each check runs at most once,
+        for the first verdict that reads it."""
+        met = {flag for flag in HYPOTHESES if getattr(self, flag)}
+        return {
+            name: reader(self) if met.issuperset(hypotheses) else None
+            for name, hypotheses, reader in VERDICTS
+        }
+
+    @property
+    def overall_pass(self) -> bool:
+        return all(v is not False for v in self.verdicts.values())
 
 
 def _descend(name, columns, source: AdjointPair, target: AdjointPair) -> GroupHom:
@@ -380,10 +413,6 @@ def verify_lattice_preservation(maps: SymmetryMaps) -> LatticePreservationReport
 class TorsionReport:
     all_two_torsion: bool
     doubling_witnesses: bool
-
-    @property
-    def passed(self):
-        return self.all_two_torsion and self.doubling_witnesses
 
 
 def two_torsion_check(maps: SymmetryMaps) -> TorsionReport:
@@ -628,54 +657,6 @@ def component_linking_cycles(maps: SymmetryMaps) -> bool:
 # the full pipeline
 
 
-@dataclass(frozen=True, eq=False)
-class FactorizationReport:
-    """The verdicts of the analysis of one symmetric graph, with the
-    spanning-forest counts and the analysis they were read off.
-
-    Verdicts are True/False when the check applies and None when a
-    hypothesis it needs is not met.  Everything else the analysis found
-    (the graph, the groups, the fixed-space dimensions and the
-    hypotheses) is held once, on `maps`, and nothing is cached across
-    graphs: every run starts from scratch.
-    """
-
-    maps: SymmetryMaps
-    kappa_g: int
-    kappa_plus: int
-    kappa_minus: int
-    verdicts: dict
-
-    @property
-    def overall_pass(self):
-        return all(v is not False for v in self.verdicts.values())
-
-
-class _Analysis:
-    """One analysis as the verdict readers see it: the report (the maps
-    and the forest counts), the six checks' reports and the group orders,
-    each computed on first read and at most once.  A check is looked up
-    by its global name when it runs, so a wrapped check is the one that
-    runs."""
-
-    def __init__(self, report: FactorizationReport):
-        self.report, self.maps = report, report.maps
-
-    lattice = cached_property(lambda a: verify_lattice_preservation(a.maps))
-    torsion = cached_property(lambda a: two_torsion_check(a.maps))
-    ident = cached_property(lambda a: identify_kernel_cokernel(a.maps))
-    injection = cached_property(lambda a: g_injection(a.maps))
-    snake = cached_property(lambda a: snake_dimension_report(a.maps))
-    linking = cached_property(lambda a: component_linking_cycles(a.maps))
-    order_g = cached_property(lambda a: a.maps.pair_g.critical_group.order())
-    order_pm = cached_property(
-        lambda a: a.maps.pair_plus.critical_group.order()
-        * a.maps.pair_minus.critical_group.order()
-    )
-    ker_order = cached_property(lambda a: a.maps.ker_f.order())
-    coker_order = cached_property(lambda a: a.maps.coker_f.order())
-
-
 # the three hypotheses, as names of SymmetryMaps flags, and the one that
 # the quotient presentations, the injection and the sum-ratio identity
 # need alone
@@ -683,79 +664,77 @@ HYPOTHESES = ("plus_connected", "axis_nonempty", "axis_forest")
 FOREST = ("axis_forest",)
 
 # Every verdict, in report order: (name, the hypotheses it needs, reader
-# of an _Analysis).
+# of a SymmetryMaps).
 VERDICTS = (
-    ("lattice_preservation", (), lambda a: a.lattice.passed),
+    ("lattice_preservation", (), lambda m: m.lattice_report.passed),
     (
         "order_identity", (),
-        lambda a: a.order_pm * a.coker_order == a.order_g * a.ker_order
-        and a.maps.pair_union.critical_group.order() == a.order_pm,
+        lambda m: m.pair_union.critical_group.order() * m.coker_f.order()
+        == m.pair_g.critical_group.order() * m.ker_f.order()
+        and m.pair_union.critical_group.order()
+        == m.pair_plus.critical_group.order() * m.pair_minus.critical_group.order(),
     ),
-    ("two_torsion", (), lambda a: a.torsion.all_two_torsion),
-    ("doubling_witnesses", (), lambda a: a.torsion.doubling_witnesses),
+    ("two_torsion", (), lambda m: m.torsion_report.all_two_torsion),
+    ("doubling_witnesses", (), lambda m: m.torsion_report.doubling_witnesses),
     (
         # ker(f*) ~ coker((f^t)*) and coker(f*) ~ ker((f^t)*)
         "duality", (),
-        lambda a: a.maps.ker_f.invariant_factors == a.maps.coker_ft.invariant_factors
-        and a.maps.coker_f.invariant_factors == a.maps.ker_ft.invariant_factors,
+        lambda m: m.ker_f.invariant_factors == m.coker_ft.invariant_factors
+        and m.coker_f.invariant_factors == m.ker_ft.invariant_factors,
     ),
-    ("bicycle_cokernel", (), lambda a: a.ident.coker_matches),
-    ("bicycle_kernel", (), lambda a: a.ident.ker_matches),
-    ("kernel_ft_basis", (), lambda a: a.ident.ker_ft_basis_ok),
-    ("kernel_f_psi_fixed", (), lambda a: a.ident.ker_f_psi_fixed_ok),
+    ("bicycle_cokernel", (), lambda m: m.identification.coker_matches),
+    ("bicycle_kernel", (), lambda m: m.identification.ker_matches),
+    ("kernel_ft_basis", (), lambda m: m.identification.ker_ft_basis_ok),
+    ("kernel_f_psi_fixed", (), lambda m: m.identification.ker_f_psi_fixed_ok),
     (
         "laplacian_presentation", (),
-        lambda a: all(
+        lambda m: all(
             pair.laplacian_snf.invariant_factors == pair.critical_group.invariant_factors
-            for pair in (a.maps.pair_g, a.maps.pair_plus, a.maps.pair_minus)
+            for pair in (m.pair_g, m.pair_plus, m.pair_minus)
         ),
     ),
-    ("column_exactness", (), lambda a: a.snake.column_exactness),
+    ("column_exactness", (), lambda m: m.snake_report.column_exactness),
     (
         "alternate_presentations", FOREST,
-        lambda a: a.ident.alternate_coker_matches and a.ident.alternate_ker_matches,
+        lambda m: m.identification.alternate_coker_matches
+        and m.identification.alternate_ker_matches,
     ),
     (
         "g_injective", FOREST,
-        lambda a: a.injection.halves_agree
-        and a.injection.image_in_phi_fixed_bicycles
-        and a.injection.injective,
+        lambda m: m.injection_report.halves_agree
+        and m.injection_report.image_in_phi_fixed_bicycles
+        and m.injection_report.injective,
     ),
     (
         "snake_bond_dims", ("plus_connected", "axis_nonempty"),
-        lambda a: a.snake.bond_dim_plus_formula and a.snake.bond_dim_formula,
+        lambda m: m.snake_report.bond_dim_plus_formula and m.snake_report.bond_dim_formula,
     ),
-    ("snake_cycle_gap", HYPOTHESES, lambda a: a.snake.cycle_dim_gap_formula),
-    ("snake_sum_ratio", FOREST, lambda a: a.snake.sum_ratio_matches_ker_coker),
-    ("final_two_power_identity", HYPOTHESES, lambda a: a.snake.final_two_power_identity),
+    ("snake_cycle_gap", HYPOTHESES, lambda m: m.snake_report.cycle_dim_gap_formula),
+    ("snake_sum_ratio", FOREST, lambda m: m.snake_report.sum_ratio_matches_ker_coker),
+    ("final_two_power_identity", HYPOTHESES, lambda m: m.snake_report.final_two_power_identity),
     (
         "ratio_is_two_power", HYPOTHESES,
-        lambda a: a.order_g == 2**a.maps.exponent * a.order_pm
-        and a.coker_order == 2**a.maps.exponent * a.ker_order,
+        lambda m: m.pair_g.critical_group.order()
+        == 2**m.exponent * m.pair_plus.critical_group.order() * m.pair_minus.critical_group.order()
+        and m.coker_f.order() == 2**m.exponent * m.ker_f.order(),
     ),
     (
         "corollary_factorization", HYPOTHESES,
-        lambda a: a.report.kappa_g
-        == 2**a.maps.exponent * a.report.kappa_plus * a.report.kappa_minus,
+        lambda m: m.kappa_g == 2**m.exponent * m.kappa_plus * m.kappa_minus,
     ),
-    ("linking_cycle_basis", HYPOTHESES, lambda a: a.linking),
+    ("linking_cycle_basis", HYPOTHESES, lambda m: m.linking_ok),
 )
 
 
-def main_theorem_verdict(g: SymmetricGraph) -> FactorizationReport:
-    """Run the whole pipeline on one symmetric graph.
+def main_theorem_verdict(g: SymmetricGraph) -> SymmetryMaps:
+    """Run the whole pipeline on one symmetric graph and return its
+    analysis, which is the report.
 
     g is valid and oriented from its construction, so nothing is
-    validated here; the analysis' graph is g.  The verdicts are read in
-    the order of `VERDICTS`: one whose hypotheses all hold is read, and
-    one whose hypotheses do not is None, with no check run for it.  Each
-    check runs at most once, for the first verdict that reads it.
+    validated here; the analysis' graph is g.  The forest counts and the
+    verdicts are computed here, so reading the report runs no analysis.
     """
     maps = build_maps(g.decompose())
-    kappas = (forest_count(pair) for pair in (maps.pair_g, maps.pair_plus, maps.pair_minus))
-    report = FactorizationReport(maps, *kappas, verdicts={})
-    analysis = _Analysis(report)
-    met = {flag for flag in HYPOTHESES if getattr(maps, flag)}
-    for name, hypotheses, reader in VERDICTS:
-        report.verdicts[name] = reader(analysis) if met.issuperset(hypotheses) else None
-    return report
+    for name in ("kappa_g", "kappa_plus", "kappa_minus", "verdicts"):
+        getattr(maps, name)
+    return maps

@@ -54,24 +54,23 @@ def permute_mask(mask, images):
 def test_criterion_1_running_example():
     failures = []
     rep = main_theorem_verdict(running_example())
-    maps = rep.maps
-    group_g = maps.pair_g.critical_group
-    group_plus = maps.pair_plus.critical_group
-    group_minus = maps.pair_minus.critical_group
+    group_g = rep.pair_g.critical_group
+    group_plus = rep.pair_plus.critical_group
+    group_minus = rep.pair_minus.critical_group
     expected = {
         "K(G)": (group_g.invariant_factors, (8,)),
         "K(G+)": (group_plus.invariant_factors, (4,)),
         "K(G-)": (group_minus.invariant_factors, (2,)),
-        "ker": (maps.ker_f.invariant_factors, (2,)),
-        "coker": (maps.coker_f.invariant_factors, (2,)),
-        "exponent": (maps.exponent, 0),
+        "ker": (rep.ker_f.invariant_factors, (2,)),
+        "coker": (rep.coker_f.invariant_factors, (2,)),
+        "exponent": (rep.exponent, 0),
     }
     for name, (got, want) in expected.items():
         if got != want:
             failures.append(f"{name}: got {got}, expected {want}")
     if (
-        group_plus.order() * group_minus.order() * maps.coker_f.order()
-        != group_g.order() * maps.ker_f.order()
+        group_plus.order() * group_minus.order() * rep.coker_f.order()
+        != group_g.order() * rep.ker_f.order()
     ):
         failures.append("exact-sequence order identity violated")
     if not rep.overall_pass:
@@ -83,18 +82,17 @@ def test_criterion_2_cycle_family():
     failures = []
     for n in range(2, 9):
         rep = main_theorem_verdict(mirror_cycle(n))
-        maps = rep.maps
-        group_g = maps.pair_g.critical_group
-        if maps.ker_f.invariant_factors != ():
+        group_g = rep.pair_g.critical_group
+        if rep.ker_f.invariant_factors != ():
             failures.append(f"n={n}: kernel not trivial")
-        if maps.coker_f.invariant_factors != (2,):
+        if rep.coker_f.invariant_factors != (2,):
             failures.append(f"n={n}: cokernel not Z/2")
         if group_g.invariant_factors != (2 * n,):
             failures.append(f"n={n}: K(G) not Z/{2 * n}")
-        if maps.pair_plus.critical_group.order() != 1:
+        if rep.pair_plus.critical_group.order() != 1:
             failures.append(f"n={n}: K(G+) not trivial")
         want_minus = (n,) if n > 1 else ()
-        if maps.pair_minus.critical_group.invariant_factors != want_minus:
+        if rep.pair_minus.critical_group.invariant_factors != want_minus:
             failures.append(f"n={n}: K(G-) not Z/{n}")
         split = smith_normal_form(IntMatrix([[n, 0], [0, 2]]))
         if n % 2 == 0 and group_g.describe() == split.describe():
@@ -110,17 +108,17 @@ def test_criterion_3_corollary_factorization(corpus_reports):
     failures = []
     brute_checked = 0
     for g, rep in corpus_reports:
-        if not rep.maps.theorem_applicable:
+        if not rep.theorem_applicable:
             failures.append("corpus instance unexpectedly not applicable")
             continue
-        expected = 2**rep.maps.exponent * rep.kappa_plus * rep.kappa_minus
+        expected = 2**rep.exponent * rep.kappa_plus * rep.kappa_minus
         if rep.kappa_g != expected:
             failures.append(
-                f"kappa mismatch: {rep.kappa_g} != 2^{rep.maps.exponent} "
+                f"kappa mismatch: {rep.kappa_g} != 2^{rep.exponent} "
                 f"* {rep.kappa_plus} * {rep.kappa_minus}"
             )
         if g.graph.n_edges <= 12:
-            dec = rep.maps.dec
+            dec = rep.dec
             if count_maximal_forests_bruteforce(g.graph) != rep.kappa_g:
                 failures.append("brute forest count disagrees on G")
             if count_maximal_forests_bruteforce(dec.plus) != rep.kappa_plus:
@@ -139,22 +137,21 @@ def test_criterion_4_bicycle_identifications(corpus_reports):
     failures = []
     confirmed_phi = confirmed_psi = 0
     for g, rep in corpus_reports:
-        maps = rep.maps
-        dim_phi_fixed, dim_psi_fixed = maps.phi_bicycles.dim, maps.psi_bicycles.dim
-        if maps.coker_f.order() != 2**dim_phi_fixed:
+        dim_phi_fixed, dim_psi_fixed = rep.phi_bicycles.dim, rep.psi_bicycles.dim
+        if rep.coker_f.order() != 2**dim_phi_fixed:
             failures.append("log2|coker| != dim phi-fixed bicycles")
-        if maps.ker_f.order() != 2**dim_psi_fixed:
+        if rep.ker_f.order() != 2**dim_psi_fixed:
             failures.append("log2|ker| != dim psi-fixed bicycles")
         if g.graph.n_edges <= 12:
             masks = bicycle_masks_bruteforce(g.graph)
-            fixed = [m for m in masks if permute_mask(m, maps.phi) == m]
+            fixed = [m for m in masks if permute_mask(m, rep.phi) == m]
             if len(fixed) != 2**dim_phi_fixed:
                 failures.append("enumerated phi-fixed bicycles disagree")
             confirmed_phi += 1
-        union = maps.dec.union_graph()
+        union = rep.dec.union_graph()
         if union.n_edges <= 12:
             masks = bicycle_masks_bruteforce(union)
-            fixed = [m for m in masks if permute_mask(m, maps.psi) == m]
+            fixed = [m for m in masks if permute_mask(m, rep.psi) == m]
             if len(fixed) != 2**dim_psi_fixed:
                 failures.append("enumerated psi-fixed bicycles disagree")
             confirmed_psi += 1
@@ -172,18 +169,17 @@ def test_criterion_4_bicycle_identifications(corpus_reports):
 def test_criterion_5_two_torsion_and_duality(corpus_reports):
     failures = []
     for g, rep in corpus_reports:
-        maps = rep.maps
         for name, group in (
-            ("ker f*", maps.ker_f),
-            ("coker f*", maps.coker_f),
-            ("ker (f^t)*", maps.ker_ft),
-            ("coker (f^t)*", maps.coker_ft),
+            ("ker f*", rep.ker_f),
+            ("coker f*", rep.coker_f),
+            ("ker (f^t)*", rep.ker_ft),
+            ("coker (f^t)*", rep.coker_ft),
         ):
             if not group.annihilated_by(2):
                 failures.append(f"{name} not 2-torsion: {group.describe()}")
-        if maps.ker_f.invariant_factors != maps.coker_ft.invariant_factors:
+        if rep.ker_f.invariant_factors != rep.coker_ft.invariant_factors:
             failures.append("ker(f*) != coker((f^t)*)")
-        if maps.coker_f.invariant_factors != maps.ker_ft.invariant_factors:
+        if rep.coker_f.invariant_factors != rep.ker_ft.invariant_factors:
             failures.append("coker(f*) != ker((f^t)*)")
     announce(5, "2-torsion and duality", failures)
 
@@ -191,15 +187,14 @@ def test_criterion_5_two_torsion_and_duality(corpus_reports):
 def test_criterion_6_snake_dimensions(corpus_reports):
     failures = []
     for g, rep in corpus_reports:
-        maps = rep.maps
         n_vr = len(g.right_vertices)
-        if maps.b_psi.dim != n_vr + len(g.fixed_edges):
+        if rep.b_psi.dim != n_vr + len(g.fixed_edges):
             failures.append("dim (B+ + B-)^psi formula fails")
-        if maps.b_phi.dim != n_vr + len(g.fixed_vertices) - 1:
+        if rep.b_phi.dim != n_vr + len(g.fixed_vertices) - 1:
             failures.append("dim B^phi formula fails")
-        if maps.z_phi.dim - maps.z_psi.dim != maps.exponent:
+        if rep.z_phi.dim - rep.z_psi.dim != rep.exponent:
             failures.append("cycle dimension gap formula fails")
-        if maps.exponent + maps.psi_bicycles.dim != maps.phi_bicycles.dim:
+        if rep.exponent + rep.psi_bicycles.dim != rep.phi_bicycles.dim:
             failures.append("alternating-product identity fails")
     announce(6, "snake dimensions", failures)
 
@@ -229,7 +224,7 @@ def test_criterion_8_laplacian_presentation(corpus_reports):
         if not rep.verdicts["laplacian_presentation"]:
             failures.append("Laplacian-route invariant factors disagree")
         pair = AdjointPair(g.graph)
-        if pair.laplacian_snf.invariant_factors != rep.maps.pair_g.critical_group.invariant_factors:
+        if pair.laplacian_snf.invariant_factors != rep.pair_g.critical_group.invariant_factors:
             failures.append("recomputed Laplacian route disagrees")
     announce(8, "Laplacian presentation", failures)
 

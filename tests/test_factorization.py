@@ -369,14 +369,14 @@ class TestInducedMaps:
 class TestTwoTorsion:
     def test_running_example(self, maps):
         report = two_torsion_check(maps)
-        assert report.passed
+        assert report.all_two_torsion and report.doubling_witnesses
         assert maps.ker_f.invariant_factors == (2,)
         assert maps.coker_f.invariant_factors == (2,)
 
     def test_mirror_cycle(self):
         m = build_maps(mirror_cycle(3).decompose())
         report = two_torsion_check(m)
-        assert report.passed
+        assert report.all_two_torsion and report.doubling_witnesses
         assert m.ker_f.order() == 1
         assert m.coker_f.invariant_factors == (2,)
 
@@ -627,7 +627,7 @@ class TestMirrorGrid:
         assert len(rep.verdicts) == 20
         assert all(v is True for v in rep.verdicts.values())
         two_torsion = (2,) * ((r - 1) // 2)
-        for group in (rep.maps.ker_f, rep.maps.coker_f, rep.maps.ker_ft, rep.maps.coker_ft):
+        for group in (rep.ker_f, rep.coker_f, rep.ker_ft, rep.coker_ft):
             assert group.invariant_factors == two_torsion
             assert group.free_rank == 0
         assert rep.kappa_g == reduced_laplacian_det(g.graph)
@@ -762,10 +762,9 @@ class TestWorkCounts:
             # benchmark's `large` graphs); the largest is K(G)'s
             assert counts["spanning_forest"] == 4
             assert counts["relation_matrix"] == 3
-            maps = rep.maps
-            assert maps.pair_union.critical_group.matrix not in snf_inputs
+            assert rep.pair_union.critical_group.matrix not in snf_inputs
             sizes = [a.n_rows * a.n_cols for a in snf_inputs]
-            assert snf_inputs[sizes.index(max(sizes))] == maps.pair_g.relation_matrix
+            assert snf_inputs[sizes.index(max(sizes))] == rep.pair_g.relation_matrix
             assert sizes.count(max(sizes)) == 1
             # no Smith form's witness is built: kernels and cokernels read
             # only diagonals, and a hom's Smith coordinates replay the
@@ -779,12 +778,12 @@ class TestWorkCounts:
             # reduced, so neither eliminates
             assert counts["echelonize"] == 18
             assert counts["__matmul__"] == counts["transpose"] == 0
-            n_edges, n_union = maps.graph.graph.n_edges, len(maps.psi)
+            n_edges, n_union = rep.graph.graph.n_edges, len(rep.psi)
             assert sorted(gf2_kernels) == sorted([(n_union, n_edges), (n_edges, n_union)])
             # the diagonal-only Smith forms build none
             diagonal_only = [
-                *(pair.laplacian_snf for pair in (maps.pair_g, maps.pair_plus, maps.pair_minus)),
-                maps.coker_f, maps.coker_ft, maps.ker_f, maps.ker_ft,
+                *(pair.laplacian_snf for pair in (rep.pair_g, rep.pair_plus, rep.pair_minus)),
+                rep.coker_f, rep.coker_ft, rep.ker_f, rep.ker_ft,
             ]
             for group in diagonal_only:
                 assert not set(WITNESSES) & vars(group).keys()
@@ -821,6 +820,41 @@ class TestWorkCounts:
                 "component_linking_cycles": 0, "forest_count": 3,
             })
 
+    def test_the_analysis_is_complete_when_returned(self, monkeypatch):
+        # main_theorem_verdict computes the forest counts and the
+        # verdicts before it returns, so reading them again and
+        # formatting the report run no Smith form, elimination, check or
+        # forest count, gated inputs included
+        import mirrorcrit.cli as cli_module
+        import mirrorcrit.critical as critical_module
+        import mirrorcrit.lattice as lattice_module
+        import mirrorcrit.modp as modp_module
+
+        calls = self.count_checks(monkeypatch)
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        snf = counting("snf", lattice_module.smith_normal_form)
+        monkeypatch.setattr(lattice_module, "smith_normal_form", snf)
+        monkeypatch.setattr(critical_module, "smith_normal_form", snf)
+        monkeypatch.setattr(
+            modp_module, "_echelonize", counting("echelonize", modp_module._echelonize)
+        )
+        inputs = (running_example(), mirror_grid(9, 9), empty_axis(), parse(CYCLIC_AXIS))
+        for g in inputs:
+            rep = main_theorem_verdict(g)
+            calls.clear()
+            doc = cli_module.report_document(rep, "x", b"")
+            assert (doc["verdicts"], doc["overall_pass"]) == (rep.verdicts, rep.overall_pass)
+            kappas = {"G": rep.kappa_g, "G_plus": rep.kappa_plus, "G_minus": rep.kappa_minus}
+            assert doc["kappa"] == kappas
+            assert calls == {}
+
     def test_each_hypothesis_traversed_once(self, monkeypatch):
         # one analysis finds the axis components once, and the plus
         # graph's connectivity once, and reads both from SymmetryMaps
@@ -834,8 +868,8 @@ class TestWorkCounts:
         monkeypatch.setattr(Multigraph, "components", counting)
         rep = main_theorem_verdict(mirror_grid(7, 7))
         assert rep.overall_pass
-        axis = tuple(rep.maps.graph.fixed_vertices)
-        assert calls == {axis: 1, rep.maps.dec.plus.vertices: 1}
+        axis = tuple(rep.graph.fixed_vertices)
+        assert calls == {axis: 1, rep.dec.plus.vertices: 1}
 
     def test_each_fixed_ambient_built_once(self, monkeypatch):
         # the phi- and psi-fixed ambients are built once each and shared
@@ -864,7 +898,7 @@ class TestWorkCounts:
         )
         rep = main_theorem_verdict(mirror_grid(7, 7))
         assert rep.overall_pass
-        n_phi, n_psi = len(rep.maps.phi), len(rep.maps.psi)
+        n_phi, n_psi = len(rep.phi), len(rep.psi)
         assert n_phi != n_psi
         assert calls == {
             ("fixed_ambient", n_phi): 1,
@@ -910,7 +944,8 @@ class TestWorkCounts:
     def test_oracle_reads_the_analysis_maps(self, monkeypatch, capsys):
         # oracle on a symmetric input builds K(G) once and runs no
         # verdicts: 6 Smith forms, for K(G), K(G+), K(G-), the diagonal
-        # of K(G+ u G-), and the cokernel and kernel of f*
+        # of K(G+ u G-), and the cokernel and kernel of f*, and no check
+        # or forest count
         import mirrorcrit.cli as cli_module
         import mirrorcrit.critical as critical_module
         import mirrorcrit.factorization as factorization_module
@@ -931,9 +966,11 @@ class TestWorkCounts:
         verdict = counting("main_theorem_verdict", main_theorem_verdict)
         monkeypatch.setattr(cli_module, "main_theorem_verdict", verdict)
         monkeypatch.setattr(factorization_module, "main_theorem_verdict", verdict)
+        checks = self.count_checks(monkeypatch)
         assert cli_module.main(["oracle", str(SAMPLES / "k4minus.sg")]) == 0
         assert "oracle: all checks agree" in capsys.readouterr().out
         assert calls == {"snf": 6}
+        assert checks == {}
 
 
 # the verdicts gated off when the axis is not a forest, and when G+ is
@@ -980,10 +1017,9 @@ class TestGates:
         rep = main_theorem_verdict(build())
         everything_true = {verdict: True for verdict, _, _ in VERDICTS}
         assert rep.verdicts == {**everything_true, **not_true}
-        maps = rep.maps
         hypotheses = (
-            maps.axis_components[0], maps.exponent, maps.plus_connected,
-            maps.axis_nonempty, maps.axis_forest,
+            rep.axis_components[0], rep.exponent, rep.plus_connected,
+            rep.axis_nonempty, rep.axis_forest,
         )
         assert hypotheses == flags
 
@@ -991,35 +1027,33 @@ class TestGates:
 class TestMainTheoremVerdict:
     def test_running_example(self):
         rep = main_theorem_verdict(running_example())
-        maps = rep.maps
-        assert maps.pair_g.critical_group.invariant_factors == (8,)
-        assert maps.pair_plus.critical_group.invariant_factors == (4,)
-        assert maps.pair_minus.critical_group.invariant_factors == (2,)
-        assert maps.ker_f.invariant_factors == (2,)
-        assert maps.coker_f.invariant_factors == (2,)
-        assert maps.exponent == 0
+        assert rep.pair_g.critical_group.invariant_factors == (8,)
+        assert rep.pair_plus.critical_group.invariant_factors == (4,)
+        assert rep.pair_minus.critical_group.invariant_factors == (2,)
+        assert rep.ker_f.invariant_factors == (2,)
+        assert rep.coker_f.invariant_factors == (2,)
+        assert rep.exponent == 0
         assert (rep.kappa_g, rep.kappa_plus, rep.kappa_minus) == (8, 4, 2)
-        assert maps.theorem_applicable
+        assert rep.theorem_applicable
         assert rep.overall_pass
         assert all(v is True for v in rep.verdicts.values())
 
     def test_mirror_cycle_family(self):
         for n in range(2, 9):
             rep = main_theorem_verdict(mirror_cycle(n))
-            maps = rep.maps
-            assert maps.pair_g.critical_group.invariant_factors == (2 * n,)
-            assert maps.pair_plus.critical_group.order() == 1
-            assert maps.pair_minus.critical_group.order() == n
-            assert maps.ker_f.order() == 1
-            assert maps.coker_f.invariant_factors == (2,)
-            assert maps.exponent == 1
+            assert rep.pair_g.critical_group.invariant_factors == (2 * n,)
+            assert rep.pair_plus.critical_group.order() == 1
+            assert rep.pair_minus.critical_group.order() == n
+            assert rep.ker_f.order() == 1
+            assert rep.coker_f.invariant_factors == (2,)
+            assert rep.exponent == 1
             assert rep.overall_pass
 
     def test_mirror_cycle_non_splitness(self):
         # for even n the extension 0 -> Z/n -> K -> Z/2 -> 0 does not
         # split: Z/2n and Z/n + Z/2 have different invariant factors
         for n in range(2, 9):
-            group_g = main_theorem_verdict(mirror_cycle(n)).maps.pair_g.critical_group
+            group_g = main_theorem_verdict(mirror_cycle(n)).pair_g.critical_group
             split = smith_normal_form(IntMatrix([[n, 0], [0, 2]]))
             if n % 2 == 0:
                 assert group_g.describe() != split.describe()
@@ -1027,17 +1061,17 @@ class TestMainTheoremVerdict:
                 assert group_g.describe() == split.describe()
 
     def test_order_identity_written_out(self):
-        maps = main_theorem_verdict(running_example()).maps
+        rep = main_theorem_verdict(running_example())
         assert (
-            maps.pair_plus.critical_group.order()
-            * maps.pair_minus.critical_group.order()
-            * maps.coker_f.order()
-            == maps.pair_g.critical_group.order() * maps.ker_f.order()
+            rep.pair_plus.critical_group.order()
+            * rep.pair_minus.critical_group.order()
+            * rep.coker_f.order()
+            == rep.pair_g.critical_group.order() * rep.ker_f.order()
         )
 
     def test_tripod_exponent_two(self):
         rep = main_theorem_verdict(tripod())
-        assert rep.maps.exponent == 2
+        assert rep.exponent == 2
         assert rep.kappa_g == 12
         assert rep.kappa_plus == 1 and rep.kappa_minus == 3
         assert rep.overall_pass
@@ -1047,13 +1081,12 @@ class TestMainTheoremVerdict:
         # pass; everything needing the forest hypothesis is n/a, and
         # the counterexample numbers show why the gate exists
         rep = main_theorem_verdict(identity_mirror_triangle())
-        maps = rep.maps
-        assert maps.axis_forest is False
-        assert not maps.theorem_applicable
-        assert maps.pair_g.critical_group.invariant_factors == (3,)
-        assert maps.pair_plus.critical_group.invariant_factors == (6,)
-        assert maps.ker_f.invariant_factors == (2,)
-        assert maps.coker_f.order() == 1
+        assert rep.axis_forest is False
+        assert not rep.theorem_applicable
+        assert rep.pair_g.critical_group.invariant_factors == (3,)
+        assert rep.pair_plus.critical_group.invariant_factors == (6,)
+        assert rep.ker_f.invariant_factors == (2,)
+        assert rep.coker_f.order() == 1
         assert rep.verdicts["ratio_is_two_power"] is None
         assert rep.verdicts["g_injective"] is None
         assert rep.verdicts["order_identity"] is True
@@ -1062,13 +1095,13 @@ class TestMainTheoremVerdict:
 
     def test_empty_axis_gated(self):
         rep = main_theorem_verdict(empty_axis())
-        assert rep.maps.axis_nonempty is False
+        assert rep.axis_nonempty is False
         assert rep.verdicts["ratio_is_two_power"] is None
         assert rep.overall_pass  # unconditional checks still hold
 
     def test_disconnected_plus_gated(self):
         rep = main_theorem_verdict(disconnected_plus())
-        assert rep.maps.plus_connected is False
+        assert rep.plus_connected is False
         assert rep.verdicts["snake_bond_dims"] is None
         assert rep.verdicts["corollary_factorization"] is None
         assert rep.overall_pass
@@ -1087,7 +1120,7 @@ class TestMainTheoremVerdict:
                   for pair in (m.pair_g, m.pair_plus, m.pair_minus, m.pair_union)),
                 *(grp.invariant_factors for grp in (m.ker_f, m.coker_f, m.ker_ft, m.coker_ft)),
             ]
-            for m in (rep.maps for rep in reports)
+            for m in reports
         ]
         assert factors[0] == factors[1]
 
@@ -1116,6 +1149,6 @@ class TestMainTheoremVerdict:
     def test_connected_corpus_applicable(self, small_corpus):
         for g in small_corpus:
             rep = main_theorem_verdict(g)
-            assert rep.maps.theorem_applicable
+            assert rep.theorem_applicable
             assert rep.verdicts["ratio_is_two_power"] is True
             assert rep.verdicts["corollary_factorization"] is True

@@ -49,3 +49,24 @@ def test_readme_gating_table_is_the_verdict_table():
     ]
     assert len(table) == 20
     assert table == [(name, tuple(hypotheses)) for name, hypotheses, _ in VERDICTS]
+
+
+def test_readme_class_names_exist():
+    # every CamelCase name in a backticked span of the README is a name
+    # of the package, of one of its modules, or a builtin, so a renamed
+    # or deleted class cannot stay in the documentation
+    import builtins
+    import importlib
+    import pkgutil
+
+    readme = (ROOT / "README.md").read_text()
+    prose = re.sub(r"```.*?```", "", readme, flags=re.S)
+    spans = re.findall(r"`([^`\n]+)`", prose)
+    names = {name for span in spans for name in re.findall(r"\b[A-Z][a-z0-9]+[A-Z]\w*", span)}
+    assert {"SymmetryMaps", "FpAbelianGroup", "ValueError"} <= names
+    namespaces = [builtins, mirrorcrit] + [
+        importlib.import_module(f"mirrorcrit.{info.name}")
+        for info in pkgutil.iter_modules(mirrorcrit.__path__)
+    ]
+    missing = sorted(name for name in names if not any(hasattr(ns, name) for ns in namespaces))
+    assert missing == []

@@ -164,15 +164,15 @@ class TestWedge:
         for kappa in ("kappa_g", "kappa_plus", "kappa_minus"):
             assert getattr(rep, kappa) == getattr(parts[0], kappa) * getattr(parts[1], kappa)
         for pair in ("pair_g", "pair_plus", "pair_minus"):
-            group = getattr(rep.maps, pair).critical_group
-            summands = [getattr(part.maps, pair).critical_group for part in parts]
+            group = getattr(rep, pair).critical_group
+            summands = [getattr(part, pair).critical_group for part in parts]
             assert group.free_rank == 0 == sum(s.free_rank for s in summands)
             assert group.invariant_factors == direct_sum(*summands)
-        m, m_a, m_b = rep.maps, parts[0].maps, parts[1].maps
-        assert m.exponent == m_a.exponent + m_b.exponent
-        assert m.phi_bicycles.dim == m_a.phi_bicycles.dim + m_b.phi_bicycles.dim
-        assert m.psi_bicycles.dim == m_a.psi_bicycles.dim + m_b.psi_bicycles.dim
-        applicable = [part.maps.theorem_applicable for part in parts]
-        assert rep.maps.theorem_applicable == all(applicable)
+        m_a, m_b = parts
+        assert rep.exponent == m_a.exponent + m_b.exponent
+        assert rep.phi_bicycles.dim == m_a.phi_bicycles.dim + m_b.phi_bicycles.dim
+        assert rep.psi_bicycles.dim == m_a.psi_bicycles.dim + m_b.psi_bicycles.dim
+        applicable = [part.theorem_applicable for part in parts]
+        assert rep.theorem_applicable == all(applicable)
         if all(applicable):
             assert all(v is True for v in rep.verdicts.values())
