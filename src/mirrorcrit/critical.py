@@ -36,7 +36,7 @@ from .lattice import (
     FpAbelianGroup,
     IntMatrix,
     combine,
-    direct_sum_smith,
+    direct_sum,
     smith_normal_form,
     support_rows,
 )
@@ -175,7 +175,7 @@ class AdjointPair:
         if not self.parts:
             return smith_normal_form(self.relation_matrix)
         first, second = self.parts
-        return direct_sum_smith(first.critical_group, second.critical_group)
+        return direct_sum(first.critical_group, second.critical_group)
 
     @cached_property
     def laplacian(self) -> IntMatrix:

@@ -5,22 +5,22 @@ nonzero entries, and a sparse matrix the tuple of its columns' supports:
 the form of a graph's edge maps (f, d, the cycle bases), whose products
 then cost O(nonzeros).  `IntMatrix` is only the input of a Smith form.
 
-A finitely presented abelian group Z^m / A is held as the Smith
-decomposition U A V = S of its relation matrix, with unimodular
-change-of-basis witnesses (and kernels and cokernels of homomorphisms
-between such groups).  The reduction works on S alone, each row operation
-over the pivot row's nonzero entries, and logs its elementary
-operations; S's diagonal is kept, and each witness is built from that
-log only when a caller reads it.  `_replay` right-multiplies rows by a
-log's product or by its inverse, its two modes.  The decomposition of a
-block-diagonal matrix is composed from its blocks' logs and one Smith
-form of their nontrivial diagonal entries.  A homomorphism is given by
-the supports of its columns and computed in the Smith coordinates of its
-source and target, where each group is a product of cyclic groups Z/d:
-its well-definedness is read off that matrix directly.  Its cokernel, and
-its kernel as the cokernel of the dual hom (for a finite source), are
-one Smith form each, at most k_s + k_t wide, k being the number of
-nontrivial cyclic factors; for finite groups no entry exceeds a modulus.
+A finitely presented abelian group Z^m / A is held as a decomposition
+U A V = S of its relation matrix, with unimodular change-of-basis
+witnesses, in which each row of S holds at most one nonzero entry, its
+modulus: a Smith form, or the block diagonal of two.  The Smith
+reduction works on S alone, each row operation over the pivot row's
+nonzero entries, and logs its elementary operations; S's entries are
+kept, and each witness is built from that log only when a caller reads
+it.  `_replay` right-multiplies rows by a log's product or by its
+inverse, its two modes.  A direct sum puts its parts' logs side by side.
+A homomorphism is given by the supports of its columns and computed in
+the coordinates of S's rows for its source and target, where each group
+is a product of cyclic groups Z/d: its well-definedness is read off that
+matrix directly.  Its cokernel, and its kernel as the cokernel of the
+dual hom (for a finite source), are one Smith form each, at most k_s +
+k_t wide, k being the number of rows of modulus other than 1; for finite
+groups no entry exceeds a modulus.
 
 Everything runs on Python ints, so there is no overflow, ever.
 """
@@ -143,20 +143,24 @@ class IntMatrix:
 @dataclass(frozen=True, eq=False)
 class FpAbelianGroup:
     """The finitely presented abelian group Z^m / (column lattice of
-    `matrix`), held as that matrix's Smith decomposition U A V = S, U
-    and V unimodular.
+    `matrix`), held as a decomposition U A V = S, U and V unimodular, in
+    which each row of S has at most one nonzero entry, that row's
+    modulus, and no two rows share a column: a Smith form, or the block
+    diagonal of two (`direct_sum`).
 
-    S is kept as its diagonal, min(m, n) entries.  The reduction logs
-    its elementary row operations (which make U) and column operations
+    S is kept as `diagonal`: entry i is row i's entry (0 for a zero
+    row), and the rows past its end are zero.  The logs hold the
+    elementary row operations (which make U) and column operations
     (which make V).  Each witness, `left` = U, `right` = V, `left_inv`
-    and `right_inv`, is built from the log the first time it is read
-    and then kept, so a caller that reads only the diagonal builds
-    none.  A caller that needs a few rows of a product with U or U^-1
-    replays the log on those rows alone (`_replay`).
+    and `right_inv`, is built from the log the first time it is read and
+    then kept, so a caller that reads only the diagonal builds none.  A
+    caller that needs a few rows of a product with U or U^-1 replays the
+    log on those rows alone (`_replay`).
 
     `invariant_factors` is the increasing divisibility chain d_1 | d_2 | ...
-    with every d_i > 1; together with `free_rank` it is a complete
-    isomorphism invariant, and groups are compared by it alone.
+    with every d_i > 1, made from the moduli as diag(a, b) ~ diag(gcd,
+    lcm) for each pair in turn; together with `free_rank` it is a
+    complete isomorphism invariant, and groups are compared by it alone.
     """
 
     matrix: IntMatrix
@@ -194,7 +198,11 @@ class FpAbelianGroup:
 
     @cached_property
     def invariant_factors(self) -> tuple[int, ...]:
-        return tuple(d for d in self.diagonal if d > 1)
+        chain = [d for d in self.diagonal if d > 1]
+        for i in range(len(chain)):
+            for j in range(i + 1, len(chain)):
+                chain[i], chain[j] = math.gcd(chain[i], chain[j]), math.lcm(chain[i], chain[j])
+        return tuple(d for d in chain if d > 1)
 
     @cached_property
     def free_rank(self) -> int:
@@ -213,16 +221,17 @@ class FpAbelianGroup:
         return self.free_rank == 0 and all(k % d == 0 for d in self.invariant_factors)
 
     @property
-    def moduli(self) -> tuple[int, ...]:
-        """The order of each nontrivial Smith generator: the invariant
-        factors, then 0 for each free generator.
+    def moduli(self) -> dict:
+        """{row: d} for each row of S whose modulus d is not 1, in row
+        order, with d = 0 for a free (zero) row.
 
         With U R V = S, x -> U x carries the group onto the product of
-        the Z/d_i, with generators U^-1 e_i.  The leading coordinates
-        have d_i = 1 and vanish, so these are the last len(moduli)
-        coordinates of U x.
+        the Z/d_i over S's rows, with generators U^-1 e_i.  A coordinate
+        with d_i = 1 vanishes, so these rows' coordinates of U x are the
+        ones that matter.
         """
-        return self.invariant_factors + (0,) * self.free_rank
+        moduli = {i: d for i, d in enumerate(self.diagonal) if d != 1}
+        return moduli | dict.fromkeys(range(len(self.diagonal), self.ambient_rank), 0)
 
     def describe(self) -> str:
         """Human-readable isomorphism type, largest factor first."""
@@ -396,43 +405,23 @@ def _relabel(ops, index):
     return [(op[0], *(index[i] for i in op[1:3]), *op[3:]) for op in ops]
 
 
-def direct_sum_smith(first, second) -> FpAbelianGroup:
+def direct_sum(first, second) -> FpAbelianGroup:
     """The direct sum of the groups `first` = Z^m1 / A and `second` =
-    Z^m2 / B, as the Smith decomposition of [A 0; 0 B].
+    Z^m2 / B, presented by [A 0; 0 B].
 
-    The two logs act on disjoint rows and columns, so together they
-    make the nonzero diagonal entries of both parts, with nothing else
-    in their rows and columns.  Swaps bring these to (t, t), units
-    first; one Smith form of the k x k diagonal of the nontrivial ones
-    then makes the divisibility chain, so no Smith form runs on a matrix
-    larger than k x k.
+    The two logs act on disjoint rows and columns, so side by side they
+    take the block matrix to the block diagonal of the parts' S, whose
+    row m1 + i is the second part's row i: no swap and no Smith form.
     """
     (m1, n1), (m2, n2) = first.matrix.shape, second.matrix.shape
     m, n = m1 + m2, n1 + n2
     rows = [row + (0,) * n2 for row in first.matrix.rows]
     rows += [(0,) * n1 + row for row in second.matrix.rows]
-    row_ops = [*first.row_ops, *_relabel(second.row_ops, range(m1, m))]
-    col_ops = [*first.col_ops, *_relabel(second.col_ops, range(n1, n))]
-    entries = [(d, i, i) for i, d in enumerate(first.diagonal) if d]
-    entries += [(d, m1 + i, n1 + i) for i, d in enumerate(second.diagonal) if d]
-    entries.sort(key=lambda entry: entry[0] > 1)
-    places = ([list(range(m)), row_ops], [list(range(n)), col_ops])
-    for t, (_, *ends) in enumerate(entries):
-        for end, (at, ops) in zip(ends, places):
-            # at[p] is the original index now at p
-            p = at.index(end, t)
-            if p != t:
-                at[t], at[p] = at[p], at[t]
-                ops.append((_SWAP, t, p))
-    units = sum(1 for d, _, _ in entries if d == 1)
-    inner = smith_normal_form(_diagonal([d for d, _, _ in entries[units:]]))
-    block = range(units, len(entries))
-    diagonal = (1,) * units + inner.diagonal
     return FpAbelianGroup(
         matrix=IntMatrix._of(rows, shape=(m, n)),
-        diagonal=diagonal + (0,) * (min(m, n) - len(diagonal)),
-        row_ops=tuple(row_ops) + tuple(_relabel(inner.row_ops, block)),
-        col_ops=tuple(col_ops) + tuple(_relabel(inner.col_ops, block)),
+        diagonal=first.diagonal + (0,) * (m1 - len(first.diagonal)) + second.diagonal,
+        row_ops=(*first.row_ops, *_relabel(second.row_ops, range(m1, m))),
+        col_ops=(*first.col_ops, *_relabel(second.col_ops, range(n1, n))),
     )
 
 
@@ -453,19 +442,18 @@ def _reduce(rows, moduli):
 @dataclass(frozen=True, eq=False)
 class GroupHom:
     """Homomorphism between presented groups, given on ambient generators
-    and computed in the Smith coordinates of its source and target.
+    and computed in the coordinates of its source's and target's S.
 
     M is given by `columns`, the support of the image of each source
     generator e_i.  With U_s and U_t the left witnesses of the two
-    groups, M acts on Smith coordinates as W = U_t M U_s^-1: column i of
-    W is the image of
-    the source generator U_s^-1 e_i, in target coordinates.  A target
-    coordinate with d = 1 is zero in the group, so only the last k_t rows
-    of W matter, each reduced mod its d (see `FpAbelianGroup.moduli`).
-    The cokernel is Z^k_t / [D_t | M'] for the k_t x k_s block M' of
-    those rows on the nontrivial source coordinates, and the kernel is
-    the cokernel of the dual hom, Z^k_s / [D_s | N] (see `kernel`); the
-    diagonal presentations D of both groups are already in Smith form.
+    groups, M acts on these coordinates as W = U_t M U_s^-1: column i of
+    W is the image of the source generator U_s^-1 e_i, in target
+    coordinates.  A target coordinate with d = 1 is zero in the group,
+    so only the k_t rows of W in `target.moduli` matter, each reduced
+    mod its d.  The cokernel is Z^k_t / [D_t | M'] for the k_t x k_s
+    block M' of those rows on the source coordinates in `source.moduli`,
+    and the kernel is the cokernel of the dual hom, Z^k_s / [D_s | N]
+    (see `kernel`); the diagonal presentations D need no Smith form.
     """
 
     source: FpAbelianGroup
@@ -479,8 +467,8 @@ class GroupHom:
 
     @cached_property
     def _smith_rows(self):
-        """The last k_t rows of W = U_t M U_s^-1, each reduced mod its
-        target modulus (a free row stays unreduced).
+        """The k_t rows of W = U_t M U_s^-1 in `target.moduli`, each
+        reduced mod its modulus (a free row stays unreduced).
 
         Neither U_t nor U_s^-1 is built: the k_t unit rows e_i are
         right-multiplied by the target's logged row operations, at O(k_t)
@@ -488,14 +476,13 @@ class GroupHom:
         by the source's inverse operations.
         """
         moduli = self.target.moduli
-        n_t = self.target.ambient_rank
-        rows = _unit_rows(range(n_t - len(moduli), n_t), n_t)
-        rows = _reduce(_replay(rows, self.target.row_ops), moduli)
+        rows = _unit_rows(moduli, self.target.ambient_rank)
+        rows = _reduce(_replay(rows, self.target.row_ops), moduli.values())
         product = [
             [sum(row[k] * x for k, x in col.items()) for col in self.columns] for row in rows
         ]
-        rows = _reduce(product, moduli)
-        return _reduce(_replay(rows, self.source.row_ops, inverse=True), moduli)
+        rows = _reduce(product, moduli.values())
+        return _reduce(_replay(rows, self.source.row_ops, inverse=True), moduli.values())
 
     @cached_property
     def well_defined(self) -> bool:
@@ -506,21 +493,21 @@ class GroupHom:
         map is well defined iff d_i W[j][i] lies in d_j' Z for every
         target row j; a free row (d_j' = 0) must vanish.
         """
-        source = self.source
-        orders = (1,) * (source.ambient_rank - len(source.moduli)) + source.moduli
+        moduli = self.source.moduli
+        orders = [moduli.get(i, 1) for i in range(self.source.ambient_rank)]
         return not any(
             d * x % d_t if d_t else d * x
-            for row, d_t in zip(self._smith_rows, self.target.moduli)
+            for row, d_t in zip(self._smith_rows, self.target.moduli.values())
             for d, x in zip(orders, row)
         )
 
     @cached_property
     def _block(self) -> IntMatrix:
-        """M', the k_t x k_s block of W on the nontrivial coordinates."""
-        k_s = len(self.source.moduli)
-        n_s = self.source.ambient_rank
-        rows = [row[n_s - k_s:] for row in self._smith_rows]
-        return IntMatrix._of(rows, shape=(len(rows), k_s))
+        """M', the k_t x k_s block of W on the source's coordinates in
+        `source.moduli`."""
+        columns = list(self.source.moduli)
+        rows = [[row[i] for i in columns] for row in self._smith_rows]
+        return IntMatrix._of(rows, shape=(len(rows), len(columns)))
 
     def kernel(self) -> FpAbelianGroup:
         """Kernel as an abstract group: the cokernel of the dual hom.
@@ -536,11 +523,11 @@ class GroupHom:
         """
         if not self.well_defined:
             raise ValueError("homomorphism is not well defined")
-        moduli = self.source.moduli
+        moduli = list(self.source.moduli.values())
         if 0 in moduli:
             raise ValueError("kernel needs a finite source")
         k_s = len(moduli)
-        finite = [(row, t) for row, t in zip(self._block.rows, self.target.moduli) if t]
+        finite = [(row, t) for row, t in zip(self._block.rows, self.target.moduli.values()) if t]
         dual = [[row[i] * s // t for row, t in finite] for i, s in enumerate(moduli)]
         gens = _diagonal(moduli).hstack(IntMatrix._of(dual, shape=(k_s, len(finite))))
         return smith_normal_form(gens)
@@ -549,5 +536,5 @@ class GroupHom:
         """Target modulo (target relations + image), as [D_t | M']."""
         if not self.well_defined:
             raise ValueError("homomorphism is not well defined")
-        gens = _diagonal(self.target.moduli).hstack(self._block)
+        gens = _diagonal(self.target.moduli.values()).hstack(self._block)
         return smith_normal_form(gens)

@@ -97,18 +97,30 @@ def is_identity(m) -> bool:
     )
 
 
+def verify_decomposition(group) -> bool:
+    """Entry-exact check of a group's decomposition U A V = S, row by
+    row: each row and each column of S holds at most one nonzero entry,
+    row i's entry is the modulus the group records for row i (1 for a
+    row not in `moduli`), so a zero row has modulus 0, and U U^-1 =
+    V V^-1 = 1 (which certifies unimodularity with no determinant)."""
+    s = group.left @ group.matrix @ group.right
+    moduli = group.moduli
+    for i, row in enumerate(s.rows):
+        entries = [x for x in row if x] or [0]
+        if len(entries) > 1 or entries[0] != moduli.get(i, 1):
+            return False
+    if any(sum(map(bool, col)) > 1 for col in s.transpose().rows):
+        return False
+    return is_identity(group.left @ group.left_inv) and is_identity(group.right @ group.right_inv)
+
+
 def verify_smith(snf) -> bool:
-    """Entry-exact check of every invariant of a Smith decomposition:
-    U A V = S, U U^-1 = V V^-1 = 1 (which certifies unimodularity with
-    no determinant), and S a nonnegative divisibility chain."""
+    """`verify_decomposition`, with S's entries on its main diagonal,
+    `diagonal`, and that diagonal a nonnegative divisibility chain."""
     (m, n), diag = snf.matrix.shape, snf.diagonal
     smith = IntMatrix([[diag[i] if i == j else 0 for j in range(n)] for i in range(m)],
                       shape=(m, n))
-    if snf.left @ snf.matrix @ snf.right != smith:
-        return False
-    if not is_identity(snf.left @ snf.left_inv):
-        return False
-    if not is_identity(snf.right @ snf.right_inv):
+    if not verify_decomposition(snf) or snf.left @ snf.matrix @ snf.right != smith:
         return False
     if any(d < 0 for d in diag):
         return False
@@ -132,11 +144,12 @@ def integer_kernel(a) -> IntMatrix:
 
 def element_order(group, vec):
     """Order of the class of `vec` in the presented group, or None when
-    infinite, read off its last Smith coordinates (see
-    `FpAbelianGroup.moduli`)."""
+    infinite, read off its coordinates in the rows of S that have a
+    modulus other than 1 (see `FpAbelianGroup.moduli`)."""
     w = apply(group.left, vec)
     order = 1
-    for d, x in zip(group.moduli, w[group.ambient_rank - len(group.moduli):]):
+    for i, d in group.moduli.items():
+        x = w[i]
         if d:
             order = math.lcm(order, d // math.gcd(d, x % d))
         elif x:

@@ -657,12 +657,11 @@ class TestWorkCounts:
 
     def test_each_quantity_computed_once(self, monkeypatch):
         # one analysis computes each kernel, cokernel and well-definedness
-        # check once; 11 SNFs cover every group, lattice and cross-check:
-        # 1 per critical group of G, G+ and G-, and 1 of the k x k
-        # diagonal of their nontrivial factors for K(G+ u G-), whose
-        # decomposition is read off the plus and minus groups'; the
-        # Laplacian route reads each Laplacian's one Smith form (3); a
-        # hom in Smith coordinates makes 1 for its cokernel ([D_t | M'])
+        # check once; 10 SNFs cover every group, lattice and cross-check:
+        # 1 per critical group of G, G+ and G-, and none for K(G+ u G-),
+        # whose decomposition is the plus and minus groups' logs side by
+        # side; the Laplacian route reads each Laplacian's one Smith form
+        # (3); a hom in Smith coordinates makes 1 for its cokernel ([D_t | M'])
         # and 1 for its kernel (the cokernel of the dual hom, [D_s | N]),
         # its well-definedness and the diagonal presentations need none,
         # the cycle lattices come from spanning forests and bond
@@ -755,7 +754,7 @@ class TestWorkCounts:
             assert counts["kernel"] == 2
             assert counts["cokernel"] == 2
             assert counts["well_defined"] == 2
-            assert counts["snf"] == 11
+            assert counts["snf"] == 10
             # one spanning forest per pair (G, G+, G- and G+ u G-), and a
             # relation matrix for G, G+ and G- only: no Smith form runs on
             # the union's block diagonal of theirs (44 x 46 on the
@@ -763,6 +762,16 @@ class TestWorkCounts:
             assert counts["spanning_forest"] == 4
             assert counts["relation_matrix"] == 3
             assert rep.pair_union.critical_group.matrix not in snf_inputs
+            # the union's logs are the plus log, then the minus log with
+            # its rows (columns) moved past the plus group's
+            union, plus, minus = (
+                pair.critical_group for pair in (rep.pair_union, rep.pair_plus, rep.pair_minus)
+            )
+            for logs, shift in (("row_ops", plus.matrix.n_rows), ("col_ops", plus.matrix.n_cols)):
+                moved = tuple(
+                    (op[0], *(i + shift for i in op[1:3]), *op[3:]) for op in getattr(minus, logs)
+                )
+                assert getattr(union, logs) == getattr(plus, logs) + moved
             sizes = [a.n_rows * a.n_cols for a in snf_inputs]
             assert snf_inputs[sizes.index(max(sizes))] == rep.pair_g.relation_matrix
             assert sizes.count(max(sizes)) == 1
@@ -798,7 +807,7 @@ class TestWorkCounts:
             hom.cokernel()
         assert len(hom_inputs) == 12
         for hom, a in hom_inputs:
-            moduli = hom.source.moduli + hom.target.moduli
+            moduli = [*hom.source.moduli.values(), *hom.target.moduli.values()]
             assert max(a.shape) <= len(moduli)
             assert all(abs(x) <= max(moduli) for row in a.rows for x in row)
 
@@ -943,9 +952,9 @@ class TestWorkCounts:
 
     def test_oracle_reads_the_analysis_maps(self, monkeypatch, capsys):
         # oracle on a symmetric input builds K(G) once and runs no
-        # verdicts: 6 Smith forms, for K(G), K(G+), K(G-), the diagonal
-        # of K(G+ u G-), and the cokernel and kernel of f*, and no check
-        # or forest count
+        # verdicts: 5 Smith forms, for K(G), K(G+), K(G-), and the
+        # cokernel and kernel of f*, none for K(G+ u G-), and no check or
+        # forest count
         import mirrorcrit.cli as cli_module
         import mirrorcrit.critical as critical_module
         import mirrorcrit.factorization as factorization_module
@@ -969,7 +978,7 @@ class TestWorkCounts:
         checks = self.count_checks(monkeypatch)
         assert cli_module.main(["oracle", str(SAMPLES / "k4minus.sg")]) == 0
         assert "oracle: all checks agree" in capsys.readouterr().out
-        assert calls == {"snf": 6}
+        assert calls == {"snf": 5}
         assert checks == {}
 
 

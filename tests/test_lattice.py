@@ -20,7 +20,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from sympy import Matrix, ZZ
+from sympy.matrices.normalforms import invariant_factors
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from mirrorcrit.critical import AdjointPair
@@ -28,7 +31,7 @@ from mirrorcrit.factorization import build_maps
 from mirrorcrit.lattice import (
     GroupHom,
     IntMatrix,
-    direct_sum_smith,
+    direct_sum,
     smith_normal_form,
 )
 from mirrorcrit.randgraph import mirror_grid, random_symmetric_graph
@@ -47,6 +50,7 @@ from conftest import (
     random_multigraph,
     running_example,
     supports,
+    verify_decomposition,
     verify_smith,
 )
 
@@ -226,27 +230,58 @@ def _random_block(rng, k):
     return left @ IntMatrix(middle, shape=(n_rows, n_cols)) @ right
 
 
+def _block_diagonal(a, b) -> IntMatrix:
+    """[a 0; 0 b]."""
+    (m1, n1), (m2, n2) = a.shape, b.shape
+    rows = [row + (0,) * n2 for row in a.rows]
+    rows += [(0,) * n1 + row for row in b.rows]
+    return IntMatrix(rows, shape=(m1 + m2, n1 + n2))
+
+
+def _same_hom(hom, reference) -> bool:
+    """Asserts that two homs agree on well-definedness and on their
+    kernels' (for a finite source) and cokernels' types; returns
+    whether they are well defined."""
+    assert hom.well_defined == reference.well_defined
+    if not hom.well_defined:
+        return False
+    assert hom.cokernel().describe() == reference.cokernel().describe()
+    if hom.source.free_rank:
+        for h in (hom, reference):
+            with pytest.raises(ValueError, match="finite source"):
+                h.kernel()
+    else:
+        assert hom.kernel().describe() == reference.kernel().describe()
+    return True
+
+
 class TestDirectSumSmith:
-    """`direct_sum_smith` composes the two parts' Smith logs into a
-    decomposition of the block-diagonal matrix; it must be a true Smith
-    decomposition, equal to the one-pass Smith form and to sympy's."""
+    """`direct_sum` puts the two parts' Smith logs side by side: a
+    decomposition of the block-diagonal matrix whose S is the block
+    diagonal of the parts' S, each row holding its modulus.  Its
+    invariant factors and free rank must be the one-pass Smith form's
+    and sympy's, and a hom through it must agree with one through the
+    one-pass Smith form."""
 
     def test_random_pairs(self):
         rng = random.Random(15)
         kinds = Counter()
         for k in range(240):
             a, b = _random_block(rng, k), _random_block(rng, rng.randrange(36))
-            (m1, n1), (m2, n2) = a.shape, b.shape
-            rows = [row + (0,) * n2 for row in a.rows]
-            rows += [(0,) * n1 + row for row in b.rows]
-            matrix = IntMatrix(rows, shape=(m1 + m2, n1 + n2))
+            matrix = _block_diagonal(a, b)
             parts = smith_normal_form(a), smith_normal_form(b)
-            dec = direct_sum_smith(*parts)
+            dec = direct_sum(*parts)
             assert dec.matrix == matrix
-            assert verify_smith(dec), (a.rows, b.rows)
-            assert dec.diagonal == smith_normal_form(matrix).diagonal
-            assert list(dec.diagonal) == sympy_diagonal(matrix)
-            diagonal = set(dec.diagonal)
+            assert verify_decomposition(dec), (a.rows, b.rows)
+            assert dec.left @ matrix @ dec.right == _block_diagonal(
+                *(part.left @ part.matrix @ part.right for part in parts)
+            )
+            diagonal = sympy_diagonal(matrix)
+            one_pass = smith_normal_form(matrix)
+            want = tuple(d for d in diagonal if d > 1)
+            assert dec.invariant_factors == one_pass.invariant_factors == want
+            assert dec.free_rank == one_pass.free_rank == matrix.n_rows - sum(map(bool, diagonal))
+            diagonal = set(diagonal)
             kinds["free"] += 0 in diagonal and dec.rank > 0
             kinds["units only"] += diagonal == {1}
             kinds["big"] += any(d.bit_length() > 64 for d in diagonal)
@@ -254,7 +289,62 @@ class TestDirectSumSmith:
             kinds["merged factors"] += len(dec.invariant_factors) < sum(
                 len(part.invariant_factors) for part in parts
             )
-        assert min(kinds.values()) >= 10 and len(kinds) == 5, kinds
+            kinds["tall first"] += a.n_rows > a.n_cols
+        assert min(kinds.values()) >= 10 and len(kinds) == 6, kinds
+
+    def test_homs_through_a_direct_sum(self):
+        # Z/2 + Z^2 + Z/3: row 3 of the sum is Z/3's generator, whatever
+        # the first part's S leaves of its rows, so Z/3 -> sum, 1 -> e_3,
+        # is well defined
+        first = smith_normal_form(IntMatrix([[2], [0], [0]]))
+        second = smith_normal_form(IntMatrix([[3]]))
+        total = direct_sum(first, second)
+        assert total.moduli == {0: 2, 1: 0, 2: 0, 3: 3}
+        hom = GroupHom(second, total, ({3: 1},))
+        reference = GroupHom(second, smith_normal_form(total.matrix), hom.columns)
+        assert _same_hom(hom, reference)
+        assert hom.cokernel().describe() == "Z + Z + Z/2"
+        # random pairs: the sum as the source of a hom into
+        # Z^n / [M A | c I], or as the target of 1 + A Y from Z^m / A X,
+        # A the block matrix; both well defined, and perturbed half the
+        # time
+        rng = random.Random(16)
+        outcomes = Counter()
+        for k in range(200):
+            a, b = _random_block(rng, k), _random_block(rng, rng.randrange(36))
+            matrix = _block_diagonal(a, b)
+            (m, n), first = matrix.shape, smith_normal_form(a)
+            total = direct_sum(first, smith_normal_form(b))
+            one_pass = smith_normal_form(matrix)
+            if k % 2:
+                n_t = rng.randint(1, 4)
+                mat = IntMatrix([[rng.randint(-3, 3) for _ in range(m)] for _ in range(n_t)],
+                                shape=(n_t, m))
+                relations = mat @ matrix
+                c = rng.choice((0, 0, 5, 6))
+                target = smith_normal_form(relations.hstack(identity(n_t, c)) if c else relations)
+                ends = [(total, target), (one_pass, target)]
+            else:
+                r = rng.randint(m, m + 2)
+                x = IntMatrix([[rng.randint(-2, 2) for _ in range(r)] for _ in range(n)],
+                              shape=(n, r))
+                y = IntMatrix([[rng.randint(-2, 2) for _ in range(m)] for _ in range(n)],
+                              shape=(n, m))
+                ay = (matrix @ y).rows
+                mat = IntMatrix([[int(i == j) + ay[i][j] for j in range(m)] for i in range(m)],
+                                shape=(m, m))
+                source = smith_normal_form(matrix @ x)
+                ends = [(source, total), (source, one_pass)]
+            if mat.n_rows and mat.n_cols and rng.random() < 0.5:
+                rows = [list(row) for row in mat.rows]
+                rows[rng.randrange(mat.n_rows)][rng.randrange(mat.n_cols)] += rng.choice((1, 2))
+                mat = IntMatrix(rows, shape=mat.shape)
+            homs = [GroupHom(source, target, supports(mat)) for source, target in ends]
+            side = "source" if k % 2 else "target"
+            outcomes[side, _same_hom(*homs)] += 1
+            outcomes["free first"] += first.free_rank > 0
+            outcomes["finite source"] += homs[0].well_defined and not homs[0].source.free_rank
+        assert min(outcomes.values()) >= 10 and len(outcomes) == 6, outcomes
 
     def test_union_groups(self, mixed_corpus):
         # the union's group is read off the parts; a one-pass Smith form
@@ -265,7 +355,7 @@ class TestDirectSumSmith:
             maps = build_maps(g.decompose())
             pair = maps.pair_union
             group = pair.critical_group
-            assert verify_smith(group)
+            assert verify_decomposition(group)
             reference = smith_normal_form(pair.relation_matrix)
             assert group.invariant_factors == reference.invariant_factors
             assert group.free_rank == reference.free_rank == 0
@@ -278,7 +368,32 @@ class TestDirectSumSmith:
             assert ft_star.cokernel().describe() == maps.coker_ft.describe()
 
 
+# diagonal entries: 0, 1, prime powers (which repeat), and integers over
+# 64 bits
+DIAGONAL_ENTRY = st.one_of(
+    st.sampled_from((0, 1)),
+    st.builds(pow, st.sampled_from((2, 3, 5)), st.integers(1, 4)),
+    st.integers(2**64, 2**80),
+)
+
+
 class TestFpAbelianGroup:
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.lists(DIAGONAL_ENTRY, max_size=8))
+    @example([8, 4, 2])
+    @example([2, 2])
+    @example([6, 0, 4, 1, 2**70 * 3])
+    def test_chain_of_a_diagonal(self, entries):
+        # the direct sum of the Z/d keeps the d in order, no chain; its
+        # invariant factors and free rank are sympy's of diag(entries)
+        group = smith_normal_form(IntMatrix.zero(0, 0))
+        for d in entries:
+            group = direct_sum(group, smith_normal_form(IntMatrix([[d]])))
+        assert group.diagonal == tuple(entries)
+        want = invariant_factors(Matrix.diag(*entries), domain=ZZ) if entries else ()
+        assert group.invariant_factors == tuple(int(d) for d in want if d > 1)
+        assert group.free_rank == list(want).count(0)
+
     def test_cyclic(self):
         g = smith_normal_form(IntMatrix([[2]]))
         assert g.invariant_factors == (2,)
@@ -543,16 +658,17 @@ def _large_graph(seed):
 
 class TestSmithRows:
     """`GroupHom._smith_rows` replays the two logs on k_t rows; it must
-    equal the last k_t rows of U_t M U_s^-1 built from the full
-    witnesses, each row reduced mod its target modulus."""
+    equal the rows of U_t M U_s^-1 in `target.moduli`, built from the
+    full witnesses, each row reduced mod its target modulus."""
 
     @staticmethod
     def _full_witness_rows(hom):
         m = dense(hom.columns, hom.target.ambient_rank)
         w = hom.target.left @ m @ hom.source.left_inv
-        moduli = hom.target.moduli
-        rows = w.rows[w.n_rows - len(moduli):]
-        return [[x % d for x in row] if d else list(row) for row, d in zip(rows, moduli)]
+        return [
+            [x % d for x in w.rows[i]] if d else list(w.rows[i])
+            for i, d in hom.target.moduli.items()
+        ]
 
     GRAPHS = {
         "running_example": running_example,
@@ -571,7 +687,7 @@ class TestSmithRows:
     def test_free_target_row_stays_unreduced(self):
         source = smith_normal_form(IntMatrix([[2, 4, 0], [6, 0, 3], [0, 9, 1]]))
         target = smith_normal_form(IntMatrix([[4, 2], [6, 8], [2, 4]]))
-        assert target.moduli[-1] == 0 and target.invariant_factors
+        assert [*target.moduli.values()][-1] == 0 and target.invariant_factors
         hom = GroupHom(source, target, supports(IntMatrix([[3, -1, 2], [0, 5, 1], [-4, 2, 7]])))
         rows = hom._smith_rows
         assert rows == self._full_witness_rows(hom)
