@@ -10,10 +10,11 @@ U A V = S of its relation matrix, with unimodular change-of-basis
 witnesses, in which each row of S holds at most one nonzero entry, its
 modulus: a Smith form, or the block diagonal of two.  The Smith
 reduction works on S alone, each row operation over the pivot row's
-nonzero entries, and logs its elementary operations; S's entries are
-kept, and each witness is built from that log only when a caller reads
-it.  `_replay` right-multiplies rows by a log's product or by its
-inverse, its two modes.  A direct sum puts its parts' logs side by side.
+nonzero entries, clears a +-1 pivot in one pass, and logs its
+elementary operations; S's entries are kept, and each witness is built
+from that log only when a caller reads it.  `_replay` right-multiplies
+rows by a log's product or by its inverse, its two modes.  A direct sum
+puts its parts' logs side by side.
 A homomorphism is given by the supports of its columns and computed in
 the coordinates of S's rows for its source and target, where each group
 is a product of cyclic groups Z/d: its well-definedness is read off that
@@ -292,6 +293,28 @@ def _first_min(values):
     return (low, mags.index(low)) if low else None
 
 
+def _pick_pivot(s, t):
+    """(row, column) of the first entry of least nonzero |x| in the rows
+    of s from t on, in row-major order, or None.  Nothing beats |x| = 1:
+    the first row holding a unit gives its first unit, by C-level scans."""
+    for i in range(t, len(s)):
+        row = s[i]
+        units = [row.index(u) for u in (1, -1) if u in row]
+        if units:
+            return i, min(units)
+    best = None
+    for i in range(t, len(s)):
+        found = _first_min(s[i])
+        if found and (best is None or found[0] < best[0]):
+            best = (found[0], i, found[1])
+    return best and best[1:]
+
+
+def _first_nondivisible(s, t, pivot):
+    """The first row past t with an entry that pivot does not divide."""
+    return next((i for i in range(t + 1, len(s)) if any(x % pivot for x in s[i])), None)
+
+
 def smith_normal_form(a: IntMatrix) -> FpAbelianGroup:
     """Smith normal form over the integers: the group Z^m / a, held as
     a's Smith decomposition.
@@ -299,8 +322,11 @@ def smith_normal_form(a: IntMatrix) -> FpAbelianGroup:
     Pivots are chosen as the nonzero entry of minimal absolute value
     (ties broken by smallest row, then column index), which keeps
     coefficient growth tame at the matrix sizes this library targets.
-    Deterministic for a fixed input.  Only S is reduced here, and only
-    its diagonal is kept; the operations are logged for the witnesses.
+    A +-1 pivot, nearly every pivot of a graph's relation matrix or
+    Laplacian, is found by C-level scans and cleared in one pass, with
+    no remainder or divisibility check.  Deterministic for a fixed
+    input.  Only S is reduced here, and only its diagonal is kept; the
+    operations are logged for the witnesses.
     """
     m, n = a.n_rows, a.n_cols
     s = [list(row) for row in a.rows]
@@ -308,8 +334,9 @@ def smith_normal_form(a: IntMatrix) -> FpAbelianGroup:
     col_ops = []
 
     # From step t on, rows and columns before t are zero off the
-    # diagonal, so column operations need only visit rows t and beyond,
-    # and every row from t on is zero before column t.
+    # diagonal (a unit step leaves its row's entries past t in s, but
+    # no later step reads them), so column operations need only visit
+    # rows t and beyond, and every row from t on is zero before column t.
 
     def promote(t, i, j):
         # bring s[i][j] to (t, t) and make it positive
@@ -324,29 +351,31 @@ def smith_normal_form(a: IntMatrix) -> FpAbelianGroup:
             s[t] = [-x for x in s[t]]
             row_ops.append((_NEGATE, t))
 
-    def pick_pivot(t):
-        # the trailing block in row-major order; nothing beats |x| = 1
-        best = None
-        for i in range(t, m):
-            found = _first_min(s[i])
-            if found and (best is None or found[0] < best[0]):
-                best = (found[0], i, found[1])
-                if best[0] == 1:
-                    break
-        return best
-
     t = 0
     limit = min(m, n)
     while t < limit:
-        best = pick_pivot(t)
+        best = _pick_pivot(s, t)
         if best is None:
             break
-        promote(t, best[1], best[2])
+        promote(t, *best)
         while True:
             prow = s[t]
             pivot = prow[t]
             # each row operation runs over the pivot row's nonzero entries
             support = [(j, prow[j]) for j in range(t, n) if prow[j]]
+            if pivot == 1:
+                # q = -x exactly, so no remainder survives; once column t
+                # is clear the column operations change only row t, so
+                # they are logged and not applied
+                for i in range(t + 1, m):
+                    row = s[i]
+                    x = row[t]
+                    if x:
+                        for j, y in support:
+                            row[j] -= x * y
+                        row_ops.append((_ADD, i, t, -x))
+                col_ops.extend((_ADD, j, t, -y) for j, y in support[1:])
+                break
             dirty = False
             for i in range(t + 1, m):
                 row = s[i]
@@ -378,11 +407,7 @@ def smith_normal_form(a: IntMatrix) -> FpAbelianGroup:
                 else:
                     promote(t, t + col[1], t)
                 continue
-            if pivot == 1:
-                break
-            bad = next(
-                (i for i in range(t + 1, m) if any(x % pivot for x in s[i])), None
-            )
+            bad = _first_nondivisible(s, t, pivot)
             if bad is None:
                 break
             # drag a non-divisible entry into row t, forcing a smaller pivot

@@ -11,7 +11,7 @@ from sympy import ZZ
 from sympy.polys.matrices import DomainMatrix
 
 from mirrorcrit.graphs import FIXED, LEFT, RIGHT, Multigraph, SymmetricGraph
-from mirrorcrit.lattice import IntMatrix, smith_normal_form
+from mirrorcrit.lattice import _ADD, _NEGATE, _SWAP, FpAbelianGroup, IntMatrix, smith_normal_form
 from mirrorcrit.modp import ModpSubspace, kernel
 from mirrorcrit.randgraph import random_symmetric_graph
 
@@ -140,6 +140,123 @@ def integer_kernel(a) -> IntMatrix:
     """
     snf = smith_normal_form(a)
     return from_columns(snf.right.transpose().rows[snf.rank:], a.n_cols)
+
+
+def _reference_first_min(values):
+    """(|x|, index) of the first nonzero entry of minimal |x|, or None:
+    the reference's own copy, so that it does not move with the kernel."""
+    mags = list(map(abs, values))
+    low = min(filter(None, mags), default=0)
+    return (low, mags.index(low)) if low else None
+
+
+def reference_smith_normal_form(a: IntMatrix) -> FpAbelianGroup:
+    """The Smith form by the general step alone, kept as the reference
+    that `smith_normal_form` must match entry for entry: the same pivot
+    rule (the trailing block's first entry of least |x|, row-major), the
+    same diagonal and the same row and column logs.
+
+    Every pivot, a unit included, is found by a min-|x| scan of each
+    row and cleared by floor division, with its column operations
+    applied and the remainder and divisibility checks run, so a shortcut
+    that changes a pivot or a log entry shows against it.
+    """
+    m, n = a.n_rows, a.n_cols
+    s = [list(row) for row in a.rows]
+    row_ops = []
+    col_ops = []
+
+    def promote(t, i, j):
+        # bring s[i][j] to (t, t) and make it positive
+        if i != t:
+            s[t], s[i] = s[i], s[t]
+            row_ops.append((_SWAP, t, i))
+        if j != t:
+            for row in s[t:]:
+                row[t], row[j] = row[j], row[t]
+            col_ops.append((_SWAP, t, j))
+        if s[t][t] < 0:
+            s[t] = [-x for x in s[t]]
+            row_ops.append((_NEGATE, t))
+
+    def pick_pivot(t):
+        # the trailing block in row-major order; nothing beats |x| = 1
+        best = None
+        for i in range(t, m):
+            found = _reference_first_min(s[i])
+            if found and (best is None or found[0] < best[0]):
+                best = (found[0], i, found[1])
+                if best[0] == 1:
+                    break
+        return best
+
+    t = 0
+    limit = min(m, n)
+    while t < limit:
+        best = pick_pivot(t)
+        if best is None:
+            break
+        promote(t, best[1], best[2])
+        while True:
+            prow = s[t]
+            pivot = prow[t]
+            support = [(j, prow[j]) for j in range(t, n) if prow[j]]
+            dirty = False
+            for i in range(t + 1, m):
+                row = s[i]
+                q = -(row[t] // pivot)
+                if q:
+                    for j, y in support:
+                        row[j] += q * y
+                    row_ops.append((_ADD, i, t, q))
+                if row[t]:
+                    dirty = True
+            adds = [(j, q) for j in range(t + 1, n) if (q := -(prow[j] // pivot))]
+            if adds:
+                col_ops.extend((_ADD, j, t, q) for j, q in adds)
+                for row in s[t:]:
+                    x = row[t]
+                    if x:
+                        for j, q in adds:
+                            row[j] += q * x
+            if dirty or any(prow[t + 1:]):
+                # promote the smallest remainder (column t first), go again
+                col = _reference_first_min([s[i][t] for i in range(t, m)])
+                row = _reference_first_min(prow[t:])
+                if row[0] < col[0]:
+                    promote(t, t, t + row[1])
+                else:
+                    promote(t, t + col[1], t)
+                continue
+            if pivot == 1:
+                break
+            bad = next(
+                (i for i in range(t + 1, m) if any(x % pivot for x in s[i])), None
+            )
+            if bad is None:
+                break
+            # drag a non-divisible entry into row t, forcing a smaller pivot
+            for j, y in enumerate(s[bad]):
+                if y:
+                    prow[j] += y
+            row_ops.append((_ADD, t, bad, 1))
+        t += 1
+
+    return FpAbelianGroup(
+        matrix=a,
+        diagonal=tuple(s[i][i] for i in range(min(m, n))),
+        row_ops=tuple(row_ops),
+        col_ops=tuple(col_ops),
+    )
+
+
+def same_smith_logs(a) -> bool:
+    """True iff `smith_normal_form` gives a the reference's diagonal,
+    row log and column log, entry for entry."""
+    got, want = smith_normal_form(a), reference_smith_normal_form(a)
+    return (got.diagonal, got.row_ops, got.col_ops) == (
+        want.diagonal, want.row_ops, want.col_ops
+    )
 
 
 def element_order(group, vec):

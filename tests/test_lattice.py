@@ -26,8 +26,11 @@ from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import invariant_factors
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
+import mirrorcrit.critical as critical_module
+import mirrorcrit.lattice as lattice_module
 from mirrorcrit.critical import AdjointPair
-from mirrorcrit.factorization import build_maps
+from mirrorcrit.factorization import build_maps, main_theorem_verdict
+from mirrorcrit.graphs import Multigraph
 from mirrorcrit.lattice import (
     GroupHom,
     IntMatrix,
@@ -49,6 +52,7 @@ from conftest import (
     integer_kernel,
     random_multigraph,
     running_example,
+    same_smith_logs,
     supports,
     verify_decomposition,
     verify_smith,
@@ -191,6 +195,127 @@ class TestSmithNormalForm:
         assert got.keys() == expected.keys()
         changed = sorted(k for k in expected if got[k] != expected[k])
         assert not changed, f"witnesses changed: {changed[:5]}"
+
+
+@st.composite
+def unit_heavy_matrix(draw):
+    """0 to 9 rows and columns, 0 x n and n x 0 among them, sparse to
+    full: each entry is drawn from 0s and units four times in five, and
+    is otherwise any integer up to 2, 9 or 2^70 in size."""
+    n_rows, n_cols = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    pool = draw(st.sampled_from(((1, -1), (0, 1, -1), (0, 0, 0, 1, -1), (0,) * 8 + (1, -1))))
+    bound = draw(st.sampled_from((2, 9, 2**70)))
+    rows = [
+        [
+            draw(st.sampled_from(pool)) if draw(st.integers(0, 4)) else draw(st.integers(-bound, bound))
+            for _ in range(n_cols)
+        ]
+        for _ in range(n_rows)
+    ]
+    return IntMatrix(rows, shape=(n_rows, n_cols))
+
+
+def _random_tree(rng, n) -> Multigraph:
+    """A random spanning tree on n vertices, its edges randomly oriented."""
+    edges = []
+    for k in range(1, n):
+        ends = [f"v{k}", f"v{rng.randrange(k)}"]
+        rng.shuffle(ends)
+        edges.append((f"e{k}", *ends))
+    return Multigraph([f"v{k}" for k in range(n)], edges)
+
+
+class TestUnitPivots:
+    """A +-1 pivot is found by C-level scans and cleared in one pass:
+    the diagonal and both logs must be the reference kernel's, which
+    clears every pivot by the general step, entry for entry."""
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(unit_heavy_matrix())
+    def test_random_matrices(self, a):
+        assert same_smith_logs(a), a.rows
+
+    @settings(max_examples=80, derandomize=True, database=None, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_multigraph_relations_and_laplacians(self, seed):
+        # loops, parallel edges and several components
+        pair = AdjointPair(random_multigraph(seed, max_vertices=9, max_edges=18))
+        assert same_smith_logs(pair.relation_matrix)
+        assert same_smith_logs(pair.laplacian)
+
+    @settings(max_examples=12, derandomize=True, database=None, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_every_input_of_an_analysis(self, seed):
+        # the relation matrices, Laplacians and hom quotients of a graph
+        # of the benchmark's `large` size, captured where the pipeline
+        # calls smith_normal_form
+        inputs = []
+
+        def recording(a):
+            inputs.append(a)
+            return smith_normal_form(a)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lattice_module, "smith_normal_form", recording)
+            mp.setattr(critical_module, "smith_normal_form", recording)
+            main_theorem_verdict(_large_graph(seed))
+        assert len(inputs) == 10
+        for a in inputs:
+            assert same_smith_logs(a), a.rows
+
+    @staticmethod
+    def count_scans(monkeypatch):
+        """Wraps the pivot search, the min-|x| helper and the divisibility
+        scan by name in the lattice module; records, for each step, whether
+        its trailing block holds a unit, and for each scan, the step it
+        runs in."""
+        steps, scans, divisibility = [], [], []
+        pick_pivot = lattice_module._pick_pivot
+        first_min = lattice_module._first_min
+        first_nondivisible = lattice_module._first_nondivisible
+
+        def picking(s, t):
+            steps.append(any(abs(x) == 1 for row in s[t:] for x in row))
+            return pick_pivot(s, t)
+
+        def scanning(values):
+            scans.append(len(steps) - 1)
+            return first_min(values)
+
+        def dividing(*args):
+            divisibility.append(len(steps) - 1)
+            return first_nondivisible(*args)
+
+        monkeypatch.setattr(lattice_module, "_pick_pivot", picking)
+        monkeypatch.setattr(lattice_module, "_first_min", scanning)
+        monkeypatch.setattr(lattice_module, "_first_nondivisible", dividing)
+        return steps, scans, divisibility
+
+    def test_unit_steps_scan_nothing(self, monkeypatch):
+        # every pivot of a tree's relation matrix [Z | B] (Z empty, B
+        # totally unimodular) and of the identity is a unit: no min-|x|
+        # scan and no divisibility scan runs
+        steps, scans, divisibility = self.count_scans(monkeypatch)
+        rng = random.Random(31)
+        inputs = [identity(n) for n in (1, 5, 12)]
+        inputs += [AdjointPair(_random_tree(rng, n)).relation_matrix for n in (2, 9, 30)]
+        for a in inputs:
+            steps.clear()
+            snf = smith_normal_form(a)
+            assert snf.diagonal == (1,) * min(a.shape)
+            assert len(steps) == min(a.shape)
+            assert (scans, divisibility) == ([], [])
+
+    def test_min_scans_only_where_no_unit(self, monkeypatch):
+        # on the running example's Laplacian, diagonal (1, 1, 8, 0), the
+        # first two steps take units; min-|x| scans run only at steps
+        # whose trailing block holds no unit, and they do run there
+        steps, scans, divisibility = self.count_scans(monkeypatch)
+        snf = smith_normal_form(RUNNING_EXAMPLE_LAPLACIAN)
+        assert snf.diagonal == (1, 1, 8, 0)
+        assert steps[:2] == [True, True]
+        assert scans and not any(steps[k] for k in scans)
+        assert not any(steps[k] for k in divisibility)
 
 
 def _random_block(rng, k):
