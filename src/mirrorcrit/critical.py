@@ -16,13 +16,15 @@ independent second route.  The pair of a disjoint union keeps its two
 parts, and its critical group is composed from theirs.
 
 This module also houses the brute-force oracles that the higher-level
-checks are tested against, behind an enumeration guard: a backtracking
-walk over spanning trees and a Gray-code walk over the cuts of vertex
-bipartitions.  Both walk one biconnected block at a time, which is
-exact: every cycle lies in one block, so the forest count is the
-product of the blocks' tree counts, and the GF(2) cycle and cut spaces,
-hence the bicycle space, are direct sums over the blocks.  Both stay
-enumerations and do no linear algebra.
+checks are tested against, behind an enumeration guard: a frontier
+search over spanning trees, which decides the bonds in a BFS order and
+merges the branches that reach the same partition of the frontier,
+and a Gray-code walk over the cuts of vertex bipartitions.  Both work
+one biconnected block at a time, which is exact: every cycle lies in
+one block, so the forest count is the product of the blocks' tree
+counts, and the GF(2) cycle and cut spaces, hence the bicycle space,
+are direct sums over the blocks.  Both stay enumerations and do no
+linear algebra.
 """
 
 from __future__ import annotations
@@ -288,53 +290,105 @@ def _blocks(g: Multigraph) -> list:
     return blocks
 
 
+def _add_bond(bond, u, w, join, apart):
+    """Merge into the bond of u and w, (0, 1) if there is none, a bond
+    that joins them in `join` ways and leaves them apart in `apart` ways:
+    the two join u and w when one joins and the other leaves them apart."""
+    j, s = bond[u].get(w, (0, 1))
+    bond[u][w] = bond[w][u] = (join * s + apart * j, apart * s)
+
+
 def count_maximal_forests_bruteforce(g: Multigraph, limit=DEFAULT_ORACLE_LIMIT) -> int:
     """Exhaustive forest count (the oracle route): the product of the
     biconnected blocks' spanning-tree counts.
 
     Every cycle lies in one block, so an edge set is a maximal spanning
     forest exactly when it meets each block in a spanning tree of it
-    (loops lie in no block), and the counts multiply.  A block's trees
-    are the leaves with |V_B| - 1 edges of a backtracking walk that
-    includes or excludes each edge in turn, includes one only when it
-    joins two components of the forest so far, and drops a branch when
-    too few edges remain.  The union-find has no path compression, so
-    one assignment undoes a union, and the walk keeps its own stack, so
-    its depth is not bounded by Python's recursion limit.  It enumerates
-    and does no linear algebra, so it is independent of the matrix-tree
-    route.
+    (loops lie in no block), and the counts multiply.  A block of two
+    vertices, or a cycle, has one tree per edge.  In any other block a
+    bond (the edges between two vertices) holds the ways it can join its
+    ends in a tree and the ways it can leave them apart; parallel bonds
+    merge, and a vertex with two neighbours is bypassed by one bond.
+    The bonds left are counted by a frontier search (Kawahara et al.,
+    IEICE Trans. Fundamentals E100-A(9), 2017), in the order of a BFS
+    numbering of the vertices, each by its later end, which keeps the
+    frontier narrow.  A state partitions the frontier (the vertices with
+    decided and undecided bonds) into the components of the bonds taken
+    and holds the number of edge subsets that reach it.  A bond is taken
+    only when it joins two components, and a component whose last vertex
+    leaves the frontier ends its branch unless it is the whole block.
+    It enumerates and does no linear algebra, so it is independent of
+    the matrix-tree route.
     """
     m = g.n_edges
     if 2**m > limit:
         raise OracleLimitError(f"2^{m} subsets exceed the limit {limit}")
-
-    def find(x):
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
     count = 1
     for size, edges in _blocks(g):
-        parent = list(range(size))
-        trees = 0
-        # (next edge, edges taken) to visit, or (None, root) to undo a
-        # union; the include branch sits above its undo, which sits above
-        # the exclude branch
-        stack = [(0, 0)]
-        while stack:
-            j, taken = stack.pop()
-            if j is None:
-                parent[taken] = taken
-            elif taken == size - 1:
-                trees += 1
-            elif len(edges) - j >= size - 1 - taken:
-                stack.append((j + 1, taken))
-                _, tail, head = edges[j]
-                a, b = find(tail), find(head)
-                if a != b:
-                    parent[a] = b
-                    stack += ((None, a), (j + 1, taken + 1))
-        count *= trees
+        if size == 2 or len(edges) == size:
+            count *= len(edges)
+            continue
+        bond = [{} for _ in range(size)]  # bond[u][w] = (join, apart)
+        for _, a, b in edges:
+            _add_bond(bond, a, b, 1, 1)
+        todo = list(range(size))
+        while todo:
+            v = todo.pop()
+            if len(bond[v]) == 2:
+                # in a tree v lies on the path from a to b or hangs on one
+                (a, (j1, s1)), (b, (j2, s2)) = bond[v].items()
+                bond[v] = {}
+                del bond[a][v], bond[b][v]
+                _add_bond(bond, a, b, j1 * j2, j1 * s2 + s1 * j2)
+                todo += (a, b)
+        root = next(v for v in range(size) if bond[v])
+        if len(bond[root]) == 1:  # two vertices left
+            [(join, _)] = bond[root].values()
+            count *= join
+            continue
+        pos, order, steps = [-1] * size, [root], []
+        pos[root] = 0
+        for u in order:
+            for w, ways in bond[u].items():
+                if pos[w] < 0:
+                    pos[w] = len(order)
+                    order.append(w)
+                elif pos[w] < pos[u]:
+                    steps.append((u, w, ways))
+        # a vertex is named 2k + 1 if it leaves the frontier after step k as
+        # that step's later end, else 2k; a component is labelled by its
+        # frontier member with the largest name, the one that leaves last
+        name = [0] * size
+        for k, (u, w, _) in enumerate(steps):
+            name[u], name[w] = 2 * k + 1, 2 * k
+        states, frontier = {(): 1}, []
+        for k, (u, w, (join, apart)) in enumerate(steps):
+            a, b = name[u], name[w]
+            new = (() if a in frontier else (a,)) + (() if b in frontier else (b,))
+            frontier += new
+            ia, ib = frontier.index(a), frontier.index(b)
+            leave = []
+            for v in (b, a):  # if both leave, the later end labels their component
+                if v >> 1 == k:
+                    leave.append((frontier.index(v), v))
+                    frontier.remove(v)
+            nxt = {}
+            for s, c in states.items():
+                s += new
+                x, y = s[ia], s[ib]
+                branches = [(s, c * apart)]
+                if x != y:
+                    x, y = (x, y) if x < y else (y, x)
+                    branches.append((tuple([y if z == x else z for z in s]), c * join))
+                for t, c in branches:
+                    for i, v in leave:
+                        if t[i] == v and len(t) > 1:
+                            break  # v's component leaves the frontier early
+                        t = t[:i] + t[i + 1:]
+                    else:
+                        nxt[t] = nxt.get(t, 0) + c
+            states = nxt
+        count *= states.get((), 0)  # the walk ends on the empty frontier
     return count
 
 

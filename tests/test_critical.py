@@ -2,12 +2,14 @@
 
 import random
 
+import networkx as nx
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mirrorcrit.critical import (
     AdjointPair,
     OracleLimitError,
+    _blocks,
     bicycle_masks_bruteforce,
     count_maximal_forests_bruteforce,
     forest_count,
@@ -21,6 +23,7 @@ from mirrorcrit.lattice import (
     IntMatrix,
     smith_normal_form,
 )
+from mirrorcrit.randgraph import mirror_grid
 
 from conftest import (
     CYCLIC_AXIS,
@@ -350,10 +353,45 @@ def oracle_inputs():
             [("p", "a", "b"), ("q", "d", "e"), ("r", "b", "c"), ("s", "c", "a")],
         ),
     ]
+    graphs += frontier_inputs()
     graphs += [
         random_multigraph(seed=seed, max_vertices=8, max_edges=10) for seed in range(200)
     ]
     return graphs
+
+
+def frontier_inputs():
+    """Blocks that the forest count's frontier search walks, or that the
+    series-parallel bypass reduces first: a wide frontier, vertices that
+    leave it early, and bonds of several edges or bypassed paths."""
+    k5 = [(f"k{a}{b}", str(a), str(b)) for a in range(5) for b in range(a + 1, 5)]
+    wheel = [(f"s{i}", "hub", f"r{i}") for i in range(6)]
+    wheel += [(f"r{i}", f"r{i}", f"r{(i + 1) % 6}") for i in range(6)]
+    theta = [
+        (f"{p}{i}", ends[0], ends[1])
+        for p in "abc"
+        for i, ends in enumerate(zip(["s", f"{p}1", f"{p}2"], [f"{p}1", f"{p}2", "t"]))
+    ]
+    k4 = [(f"k{a}{b}", a, b) for a, b in ("bc", "bd", "be", "cd", "ce", "de")]
+    return [
+        # K_5 with the edge 01 doubled: no vertex to bypass, 5 of them on the frontier
+        Multigraph([str(v) for v in range(5)], k5 + [("k01'", "0", "1")]),
+        # the wheel W_6, a hub on a 6-cycle: 320 trees
+        Multigraph(["hub"] + [f"r{i}" for i in range(6)], wheel),
+        # three 3-edge paths from s to t: 27 trees, all by bypasses
+        Multigraph(["s", "t", "a1", "a2", "b1", "b2", "c1", "c2"], theta),
+        # the 3x3 mirror grid's plain graph: the corners are bypassed, so
+        # the search walks a wheel whose rim bonds are 2-edge paths
+        mirror_grid(3, 3).graph,
+        # K_4 on b, c, d, e with a path b-a-c beside the edge bc, a doubled
+        # edge de and a pendant triangle at e: a, the block's first vertex,
+        # has degree 2
+        Multigraph(
+            list("abcdefg"),
+            [("ab", "a", "b"), ("ac", "a", "c"), *k4, ("de'", "d", "e"),
+             ("ef", "e", "f"), ("fg", "f", "g"), ("ge", "g", "e")],
+        ),
+    ]
 
 
 def has_cut_vertex(g):
@@ -376,11 +414,15 @@ def outcome(oracle, g, limit):
 
 
 class TestOraclesAgainstEdgeSubsetWalks:
-    """The oracles split the graph into its biconnected blocks and walk,
-    in each block, only the set they count: the spanning trees, whose
+    """The oracles split the graph into its biconnected blocks and count,
+    in each block, only the set they want: the spanning trees, whose
     counts multiply, and the bicycles, which combine as ORs across the
-    blocks.  The references walk all 2^|E| edge subsets of the whole
-    graph and filter, so they do not rely on the block decomposition."""
+    blocks.  A block's trees are counted by a frontier search over its
+    bonds in the order of a BFS numbering of its vertices, after parallel
+    bonds are merged and vertices with two neighbours bypassed; the
+    bicycles by a Gray-code walk over its vertex bipartitions.  The
+    references walk all 2^|E| edge subsets of the whole graph and filter,
+    so they rely on neither the block decomposition nor the frontier."""
 
     LIMITS = (1, 16, 1 << 10)
 
@@ -408,6 +450,32 @@ class TestOraclesAgainstEdgeSubsetWalks:
                 if isinstance(got, list):
                     assert all(a < b for a, b in zip(got, got[1:]))
 
+    def test_forest_count_on_frontier_inputs(self):
+        # up to 12 edges, past the largest of LIMITS, so each is also
+        # compared in full
+        graphs = frontier_inputs()
+        # the K_4 block's first vertex, where its BFS starts, has degree 2
+        blocks = dict(_blocks(graphs[-1]))
+        assert sum(0 in (tail, head) for _, tail, head in blocks[5]) == 2
+        for g in graphs:
+            limit = 2**g.n_edges
+            assert count_maximal_forests_bruteforce(g, limit) == forests_by_edge_subsets(g, limit)
+        assert [count_maximal_forests_bruteforce(g, 2**12) for g in graphs[1:4]] == [320, 27, 192]
+
+    def test_forest_count_at_grid_scale(self):
+        # 2^40 and 2^84 edge subsets, and 557,568,000 trees on the 5x5:
+        # in BFS order the frontier holds at most 84 and 858 partitions
+        for n in (5, 7):
+            g = mirror_grid(n, n).graph
+            count = count_maximal_forests_bruteforce(g, limit=2**g.n_edges)
+            assert count == forest_count(AdjointPair(g))
+            if n == 5:
+                nx_graph = nx.MultiGraph()
+                nx_graph.add_nodes_from(g.vertices)
+                nx_graph.add_edges_from((e.tail, e.head) for e in g.edges)
+                # exact below 2^53
+                assert count == round(nx.number_of_spanning_trees(nx_graph)) == 557_568_000
+
     @FOREST
     @given(multigraphs())
     @example(parse(CYCLIC_AXIS).graph)
@@ -422,12 +490,13 @@ class TestOraclesAgainstEdgeSubsetWalks:
 
     def test_forest_walk_prunes_by_acyclicity(self):
         # a path's 29 edges, then 30 loops: C(59, 29) edge subsets have
-        # the forest size, and one of them is acyclic
+        # the forest size, and one of them is acyclic; the loops lie in
+        # no block
         path = [(f"p{i}", f"v{i}", f"v{i + 1}") for i in range(29)]
         loops = [(f"l{i}", f"v{i}", f"v{i}") for i in range(30)]
         g = Multigraph([f"v{i}" for i in range(30)], path + loops)
         assert count_maximal_forests_bruteforce(g, limit=2**59) == 1
-        # a branch per edge, deeper than Python's recursion limit
+        # 2,999 bridges, more blocks than Python's recursion limit
         long_path = Multigraph(
             [f"v{i}" for i in range(3000)],
             [(f"p{i}", f"v{i}", f"v{i + 1}") for i in range(2999)],
