@@ -32,6 +32,7 @@ from .critical import (
     DEFAULT_ORACLE_LIMIT,
     AdjointPair,
     OracleLimitError,
+    biconnected_blocks,
     bicycle_masks_bruteforce,
     count_maximal_forests_bruteforce,
     subspace_masks,
@@ -237,10 +238,11 @@ def cmd_oracle(args) -> int:
         maps = None if symmetric is None else build_maps(symmetric.decompose())
         pair = AdjointPair(plain) if maps is None else maps.pair_g
         order = pair.critical_group.order()
-        forests = count_maximal_forests_bruteforce(plain, limit)
+        blocks = biconnected_blocks(plain)  # split once for both walks
+        forests = count_maximal_forests_bruteforce(plain, limit, blocks=blocks)
         check(f"forest count: enumeration {forests} vs |K| {order}", order == forests)
         algebra = sorted(subspace_masks(pair.bicycle_space, limit))
-        brute = bicycle_masks_bruteforce(plain, limit)
+        brute = bicycle_masks_bruteforce(plain, limit, blocks=blocks)
         check(
             f"bicycles: enumeration found {len(brute)}, algebra {len(algebra)}",
             algebra == brute,

@@ -234,7 +234,7 @@ def forest_count(pair: AdjointPair) -> int:
     return math.prod(d for d in pair.laplacian_snf.diagonal if d > 0)
 
 
-def _blocks(g: Multigraph) -> list:
+def biconnected_blocks(g: Multigraph) -> list:
     """g's non-loop edges split into biconnected blocks, each given as
     its vertex count and its edges (index, tail, head), with the ends
     numbered within the block.  Tarjan's search with an explicit stack:
@@ -298,7 +298,7 @@ def _add_bond(bond, u, w, join, apart):
     bond[u][w] = bond[w][u] = (join * s + apart * j, apart * s)
 
 
-def count_maximal_forests_bruteforce(g: Multigraph, limit=DEFAULT_ORACLE_LIMIT) -> int:
+def count_maximal_forests_bruteforce(g: Multigraph, limit=DEFAULT_ORACLE_LIMIT, blocks=None) -> int:
     """Exhaustive forest count (the oracle route): the product of the
     biconnected blocks' spanning-tree counts.
 
@@ -318,13 +318,14 @@ def count_maximal_forests_bruteforce(g: Multigraph, limit=DEFAULT_ORACLE_LIMIT) 
     only when it joins two components, and a component whose last vertex
     leaves the frontier ends its branch unless it is the whole block.
     It enumerates and does no linear algebra, so it is independent of
-    the matrix-tree route.
+    the matrix-tree route.  `blocks`, if given, is `biconnected_blocks(g)`,
+    split once by a caller that runs both oracles on g.
     """
     m = g.n_edges
     if 2**m > limit:
         raise OracleLimitError(f"2^{m} subsets exceed the limit {limit}")
     count = 1
-    for size, edges in _blocks(g):
+    for size, edges in biconnected_blocks(g) if blocks is None else blocks:
         if size == 2 or len(edges) == size:
             count *= len(edges)
             continue
@@ -392,7 +393,7 @@ def count_maximal_forests_bruteforce(g: Multigraph, limit=DEFAULT_ORACLE_LIMIT) 
     return count
 
 
-def bicycle_masks_bruteforce(g: Multigraph, limit=DEFAULT_ORACLE_LIMIT):
+def bicycle_masks_bruteforce(g: Multigraph, limit=DEFAULT_ORACLE_LIMIT, blocks=None):
     """All bicycles of g as edge-subset bitmasks in increasing order, by
     direct inspection of each biconnected block.
 
@@ -409,7 +410,8 @@ def bicycle_masks_bruteforce(g: Multigraph, limit=DEFAULT_ORACLE_LIMIT):
     so the step XORs in flips[u], the vertices w with |inc_u cap inc_w|
     odd, and a cut is kept when the set is empty.  Each kept cut is
     re-tested vertex by vertex.  This enumerates and does no linear
-    algebra, so it is independent of the mod-2 route.
+    algebra, so it is independent of the mod-2 route.  `blocks` is as in
+    `count_maximal_forests_bruteforce`.
     """
     m = g.n_edges
     n = g.n_vertices
@@ -418,7 +420,7 @@ def bicycle_masks_bruteforce(g: Multigraph, limit=DEFAULT_ORACLE_LIMIT):
             f"2^{m} edge subsets or 2^{n} vertex subsets exceed the limit {limit}"
         )
     bicycles = [0]
-    for size, edges in _blocks(g):
+    for size, edges in biconnected_blocks(g) if blocks is None else blocks:
         incidence = [0] * size
         for j, tail, head in edges:
             incidence[tail] ^= 1 << j

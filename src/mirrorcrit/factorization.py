@@ -52,7 +52,7 @@ from .graphs import (
     subdivision_vertex,
 )
 from .lattice import FpAbelianGroup, GroupHom, combine, image, support_rows
-from .modp import ModpSubspace, fixed_ambient, is_involution, kernel, support_bits
+from .modp import ModpSubspace, fixed_ambient, fixed_subspace, is_involution, support_bits
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,10 +69,13 @@ class SymmetryMaps:
     of the analysis, and `main_theorem_verdict` returns it as the
     report: the pairs and their critical groups, the induced homs and
     their kernels and cokernels, the fixed GF(2) spaces (whose `dim`s
-    the reports print), f mod 2, the theorem's hypotheses (the axis
-    components, the plus graph's connectivity, the exponent and the
-    flags derived from them), the three spanning-forest counts, the six
-    checks' reports and the verdicts.  Each is computed once, on first
+    the reports print; each fixed cycle or bond space is one elimination
+    of its pair's fundamental cycles or vertex cuts, folded by phi or
+    psi, and each side's sum and cap are one more), f mod 2, the
+    theorem's hypotheses (the axis components, the plus graph's
+    connectivity, the exponent and the flags derived from them), the
+    three spanning-forest counts, the six checks' reports and the
+    verdicts.  Each is computed once, on first
     use, and lives exactly as long as this graph's analysis.  GF(2)
     vectors are bit sets, bit j = coordinate j.
     """
@@ -194,39 +197,37 @@ class SymmetryMaps:
 
     @cached_property
     def z_phi(self) -> ModpSubspace:
-        return self.phi_ambient.intersection(self.pair_g.cycle_space_mod2)
+        return fixed_subspace(self.phi, self.pair_g.cycles)
 
     @cached_property
     def b_phi(self) -> ModpSubspace:
-        return self.phi_ambient.intersection(self.pair_g.bond_space_mod2)
+        return fixed_subspace(self.phi, self.pair_g.cuts)
 
     @cached_property
     def z_psi(self) -> ModpSubspace:
-        return self.psi_ambient.intersection(self.pair_union.cycle_space_mod2)
+        return fixed_subspace(self.psi, self.pair_union.cycles)
 
     @cached_property
     def b_psi(self) -> ModpSubspace:
-        return self.psi_ambient.intersection(self.pair_union.bond_space_mod2)
+        return fixed_subspace(self.psi, self.pair_union.cuts)
 
     @cached_property
-    def sum_phi(self) -> ModpSubspace:
-        return self.z_phi.plus(self.b_phi)
+    def phi_sum_cap(self) -> tuple:
+        """(Z^phi + B^phi, Z^phi cap B^phi).  The cap is the bicycles of
+        G fixed by the edge action of phi (the fixed space of an
+        intersection is the intersection of the fixed spaces)."""
+        return self.z_phi.sum_and_cap(self.b_phi)
 
     @cached_property
-    def sum_psi(self) -> ModpSubspace:
-        return self.z_psi.plus(self.b_psi)
+    def psi_sum_cap(self) -> tuple:
+        """(Z^psi + B^psi, Z^psi cap B^psi), the cap being the bicycles
+        of G+ u G- fixed by psi."""
+        return self.z_psi.sum_and_cap(self.b_psi)
 
-    @cached_property
-    def phi_bicycles(self) -> ModpSubspace:
-        """Bicycles of G fixed by the edge action of phi: Z^phi cap B^phi
-        (the fixed space of an intersection is the intersection of the
-        fixed spaces)."""
-        return self.z_phi.intersection(self.b_phi)
-
-    @cached_property
-    def psi_bicycles(self) -> ModpSubspace:
-        """Bicycles of G+ u G- fixed by psi: Z^psi cap B^psi."""
-        return self.z_psi.intersection(self.b_psi)
+    sum_phi = property(lambda m: m.phi_sum_cap[0])
+    phi_bicycles = property(lambda m: m.phi_sum_cap[1])
+    sum_psi = property(lambda m: m.psi_sum_cap[0])
+    psi_bicycles = property(lambda m: m.psi_sum_cap[1])
 
     # The forest counts and the six checks' reports.  Each names its
     # function in its body, so it is looked up by its global name when it
@@ -491,17 +492,25 @@ def identify_kernel_cokernel(maps: SymmetryMaps) -> BicycleIdentification:
     coker_order = maps.coker_f.order()
     ker_order = maps.ker_f.order()
 
-    # ker(f^t mod 2) versus its predicted basis {e + phi(e) : e Left}
-    ker_ft2 = kernel(maps.f_rows, maps.pair_union.c1_rank)
-    rows = [
-        1 << graph.edge_index(e.id) | 1 << graph.edge_index(g.edge_involution[e.id])
-        for e in g.left_edges
-    ]
-    predicted = ModpSubspace.from_rows(graph.n_edges, rows)
-    ker_ft_ok = ker_ft2 == predicted and ker_ft2.dim == len(g.left_edges)
+    # a subspace of a kernel is the whole kernel when their dimensions
+    # agree, and f and f^t have one rank mod 2: n - rank is the dimension
+    # of the kernel of f (n = |E+ u E-|) and of f^t (n = |E|)
+    rank = ModpSubspace.from_rows(graph.n_edges, maps.f_columns_mod2).dim
+
+    # ker(f^t mod 2) versus its predicted basis {e + phi(e) : e Left},
+    # f^t's columns mod 2 being f's rows
+    pairs = [(i, maps.phi[i]) for i in (graph.edge_index(e.id) for e in g.left_edges)]
+    predicted = ModpSubspace.from_rows(graph.n_edges, [1 << i | 1 << j for i, j in pairs])
+    ft = [support_bits(row) for row in maps.f_rows]
+    ker_ft_ok = predicted.dim == len(pairs) == graph.n_edges - rank and not any(
+        ft[i] ^ ft[j] if i != j else ft[i] for i, j in pairs
+    )
 
     # ker(f mod 2) versus the psi-fixed ambient subspace
-    ker_f_ok = kernel(maps.f_columns_mod2, graph.n_edges) == maps.psi_ambient
+    psi_ambient = maps.psi_ambient
+    ker_f_ok = psi_ambient.dim == len(maps.psi) - rank and not any(
+        maps.f_mod2(r) for r in psi_ambient.rows
+    )
 
     phi_quotient = maps.phi_ambient.dim - maps.sum_phi.dim
     psi_quotient = maps.psi_ambient.dim - maps.sum_psi.dim

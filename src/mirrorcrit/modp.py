@@ -5,12 +5,14 @@ is a plain comparison of their canonical rows.  A row is a Python-int
 bit set (bit j = coordinate j) from construction on, and a row
 operation is one XOR.  Vectors and a matrix's columns come in as bit
 sets, integer sequences or supports ({index: value}, see `lattice`); an
-integer entry is read by its low bit.  Every span, sum, kernel and intersection is one elimination:
-kernels and intersections reduce an augmented row block and keep the
-right halves of the rows whose left block vanished (the Zassenhaus
-method).  Membership reduces a vector against the pivots of the
-reduced basis, and fixed ambient spaces are built reduced, so neither
-eliminates.
+integer entry is read by its low bit.  Every span, kernel and fixed
+subspace is one elimination, and so is a sum with its intersection:
+they reduce an augmented row block, and the right halves of the rows
+whose left block vanished span the kernel, the fixed vectors or the
+intersection (the Zassenhaus method), while the left halves of the
+other rows span the sum.  Membership reduces a vector against the
+pivots of the reduced basis, and fixed ambient spaces are built
+reduced, so neither eliminates.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ from __future__ import annotations
 def _echelonize(rows, skip=0):
     """The canonical rows of the span of the bit sets `rows` whose pivot
     (lowest set bit) lies at column `skip` or past it, shifted down by
-    `skip`, sorted by pivot.
+    `skip`, sorted by pivot.  These are the rows whose first `skip`
+    coordinates vanish, and shifted they keep their leading ones and the
+    zeros at every other pivot: the reduced basis of what they span.
 
     Invariant: every stored row has zeros at all other pivot columns, so
     an incoming row is reduced by XOR-ing in the rows of the pivots it
@@ -71,17 +75,6 @@ def _mask(row, n) -> int:
     return bits
 
 
-def _vanishing_left(n_left, n_right, rows):
-    """The subspace spanned by the right halves of the reduced rows whose
-    first n_left coordinates vanish.
-
-    Those are the rows with a pivot past n_left; their right halves keep
-    the leading ones and the zeros at every other pivot, so they are
-    already the reduced echelon basis of what they span.
-    """
-    return ModpSubspace(n_right, _echelonize(rows, skip=n_left))
-
-
 class ModpSubspace:
     """Subspace of GF(2)^n, canonically represented by its reduced
     echelon rows as bit sets, sorted by pivot."""
@@ -119,13 +112,23 @@ class ModpSubspace:
                 combo ^= r
         return combo == vec
 
-    def intersection(self, other: "ModpSubspace") -> "ModpSubspace":
-        """Reduces the rows (a | a) for a in this basis and (b | 0) for b
-        in the other's: a combination (a + b | a) has a vanishing left
-        half exactly when a = b lies in both spaces."""
+    def sum_and_cap(self, other: "ModpSubspace") -> tuple:
+        """(sum, intersection) from one elimination of the rows (a | a) for
+        a in this basis and (b | 0) for b in the other's.  A combination
+        (a + b | a) has a vanishing left half exactly when a = b lies in
+        both spaces; the left halves of the other reduced rows are the
+        sum's canonical rows."""
         self._compatible(other)
         n = self.ambient_dim
-        return _vanishing_left(n, n, [a | a << n for a in self.rows] + list(other.rows))
+        left = (1 << n) - 1
+        rows = _echelonize([a | a << n for a in self.rows] + list(other.rows))
+        return (
+            ModpSubspace(n, tuple(r & left for r in rows if r & left)),
+            ModpSubspace(n, tuple(r >> n for r in rows if not r & left)),
+        )
+
+    def intersection(self, other: "ModpSubspace") -> "ModpSubspace":
+        return self.sum_and_cap(other)[1]
 
     def plus(self, other: "ModpSubspace") -> "ModpSubspace":
         self._compatible(other)
@@ -151,7 +154,7 @@ def kernel(columns, n_rows) -> ModpSubspace:
     a vanishing left half exactly when M x = 0.
     """
     rows = [_mask(col, n_rows) | 1 << (n_rows + j) for j, col in enumerate(columns)]
-    return _vanishing_left(n_rows, len(columns), rows)
+    return ModpSubspace(len(columns), _echelonize(rows, skip=n_rows))
 
 
 def is_involution(perm) -> bool:
@@ -172,3 +175,25 @@ def fixed_ambient(perm) -> ModpSubspace:
         raise ValueError("permutation is not an involution")
     rows = tuple(1 << i | 1 << j for i, j in enumerate(perm) if i <= j)
     return ModpSubspace(len(perm), rows)
+
+
+def fixed_subspace(perm, supports) -> ModpSubspace:
+    """The perm-fixed vectors of the span of `supports`, for an
+    involution perm (unchecked): one row (fold(g) | g) per generator g,
+    where bit t of fold(g) is g_i + g_perm(i) at the t-th swapped pair
+    i < perm(i), so a combination's left block vanishes exactly when its
+    right half is fixed."""
+    pair = {}  # coordinate -> its swapped pair's bit in the fold
+    for i, j in enumerate(perm):
+        if i < j:
+            pair[i] = pair[j] = 1 << len(pair) // 2
+    k = len(pair) // 2
+    rows = []
+    for vec in supports:
+        fold = bits = 0
+        for i, x in vec.items():
+            if x & 1:
+                bits |= 1 << i
+                fold ^= pair.get(i, 0)
+        rows.append(fold | bits << k)
+    return ModpSubspace(len(perm), _echelonize(rows, skip=k))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from mirrorcrit.critical import (
     AdjointPair,
     OracleLimitError,
-    _blocks,
+    biconnected_blocks,
     bicycle_masks_bruteforce,
     count_maximal_forests_bruteforce,
     forest_count,
@@ -455,12 +455,18 @@ class TestOraclesAgainstEdgeSubsetWalks:
         # compared in full
         graphs = frontier_inputs()
         # the K_4 block's first vertex, where its BFS starts, has degree 2
-        blocks = dict(_blocks(graphs[-1]))
+        blocks = dict(biconnected_blocks(graphs[-1]))
         assert sum(0 in (tail, head) for _, tail, head in blocks[5]) == 2
         for g in graphs:
             limit = 2**g.n_edges
             assert count_maximal_forests_bruteforce(g, limit) == forests_by_edge_subsets(g, limit)
         assert [count_maximal_forests_bruteforce(g, 2**12) for g in graphs[1:4]] == [320, 27, 192]
+
+    def test_bicycles_on_frontier_inputs(self):
+        # compared in full too: LIMITS would stop these at the guard
+        for g in frontier_inputs():
+            limit = 2**max(g.n_edges, g.n_vertices)
+            assert bicycle_masks_bruteforce(g, limit) == bicycles_by_edge_subsets(g, limit)
 
     def test_forest_count_at_grid_scale(self):
         # 2^40 and 2^84 edge subsets, and 557,568,000 trees on the 5x5:

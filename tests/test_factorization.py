@@ -724,9 +724,10 @@ class TestWorkCounts:
             counting_cached(FpAbelianGroup, kind)
 
         # f, d and the cycles are signed supports: no analysis multiplies
-        # or transposes a dense matrix, and the GF(2) kernel runs for f
-        # and f^t only, never for d (the mod-2 cycle space is the span of
-        # the fundamental cycles)
+        # or transposes a dense matrix, and no GF(2) kernel runs: the
+        # kernels of f and f^t mod 2 are decided by a rank, and the fixed
+        # cycle and bond spaces are built from the fundamental cycles and
+        # the vertex cuts
         gf2_kernels = []
 
         def recording_kernel(columns, n_rows):
@@ -781,14 +782,15 @@ class TestWorkCounts:
             assert {kind: counts[kind] for kind in WITNESSES} == {
                 "left": 0, "right": 0, "left_inv": 0, "right_inv": 0,
             }
-            # one GF(2) elimination per subspace construction (from_rows,
-            # kernel, intersection); membership reduces against the pivots
-            # of the reduced basis and the fixed ambients are built
-            # reduced, so neither eliminates
-            assert counts["echelonize"] == 18
+            # one GF(2) elimination per fixed space (Z^phi, B^phi, Z^psi
+            # and B^psi: 4), one per side for its sum and cap (2), the rank
+            # of f mod 2 and the predicted kernel of f^t (2), the image of
+            # g (1) and the linking cycles (2); membership reduces against
+            # the pivots of the reduced basis and the fixed ambients are
+            # built reduced, so neither eliminates
+            assert counts["echelonize"] == 11
             assert counts["__matmul__"] == counts["transpose"] == 0
-            n_edges, n_union = rep.graph.graph.n_edges, len(rep.psi)
-            assert sorted(gf2_kernels) == sorted([(n_union, n_edges), (n_edges, n_union)])
+            assert gf2_kernels == []
             # the diagonal-only Smith forms build none
             diagonal_only = [
                 *(pair.laplacian_snf for pair in (rep.pair_g, rep.pair_plus, rep.pair_minus)),
@@ -881,10 +883,10 @@ class TestWorkCounts:
         assert calls == {axis: 1, rep.dec.plus.vertices: 1}
 
     def test_each_fixed_ambient_built_once(self, monkeypatch):
-        # the phi- and psi-fixed ambients are built once each and shared
-        # by the six fixed spaces and identify_kernel_cokernel; psi and
-        # phi are each checked once in build_maps and once more when
-        # their ambient is built
+        # the phi- and psi-fixed ambients are built once each, for
+        # identify_kernel_cokernel; psi and phi are each checked once in
+        # build_maps and once more when their ambient is built, and the
+        # fixed spaces, built from generators, check neither again
         import mirrorcrit.factorization as factorization_module
         import mirrorcrit.modp as modp_module
 
@@ -980,6 +982,27 @@ class TestWorkCounts:
         assert "oracle: all checks agree" in capsys.readouterr().out
         assert calls == {"snf": 5}
         assert checks == {}
+
+    def test_oracle_splits_each_graph_once(self, monkeypatch, capsys):
+        # the forest and bicycle walks on G share one split into blocks;
+        # the bicycle walk on G+ u G- splits that graph once more
+        import mirrorcrit.cli as cli_module
+        import mirrorcrit.critical as critical_module
+
+        split = []
+        blocks = critical_module.biconnected_blocks
+
+        def recording(g):
+            split.append(g.n_edges)
+            return blocks(g)
+
+        monkeypatch.setattr(critical_module, "biconnected_blocks", recording)
+        monkeypatch.setattr(cli_module, "biconnected_blocks", recording)
+        path = SAMPLES / "k4minus.sg"
+        assert cli_module.main(["oracle", str(path)]) == 0
+        assert "oracle: all checks agree" in capsys.readouterr().out
+        g = parse(path.read_text())
+        assert split == [g.graph.n_edges, g.decompose().union_graph().n_edges]
 
 
 # the verdicts gated off when the axis is not a forest, and when G+ is

@@ -1,5 +1,7 @@
 """GF(2) subspaces: echelon canonicity, kernels, sums, intersections."""
 
+import dataclasses
+import functools
 import itertools
 import random
 
@@ -15,14 +17,17 @@ from mirrorcrit.critical import (
     bicycle_masks_bruteforce,
     subspace_masks,
 )
+from mirrorcrit.factorization import build_maps, identify_kernel_cokernel
 from mirrorcrit.graphs import Multigraph
 from mirrorcrit.lattice import IntMatrix
 from mirrorcrit.modp import (
     ModpSubspace,
     fixed_ambient,
+    fixed_subspace,
     is_involution,
     kernel,
 )
+from mirrorcrit.randgraph import mirror_grid
 
 from conftest import (
     apply,
@@ -32,6 +37,7 @@ from conftest import (
     random_multigraph,
     row_space,
     running_example,
+    symmetric_corpus,
 )
 
 
@@ -311,7 +317,12 @@ class TestWideRows:
         assert basis(sa.intersection(sb)) == _reference_cap(ref_a, ref_b, n)
         assert sa.contains(vec) == (len(_reference([*a, vec], n)) == len(ref_a))
         ambient = [[int(k in (i, perm[i])) for k in range(n)] for i in range(n)]
-        assert basis(fixed_ambient(perm).intersection(sa)) == _reference_cap(_reference(ambient, n), ref_a, n)
+        fixed = _reference_cap(_reference(ambient, n), ref_a, n)
+        assert basis(fixed_ambient(perm).intersection(sa)) == fixed
+        assert basis(fixed_subspace(perm, [dict(enumerate(r)) for r in a])) == fixed
+        total, cap = sa.sum_and_cap(sb)
+        assert basis(total) == _reference([*a, *b], n)
+        assert basis(cap) == _reference_cap(ref_a, ref_b, n)
 
     @WIDE
     @given(wide_gf2_case())
@@ -368,6 +379,163 @@ class TestFixedSubspace:
 
         maps = build_maps(running_example().decompose())
         assert maps.phi_bicycles.dim == 1
+
+
+@st.composite
+def folded_case(draw):
+    """An involution of n = 0-70 coordinates (the identity, fixed-point
+    free, or with some pairs swapped) and 0-8 generators as supports:
+    empty ones (a loop's), entries in -3..3 (even ones read as 0), and
+    fixed ones, so that the fixed subspace is not always trivial."""
+    n = draw(st.integers(0, 70) | st.sampled_from((0, 1, 2)))
+    order = draw(st.permutations(range(n)))
+    n_pairs = draw(st.sampled_from((0, n // 2)) | st.integers(0, n // 2))
+    perm = list(range(n))
+    for t in range(n_pairs):
+        i, j = order[2 * t], order[2 * t + 1]
+        perm[i], perm[j] = j, i
+    entry = st.integers(-3, 3)
+    support = st.dictionaries(st.integers(0, n - 1), entry) if n else st.just({})
+    fixed = support.map(lambda v: {**v, **{perm[i]: x for i, x in v.items()}})
+    supports = draw(st.lists(support | fixed | st.just({}), max_size=8))
+    return tuple(perm), supports
+
+
+def fixed_by_enumeration(perm, supports):
+    """The elements of the span of `supports` that perm fixes, for a
+    small ambient dimension."""
+    n = len(perm)
+    span = ModpSubspace.from_rows(n, supports)
+    return {
+        m for m in subspace_masks(span)
+        if all((m >> i & 1) == (m >> j & 1) for i, j in enumerate(perm))
+    }
+
+
+def random_spaces(draw, n):
+    row = st.integers(0, (1 << n) - 1)
+    a = draw(st.lists(row, max_size=n + 1))
+    b = draw(st.lists(row | st.sampled_from(a) if a else row, max_size=n + 1))
+    return ModpSubspace.from_rows(n, a), ModpSubspace.from_rows(n, b)
+
+
+@functools.cache
+def analyses():
+    """The running example, the 3x3 mirror grid and 40 corpus graphs
+    (plus graph connected or not), analysed up to their maps."""
+    graphs = [running_example(), mirror_grid(3, 3), *symmetric_corpus(40, connected_plus=False)]
+    return tuple(build_maps(g.decompose()) for g in graphs)
+
+
+def rematch(perm, i, j):
+    """perm with i and j swapped with each other and their old partners
+    fixed (i fixed, when i = j): an involution again."""
+    p = list(perm)
+    for k in (i, j):
+        p[p[k]] = p[k]
+        p[k] = k
+    p[i], p[j] = j, i
+    return tuple(p)
+
+
+def kernel_route(maps):
+    """The two mod-2 kernel checks of `identify_kernel_cokernel`, decided
+    by eliminating both kernels: (ker f^t == the span of e + phi(e) over
+    the Left edges e, of dimension |E_L|; ker f == the psi-fixed
+    ambient)."""
+    graph = maps.graph.graph
+    left = [graph.edge_index(e.id) for e in maps.graph.left_edges]
+    predicted = ModpSubspace.from_rows(graph.n_edges, [1 << i | 1 << maps.phi[i] for i in left])
+    ker_ft = kernel(maps.f_rows, len(maps.psi))
+    return (
+        ker_ft == predicted and ker_ft.dim == len(left),
+        kernel(maps.f_columns_mod2, graph.n_edges) == fixed_ambient(maps.psi),
+    )
+
+
+def doubled_f(maps):
+    return dataclasses.replace(
+        maps, f_columns=tuple({k: 2 * x for k, x in col.items()} for col in maps.f_columns)
+    )
+
+
+FOLDED = settings(max_examples=150, derandomize=True, database=None, deadline=None)
+
+
+class TestFoldedRoutes:
+    """The routes the analysis takes to its fixed spaces, their sums and
+    caps, and the two mod-2 kernels, against the routes they replace:
+    the fixed ambient intersected with the span, `plus` and a separate
+    intersection, and the eliminated kernels.  Canonical rows must be
+    equal, not only dimensions."""
+
+    @FOLDED
+    @given(folded_case())
+    def test_fixed_subspace_is_the_fixed_ambient_cap_the_span(self, case):
+        perm, supports = case
+        n = len(perm)
+        got = fixed_subspace(perm, supports)
+        assert got == fixed_ambient(perm).intersection(ModpSubspace.from_rows(n, supports))
+        if n <= 10:
+            assert set(subspace_masks(got)) == fixed_by_enumeration(perm, supports)
+
+    def test_fixed_subspace_edge_cases(self):
+        assert fixed_subspace((), []) == ModpSubspace(0, ())
+        assert fixed_subspace((), [{}, {}]) == ModpSubspace(0, ())
+        # the swap fixes 11 and not 10; entries 2 and -2 read as 0
+        swap = (1, 0)
+        assert basis(fixed_subspace(swap, [{0: 1}, {1: 1}])) == ((1, 1),)
+        assert fixed_subspace(swap, [{0: 1}, {0: 2, 1: -2}]).dim == 0
+        assert basis(fixed_subspace((0, 1), [{0: 3, 1: 2}])) == ((1, 0),)
+        assert basis(fixed_subspace(swap, [{0: -1, 1: 3}, {}])) == ((1, 1),)
+
+    @FOLDED
+    @given(st.data())
+    def test_sum_and_cap_from_one_pass(self, data):
+        n = data.draw(st.integers(0, 8))
+        a, b = random_spaces(data.draw, n)
+        total, cap = a.sum_and_cap(b)
+        assert total == a.plus(b)
+        assert cap == a.intersection(b)
+        # the cap against enumeration, since intersection shares the pass
+        assert set(subspace_masks(cap)) == set(subspace_masks(a)) & set(subspace_masks(b))
+        assert cap == ModpSubspace.from_rows(n, cap.rows)
+
+    @FOLDED
+    @given(st.data())
+    def test_rank_route_decides_the_kernels(self, data):
+        # phi and psi are perturbed to other involutions, and f is
+        # doubled, which still descends to the critical groups but
+        # vanishes mod 2, so that both kernels outgrow their predictions
+        maps = data.draw(st.sampled_from(analyses()))
+        which = data.draw(st.sampled_from(("phi", "psi", "f", None)))
+        if which == "f":
+            maps = doubled_f(maps)
+        elif which is not None and getattr(maps, which):
+            perm = getattr(maps, which)
+            i, j = (data.draw(st.integers(0, len(perm) - 1)) for _ in range(2))
+            maps = dataclasses.replace(maps, **{which: rematch(perm, i, j)})
+        ident = identify_kernel_cokernel(maps)
+        assert (ident.ker_ft_basis_ok, ident.ker_f_psi_fixed_ok) == kernel_route(maps)
+
+    def test_rank_route_reaches_false(self):
+        # a perturbed phi fails the f^t check and a perturbed psi the f
+        # check, and a doubled f fails both on dimension alone
+        maps = build_maps(running_example().decompose())
+        perturbed = [
+            (dataclasses.replace(maps, **{which: rematch(getattr(maps, which), i, j)}), want)
+            for which, i, j, want in (
+                ("phi", 0, 0, (False, True)),
+                ("phi", 0, 4, (False, True)),
+                ("psi", 0, 0, (True, False)),
+            )
+        ]
+        for bad, want in [*perturbed, (doubled_f(maps), (False, False))]:
+            ident = identify_kernel_cokernel(bad)
+            assert (ident.ker_ft_basis_ok, ident.ker_f_psi_fixed_ok) == want == kernel_route(bad)
+        ident = identify_kernel_cokernel(maps)
+        assert ident.ker_ft_basis_ok and ident.ker_f_psi_fixed_ok
+        assert kernel_route(maps) == (True, True)
 
 
 class TestEnumeration:
