@@ -5,15 +5,15 @@ Z = ker(d) and B = im(d^t).  For a graph's boundary map d this is the
 usual critical group (sandpile/Jacobian group), whose order is the
 number of maximal spanning forests.  The torsion of coker(d d^t), the
 Laplacian's cokernel, is a second, independent presentation of the
-same group.  The pair also holds its cycle, bond and bicycle spaces
-over GF(2); the bicycle space's dimension is the number of even
-invariant factors.  An AdjointPair holds its multigraph, and d and the
-fundamental cycles of one spanning forest as signed supports (see
-`lattice`); the relation matrix [Z | B], the input of a Smith form, is
-the one dense matrix built from them.  The Laplacian is read off the
-graph's degrees and adjacencies, never off d, so it stays an
-independent second route.  The pair of a disjoint union keeps its two
-parts, and its critical group is composed from theirs.
+same group.  The pair also holds its bicycle space over GF(2), whose
+dimension is the number of even invariant factors.  An AdjointPair
+holds its multigraph, and d and the fundamental cycles of one spanning
+forest as signed supports (see `lattice`); the relation matrix [Z | B],
+the input of a Smith form, is the one dense matrix built from them.
+The Laplacian is read off the graph's degrees and adjacencies, never
+off d, so it stays an independent second route.  The pair of a
+disjoint union keeps its two parts, and its critical group is composed
+from theirs.
 
 This module also houses the brute-force oracles that the higher-level
 checks are tested against, behind an enumeration guard: a frontier
@@ -207,20 +207,15 @@ class AdjointPair:
         return smith_normal_form(self.laplacian)
 
     @cached_property
-    def cycle_space_mod2(self) -> ModpSubspace:
-        """Z = ker(d) over GF(2): the span of the fundamental cycles."""
-        return ModpSubspace.from_rows(self.c1_rank, self.cycles)
-
-    @cached_property
-    def bond_space_mod2(self) -> ModpSubspace:
-        """B = im(dt) over GF(2): the span of the vertex cuts."""
-        return ModpSubspace.from_rows(self.c1_rank, self.cuts)
-
-    @cached_property
     def bicycle_space(self) -> ModpSubspace:
-        """Z cap B over GF(2); its dimension is the number of even
-        invariant factors of the critical group."""
-        return self.cycle_space_mod2.intersection(self.bond_space_mod2)
+        """Z cap B over GF(2), Z = ker(d) being the span of the
+        fundamental cycles and B = im(dt) that of the vertex cuts; its
+        dimension is the number of even invariant factors of the critical
+        group.  Only `oracle` and the tests read it."""
+        n = self.c1_rank
+        return ModpSubspace.from_rows(n, self.cycles).intersection(
+            ModpSubspace.from_rows(n, self.cuts)
+        )
 
 
 def forest_count(pair: AdjointPair) -> int:

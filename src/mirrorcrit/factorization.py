@@ -52,7 +52,7 @@ from .graphs import (
     subdivision_vertex,
 )
 from .lattice import FpAbelianGroup, GroupHom, combine, image, support_rows
-from .modp import ModpSubspace, fixed_ambient, fixed_subspace, is_involution, support_bits
+from .modp import ModpSubspace, fixed_subspace, is_involution, span_dims, support_bits
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,20 +64,21 @@ class SymmetryMaps:
     its rows and f mod 2 are derived from them.  Column/row order over
     E+ u E- is the edge order of the union graph `pair_union.graph`:
     plus edges in plus-graph order, then minus edges in minus-graph
-    order.  psi (on E+ u E-) and phi (on the edges of G)
-    are index tuples, i -> psi[i].  This is the one holder of every fact
-    of the analysis, and `main_theorem_verdict` returns it as the
-    report: the pairs and their critical groups, the induced homs and
-    their kernels and cokernels, the fixed GF(2) spaces (whose `dim`s
-    the reports print; each fixed cycle or bond space is one elimination
-    of its pair's fundamental cycles or vertex cuts, folded by phi or
-    psi, and each side's sum and cap are one more), f mod 2, the
+    order.  psi (on E+ u E-) and phi (on the edges of G) are index
+    tuples, i -> psi[i].  This is the one holder of every fact of the
+    analysis, and `main_theorem_verdict` returns it as the report: the
+    pairs and their critical groups, the induced homs and their kernels
+    and cokernels, the fixed GF(2) spaces (whose `dim`s the reports
+    print; each fixed cycle or bond space is one elimination of its
+    pair's fundamental cycles or vertex cuts, folded by phi or psi, and
+    each side's sum and cap are one more; no fixed ambient is built,
+    since its dimension is its involution's orbit count), f mod 2, the
     theorem's hypotheses (the axis components, the plus graph's
     connectivity, the exponent and the flags derived from them), the
     three spanning-forest counts, the six checks' reports and the
-    verdicts.  Each is computed once, on first
-    use, and lives exactly as long as this graph's analysis.  GF(2)
-    vectors are bit sets, bit j = coordinate j.
+    verdicts.  Each is computed once, on first use, and lives exactly
+    as long as this graph's analysis.  GF(2) vectors are bit sets, bit
+    j = coordinate j.
     """
 
     dec: Decomposition
@@ -184,16 +185,6 @@ class SymmetryMaps:
     @cached_property
     def coker_ft(self) -> FpAbelianGroup:
         return self.ft_star.cokernel()
-
-    @cached_property
-    def phi_ambient(self) -> ModpSubspace:
-        """The phi-fixed vectors of GF(2)^E."""
-        return fixed_ambient(self.phi)
-
-    @cached_property
-    def psi_ambient(self) -> ModpSubspace:
-        """The psi-fixed vectors of GF(2)^(E+ u E-)."""
-        return fixed_ambient(self.psi)
 
     @cached_property
     def z_phi(self) -> ModpSubspace:
@@ -468,6 +459,15 @@ class BicycleIdentification:
     alternate_coker_matches: bool
 
 
+def _orbit_check(columns, perm, indices) -> tuple:
+    """(the number of orbits {i, perm(i)} of the involution perm that
+    meet `indices`, their span's dimension as they are disjoint; whether
+    the GF(2) columns kill each one's e_i + e_perm(i), e_i if i = perm(i))."""
+    orbits = {min(i, perm[i]) for i in indices}
+    kills = not any(columns[i] ^ columns[perm[i]] if perm[i] != i else columns[i] for i in orbits)
+    return len(orbits), kills
+
+
 def identify_kernel_cokernel(maps: SymmetryMaps) -> BicycleIdentification:
     """Match |coker(f*)| and |ker(f*)| with fixed bicycle spaces.
 
@@ -485,7 +485,8 @@ def identify_kernel_cokernel(maps: SymmetryMaps) -> BicycleIdentification:
     two fixed ambients have the same dimension |E_L| + |E^phi|, so this
     pairing is the one consistent with |sum^psi| / |sum^phi| =
     |ker| / |coker|; the reversed pairing fails already on a mirrored
-    4-cycle, where ker(f*) = 0 and coker(f*) = Z/2.)
+    4-cycle, where ker(f*) = 0 and coker(f*) = Z/2.)  A fixed ambient is
+    not built: its dimension is the orbit count, the number of i <= perm(i).
     """
     g = maps.graph
     graph = g.graph
@@ -498,22 +499,17 @@ def identify_kernel_cokernel(maps: SymmetryMaps) -> BicycleIdentification:
     rank = ModpSubspace.from_rows(graph.n_edges, maps.f_columns_mod2).dim
 
     # ker(f^t mod 2) versus its predicted basis {e + phi(e) : e Left},
-    # f^t's columns mod 2 being f's rows
-    pairs = [(i, maps.phi[i]) for i in (graph.edge_index(e.id) for e in g.left_edges)]
-    predicted = ModpSubspace.from_rows(graph.n_edges, [1 << i | 1 << j for i, j in pairs])
+    # f^t's columns mod 2 being f's rows, and ker(f mod 2) versus the
+    # psi-fixed ambient, spanned by psi's orbits
+    left = [graph.edge_index(e.id) for e in g.left_edges]
     ft = [support_bits(row) for row in maps.f_rows]
-    ker_ft_ok = predicted.dim == len(pairs) == graph.n_edges - rank and not any(
-        ft[i] ^ ft[j] if i != j else ft[i] for i, j in pairs
-    )
+    n_left, ft_kills = _orbit_check(ft, maps.phi, left)
+    ker_ft_ok = n_left == len(left) == graph.n_edges - rank and ft_kills
+    n_psi, f_kills = _orbit_check(maps.f_columns_mod2, maps.psi, range(len(maps.psi)))
+    ker_f_ok = n_psi == len(maps.psi) - rank and f_kills
 
-    # ker(f mod 2) versus the psi-fixed ambient subspace
-    psi_ambient = maps.psi_ambient
-    ker_f_ok = psi_ambient.dim == len(maps.psi) - rank and not any(
-        maps.f_mod2(r) for r in psi_ambient.rows
-    )
-
-    phi_quotient = maps.phi_ambient.dim - maps.sum_phi.dim
-    psi_quotient = maps.psi_ambient.dim - maps.sum_psi.dim
+    phi_quotient = sum(i <= j for i, j in enumerate(maps.phi)) - maps.sum_phi.dim
+    psi_quotient = n_psi - maps.sum_psi.dim
 
     return BicycleIdentification(
         coker_matches=(coker_order == 2**maps.phi_bicycles.dim),
@@ -627,7 +623,8 @@ def component_linking_cycles(maps: SymmetryMaps) -> bool:
     plus graph's spanning tree (the XOR of their two root paths);
     symmetrizing each path yields a phi-fixed cycle of G.  True when
     these cycles complete the image of the psi-fixed cycles under g to
-    all of Z^phi (independence and spanning, by dimension count).
+    all of Z^phi (independence and spanning, by dimension count); one
+    elimination gives both dimensions (`span_dims`).
     """
     g = maps.graph
     if not maps.plus_connected:
@@ -647,18 +644,14 @@ def component_linking_cycles(maps: SymmetryMaps) -> bool:
 
     cycles = [maps.f_mod2(root_mask(a) ^ root_mask(b)) for a, b in zip(reps, reps[1:])]
 
-    n_edges = g.graph.n_edges
     z_phi = maps.z_phi
     plus_mask = (1 << maps.n_plus) - 1
     image_rows = [maps.f_mod2(vec & plus_mask) for vec in maps.z_psi.rows]
-    image = ModpSubspace.from_rows(n_edges, image_rows)
-
-    m = max(count - 1, 0)
-    combined = ModpSubspace.from_rows(n_edges, [*image.rows, *cycles])
+    image_dim, combined_dim = span_dims(g.graph.n_edges, image_rows, cycles)
     return (
         all(z_phi.contains(c) for c in cycles)
-        and combined.dim == image.dim + m
-        and combined.dim == z_phi.dim
+        and combined_dim == image_dim + len(cycles)
+        and combined_dim == z_phi.dim
     )
 
 

@@ -10,9 +10,9 @@ subspace is one elimination, and so is a sum with its intersection:
 they reduce an augmented row block, and the right halves of the rows
 whose left block vanished span the kernel, the fixed vectors or the
 intersection (the Zassenhaus method), while the left halves of the
-other rows span the sum.  Membership reduces a vector against the
-pivots of the reduced basis, and fixed ambient spaces are built
-reduced, so neither eliminates.
+other rows span the sum, and `span_dims` reads the dimensions of a span
+and of its sum with more vectors off one.  Membership reduces a vector
+against the pivots of the reduced basis, so it does not eliminate.
 """
 
 from __future__ import annotations
@@ -151,10 +151,19 @@ def kernel(columns, n_rows) -> ModpSubspace:
     over n_rows rows, in echelon form.
 
     Reduces the rows (column j of M | e_j): a combination (M x | x) has
-    a vanishing left half exactly when M x = 0.
+    a vanishing left half exactly when M x = 0.  The analysis runs none.
     """
     rows = [_mask(col, n_rows) | 1 << (n_rows + j) for j, col in enumerate(columns)]
     return ModpSubspace(len(columns), _echelonize(rows, skip=n_rows))
+
+
+def span_dims(n, rows, extra) -> tuple:
+    """(dim span(rows), dim span(rows + extra)) for bit sets of length n,
+    from one elimination: extra row k gets its own tag bit n + k, so the
+    reduced rows number dim span(rows) + len(extra), and those with an
+    untagged part (a pivot below n) span rows + extra."""
+    reduced = _echelonize([*rows, *(r | 1 << (n + k) for k, r in enumerate(extra))])
+    return len(reduced) - len(extra), sum(1 for r in reduced if r & ((1 << n) - 1))
 
 
 def is_involution(perm) -> bool:
@@ -169,7 +178,8 @@ def fixed_ambient(perm) -> ModpSubspace:
     It is spanned by e_i for every fixed point and e_i + e_perm(i) for
     every swapped pair i < perm(i).  Those rows are already in reduced
     echelon form, with the pivot at the smaller index, so no elimination
-    runs.
+    runs.  The analysis builds none, reading only the orbit count, its
+    dimension; the tests compare the analysis' routes against it.
     """
     if not is_involution(perm):
         raise ValueError("permutation is not an involution")

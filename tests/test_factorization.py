@@ -39,7 +39,7 @@ from mirrorcrit.lattice import (
     IntMatrix,
     smith_normal_form,
 )
-from mirrorcrit.modp import is_involution
+from mirrorcrit.modp import fixed_ambient, is_involution
 from mirrorcrit.randgraph import mirror_grid
 
 from conftest import (
@@ -434,7 +434,7 @@ class TestIdentification:
         # dim Z^phi = 1 and dim B^phi = 2 meet in the bicycle line, so
         # dim (Z^phi + B^phi) = 2
         assert maps.sum_phi.dim == 2
-        assert maps.phi_ambient.dim == 3
+        assert fixed_ambient(maps.phi).dim == 3
 
     def test_quotient_presentations_cross_over(self):
         # mirrored 4-cycle: ker(f*) = 0 and coker(f*) = Z/2; the
@@ -443,8 +443,8 @@ class TestIdentification:
         m = build_maps(mirror_cycle(2).decompose())
         ident = identify_kernel_cokernel(m)
         assert m.ker_f.order() == 1 and m.coker_f.order() == 2
-        assert m.phi_ambient.dim - m.sum_phi.dim == 0
-        assert m.psi_ambient.dim - m.sum_psi.dim == 1
+        assert fixed_ambient(m.phi).dim - m.sum_phi.dim == 0
+        assert fixed_ambient(m.psi).dim - m.sum_psi.dim == 1
         assert ident.alternate_ker_matches and ident.alternate_coker_matches
 
     def test_corpus(self, small_corpus):
@@ -465,11 +465,11 @@ class TestIdentification:
             bic_g = m.pair_g.bicycle_space
             restricted_ft = matrix_kernel(dense_f(m).transpose()).intersection(bic_g)
             assert restricted_ft == m.phi_bicycles
-            assert m.phi_ambient.intersection(bic_g) == m.phi_bicycles
+            assert fixed_ambient(m.phi).intersection(bic_g) == m.phi_bicycles
             bic_pm = m.pair_union.bicycle_space
             restricted_f = matrix_kernel(dense_f(m)).intersection(bic_pm)
             assert restricted_f == m.psi_bicycles
-            assert m.psi_ambient.intersection(bic_pm) == m.psi_bicycles
+            assert fixed_ambient(m.psi).intersection(bic_pm) == m.psi_bicycles
 
     def test_f_mod2_maps_bicycles_to_bicycles(self, mixed_corpus):
         # the mod-2 reduction of f carries the bicycle space of the
@@ -784,11 +784,13 @@ class TestWorkCounts:
             }
             # one GF(2) elimination per fixed space (Z^phi, B^phi, Z^psi
             # and B^psi: 4), one per side for its sum and cap (2), the rank
-            # of f mod 2 and the predicted kernel of f^t (2), the image of
-            # g (1) and the linking cycles (2); membership reduces against
-            # the pivots of the reduced basis and the fixed ambients are
-            # built reduced, so neither eliminates
-            assert counts["echelonize"] == 11
+            # of f mod 2 (1), the image of g (1) and the linking cycles,
+            # whose one pass gives the dimensions of the image of the
+            # psi-fixed cycles and of its sum with the cycles (1); the
+            # predicted kernel of f^t and the fixed ambients are orbits of
+            # phi and psi, counted and not eliminated, and membership
+            # reduces against the pivots of the reduced basis
+            assert counts["echelonize"] == 9
             assert counts["__matmul__"] == counts["transpose"] == 0
             assert gf2_kernels == []
             # the diagonal-only Smith forms build none
@@ -882,11 +884,12 @@ class TestWorkCounts:
         axis = tuple(rep.graph.fixed_vertices)
         assert calls == {axis: 1, rep.dec.plus.vertices: 1}
 
-    def test_each_fixed_ambient_built_once(self, monkeypatch):
-        # the phi- and psi-fixed ambients are built once each, for
-        # identify_kernel_cokernel; psi and phi are each checked once in
-        # build_maps and once more when their ambient is built, and the
-        # fixed spaces, built from generators, check neither again
+    def test_no_fixed_ambient_built(self, monkeypatch):
+        # an analysis reads the phi- and psi-fixed ambients only through
+        # their orbit counts and orbits, so it builds neither; psi and phi
+        # are each checked once, in build_maps, and the fixed spaces,
+        # built from generators, check neither again; at either size the
+        # analysis makes 9 GF(2) eliminations
         import mirrorcrit.factorization as factorization_module
         import mirrorcrit.modp as modp_module
 
@@ -903,20 +906,27 @@ class TestWorkCounts:
         monkeypatch.setattr(modp_module, "is_involution", check)
         monkeypatch.setattr(factorization_module, "is_involution", check)
         monkeypatch.setattr(
-            factorization_module,
-            "fixed_ambient",
-            counting("fixed_ambient", modp_module.fixed_ambient),
+            modp_module, "fixed_ambient", counting("fixed_ambient", modp_module.fixed_ambient)
         )
-        rep = main_theorem_verdict(mirror_grid(7, 7))
-        assert rep.overall_pass
-        n_phi, n_psi = len(rep.phi), len(rep.psi)
-        assert n_phi != n_psi
-        assert calls == {
-            ("fixed_ambient", n_phi): 1,
-            ("fixed_ambient", n_psi): 1,
-            ("is_involution", n_phi): 2,
-            ("is_involution", n_psi): 2,
-        }
+        echelonize = modp_module._echelonize
+
+        def counting_eliminations(*args, **kwargs):
+            calls["echelonize"] += 1
+            return echelonize(*args, **kwargs)
+
+        monkeypatch.setattr(modp_module, "_echelonize", counting_eliminations)
+        assert not hasattr(factorization_module, "fixed_ambient")
+        for n in (7, 17):
+            calls.clear()
+            rep = main_theorem_verdict(mirror_grid(n, n))
+            assert rep.overall_pass
+            n_phi, n_psi = len(rep.phi), len(rep.psi)
+            assert n_phi != n_psi
+            assert calls == {
+                ("is_involution", n_phi): 1,
+                ("is_involution", n_psi): 1,
+                "echelonize": 9,
+            }
 
     @staticmethod
     def count_violation_walks(monkeypatch):

@@ -17,7 +17,11 @@ from mirrorcrit.critical import (
     bicycle_masks_bruteforce,
     subspace_masks,
 )
-from mirrorcrit.factorization import build_maps, identify_kernel_cokernel
+from mirrorcrit.factorization import (
+    build_maps,
+    component_linking_cycles,
+    identify_kernel_cokernel,
+)
 from mirrorcrit.graphs import Multigraph
 from mirrorcrit.lattice import IntMatrix
 from mirrorcrit.modp import (
@@ -26,6 +30,7 @@ from mirrorcrit.modp import (
     fixed_subspace,
     is_involution,
     kernel,
+    span_dims,
 )
 from mirrorcrit.randgraph import mirror_grid
 
@@ -100,19 +105,19 @@ class TestKernelAndRowSpace:
         # |E| - |V| + #components = 5 - 4 + 1
         g = running_example()
         pair = AdjointPair(g.graph)
-        assert pair.cycle_space_mod2.dim == 2
+        assert ModpSubspace.from_rows(pair.c1_rank, pair.cycles).dim == 2
 
     def test_running_example_bond_space_dim(self):
         # |V| - #components = 3
         g = running_example()
         pair = AdjointPair(g.graph)
-        assert pair.bond_space_mod2.dim == 3
+        assert ModpSubspace.from_rows(pair.c1_rank, pair.cuts).dim == 3
 
     def test_single_loop_bond_space_is_zero(self):
         g = Multigraph(["v"], [("loop", "v", "v")])
         pair = AdjointPair(g)
-        assert pair.bond_space_mod2.dim == 0
-        assert pair.cycle_space_mod2.dim == 1
+        assert ModpSubspace.from_rows(pair.c1_rank, pair.cuts).dim == 0
+        assert ModpSubspace.from_rows(pair.c1_rank, pair.cycles).dim == 1
 
     def test_identity_row_space_full(self):
         assert row_space(identity(4)).dim == 4
@@ -453,6 +458,63 @@ def kernel_route(maps):
     )
 
 
+def linking_route(maps):
+    """`component_linking_cycles` by two eliminations: the image of the
+    psi-fixed cycles under g, then that image with the linking cycles."""
+    g = maps.graph
+    count, labels = maps.axis_components
+    first = {}
+    for v in g.fixed_vertices:
+        first.setdefault(labels[v], v)
+    reps = list(first.values())
+    root_paths, _ = maps.pair_plus.spanning_forest
+
+    def root_mask(v):
+        return sum(1 << j for j in root_paths[maps.dec.plus.vertex_index(v)])
+
+    cycles = [maps.f_mod2(root_mask(a) ^ root_mask(b)) for a, b in zip(reps, reps[1:])]
+    n_edges = g.graph.n_edges
+    plus_mask = (1 << maps.n_plus) - 1
+    image_rows = [maps.f_mod2(vec & plus_mask) for vec in maps.z_psi.rows]
+    image = ModpSubspace.from_rows(n_edges, image_rows)
+    combined = ModpSubspace.from_rows(n_edges, [*image.rows, *cycles])
+    return (
+        all(maps.z_phi.contains(c) for c in cycles)
+        and combined.dim == image.dim + max(count - 1, 0)
+        and combined.dim == maps.z_phi.dim
+    )
+
+
+def quotient_route(maps):
+    """The two quotient verdicts of `identify_kernel_cokernel`, read off
+    the built fixed ambients: (ker(f*) against the G side, coker(f*)
+    against the G+ u G- side)."""
+    return (
+        2 ** (fixed_ambient(maps.phi).dim - maps.sum_phi.dim) == maps.ker_f.order(),
+        2 ** (fixed_ambient(maps.psi).dim - maps.sum_psi.dim) == maps.coker_f.order(),
+    )
+
+
+def one_pass_routes(maps):
+    """(the linking check, or None when the plus graph is disconnected,
+    the two quotient verdicts, the two mod-2 kernel verdicts), as the
+    analysis decides them."""
+    ident = identify_kernel_cokernel(maps)
+    return (
+        component_linking_cycles(maps) if maps.plus_connected else None,
+        (ident.alternate_ker_matches, ident.alternate_coker_matches),
+        (ident.ker_ft_basis_ok, ident.ker_f_psi_fixed_ok),
+    )
+
+
+def old_routes(maps):
+    return (
+        linking_route(maps) if maps.plus_connected else None,
+        quotient_route(maps),
+        kernel_route(maps),
+    )
+
+
 def doubled_f(maps):
     return dataclasses.replace(
         maps, f_columns=tuple({k: 2 * x for k, x in col.items()} for col in maps.f_columns)
@@ -464,10 +526,11 @@ FOLDED = settings(max_examples=150, derandomize=True, database=None, deadline=No
 
 class TestFoldedRoutes:
     """The routes the analysis takes to its fixed spaces, their sums and
-    caps, and the two mod-2 kernels, against the routes they replace:
-    the fixed ambient intersected with the span, `plus` and a separate
-    intersection, and the eliminated kernels.  Canonical rows must be
-    equal, not only dimensions."""
+    caps, the two mod-2 kernels, the quotient presentations and the
+    linking check, against the routes they replace: the fixed ambient
+    intersected with the span, `plus` and a separate intersection, the
+    eliminated kernels, the built fixed ambients and two eliminations.
+    Canonical rows must be equal where spaces are compared."""
 
     @FOLDED
     @given(folded_case())
@@ -503,10 +566,13 @@ class TestFoldedRoutes:
 
     @FOLDED
     @given(st.data())
-    def test_rank_route_decides_the_kernels(self, data):
-        # phi and psi are perturbed to other involutions, and f is
-        # doubled, which still descends to the critical groups but
-        # vanishes mod 2, so that both kernels outgrow their predictions
+    def test_one_pass_routes_match_the_old_routes(self, data):
+        # the linking check's one elimination, the quotients' orbit
+        # counts and the kernel checks' orbits against two eliminations,
+        # the built fixed ambients and the eliminated kernels; phi and
+        # psi are perturbed to other involutions, and f is doubled, which
+        # still descends to the critical groups but vanishes mod 2, so
+        # that both kernels outgrow their predictions
         maps = data.draw(st.sampled_from(analyses()))
         which = data.draw(st.sampled_from(("phi", "psi", "f", None)))
         if which == "f":
@@ -515,8 +581,7 @@ class TestFoldedRoutes:
             perm = getattr(maps, which)
             i, j = (data.draw(st.integers(0, len(perm) - 1)) for _ in range(2))
             maps = dataclasses.replace(maps, **{which: rematch(perm, i, j)})
-        ident = identify_kernel_cokernel(maps)
-        assert (ident.ker_ft_basis_ok, ident.ker_f_psi_fixed_ok) == kernel_route(maps)
+        assert one_pass_routes(maps) == old_routes(maps)
 
     def test_rank_route_reaches_false(self):
         # a perturbed phi fails the f^t check and a perturbed psi the f
@@ -536,6 +601,46 @@ class TestFoldedRoutes:
         ident = identify_kernel_cokernel(maps)
         assert ident.ker_ft_basis_ok and ident.ker_f_psi_fixed_ok
         assert kernel_route(maps) == (True, True)
+
+    @FOLDED
+    @given(st.data())
+    def test_span_dims_from_one_pass(self, data):
+        # an extra row may be a sum of rows and of earlier extra rows,
+        # so that it depends on `rows` alone, or on other extra rows in
+        # pairs or larger sets
+        n = data.draw(st.integers(0, 8))
+        row = st.integers(0, (1 << n) - 1)
+        rows = data.draw(st.lists(row, max_size=n + 1))
+        extra = []
+        for _ in range(data.draw(st.integers(0, 4))):
+            pool = rows + extra
+            sums = st.lists(st.sampled_from(pool), min_size=1).map(
+                lambda picked: functools.reduce(int.__xor__, picked)
+            )
+            extra.append(data.draw(row | sums if pool else row))
+        image = ModpSubspace.from_rows(n, rows)
+        combined = ModpSubspace.from_rows(n, [*image.rows, *extra])
+        assert span_dims(n, rows, extra) == (image.dim, combined.dim)
+
+    def test_one_pass_routes_reach_true_and_false(self):
+        # pairing phi's 0 with 1 breaks the linking check and the f^t
+        # check; fixing phi's 0 adds a phi orbit, which breaks the kernel
+        # quotient and the f^t check; fixing psi's 0 adds a psi orbit,
+        # which breaks the cokernel quotient and the f check; doubling f
+        # breaks all five
+        maps = build_maps(running_example().decompose())
+        cases = (
+            (maps, (True, (True, True), (True, True))),
+            (dataclasses.replace(maps, phi=rematch(maps.phi, 0, 1)),
+             (False, (True, True), (False, True))),
+            (dataclasses.replace(maps, phi=rematch(maps.phi, 0, 0)),
+             (True, (False, True), (False, True))),
+            (dataclasses.replace(maps, psi=rematch(maps.psi, 0, 0)),
+             (True, (True, False), (True, False))),
+            (doubled_f(maps), (False, (False, False), (False, False))),
+        )
+        for case, want in cases:
+            assert one_pass_routes(case) == want == old_routes(case)
 
 
 class TestEnumeration:
